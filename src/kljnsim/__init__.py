@@ -5,7 +5,6 @@ solvers), `protocol` (the honest parties), `attack` (current injection),
 `defense` (detection), `privacy` (XOR amplification), `harness` (experiment
 orchestration and I/O).
 """
-from .backend import active_backend, compiled_available
 from .exceptions import ConfigError, InferenceError, ShapeMismatchError
 
 __version__ = "0.1.0"
@@ -14,7 +13,5 @@ __all__ = [
     "ConfigError",
     "InferenceError",
     "ShapeMismatchError",
-    "active_backend",
-    "compiled_available",
     "__version__",
 ]

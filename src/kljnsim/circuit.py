@@ -32,7 +32,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .backend import ladder_scan
 from .exceptions import ConfigError, ShapeMismatchError
 from .noise import Waveform
 
@@ -237,18 +236,6 @@ def solve_ideal_loop(
     return loop.to_convention(convention)
 
 
-@dataclass
-class CableState:
-    """Dynamic state of the ladder between steps."""
-
-    cap_voltages: np.ndarray
-    inductor_currents: np.ndarray
-    prev_inputs: np.ndarray
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.cap_voltages, self.inductor_currents])
-
-
 @dataclass(frozen=True)
 class _DiscreteSystem:
     """Trapezoid-discretized x' = A x + B u + B_d u'; y = C x + D u."""
@@ -259,19 +246,14 @@ class _DiscreteSystem:
     c_out: np.ndarray
     d_out: np.ndarray
     dc_gain: np.ndarray  # x_dc = dc_gain @ u for frozen inputs
-    n_caps: int
     dt: float
 
     @property
     def n_states(self) -> int:
         return self.p.shape[0]
 
-    @property
-    def n_inputs(self) -> int:
-        return self.q_next.shape[1]
 
-
-def _discretize(a, b, b_deriv, c, d, dt, n_caps) -> _DiscreteSystem:
+def _discretize(a, b, b_deriv, c, d, dt) -> _DiscreteSystem:
     m = a.shape[0]
     h = dt / 2.0
     lhs = np.eye(m) - h * a
@@ -279,7 +261,7 @@ def _discretize(a, b, b_deriv, c, d, dt, n_caps) -> _DiscreteSystem:
     q_next = np.linalg.solve(lhs, h * b + b_deriv)
     q_prev = np.linalg.solve(lhs, h * b - b_deriv)
     dc_gain = np.linalg.solve(a, -b)
-    return _DiscreteSystem(p, q_next, q_prev, c, d, dc_gain, n_caps, dt)
+    return _DiscreteSystem(p, q_next, q_prev, c, d, dc_gain, dt)
 
 
 def _assemble_ladder(model: CableModel, r_a: float, r_b: float, inj_node: int):
@@ -324,7 +306,7 @@ def _assemble_ladder(model: CableModel, r_a: float, r_b: float, inj_node: int):
     d[2, 0] = 1.0
     c[3, m - 1] = r_b  # u_chb = u_b + r_b i_n
     d[3, 1] = 1.0
-    return a, b, np.zeros((m, 3)), c, d, n_caps
+    return a, b, np.zeros((m, 3)), c, d
 
 
 def _assemble_killer(model: CableModel, r_a: float, r_b: float, inj_node: int):
@@ -353,7 +335,7 @@ def _assemble_killer(model: CableModel, r_a: float, r_b: float, inj_node: int):
             [0.0, 1.0, r_b],
         ]
     )
-    return a, b, b_deriv, c, d, 0
+    return a, b, b_deriv, c, d
 
 
 def injection_node_index(variant: Variant, injection_position: float) -> int:
@@ -364,90 +346,80 @@ def injection_node_index(variant: Variant, injection_position: float) -> int:
     return int(min(max(round(injection_position * n), 1), n - 1))
 
 
-class TransientSolver:
-    """Per-(model, terminations, dt) trapezoidal stepper for the ladder."""
+def ladder_scan(p: np.ndarray, qu: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Run the state recurrence x[k] = p @ x[k-1] + qu[k-1] over a whole segment.
 
-    def __init__(self, model: CableModel, cfg: LoopConfig, dt: float):
-        if isinstance(cfg.variant, Ideal):
+    Returns the full time-major state trajectory, shape (t, m) where
+    t = qu.shape[0] + 1 and trajectory[0] = x0.
+    """
+    p = np.ascontiguousarray(p, dtype=np.float64)
+    qu = np.ascontiguousarray(qu, dtype=np.float64)
+    x0 = np.ascontiguousarray(x0, dtype=np.float64)
+    out = np.empty((qu.shape[0] + 1, p.shape[0]))
+    out[0] = x0
+    x = x0
+    for k in range(1, out.shape[0]):
+        x = p @ x + qu[k - 1]
+        out[k] = x
+    return out
+
+
+class TransientSolver:
+    """Trapezoidal solver for the cable between its two end drives.
+
+    With a LoopConfig the system is the whole loop: inputs (u_a, u_b, i_inj)
+    are the generator voltages and the injected current, outputs are
+    (i_cha, i_chb, u_cha, u_chb). With `cfg=None` it is the cable alone driven
+    by its end voltages, the defense's in-site simulation: the same assembly
+    with zero termination resistance and no injection, inputs (u_cha, u_chb),
+    outputs (i_cha, i_chb). Both report the Loop convention.
+    """
+
+    def __init__(self, model: CableModel, cfg: LoopConfig | None, dt: float):
+        if cfg is not None and isinstance(cfg.variant, Ideal):
             raise ConfigError("the ideal variant has no transient state")
         if dt <= 0:
             raise ConfigError("dt must be positive")
-        inj = injection_node_index(cfg.variant, cfg.injection_position)
-        if model.killer_enabled:
-            parts = _assemble_killer(model, cfg.r_alice, cfg.r_bob, inj)
+        assemble = _assemble_killer if model.killer_enabled else _assemble_ladder
+        if cfg is None:
+            # any interior injection node: its input column is dropped
+            a, b, b_deriv, c, d = assemble(model, 0.0, 0.0, 1)
+            b, b_deriv, c, d = b[:, :2], b_deriv[:, :2], c[:2], d[:2, :2]
         else:
-            parts = _assemble_ladder(model, cfg.r_alice, cfg.r_bob, inj)
-        a, b, b_deriv, c, d, n_caps = parts
+            inj = injection_node_index(cfg.variant, cfg.injection_position)
+            a, b, b_deriv, c, d = assemble(model, cfg.r_alice, cfg.r_bob, inj)
         self.model = model
         self.cfg = cfg
-        self.system = _discretize(a, b, b_deriv, c, d, dt, n_caps)
+        self.system = _discretize(a, b, b_deriv, c, d, dt)
 
-    def initial_state(self, u0: np.ndarray | None = None) -> CableState:
-        """DC-consistent state for the first input sample (zeros if u0 is None)."""
-        sys = self.system
-        if u0 is None:
-            u0 = np.zeros(sys.n_inputs)
-        u0 = np.asarray(u0, dtype=np.float64)
-        x = sys.dc_gain @ u0
-        return CableState(
-            cap_voltages=x[: sys.n_caps].copy(),
-            inductor_currents=x[sys.n_caps :].copy(),
-            prev_inputs=u0.copy(),
-        )
+    def solve(self, u: np.ndarray) -> np.ndarray:
+        """Outputs, shape (t, n_outputs), for inputs u of shape (n_inputs, t).
 
-    def _check_state(self, state: CableState) -> np.ndarray:
-        x = state.as_vector()
-        if x.size != self.system.n_states:
-            raise ShapeMismatchError(
-                f"state dimension {x.size} does not match solver "
-                f"({self.system.n_states} states)"
-            )
-        return x
-
-    def step(self, state: CableState, inputs: np.ndarray):
-        """Advance one sample; returns (new_state, (i_cha, i_chb, u_cha, u_chb)).
-
-        `inputs` are the (u_a, u_b, i_inj) samples at the new time point;
-        outputs are reported at that same point, in the Loop convention.
+        The run starts from the DC-consistent state for the first input sample.
         """
         sys = self.system
-        x = self._check_state(state)
-        u1 = np.asarray(inputs, dtype=np.float64)
-        x1 = sys.p @ x + sys.q_next @ u1 + sys.q_prev @ state.prev_inputs
-        y = sys.c_out @ x1 + sys.d_out @ u1
-        new_state = CableState(
-            cap_voltages=x1[: sys.n_caps].copy(),
-            inductor_currents=x1[sys.n_caps :].copy(),
-            prev_inputs=u1.copy(),
-        )
-        return new_state, tuple(y)
+        x0 = sys.dc_gain @ u[:, 0]
+        qu = u[:, 1:].T @ sys.q_next.T + u[:, :-1].T @ sys.q_prev.T
+        traj = ladder_scan(sys.p, qu, x0)
+        return traj @ sys.c_out.T + u.T @ sys.d_out.T
 
     def run(
         self,
         u_a: Waveform,
         u_b: Waveform,
         i_inj: Waveform | None = None,
-        initial_state: CableState | None = None,
         convention: SignConvention = SignConvention.LOOP,
     ) -> ChannelSignals:
-        """Solve a whole segment and return the four end signals."""
+        """Solve a whole segment of the loop and return the four end signals."""
         _check_aligned(u_a, u_b, *([i_inj] if i_inj is not None else []))
         if abs(u_a.sample_rate_hz * self.system.dt - 1.0) > 1e-9:
             raise ShapeMismatchError("waveform sample rate does not match solver dt")
-        sys = self.system
-        t = len(u_a)
-        u = np.zeros((3, t))
+        u = np.zeros((3, len(u_a)))
         u[0] = u_a.samples
         u[1] = u_b.samples
         if i_inj is not None:
             u[2] = i_inj.samples
-        if initial_state is None:
-            x0 = sys.dc_gain @ u[:, 0]
-        else:
-            x0 = self._check_state(initial_state)
-        qu = u[:, 1:].T @ sys.q_next.T + u[:, :-1].T @ sys.q_prev.T
-        traj = ladder_scan(sys.p, qu, x0)
-        y = traj @ sys.c_out.T + u.T @ sys.d_out.T
+        y = self.solve(u)
         fs = u_a.sample_rate_hz
         loop = ChannelSignals(
             i_cha=Waveform(y[:, 0], fs),
@@ -460,99 +432,8 @@ class TransientSolver:
 
 
 @lru_cache(maxsize=128)
-def transient_solver(model: CableModel, cfg: LoopConfig, dt: float) -> TransientSolver:
+def transient_solver(model: CableModel, cfg: LoopConfig | None, dt: float) -> TransientSolver:
     return TransientSolver(model, cfg, dt)
-
-
-class EndDrivenCable:
-    """The cable alone, driven by recorded terminal voltages (defense model).
-
-    Inputs are (v_alice_end, v_bob_end); outputs are the terminal currents the
-    cable would draw, in the Loop convention, i.e. directly comparable with
-    the measured i_cha and i_chb.
-    """
-
-    def __init__(self, model: CableModel, dt: float):
-        if dt <= 0:
-            raise ConfigError("dt must be positive")
-        n = model.n_segments
-        if model.killer_enabled:
-            r_tot = model.total_series_resistance
-            l_tot = model.total_series_inductance
-            a = np.array([[-r_tot / l_tot]])
-            b = np.array([[1.0, -1.0]]) / l_tot
-            c = np.array([[-1.0], [-1.0]])
-            d = np.zeros((2, 2))
-            n_caps = 0
-            b_deriv = np.zeros((1, 2))
-        else:
-            n_caps = n - 1
-            r_br = model.r_per_m * model.length_m / n
-            l_br = model.l_per_m * model.length_m / n
-            c_node = model.c_per_m * model.length_m / n_caps
-            g_node = model.g_per_m * model.length_m / n_caps
-            m = n_caps + n
-            a = np.zeros((m, m))
-            b = np.zeros((m, 2))
-            for k in range(1, n):
-                row = k - 1
-                a[row, n_caps + k - 1] += 1.0 / c_node
-                a[row, n_caps + k] -= 1.0 / c_node
-                a[row, row] -= g_node / c_node
-            for k in range(1, n + 1):
-                row = n_caps + k - 1
-                if k == 1:
-                    b[row, 0] += 1.0 / l_br
-                else:
-                    a[row, k - 2] += 1.0 / l_br
-                if k == n:
-                    b[row, 1] -= 1.0 / l_br
-                else:
-                    a[row, k - 1] -= 1.0 / l_br
-                a[row, row] -= r_br / l_br
-            c = np.zeros((2, m))
-            d = np.zeros((2, 2))
-            c[0, n_caps] = -1.0
-            c[1, m - 1] = -1.0
-            b_deriv = np.zeros((m, 2))
-        self.model = model
-        self.system = _discretize(a, b, b_deriv, c, d, dt, n_caps)
-
-    def run(self, v_a: Waveform, v_b: Waveform) -> tuple[Waveform, Waveform]:
-        _check_aligned(v_a, v_b)
-        if abs(v_a.sample_rate_hz * self.system.dt - 1.0) > 1e-9:
-            raise ShapeMismatchError("waveform sample rate does not match solver dt")
-        sys = self.system
-        u = np.vstack([v_a.samples, v_b.samples])
-        x0 = sys.dc_gain @ u[:, 0]
-        qu = u[:, 1:].T @ sys.q_next.T + u[:, :-1].T @ sys.q_prev.T
-        traj = ladder_scan(sys.p, qu, x0)
-        y = traj @ sys.c_out.T + u.T @ sys.d_out.T
-        fs = v_a.sample_rate_hz
-        return Waveform(y[:, 0], fs), Waveform(y[:, 1], fs)
-
-
-@lru_cache(maxsize=128)
-def end_driven_cable(model: CableModel, dt: float) -> EndDrivenCable:
-    return EndDrivenCable(model, dt)
-
-
-def step_transient(
-    model: CableModel,
-    cfg: LoopConfig,
-    end_voltages: tuple[float, float],
-    i_inj_sample: float,
-    state: CableState,
-    dt: float,
-):
-    """Single-sample stepping interface over the cached solver.
-
-    `end_voltages` are the two generator voltages at the new time point.
-    Returns (new_state, (i_cha, i_chb, u_cha, u_chb)) in the Loop convention.
-    """
-    solver = transient_solver(model, cfg, dt)
-    u = np.array([end_voltages[0], end_voltages[1], i_inj_sample])
-    return solver.step(state, u)
 
 
 def solve_loop(

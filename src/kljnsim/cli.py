@@ -15,7 +15,6 @@ import sys
 from dataclasses import replace
 
 from . import circuit, harness
-from .backend import active_backend
 from .exceptions import ConfigError
 
 EXIT_OK = 0
@@ -77,7 +76,7 @@ def run(argv=None) -> int:
         report.single_bit = harness.run_single_bit(cfg, args.bit_index)
 
     written = harness.write_report(report, args.out)
-    print(f"[{active_backend()} backend] wrote:")
+    print("wrote:")
     for path in written:
         print(f"  {path}")
     return EXIT_OK

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CableModel, ChannelSignals, LoopConfig, Ideal, SignConvention, end_driven_cable
+from .circuit import (
+    CableModel,
+    ChannelSignals,
+    Ideal,
+    LoopConfig,
+    SignConvention,
+    model_for_variant,
+    transient_solver,
+)
 from .exceptions import ConfigError
 from .noise import Waveform
 
@@ -104,36 +112,40 @@ def simulate_expected_currents(
 ) -> tuple[Waveform, Waveform]:
     """Currents the cable alone would draw given the measured end voltages.
 
-    This is the in-site cable simulation: the same ladder as the channel,
+    This is the in-site cable simulation: the channel's own ladder assembly,
     driven by the exchanged voltage data, with no injection source. Returned
     in the Loop convention, directly comparable with the measured currents.
     """
     if isinstance(cfg.variant, Ideal):
         raise ConfigError("the ideal variant has no cable model to simulate")
     u_cha.require_compatible(u_chb)
-    solver = end_driven_cable(model, 1.0 / u_cha.sample_rate_hz)
-    return solver.run(u_cha, u_chb)
+    fs = u_cha.sample_rate_hz
+    solver = transient_solver(model, None, 1.0 / fs)
+    y = solver.solve(np.vstack([u_cha.samples, u_chb.samples]))
+    return Waveform(y[:, 0], fs), Waveform(y[:, 1], fs)
 
 
-def model_based_detect(
+def end_residuals(
     measured: ChannelSignals,
-    simulated: tuple[Waveform, Waveform],
-    cfg: DetectionConfig,
-) -> DetectionVerdict:
-    """Compare measured vs model-predicted end currents at both ends.
+    cfg: LoopConfig,
+    model: CableModel | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measured minus expected end currents at Alice's and Bob's end.
 
-    The verdict fires when either end's residual magnitude stays above the
-    threshold for the configured number of consecutive samples. The stored
-    trace is Alice's end.
+    Ideal wire: both ends carry one loop current, so Alice's residual is
+    i_cha - i_chb (the injected current) and Bob's is zero. Cable: each end's
+    measured current minus the in-site simulation driven by the measured end
+    voltages; `model` is the parties' cable model (default: the channel's).
+    Both in the Loop convention.
     """
-    if measured.sign_convention is not SignConvention.LOOP:
-        measured = measured.to_convention(SignConvention.LOOP)
-    i_star_a, i_star_b = simulated
-    measured.i_cha.require_compatible(i_star_a)
-    measured.i_chb.require_compatible(i_star_b)
-    res_a = measured.i_cha.samples - i_star_a.samples
-    res_b = measured.i_chb.samples - i_star_b.samples
-    return detect_residuals([res_a, res_b], cfg, measured.i_cha.sample_rate_hz)
+    measured = measured.to_convention(SignConvention.LOOP)
+    if isinstance(cfg.variant, Ideal):
+        r = measured.i_cha.samples - measured.i_chb.samples
+        return r, np.zeros_like(r)
+    if model is None:
+        model = model_for_variant(cfg.variant)
+    star_a, star_b = simulate_expected_currents(model, cfg, measured.u_cha, measured.u_chb)
+    return measured.i_cha.samples - star_a.samples, measured.i_chb.samples - star_b.samples
 
 
 # Calibrated thresholds never drop below this fraction of the channel current:

@@ -15,12 +15,11 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import attack, circuit, defense, privacy, protocol
-from .backend import active_backend
 from .exceptions import ConfigError
 
 _CHUNK = 128  # fixed chunk size keeps worker partitioning deterministic
@@ -331,40 +330,18 @@ class _DefenseBitSim:
     injected: np.ndarray
 
 
-def _residuals_for_record(cfg: SimConfig, rec: protocol.BitExchangeRecord, model):
-    """Measured-minus-simulated end currents (both ends, Loop convention)."""
-    signals = rec.signals.to_convention(circuit.SignConvention.LOOP)
-    if isinstance(cfg.variant, circuit.Ideal):
-        r = signals.i_cha.samples - signals.i_chb.samples
-        return r, np.zeros_like(r)
-    loop_cfg = circuit.LoopConfig(
-        rec.alice_choice.resistance,
-        rec.bob_choice.resistance,
-        cfg.variant,
-        cfg.injection_position,
-    )
-    star_a, star_b = defense.simulate_expected_currents(
-        model, loop_cfg, signals.u_cha, signals.u_chb
-    )
-    return (
-        signals.i_cha.samples - star_a.samples,
-        signals.i_chb.samples - star_b.samples,
-    )
-
-
 def _simulate_defense_pair(cfg: SimConfig, index: int, defense_model=None):
     streams = derive_bit_streams(cfg.master_seed, index)
     alice, bob = protocol.choices_for_bit(cfg, streams)
     cls = protocol.classify_bit_pair(alice, bob)
     if not cls.is_secure:
         return cls
-    model = defense_model if defense_model is not None else circuit.model_for_variant(cfg.variant)
     streams = derive_bit_streams(cfg.master_seed, index)
     rec_clean = protocol.run_bit_exchange(cfg, index, streams, None)
     streams = derive_bit_streams(cfg.master_seed, index)
     rec_att = protocol.run_bit_exchange(cfg, index, streams, cfg.injection)
-    res_clean = _residuals_for_record(cfg, rec_clean, model)
-    res_att = _residuals_for_record(cfg, rec_att, model)
+    res_clean = defense.end_residuals(rec_clean.signals, rec_clean.loop_cfg, defense_model)
+    res_att = defense.end_residuals(rec_att.signals, rec_att.loop_cfg, defense_model)
     i_meas = rec_clean.signals.to_convention(circuit.SignConvention.LOOP).i_cha.samples
     return _DefenseBitSim(
         index=index,
@@ -540,8 +517,6 @@ def run_privacy_experiment(cfg: SimConfig, passes: int = 2) -> PrivacyResult:
 @dataclass
 class SingleBitDump:
     record: protocol.BitExchangeRecord
-    u_a: np.ndarray
-    u_b: np.ndarray
     i_inj: np.ndarray
     residuals: tuple[np.ndarray, np.ndarray] | None
     rho_a: float
@@ -553,28 +528,6 @@ def run_single_bit(cfg: SimConfig, bit_index: int = 0) -> SingleBitDump:
     """Simulate one exchange and keep every waveform for inspection."""
     streams = derive_bit_streams(cfg.master_seed, bit_index)
     rec = protocol.run_bit_exchange(cfg, bit_index, streams, cfg.injection)
-    # the generators are re-synthesized from the same seeds for the dump
-    streams2 = derive_bit_streams(cfg.master_seed, bit_index)
-    from .noise import NoiseSpec, johnson_rms_voltage, synth_band_limited_gaussian
-
-    u_a = synth_band_limited_gaussian(
-        NoiseSpec(
-            cfg.bandwidth_hz,
-            cfg.sample_rate_hz,
-            cfg.tau_s,
-            johnson_rms_voltage(rec.alice_choice.resistance, cfg.t_eff, cfg.bandwidth_hz),
-            streams2.alice_noise_seed,
-        )
-    )
-    u_b = synth_band_limited_gaussian(
-        NoiseSpec(
-            cfg.bandwidth_hz,
-            cfg.sample_rate_hz,
-            cfg.tau_s,
-            johnson_rms_voltage(rec.bob_choice.resistance, cfg.t_eff, cfg.bandwidth_hz),
-            streams2.bob_noise_seed,
-        )
-    )
     div = rec.signals.to_convention(circuit.SignConvention.DIVIDER_FROM_INJECTION)
     if rec.injected is not None:
         rho_a = attack.correlate(rec.injected, div.i_cha)
@@ -586,12 +539,9 @@ def run_single_bit(cfg: SimConfig, bit_index: int = 0) -> SingleBitDump:
     guess = attack.eve_decide(rho_a, rho_b, tie_rng=streams.eve_coin)
     residuals = None
     if not isinstance(cfg.variant, circuit.Ideal):
-        model = circuit.model_for_variant(cfg.variant)
-        residuals = _residuals_for_record(cfg, rec, model)
+        residuals = defense.end_residuals(rec.signals, rec.loop_cfg)
     return SingleBitDump(
         record=rec,
-        u_a=u_a.samples,
-        u_b=u_b.samples,
         i_inj=i_inj,
         residuals=residuals,
         rho_a=rho_a,
@@ -735,7 +685,6 @@ class ExperimentReport:
     defense_result: DefenseResult | None = None
     privacy_result: PrivacyResult | None = None
     single_bit: SingleBitDump | None = None
-    backend: str = field(default_factory=active_backend)
 
 
 def _fmt(value) -> str:
@@ -763,7 +712,6 @@ def write_report(report: ExperimentReport, out_dir: str) -> list[str]:
     written = []
     summary = [
         "kljnsim experiment report",
-        f"kernel backend: {report.backend}",
         "",
         "config:",
     ]
@@ -844,7 +792,7 @@ def write_report(report: ExperimentReport, out_dir: str) -> list[str]:
             "u_cha_V", "u_chb_V", "i_cha_A", "i_chb_A",
         ]
         cols = [
-            t, s.u_a, s.u_b, s.i_inj,
+            t, rec.u_a.samples, rec.u_b.samples, s.i_inj,
             loop.u_cha.samples, loop.u_chb.samples,
             loop.i_cha.samples, loop.i_chb.samples,
         ]

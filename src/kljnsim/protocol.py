@@ -87,6 +87,9 @@ class BitExchangeRecord:
     index: int
     alice_choice: ResistorChoice
     bob_choice: ResistorChoice
+    loop_cfg: circuit.LoopConfig
+    u_a: Waveform
+    u_b: Waveform
     signals: circuit.ChannelSignals
     injected: Waveform | None
     classification: BitClass
@@ -245,6 +248,9 @@ def run_bit_exchange(
         index=bit_index,
         alice_choice=alice,
         bob_choice=bob,
+        loop_cfg=loop_cfg,
+        u_a=u_a,
+        u_b=u_b,
         signals=signals,
         injected=injected,
         classification=classify_bit_pair(alice, bob),

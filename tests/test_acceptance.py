@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from kljnsim import attack, circuit, harness, protocol
-from kljnsim.backend import active_backend
 from kljnsim.circuit import Cable, CableWithKiller, Ideal, LoopConfig, SignConvention
 from kljnsim.noise import NoiseSpec, Waveform, rms, synth_band_limited_gaussian
 
@@ -74,7 +73,7 @@ def test_criterion_1_success_probability_grid(table1):
     runtime_ok = table1.elapsed_s < 600.0
     checks.append(runtime_ok)
     detail = (
-        f"[{active_backend()}] ideal="
+        "ideal="
         + "/".join(f"{ideal_measured[l]:.3f}" for l in table1.levels)
         + f" 1000m="
         + "/".join(f"{table1.cell('cable_1000m', l).p_e:.3f}" for l in table1.levels)

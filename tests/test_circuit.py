@@ -18,7 +18,6 @@ from kljnsim.circuit import (
     divider_fractions,
     injection_node_index,
     solve_ideal_loop,
-    step_transient,
 )
 from kljnsim.exceptions import ConfigError, ShapeMismatchError
 from kljnsim.noise import NoiseSpec, Waveform, synth_band_limited_gaussian
@@ -35,6 +34,38 @@ def _noise(rms_v, seed, duration=0.1, fs=FS, bw=250.0):
         NoiseSpec(bandwidth_hz=bw, sample_rate_hz=fs, duration_s=duration,
                   target_rms=rms_v, seed=seed)
     )
+
+
+def _reference_steps(system, u, x0):
+    """Plain per-sample trapezoid stepping from x0: the oracle for the scan path.
+
+    `u` holds the input rows, shape (n_inputs, t). Returns the states, shape
+    (t, n_states), and the outputs, shape (t, n_outputs).
+    """
+    states = [x0]
+    for k in range(1, u.shape[1]):
+        states.append(
+            system.p @ states[-1] + system.q_next @ u[:, k] + system.q_prev @ u[:, k - 1]
+        )
+    outs = [system.c_out @ x + system.d_out @ u[:, k] for k, x in enumerate(states)]
+    return np.array(states), np.array(outs)
+
+
+def test_ladder_scan_matches_reference_loop():
+    rng = np.random.default_rng(3)
+    m, t = 19, 200
+    p = rng.standard_normal((m, m))
+    p *= 0.95 / np.max(np.abs(np.linalg.eigvals(p)))  # keep the recurrence stable
+    qu = rng.standard_normal((t - 1, m))
+    x0 = rng.standard_normal(m)
+    got = circuit.ladder_scan(p, qu, x0)
+    assert got.shape == (t, m)
+    expected = np.empty((t, m))
+    expected[0] = x = x0
+    for k in range(1, t):
+        x = p @ x + qu[k - 1]
+        expected[k] = x
+    assert np.array_equal(got, expected)
 
 
 def test_divider_fractions_reference_pair():
@@ -190,33 +221,32 @@ def test_cable_leak_charge_bookkeeping():
     u_a, u_b = _noise(1.0, 41), _noise(3.0, 42)
     n_caps = model.n_segments - 1
     c_node = model.total_shunt_capacitance / n_caps
-    state = solver.initial_state(np.array([u_a.samples[0], u_b.samples[0], 0.0]))
+    u = np.vstack([u_a.samples, u_b.samples, np.zeros(len(u_a))])
+    states, outs = _reference_steps(solver.system, u, solver.system.dc_gain @ u[:, 0])
+    caps, inds = states[:, :n_caps], states[:, n_caps:]
     dt = 1.0 / FS
     for k in range(1, len(u_a)):
-        prev_caps = state.cap_voltages.copy()
-        prev_i = state.inductor_currents.copy()
-        state, out = solver.step(state, np.array([u_a.samples[k], u_b.samples[k], 0.0]))
         # trapezoid-consistent bookkeeping: C dw/dt equals the average of the
         # net branch inflow (i_1 - i_n summed over nodes) at both interval ends
-        shunt = np.sum(c_node * (state.cap_voltages - prev_caps) / dt)
-        inflow_prev = prev_i[0] - prev_i[-1]
-        inflow_now = state.inductor_currents[0] - state.inductor_currents[-1]
+        shunt = np.sum(c_node * (caps[k] - caps[k - 1]) / dt)
+        inflow_prev = inds[k - 1, 0] - inds[k - 1, -1]
+        inflow_now = inds[k, 0] - inds[k, -1]
         assert shunt == pytest.approx((inflow_prev + inflow_now) / 2.0, abs=1e-9)
         # and the reported end-current mismatch is exactly that net inflow
-        i_cha, i_chb = out[0], out[1]
-        assert (i_cha - i_chb) == pytest.approx(
-            -(state.inductor_currents[0] - state.inductor_currents[-1]), abs=1e-18
-        )
+        i_cha, i_chb = outs[k, 0], outs[k, 1]
+        assert (i_cha - i_chb) == pytest.approx(-inflow_now, abs=1e-18)
 
 
 def test_transient_zero_drive_stays_zero():
     model = build_cable_model(1000.0, 10)
     cfg = LoopConfig(1000.0, 9000.0, Cable(1000.0, 10))
     solver = TransientSolver(model, cfg, 1.0 / FS)
-    state = solver.initial_state()
-    for _ in range(50):
-        state, out = solver.step(state, np.zeros(3))
-        assert out == (0.0, 0.0, 0.0, 0.0)
+    zero = Waveform(np.zeros(50), FS)
+    out = solver.run(zero, zero, zero)
+    for name in ("i_cha", "i_chb", "u_cha", "u_chb"):
+        assert np.all(getattr(out, name).samples == 0.0)
+    _, outs = _reference_steps(solver.system, np.zeros((3, 50)), np.zeros(solver.system.n_states))
+    assert np.all(outs == 0.0)
 
 
 def test_transient_dc_steady_state():
@@ -229,13 +259,11 @@ def test_transient_dc_steady_state():
     zero = Waveform(np.zeros(400), FS)
     out = solver.run(u, zero)
     np.testing.assert_allclose(np.abs(out.i_cha.samples), i_expected, rtol=1e-10)
-    # from a zero (inconsistent) state the discrete ringing is zero-mean, so
-    # the tail average still lands on the DC value
-    x0 = solver.initial_state(np.zeros(3))
-    out0 = solver.run(u, zero, initial_state=x0)
     # the inconsistent zero start excites a zero-mean alternating mode; the
     # signed tail average still converges on the DC value
-    tail = out0.i_cha.samples[-200:]
+    drive = np.vstack([u.samples, zero.samples, zero.samples])
+    _, outs = _reference_steps(solver.system, drive, np.zeros(solver.system.n_states))
+    tail = outs[-200:, 0]
     assert abs(abs(np.mean(tail)) - i_expected) / i_expected < 1e-3
 
 
@@ -245,28 +273,15 @@ def test_lossless_cable_energy_balance():
     cfg = LoopConfig(1000.0, 9000.0, Cable(1000.0, 10), injection_position=0.5)
     solver = TransientSolver(model, cfg, 1.0 / FS)
     u_a, u_b, inj = _noise(1.0, 51), _noise(3.0, 52), _noise(3e-5, 53)
-    n = len(u_a)
     dt = 1.0 / FS
     n_caps = model.n_segments - 1
     c_node = model.total_shunt_capacitance / n_caps
     l_br = model.total_series_inductance / model.n_segments
     inj_node = injection_node_index(cfg.variant, 0.5)
-    state = solver.initial_state(np.zeros(3))
-    caps = [state.cap_voltages.copy()]
-    inds = [state.inductor_currents.copy()]
-    outs = [(0.0, 0.0, 0.0, 0.0)]
-    for k in range(1, n):
-        state, out = solver.step(
-            state, np.array([u_a.samples[k], u_b.samples[k], inj.samples[k]])
-        )
-        caps.append(state.cap_voltages.copy())
-        inds.append(state.inductor_currents.copy())
-        outs.append(out)
-    caps = np.array(caps)
-    inds = np.array(inds)
-    outs = np.array(outs)
-    inj_s = inj.samples.copy()
-    inj_s[0] = 0.0  # zero initial state pairs with zero initial drive
+    u = np.vstack([u_a.samples, u_b.samples, inj.samples])
+    u[:, 0] = 0.0  # zero initial state pairs with zero initial drive
+    states, outs = _reference_steps(solver.system, u, np.zeros(solver.system.n_states))
+    caps, inds = states[:, :n_caps], states[:, n_caps:]
     v0 = outs[:, 2]  # u_cha is the terminal voltage
     vn = outs[:, 3]
     i1 = -outs[:, 0]  # loop convention: i_cha = -i_1
@@ -276,7 +291,7 @@ def test_lossless_cable_energy_balance():
     def midsum(a, b):
         return np.sum(dt * 0.5 * (a[1:] + a[:-1]) * 0.5 * (b[1:] + b[:-1]))
 
-    delivered = midsum(v0, i1) - midsum(vn, i_n) + midsum(w_inj, inj_s)
+    delivered = midsum(v0, i1) - midsum(vn, i_n) + midsum(w_inj, u[2])
     stored = 0.5 * c_node * np.sum(caps[-1] ** 2) + 0.5 * l_br * np.sum(inds[-1] ** 2)
     assert delivered == pytest.approx(stored, rel=1e-3)
 
@@ -298,30 +313,12 @@ def test_run_matches_repeated_steps():
     solver = TransientSolver(model, cfg, 1.0 / FS)
     u_a, u_b, inj = _noise(1.0, 71), _noise(3.0, 72), _noise(3e-5, 73)
     out = solver.run(u_a, u_b, inj)
-    u0 = np.array([u_a.samples[0], u_b.samples[0], inj.samples[0]])
-    state = solver.initial_state(u0)
-    for k in range(1, len(u_a)):
-        state, y = solver.step(
-            state, np.array([u_a.samples[k], u_b.samples[k], inj.samples[k]])
+    u = np.vstack([u_a.samples, u_b.samples, inj.samples])
+    _, outs = _reference_steps(solver.system, u, solver.system.dc_gain @ u[:, 0])
+    for idx, name in enumerate(("i_cha", "i_chb", "u_cha", "u_chb")):
+        np.testing.assert_allclose(
+            getattr(out, name).samples, outs[:, idx], rtol=1e-10, atol=1e-18
         )
-        for idx, name in enumerate(("i_cha", "i_chb", "u_cha", "u_chb")):
-            assert y[idx] == pytest.approx(
-                getattr(out, name).samples[k], rel=1e-10, abs=1e-18
-            )
-
-
-def test_step_transient_wrapper_and_state_mismatch():
-    model = build_cable_model(1000.0, 10)
-    cfg = LoopConfig(1000.0, 9000.0, Cable(1000.0, 10))
-    solver = circuit.transient_solver(model, cfg, 1.0 / FS)
-    state = solver.initial_state()
-    state, out = step_transient(model, cfg, (1.0, 0.0), 0.0, state, 1.0 / FS)
-    assert len(out) == 4
-    bad = circuit.CableState(
-        cap_voltages=np.zeros(3), inductor_currents=np.zeros(2), prev_inputs=np.zeros(3)
-    )
-    with pytest.raises(ShapeMismatchError):
-        step_transient(model, cfg, (1.0, 0.0), 0.0, bad, 1.0 / FS)
 
 
 def test_loop_config_validation():

@@ -6,13 +6,13 @@ import pytest
 
 from kljnsim import circuit, harness
 from kljnsim.attack import InjectionSpec, reference_rms_channel_current
-from kljnsim.circuit import Cable, Ideal, LoopConfig, SignConvention
+from kljnsim.circuit import Cable, CableWithKiller, Ideal, LoopConfig, SignConvention
 from kljnsim.defense import (
     DetectionConfig,
     DetectionVerdict,
     calibrate_threshold,
-    compare_instantaneous_ideal,
-    model_based_detect,
+    detect_residuals,
+    end_residuals,
     simulate_expected_currents,
 )
 from kljnsim.exceptions import ConfigError, ShapeMismatchError
@@ -42,10 +42,14 @@ def _ideal_signals(seed, level=0.0):
     return out, inj
 
 
+def _verdict(signals, loop_cfg, det):
+    return detect_residuals(list(end_residuals(signals, loop_cfg)), det, FS)
+
+
 def test_ideal_comparison_clean_loop_is_silent():
     out, _ = _ideal_signals(60)
     cfg = DetectionConfig(threshold=1e-12)
-    verdict = compare_instantaneous_ideal(out.i_cha, out.i_chb, cfg)
+    verdict = _verdict(out, LoopConfig(R_L, R_H), cfg)
     assert not verdict.attacked
     assert verdict.first_detection_sample is None
     assert verdict.max_residual < 1e-16
@@ -54,10 +58,11 @@ def test_ideal_comparison_clean_loop_is_silent():
 def test_ideal_comparison_residual_is_the_injected_current():
     out, inj = _ideal_signals(61, level=0.1)
     cfg = DetectionConfig(threshold=float(np.sqrt(np.mean(inj.samples**2))))
-    verdict = compare_instantaneous_ideal(out.i_cha, out.i_chb, cfg)
-    np.testing.assert_allclose(
-        verdict.residual_trace.samples, inj.samples, rtol=0, atol=1e-16
-    )
+    res_a, res_b = end_residuals(out, LoopConfig(R_L, R_H))
+    np.testing.assert_allclose(res_a, inj.samples, rtol=0, atol=1e-16)
+    assert np.all(res_b == 0.0)
+    verdict = detect_residuals([res_a, res_b], cfg, FS)
+    assert np.array_equal(verdict.residual_trace.samples, res_a)
     # oracle: first sample where the injected current magnitude crosses
     expected_first = int(np.flatnonzero(np.abs(inj.samples) > cfg.threshold)[0])
     assert verdict.attacked
@@ -67,7 +72,7 @@ def test_ideal_comparison_residual_is_the_injected_current():
 def test_ideal_comparison_miss_when_threshold_above_peak():
     out, inj = _ideal_signals(62, level=0.1)
     cfg = DetectionConfig(threshold=2.0 * float(np.max(np.abs(inj.samples))))
-    verdict = compare_instantaneous_ideal(out.i_cha, out.i_chb, cfg)
+    verdict = _verdict(out, LoopConfig(R_L, R_H), cfg)
     assert not verdict.attacked
 
 
@@ -103,26 +108,28 @@ def _cable_records(seed, level, variant=Cable(1000.0, 10)):
 
 def test_model_self_consistency_on_clean_run():
     cfg, rec = _cable_records(70, 0.0)
-    model = circuit.model_for_variant(cfg.variant)
-    loop_cfg = LoopConfig(R_L, R_H, cfg.variant)
-    star_a, star_b = simulate_expected_currents(
-        model, loop_cfg, rec.signals.u_cha, rec.signals.u_chb
-    )
     i_rms = float(np.sqrt(np.mean(rec.signals.i_cha.samples**2)))
-    res_a = rec.signals.i_cha.samples - star_a.samples
-    res_b = rec.signals.i_chb.samples - star_b.samples
+    res_a, res_b = end_residuals(rec.signals, rec.loop_cfg)
     assert math.sqrt(np.mean(res_a**2)) <= 1e-6 * i_rms
     assert math.sqrt(np.mean(res_b**2)) <= 1e-6 * i_rms
 
 
+@pytest.mark.parametrize("n_segments", [2, 3, 10])
+@pytest.mark.parametrize("variant_type", [Cable, CableWithKiller])
+def test_in_site_simulation_reproduces_clean_channel(variant_type, n_segments):
+    """Guard on the shared assembly: the defense's cable is the channel's cable."""
+    variant = variant_type(1000.0, n_segments)
+    loop_cfg = LoopConfig(R_L, R_H, variant)
+    u_a, u_b = _noise(_johnson(R_L), 80), _noise(_johnson(R_H), 81)
+    measured = circuit.solve_loop(u_a, u_b, loop_cfg)
+    i_rms = float(np.sqrt(np.mean(measured.i_cha.samples**2)))
+    for res in end_residuals(measured, loop_cfg):
+        assert np.max(np.abs(res)) <= 1e-12 * i_rms
+
+
 def test_model_residual_visible_under_attack():
     cfg, rec = _cable_records(71, 0.1)
-    model = circuit.model_for_variant(cfg.variant)
-    loop_cfg = LoopConfig(R_L, R_H, cfg.variant)
-    star_a, _ = simulate_expected_currents(
-        model, loop_cfg, rec.signals.u_cha, rec.signals.u_chb
-    )
-    res_a = rec.signals.i_cha.samples - star_a.samples
+    res_a, _ = end_residuals(rec.signals, rec.loop_cfg)
     inj_rms = float(np.sqrt(np.mean(rec.injected.samples**2)))
     assert math.sqrt(np.mean(res_a**2)) > 0.2 * inj_rms
 
@@ -131,13 +138,7 @@ def test_residual_sum_reconstructs_injected_current():
     # the two end residuals are the injection split by the cable alone;
     # their difference in the loop convention recovers the injected waveform
     cfg, rec = _cable_records(72, 0.1)
-    model = circuit.model_for_variant(cfg.variant)
-    loop_cfg = LoopConfig(R_L, R_H, cfg.variant)
-    star_a, star_b = simulate_expected_currents(
-        model, loop_cfg, rec.signals.u_cha, rec.signals.u_chb
-    )
-    res_a = rec.signals.i_cha.samples - star_a.samples
-    res_b = rec.signals.i_chb.samples - star_b.samples
+    res_a, res_b = end_residuals(rec.signals, rec.loop_cfg)
     recon = res_a - res_b
     err = np.sqrt(np.mean((recon - rec.injected.samples) ** 2))
     assert err <= 0.05 * np.sqrt(np.mean(rec.injected.samples**2))
@@ -160,20 +161,22 @@ def test_simulate_expected_currents_rejects_ideal():
 
 
 def test_model_based_detect_trivial_equality():
+    # measured currents that are exactly the in-site simulation leave zero
+    # residual, in either sign convention
     cfg, rec = _cable_records(73, 0.0)
-    sim = (rec.signals.i_cha, rec.signals.i_chb)
-    verdict = model_based_detect(rec.signals, sim, DetectionConfig(threshold=1e-9))
-    assert not verdict.attacked
-    assert verdict.max_residual == 0.0
+    model = circuit.model_for_variant(cfg.variant)
+    u_cha, u_chb = rec.signals.u_cha, rec.signals.u_chb
+    star_a, star_b = simulate_expected_currents(model, rec.loop_cfg, u_cha, u_chb)
+    measured = circuit.ChannelSignals(star_a, star_b, u_cha, u_chb)
+    for signals in (measured, measured.to_convention(SignConvention.DIVIDER_FROM_INJECTION)):
+        verdict = _verdict(signals, rec.loop_cfg, DetectionConfig(threshold=1e-9))
+        assert not verdict.attacked
+        assert verdict.max_residual == 0.0
 
 
 def test_model_based_detect_fires_fast_under_attack():
     cfg, rec = _cable_records(74, 0.1)
-    model = circuit.model_for_variant(cfg.variant)
-    loop_cfg = LoopConfig(R_L, R_H, cfg.variant)
-    sim = simulate_expected_currents(model, loop_cfg, rec.signals.u_cha, rec.signals.u_chb)
-    det = DetectionConfig(threshold=3.2e-13)
-    verdict = model_based_detect(rec.signals, sim, det)
+    verdict = _verdict(rec.signals, rec.loop_cfg, DetectionConfig(threshold=3.2e-13))
     assert verdict.attacked
     assert verdict.latency_fraction <= 0.01
 
@@ -186,12 +189,7 @@ def test_detection_power_ordering_at_fixed_threshold():
         n = 20
         for k in range(n):
             cfg, rec = _cable_records(200 + k, level)
-            model = circuit.model_for_variant(cfg.variant)
-            loop_cfg = LoopConfig(R_L, R_H, cfg.variant)
-            sim = simulate_expected_currents(
-                model, loop_cfg, rec.signals.u_cha, rec.signals.u_chb
-            )
-            detected += model_based_detect(rec.signals, sim, det).attacked
+            detected += _verdict(rec.signals, rec.loop_cfg, det).attacked
         rates.append(detected / n)
     assert rates[0] >= rates[1] >= rates[2]
     assert rates[0] > rates[2]
@@ -222,8 +220,6 @@ def test_consecutive_sample_requirement():
     residual = np.zeros(50)
     residual[10] = 1.0  # isolated spike
     residual[20:23] = 1.0  # sustained crossing
-    from kljnsim.defense import detect_residuals
-
     det1 = detect_residuals([residual], DetectionConfig(0.5, 1), FS)
     det3 = detect_residuals([residual], DetectionConfig(0.5, 3), FS)
     assert det1.first_detection_sample == 10
