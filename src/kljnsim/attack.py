@@ -9,7 +9,7 @@ difference of the two raw product averages; its sign is her guess.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,33 +103,6 @@ def success_probability(q: np.ndarray) -> tuple[float, float]:
         raise ValueError("success probability over zero bits is undefined")
     p = float(q.mean())
     return p, math.sqrt(p * (1.0 - p) / q.size)
-
-
-@dataclass
-class AttackResult:
-    """Per-bit correlator outputs plus the aggregate success probability."""
-
-    rho_a: np.ndarray
-    rho_b: np.ndarray
-    q: np.ndarray
-    p_e: float = field(init=False)
-    stderr: float = field(init=False)
-
-    def __post_init__(self):
-        self.rho_a = np.asarray(self.rho_a, dtype=np.float64)
-        self.rho_b = np.asarray(self.rho_b, dtype=np.float64)
-        self.q = np.asarray(self.q, dtype=np.int8)
-        if not (self.rho_a.size == self.rho_b.size == self.q.size):
-            raise ValueError("per-bit arrays must have equal length")
-        self.p_e, self.stderr = success_probability(self.q)
-
-    @property
-    def rho(self) -> np.ndarray:
-        return self.rho_a - self.rho_b
-
-    @property
-    def n(self) -> int:
-        return self.q.size
 
 
 def analytic_ideal_success_probability(

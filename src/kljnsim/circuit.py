@@ -213,7 +213,6 @@ def solve_ideal_loop(
     u_b: Waveform,
     cfg: LoopConfig,
     i_inj: Waveform | None = None,
-    convention: SignConvention = SignConvention.LOOP,
 ) -> ChannelSignals:
     """Closed-form solve of the single-node loop, sample by sample."""
     if not isinstance(cfg.variant, Ideal):
@@ -226,14 +225,12 @@ def solve_ideal_loop(
     j_a = (u_a.samples - u_ch) * g_a  # source -> node
     j_b = (u_b.samples - u_ch) * g_b
     fs = u_a.sample_rate_hz
-    loop = ChannelSignals(
+    return ChannelSignals(
         i_cha=Waveform(-j_a, fs),
         i_chb=Waveform(np.array(j_b, copy=True), fs),
         u_cha=Waveform(np.array(u_ch, copy=True), fs),
         u_chb=Waveform(np.array(u_ch, copy=True), fs),
-        sign_convention=SignConvention.LOOP,
     )
-    return loop.to_convention(convention)
 
 
 @dataclass(frozen=True)
@@ -404,13 +401,9 @@ class TransientSolver:
         return traj @ sys.c_out.T + u.T @ sys.d_out.T
 
     def run(
-        self,
-        u_a: Waveform,
-        u_b: Waveform,
-        i_inj: Waveform | None = None,
-        convention: SignConvention = SignConvention.LOOP,
+        self, u_a: Waveform, u_b: Waveform, i_inj: Waveform | None = None
     ) -> ChannelSignals:
-        """Solve a whole segment of the loop and return the four end signals."""
+        """Solve a whole segment of the loop; the four end signals in the Loop convention."""
         _check_aligned(u_a, u_b, *([i_inj] if i_inj is not None else []))
         if abs(u_a.sample_rate_hz * self.system.dt - 1.0) > 1e-9:
             raise ShapeMismatchError("waveform sample rate does not match solver dt")
@@ -421,14 +414,12 @@ class TransientSolver:
             u[2] = i_inj.samples
         y = self.solve(u)
         fs = u_a.sample_rate_hz
-        loop = ChannelSignals(
+        return ChannelSignals(
             i_cha=Waveform(y[:, 0], fs),
             i_chb=Waveform(y[:, 1], fs),
             u_cha=Waveform(y[:, 2], fs),
             u_chb=Waveform(y[:, 3], fs),
-            sign_convention=SignConvention.LOOP,
         )
-        return loop.to_convention(convention)
 
 
 @lru_cache(maxsize=128)
@@ -441,13 +432,15 @@ def solve_loop(
     u_b: Waveform,
     cfg: LoopConfig,
     i_inj: Waveform | None = None,
-    convention: SignConvention = SignConvention.LOOP,
     model: CableModel | None = None,
 ) -> ChannelSignals:
-    """Variant dispatcher: closed form for the ideal wire, ladder otherwise."""
+    """Variant dispatcher: closed form for the ideal wire, ladder otherwise.
+
+    Returns the Loop convention; `ChannelSignals.to_convention` relabels.
+    """
     if isinstance(cfg.variant, Ideal):
-        return solve_ideal_loop(u_a, u_b, cfg, i_inj, convention)
+        return solve_ideal_loop(u_a, u_b, cfg, i_inj)
     if model is None:
         model = model_for_variant(cfg.variant)
     solver = transient_solver(model, cfg, 1.0 / u_a.sample_rate_hz)
-    return solver.run(u_a, u_b, i_inj, convention=convention)
+    return solver.run(u_a, u_b, i_inj)

@@ -154,22 +154,25 @@ class _SecureStats:
     msq_i_a: float
 
 
+def _eavesdrop(rec: protocol.BitExchangeRecord, streams: protocol.BitStreams):
+    """Eve's two correlators and her guess; without injection both read 0 and a coin decides."""
+    rho_a = rho_b = 0.0
+    if rec.injected is not None:
+        div = rec.signals.to_convention(circuit.SignConvention.DIVIDER_FROM_INJECTION)
+        rho_a = attack.correlate(rec.injected, div.i_cha)
+        rho_b = attack.correlate(rec.injected, div.i_chb)
+    return rho_a, rho_b, attack.eve_decide(rho_a, rho_b, tie_rng=streams.eve_coin)
+
+
 def _simulate_exchange(cfg: SimConfig, index: int):
     """One exchange: either a discard marker or full secure-bit statistics."""
     streams = derive_bit_streams(cfg.master_seed, index)
-    alice, bob = protocol.choices_for_bit(cfg, streams)
-    cls = protocol.classify_bit_pair(alice, bob)
+    choices = protocol.choices_for_bit(cfg, streams)
+    cls = protocol.classify_bit_pair(*choices)
     if not cls.is_secure:
         return cls
-    streams = derive_bit_streams(cfg.master_seed, index)
-    rec = protocol.run_bit_exchange(cfg, index, streams, cfg.injection)
-    div = rec.signals.to_convention(circuit.SignConvention.DIVIDER_FROM_INJECTION)
-    if rec.injected is not None:
-        rho_a = attack.correlate(rec.injected, div.i_cha)
-        rho_b = attack.correlate(rec.injected, div.i_chb)
-    else:
-        rho_a = rho_b = 0.0
-    guess = attack.eve_decide(rho_a, rho_b, tie_rng=streams.eve_coin)
+    rec = protocol.run_bit_exchange(cfg, index, streams, choices, cfg.injection)
+    rho_a, rho_b, guess = _eavesdrop(rec, streams)
     honest_ok = (
         rec.alice_inferred_remote == rec.bob_choice.resistance
         and rec.bob_inferred_remote == rec.alice_choice.resistance
@@ -327,28 +330,22 @@ class _DefenseBitSim:
     residuals_clean: tuple[np.ndarray, np.ndarray]
     residuals_attacked: tuple[np.ndarray, np.ndarray]
     channel_rms_clean: float
-    injected: np.ndarray
 
 
 def _simulate_defense_pair(cfg: SimConfig, index: int, defense_model=None):
+    """One exchange solved with Eve's current (the record) and without it (the clean arm)."""
     streams = derive_bit_streams(cfg.master_seed, index)
-    alice, bob = protocol.choices_for_bit(cfg, streams)
-    cls = protocol.classify_bit_pair(alice, bob)
+    choices = protocol.choices_for_bit(cfg, streams)
+    cls = protocol.classify_bit_pair(*choices)
     if not cls.is_secure:
         return cls
-    streams = derive_bit_streams(cfg.master_seed, index)
-    rec_clean = protocol.run_bit_exchange(cfg, index, streams, None)
-    streams = derive_bit_streams(cfg.master_seed, index)
-    rec_att = protocol.run_bit_exchange(cfg, index, streams, cfg.injection)
-    res_clean = defense.end_residuals(rec_clean.signals, rec_clean.loop_cfg, defense_model)
-    res_att = defense.end_residuals(rec_att.signals, rec_att.loop_cfg, defense_model)
-    i_meas = rec_clean.signals.to_convention(circuit.SignConvention.LOOP).i_cha.samples
+    rec = protocol.run_bit_exchange(cfg, index, streams, choices, cfg.injection)
+    clean = circuit.solve_loop(rec.u_a, rec.u_b, rec.loop_cfg)
     return _DefenseBitSim(
         index=index,
-        residuals_clean=res_clean,
-        residuals_attacked=res_att,
-        channel_rms_clean=float(np.sqrt(np.mean(np.square(i_meas)))),
-        injected=rec_att.injected.samples,
+        residuals_clean=defense.end_residuals(clean, rec.loop_cfg, defense_model),
+        residuals_attacked=defense.end_residuals(rec.signals, rec.loop_cfg, defense_model),
+        channel_rms_clean=float(np.sqrt(np.mean(np.square(clean.i_cha.samples)))),
     )
 
 
@@ -527,16 +524,10 @@ class SingleBitDump:
 def run_single_bit(cfg: SimConfig, bit_index: int = 0) -> SingleBitDump:
     """Simulate one exchange and keep every waveform for inspection."""
     streams = derive_bit_streams(cfg.master_seed, bit_index)
-    rec = protocol.run_bit_exchange(cfg, bit_index, streams, cfg.injection)
-    div = rec.signals.to_convention(circuit.SignConvention.DIVIDER_FROM_INJECTION)
-    if rec.injected is not None:
-        rho_a = attack.correlate(rec.injected, div.i_cha)
-        rho_b = attack.correlate(rec.injected, div.i_chb)
-        i_inj = rec.injected.samples
-    else:
-        rho_a = rho_b = 0.0
-        i_inj = np.zeros(cfg.samples_per_bit)
-    guess = attack.eve_decide(rho_a, rho_b, tie_rng=streams.eve_coin)
+    choices = protocol.choices_for_bit(cfg, streams)
+    rec = protocol.run_bit_exchange(cfg, bit_index, streams, choices, cfg.injection)
+    rho_a, rho_b, guess = _eavesdrop(rec, streams)
+    i_inj = rec.injected.samples if rec.injected is not None else np.zeros(cfg.samples_per_bit)
     residuals = None
     if not isinstance(cfg.variant, circuit.Ideal):
         residuals = defense.end_residuals(rec.signals, rec.loop_cfg)
@@ -560,7 +551,10 @@ def _parse_value(key: str, raw: str, kind):
         if kind is int:
             return int(raw)
         if kind is float:
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ConfigError(f"config key '{key}': must be finite, got {raw!r}")
+            return value
         return raw
     except ValueError as exc:
         raise ConfigError(f"config key '{key}': cannot parse {raw!r}") from exc
@@ -785,16 +779,16 @@ def write_report(report: ExperimentReport, out_dir: str) -> list[str]:
         s = report.single_bit
         rec = s.record
         path = os.path.join(out_dir, "single_bit.csv")
-        loop = rec.signals.to_convention(circuit.SignConvention.LOOP)
-        t = np.arange(len(loop.i_cha)) / report.config.sample_rate_hz
+        sig = rec.signals  # Loop convention, as solved
+        t = np.arange(len(sig.i_cha)) / report.config.sample_rate_hz
         header = [
             "time_s", "u_alice_gen_V", "u_bob_gen_V", "i_injected_A",
             "u_cha_V", "u_chb_V", "i_cha_A", "i_chb_A",
         ]
         cols = [
             t, rec.u_a.samples, rec.u_b.samples, s.i_inj,
-            loop.u_cha.samples, loop.u_chb.samples,
-            loop.i_cha.samples, loop.i_chb.samples,
+            sig.u_cha.samples, sig.u_chb.samples,
+            sig.i_cha.samples, sig.i_chb.samples,
         ]
         if s.residuals is not None:
             header += ["residual_a_A", "residual_b_A"]

@@ -114,27 +114,6 @@ def _mean_square(w: Waveform) -> float:
     return float(np.mean(np.square(w.samples)))
 
 
-def infer_remote_resistance(
-    u_ch: Waveform,
-    i_ch: Waveform,
-    own_r: float,
-    t_eff: float,
-    bandwidth_hz: float,
-) -> float:
-    """Point estimate of the partner's resistance from the mean-square current.
-
-    Inverts the thermal-noise relation <i^2> = 4 k T B / R_loop and subtracts
-    the caller's own resistance. The voltage channel gives an equivalent
-    estimate through the parallel resistance; the decision helper below uses
-    both, this function reports the plain current-based value.
-    """
-    msq_i = _mean_square(i_ch)
-    if not math.isfinite(msq_i) or msq_i <= 0.0:
-        raise InferenceError("channel current has no measurable power")
-    r_loop = 4.0 * K_BOLTZMANN * t_eff * bandwidth_hz / msq_i
-    return r_loop - own_r
-
-
 def decide_remote_resistor(
     u_ch: Waveform,
     i_ch: Waveform,
@@ -181,44 +160,41 @@ def choices_for_bit(cfg: "SimConfig", streams: BitStreams):
     )
 
 
+def _generator(cfg: "SimConfig", choice: ResistorChoice, seed: int) -> Waveform:
+    """Thermal-noise voltage of one party's chosen resistor over the period."""
+    return synth_band_limited_gaussian(
+        NoiseSpec(
+            bandwidth_hz=cfg.bandwidth_hz,
+            sample_rate_hz=cfg.sample_rate_hz,
+            duration_s=cfg.tau_s,
+            target_rms=johnson_rms_voltage(choice.resistance, cfg.t_eff, cfg.bandwidth_hz),
+            seed=seed,
+        )
+    )
+
+
 def run_bit_exchange(
     cfg: "SimConfig",
     bit_index: int,
     streams: BitStreams,
+    choices: tuple[ResistorChoice, ResistorChoice],
     attack: "InjectionSpec | None" = None,
 ) -> BitExchangeRecord:
     """Simulate one full exchange period and both parties' inferences.
 
-    The generator of each party is scaled to the thermal RMS of the chosen
-    resistor and regenerated fresh from the bit's own seed stream. The
-    optional injected current is synthesized at the requested fraction of the
-    nominal secure-state loop current.
+    `choices` is the (alice, bob) pair the caller drew from `streams` with
+    `choices_for_bit`. Each party's generator is scaled to the thermal RMS of
+    its resistor and synthesized from the bit's own noise seed. The optional
+    injected current is synthesized at the requested fraction of the nominal
+    secure-state loop current.
     """
     from .attack import reference_rms_channel_current, synth_injection
 
-    if cfg.tau_s <= 0:
-        raise ConfigError("tau_s must be positive")
-    alice, bob = choices_for_bit(cfg, streams)
-    u_a = synth_band_limited_gaussian(
-        NoiseSpec(
-            bandwidth_hz=cfg.bandwidth_hz,
-            sample_rate_hz=cfg.sample_rate_hz,
-            duration_s=cfg.tau_s,
-            target_rms=johnson_rms_voltage(alice.resistance, cfg.t_eff, cfg.bandwidth_hz),
-            seed=streams.alice_noise_seed,
-        )
-    )
-    u_b = synth_band_limited_gaussian(
-        NoiseSpec(
-            bandwidth_hz=cfg.bandwidth_hz,
-            sample_rate_hz=cfg.sample_rate_hz,
-            duration_s=cfg.tau_s,
-            target_rms=johnson_rms_voltage(bob.resistance, cfg.t_eff, cfg.bandwidth_hz),
-            seed=streams.bob_noise_seed,
-        )
-    )
+    alice, bob = choices
+    u_a = _generator(cfg, alice, streams.alice_noise_seed)
+    u_b = _generator(cfg, bob, streams.bob_noise_seed)
     injected = None
-    if attack is not None and attack.level_fraction > 0:
+    if attack is not None:
         ref = reference_rms_channel_current(
             cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz
         )

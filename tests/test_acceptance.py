@@ -121,12 +121,14 @@ def test_criterion_4_defense_efficacy(defense_run, base_cfg):
     ideal_run = harness.run_defense_experiment(ideal_cfg, n_calibration=20)
     checks.append(ideal_run.detection_rate == 1.0)
     first_crossing_ok = True
+    ideal_lh = replace(base_cfg, variant=Ideal(), selection_mode="fixed_lh")
     for k in range(5):
         streams = harness.derive_bit_streams(base_cfg.master_seed, k)
         rec = protocol.run_bit_exchange(
-            replace(base_cfg, variant=Ideal(), selection_mode="fixed_lh"),
+            ideal_lh,
             k,
             streams,
+            protocol.choices_for_bit(ideal_lh, streams),
             attack.InjectionSpec(0.1, base_cfg.bandwidth_hz, base_cfg.master_seed),
         )
         from kljnsim.defense import DetectionConfig, compare_instantaneous_ideal

@@ -104,9 +104,8 @@ def test_ideal_loop_dc_drive():
 def test_ideal_loop_injection_divider():
     # oracle: one-node nodal analysis, u = i * (ra || rb), shares rb/(ra+rb)
     cfg = LoopConfig(1000.0, 9000.0)
-    out = solve_ideal_loop(
-        _const(0.0), _const(0.0), cfg, i_inj=_const(1e-3),
-        convention=SignConvention.DIVIDER_FROM_INJECTION,
+    out = solve_ideal_loop(_const(0.0), _const(0.0), cfg, i_inj=_const(1e-3)).to_convention(
+        SignConvention.DIVIDER_FROM_INJECTION
     )
     np.testing.assert_allclose(out.i_cha.samples, 0.9e-3, rtol=1e-12)
     np.testing.assert_allclose(out.i_chb.samples, 0.1e-3, rtol=1e-12)
@@ -114,9 +113,8 @@ def test_ideal_loop_injection_divider():
 
 def test_ideal_loop_injection_divider_swapped():
     cfg = LoopConfig(9000.0, 1000.0)
-    out = solve_ideal_loop(
-        _const(0.0), _const(0.0), cfg, i_inj=_const(1e-3),
-        convention=SignConvention.DIVIDER_FROM_INJECTION,
+    out = solve_ideal_loop(_const(0.0), _const(0.0), cfg, i_inj=_const(1e-3)).to_convention(
+        SignConvention.DIVIDER_FROM_INJECTION
     )
     np.testing.assert_allclose(out.i_cha.samples, 0.1e-3, rtol=1e-12)
     np.testing.assert_allclose(out.i_chb.samples, 0.9e-3, rtol=1e-12)

@@ -57,6 +57,9 @@ def test_single_bit_verb(tmp_path):
 def test_bad_config_key_exits_2(tmp_path):
     cfg = _cfg_file(tmp_path, "nonsense_key = 5\n")
     assert cli.main(["table1", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    for text in ("injection_level = nan\n", "r_h = inf\n", "sample_rate_hz = inf\n"):
+        cfg = _cfg_file(tmp_path, TINY + text)
+        assert cli.main(["privacy", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
 def test_missing_config_file_exits_3(tmp_path):

@@ -100,9 +100,8 @@ def _cable_records(seed, level, variant=Cable(1000.0, 10)):
     inj = InjectionSpec(level, BW, seed) if level > 0 else None
     from kljnsim import protocol
 
-    rec = protocol.run_bit_exchange(
-        cfg, 0, harness.derive_bit_streams(cfg.master_seed, 0), inj
-    )
+    streams = harness.derive_bit_streams(cfg.master_seed, 0)
+    rec = protocol.run_bit_exchange(cfg, 0, streams, protocol.choices_for_bit(cfg, streams), inj)
     return cfg, rec
 
 

@@ -1,0 +1,50 @@
+"""Golden-output guard: small runs at master seed 12345 write pinned CSV bytes.
+
+Refactors must leave every experiment's output byte-identical. These digests
+change only in a change that documents a last-ulp move in its notes and shows
+that every per-cell p_e of `table1` is unchanged; it then re-pins them here.
+"""
+import hashlib
+
+import pytest
+
+from kljnsim import attack, circuit, harness
+
+CABLE = circuit.Cable(1000.0, 10)
+
+# csv name -> (config, ExperimentReport field, entry point, SHA-256 of the csv)
+CASES = {
+    "table1.csv": (
+        harness.SimConfig(n_bits=24, master_seed=12345),
+        "table",
+        harness.run_table1,
+        "d64b352e80167914a5708d9d3636d5245b64fb58db184efc1d9babcaa2eada13",
+    ),
+    "privacy.csv": (
+        harness.SimConfig(n_bits=200, master_seed=12345),
+        "privacy_result",
+        harness.run_privacy_experiment,
+        "0b2c64db72b92d5c64976efdea6452904bcbd268a889bdf6f59314c7713b47cb",
+    ),
+    "defense.csv": (
+        harness.SimConfig(n_bits=40, variant=CABLE, master_seed=12345),
+        "defense_result",
+        harness.run_defense_experiment,
+        "d1007ff7359a925b0577a0713252ffe46214f53280012921274d4404c88b2a6d",
+    ),
+    "single_bit.csv": (
+        harness.SimConfig(
+            variant=CABLE, injection=attack.InjectionSpec(0.1, 250.0, 12345), master_seed=12345
+        ),
+        "single_bit",
+        harness.run_single_bit,
+        "78073733f55cf8ac2dfc3de10d58b6f681ff707688bf8c50d165bbe4f3a289f3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_csv_bytes_are_pinned(name, tmp_path):
+    cfg, field, run, digest = CASES[name]
+    harness.write_report(harness.ExperimentReport(config=cfg, **{field: run(cfg)}), str(tmp_path))
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

@@ -1,4 +1,5 @@
 """Harness: config parsing, reports, determinism, worker equivalence."""
+import collections
 import filecmp
 import os
 from dataclasses import replace
@@ -32,6 +33,17 @@ def test_unknown_key_is_named():
 def test_malformed_value_is_named():
     with pytest.raises(ConfigError, match="n_bits"):
         harness.parse_config_text("n_bits = lots\n")
+    # non-finite floats parse in Python but must not reach the simulation
+    for key, raw in (
+        ("injection_level", "nan"),
+        ("r_l", "nan"),
+        ("r_h", "inf"),
+        ("t_eff", "nan"),
+        ("sample_rate_hz", "inf"),
+        ("tau_s", "-inf"),
+    ):
+        with pytest.raises(ConfigError, match=key):
+            harness.parse_config_text(f"{key} = {raw}\n")
 
 
 def test_negative_bit_count_is_named():
@@ -183,3 +195,57 @@ def test_fixed_selection_mode_has_no_discards():
     cell = harness.run_attack_cell(harness._cell_config(cfg, circuit.Ideal(), 0.1))
     assert cell.n_discarded == 0
     assert cell.n_exchanges == 30
+
+
+def _count_pipeline_calls(monkeypatch):
+    """Count stream derivations per exchange index and noise syntheses per run."""
+    from kljnsim import protocol
+
+    derived = collections.Counter()
+    synths = [0]
+    derive = harness.derive_bit_streams
+
+    def counting_derive(master_seed, index):
+        derived[index] += 1
+        return derive(master_seed, index)
+
+    def counting(synth):
+        def wrapper(spec):
+            synths[0] += 1
+            return synth(spec)
+        return wrapper
+
+    monkeypatch.setattr(harness, "derive_bit_streams", counting_derive)
+    for module in (protocol, attack):  # generators and Eve's injection
+        synth = module.synth_band_limited_gaussian
+        monkeypatch.setattr(module, "synth_band_limited_gaussian", counting(synth))
+
+    def n_secure(cfg):
+        choices = (protocol.choices_for_bit(cfg, derive(cfg.master_seed, i)) for i in derived)
+        return sum(protocol.classify_bit_pair(*pair).is_secure for pair in choices)
+
+    return derived, synths, n_secure
+
+
+@pytest.mark.parametrize(
+    "run,level,per_secure",
+    [
+        (harness.run_attack_cell, 0.1, 3),
+        (harness.run_attack_cell, 0.0, 2),
+        (harness.run_defense_experiment, 0.1, 3),
+    ],
+)
+def test_each_exchange_is_derived_and_synthesized_once(monkeypatch, run, level, per_secure):
+    derived, synths, n_secure = _count_pipeline_calls(monkeypatch)
+    cfg = harness._cell_config(_tiny_cfg(n_bits=30), circuit.Cable(100.0, 10), level)
+    run(cfg)
+    assert len(derived) % 128 == 0 and set(derived.values()) == {1}
+    assert synths[0] == per_secure * n_secure(cfg)
+
+
+def test_single_bit_derives_its_streams_once(monkeypatch):
+    derived, synths, _ = _count_pipeline_calls(monkeypatch)
+    cfg = harness._cell_config(_tiny_cfg(), circuit.Ideal(), 0.1)
+    harness.run_single_bit(cfg, 3)
+    assert derived == {3: 1}
+    assert synths[0] == 3
