@@ -186,6 +186,11 @@ class ChannelSignals:
         for w in (self.i_chb, self.u_cha, self.u_chb):
             ref.require_compatible(w)
 
+    @classmethod
+    def from_rows(cls, y: np.ndarray, fs: float) -> "ChannelSignals":
+        """Loop-convention signals from output rows (i_cha, i_chb, u_cha, u_chb), shape (4, t)."""
+        return cls(*(Waveform(row, fs) for row in y))
+
     def to_convention(self, convention: SignConvention) -> "ChannelSignals":
         """Relabel signs; switching conventions negates Bob's end current."""
         if convention == self.sign_convention:
@@ -208,6 +213,31 @@ def _check_aligned(*waveforms: Waveform) -> None:
         first.require_compatible(w)
 
 
+def input_rows(u_a: Waveform, u_b: Waveform, i_inj: Waveform | None = None) -> np.ndarray:
+    """Loop inputs (u_a, u_b, i_inj) as rows, shape (3, t); no injection is a zero row."""
+    _check_aligned(u_a, u_b, *([i_inj] if i_inj is not None else []))
+    u = np.zeros((3, len(u_a)))
+    u[0] = u_a.samples
+    u[1] = u_b.samples
+    if i_inj is not None:
+        u[2] = i_inj.samples
+    return u
+
+
+def _ideal_rows(u: np.ndarray, cfg: LoopConfig) -> np.ndarray:
+    """Closed form of the single-node loop, row-wise: inputs (B, 3, t), outputs (B, 4, t)."""
+    g_a, g_b = 1.0 / cfg.r_alice, 1.0 / cfg.r_bob
+    r_par = 1.0 / (g_a + g_b)
+    u_a, u_b = u[:, 0], u[:, 1]
+    u_ch = (u_a * g_a + u_b * g_b + u[:, 2]) * r_par
+    y = np.empty((u.shape[0], 4, u.shape[2]))
+    y[:, 0] = -((u_a - u_ch) * g_a)  # source -> node current, negated
+    y[:, 1] = (u_b - u_ch) * g_b
+    y[:, 2] = u_ch
+    y[:, 3] = u_ch
+    return y
+
+
 def solve_ideal_loop(
     u_a: Waveform,
     u_b: Waveform,
@@ -217,20 +247,8 @@ def solve_ideal_loop(
     """Closed-form solve of the single-node loop, sample by sample."""
     if not isinstance(cfg.variant, Ideal):
         raise ConfigError("solve_ideal_loop requires the Ideal variant")
-    _check_aligned(u_a, u_b, *([i_inj] if i_inj is not None else []))
-    g_a, g_b = 1.0 / cfg.r_alice, 1.0 / cfg.r_bob
-    r_par = 1.0 / (g_a + g_b)
-    inj = i_inj.samples if i_inj is not None else 0.0
-    u_ch = (u_a.samples * g_a + u_b.samples * g_b + inj) * r_par
-    j_a = (u_a.samples - u_ch) * g_a  # source -> node
-    j_b = (u_b.samples - u_ch) * g_b
-    fs = u_a.sample_rate_hz
-    return ChannelSignals(
-        i_cha=Waveform(-j_a, fs),
-        i_chb=Waveform(np.array(j_b, copy=True), fs),
-        u_cha=Waveform(np.array(u_ch, copy=True), fs),
-        u_chb=Waveform(np.array(u_ch, copy=True), fs),
-    )
+    y = _ideal_rows(input_rows(u_a, u_b, i_inj)[None], cfg)[0]
+    return ChannelSignals.from_rows(y, u_a.sample_rate_hz)
 
 
 @dataclass(frozen=True)
@@ -343,22 +361,18 @@ def injection_node_index(variant: Variant, injection_position: float) -> int:
     return int(min(max(round(injection_position * n), 1), n - 1))
 
 
-def ladder_scan(p: np.ndarray, qu: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Run the state recurrence x[k] = p @ x[k-1] + qu[k-1] over a whole segment.
+def ladder_scan(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Run the state recurrence x[k] = p @ x[k-1] + qu[k-1] in place, for a batch of rows.
 
-    Returns the full time-major state trajectory, shape (t, m) where
-    t = qu.shape[0] + 1 and trajectory[0] = x0.
+    `x` is time-major, shape (t, B, m): on entry x[0] holds the B start
+    states and x[k] the drive term qu[k-1]; on return it holds the state
+    trajectory. Each sample step advances all B states with one
+    (B, m) @ (m, m) product. Returns `x`.
     """
-    p = np.ascontiguousarray(p, dtype=np.float64)
-    qu = np.ascontiguousarray(qu, dtype=np.float64)
-    x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    out = np.empty((qu.shape[0] + 1, p.shape[0]))
-    out[0] = x0
-    x = x0
-    for k in range(1, out.shape[0]):
-        x = p @ x + qu[k - 1]
-        out[k] = x
-    return out
+    p_t = np.asarray(p, dtype=np.float64).T
+    for k in range(1, x.shape[0]):
+        x[k] += x[k - 1] @ p_t
+    return x
 
 
 class TransientSolver:
@@ -390,41 +404,54 @@ class TransientSolver:
         self.system = _discretize(a, b, b_deriv, c, d, dt)
 
     def solve(self, u: np.ndarray) -> np.ndarray:
-        """Outputs, shape (t, n_outputs), for inputs u of shape (n_inputs, t).
+        """Outputs, shape (B, n_outputs, t), for a batch of inputs u of shape (B, n_inputs, t).
 
-        The run starts from the DC-consistent state for the first input sample.
+        Each row starts from the DC-consistent state for its first input
+        sample. The input and output maps are each one 2-D product over all
+        t * B time-major samples; the state recurrence runs in `ladder_scan`.
         """
         sys = self.system
-        x0 = sys.dc_gain @ u[:, 0]
-        qu = u[:, 1:].T @ sys.q_next.T + u[:, :-1].T @ sys.q_prev.T
-        traj = ladder_scan(sys.p, qu, x0)
-        return traj @ sys.c_out.T + u.T @ sys.d_out.T
+        n_rows, n_in, t = u.shape
+        m, n_out = sys.n_states, sys.c_out.shape[0]
+        flat = u.transpose(2, 0, 1).reshape(t * n_rows, n_in)
+        x = np.empty((t, n_rows, m))
+        x[0] = u[:, :, 0] @ sys.dc_gain.T
+        drive = x[1:].reshape((t - 1) * n_rows, m)
+        np.matmul(flat[n_rows:], sys.q_next.T, out=drive)
+        drive += flat[:-n_rows] @ sys.q_prev.T
+        x = ladder_scan(sys.p, x).reshape(t * n_rows, m)
+        y = x @ sys.c_out.T + flat @ sys.d_out.T
+        return np.ascontiguousarray(y.reshape(t, n_rows, n_out).transpose(1, 2, 0))
 
     def run(
         self, u_a: Waveform, u_b: Waveform, i_inj: Waveform | None = None
     ) -> ChannelSignals:
         """Solve a whole segment of the loop; the four end signals in the Loop convention."""
-        _check_aligned(u_a, u_b, *([i_inj] if i_inj is not None else []))
         if abs(u_a.sample_rate_hz * self.system.dt - 1.0) > 1e-9:
             raise ShapeMismatchError("waveform sample rate does not match solver dt")
-        u = np.zeros((3, len(u_a)))
-        u[0] = u_a.samples
-        u[1] = u_b.samples
-        if i_inj is not None:
-            u[2] = i_inj.samples
-        y = self.solve(u)
-        fs = u_a.sample_rate_hz
-        return ChannelSignals(
-            i_cha=Waveform(y[:, 0], fs),
-            i_chb=Waveform(y[:, 1], fs),
-            u_cha=Waveform(y[:, 2], fs),
-            u_chb=Waveform(y[:, 3], fs),
-        )
+        y = self.solve(input_rows(u_a, u_b, i_inj)[None])[0]
+        return ChannelSignals.from_rows(y, u_a.sample_rate_hz)
 
 
 @lru_cache(maxsize=128)
 def transient_solver(model: CableModel, cfg: LoopConfig | None, dt: float) -> TransientSolver:
     return TransientSolver(model, cfg, dt)
+
+
+def solve_rows(
+    u: np.ndarray, cfg: LoopConfig, dt: float, model: CableModel | None = None
+) -> np.ndarray:
+    """Solve a batch of exchanges that share one loop configuration.
+
+    Inputs (B, 3, t) are (u_a, u_b, i_inj) rows; outputs (B, 4, t) are
+    (i_cha, i_chb, u_cha, u_chb) rows in the Loop convention. Closed form for
+    the ideal wire, ladder otherwise (default model: the variant's).
+    """
+    if isinstance(cfg.variant, Ideal):
+        return _ideal_rows(u, cfg)
+    if model is None:
+        model = model_for_variant(cfg.variant)
+    return transient_solver(model, cfg, dt).solve(u)
 
 
 def solve_loop(
@@ -434,13 +461,10 @@ def solve_loop(
     i_inj: Waveform | None = None,
     model: CableModel | None = None,
 ) -> ChannelSignals:
-    """Variant dispatcher: closed form for the ideal wire, ladder otherwise.
+    """One exchange through `solve_rows`, as a batch of one.
 
     Returns the Loop convention; `ChannelSignals.to_convention` relabels.
     """
-    if isinstance(cfg.variant, Ideal):
-        return solve_ideal_loop(u_a, u_b, cfg, i_inj)
-    if model is None:
-        model = model_for_variant(cfg.variant)
-    solver = transient_solver(model, cfg, 1.0 / u_a.sample_rate_hz)
-    return solver.run(u_a, u_b, i_inj)
+    fs = u_a.sample_rate_hz
+    y = solve_rows(input_rows(u_a, u_b, i_inj)[None], cfg, 1.0 / fs, model)[0]
+    return ChannelSignals.from_rows(y, fs)

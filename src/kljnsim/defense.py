@@ -61,15 +61,9 @@ class DetectionVerdict:
 
 def _first_run_end(above: np.ndarray, run: int) -> int | None:
     """Index at which `run` consecutive True values complete, or None."""
-    if run == 1:
-        hits = np.flatnonzero(above)
-        return int(hits[0]) if hits.size else None
-    count = 0
-    for i, flag in enumerate(above):
-        count = count + 1 if flag else 0
-        if count >= run:
-            return i
-    return None
+    total = np.concatenate(([0], np.cumsum(above, dtype=np.int64)))
+    hits = np.flatnonzero(total[run:] - total[:-run] == run)
+    return int(hits[0]) + run - 1 if hits.size else None
 
 
 def detect_residuals(
@@ -121,8 +115,34 @@ def simulate_expected_currents(
     u_cha.require_compatible(u_chb)
     fs = u_cha.sample_rate_hz
     solver = transient_solver(model, None, 1.0 / fs)
-    y = solver.solve(np.vstack([u_cha.samples, u_chb.samples]))
-    return Waveform(y[:, 0], fs), Waveform(y[:, 1], fs)
+    y = solver.solve(np.vstack([u_cha.samples, u_chb.samples])[None])[0]
+    return Waveform(y[0], fs), Waveform(y[1], fs)
+
+
+def residual_rows(
+    measured: np.ndarray,
+    cfg: LoopConfig,
+    fs: float,
+    model: CableModel | None = None,
+) -> np.ndarray:
+    """Measured minus expected end currents for a batch sharing one loop configuration.
+
+    `measured` holds (i_cha, i_chb, u_cha, u_chb) rows in the Loop
+    convention, shape (B, 4, t); the result holds Alice's and Bob's residual
+    rows, shape (B, 2, t). Ideal wire: both ends carry one loop current, so
+    Alice's residual is i_cha - i_chb (the injected current) and Bob's is
+    zero. Cable: each end's measured current minus the in-site simulation of
+    all B rows at once, driven by the measured end voltages; `model` is the
+    parties' cable model (default: the channel's).
+    """
+    if isinstance(cfg.variant, Ideal):
+        residuals = np.zeros((measured.shape[0], 2, measured.shape[2]))
+        residuals[:, 0] = measured[:, 0] - measured[:, 1]
+        return residuals
+    if model is None:
+        model = model_for_variant(cfg.variant)
+    expected = transient_solver(model, None, 1.0 / fs).solve(measured[:, 2:])
+    return measured[:, :2] - expected
 
 
 def end_residuals(
@@ -130,22 +150,11 @@ def end_residuals(
     cfg: LoopConfig,
     model: CableModel | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Measured minus expected end currents at Alice's and Bob's end.
-
-    Ideal wire: both ends carry one loop current, so Alice's residual is
-    i_cha - i_chb (the injected current) and Bob's is zero. Cable: each end's
-    measured current minus the in-site simulation driven by the measured end
-    voltages; `model` is the parties' cable model (default: the channel's).
-    Both in the Loop convention.
-    """
-    measured = measured.to_convention(SignConvention.LOOP)
-    if isinstance(cfg.variant, Ideal):
-        r = measured.i_cha.samples - measured.i_chb.samples
-        return r, np.zeros_like(r)
-    if model is None:
-        model = model_for_variant(cfg.variant)
-    star_a, star_b = simulate_expected_currents(model, cfg, measured.u_cha, measured.u_chb)
-    return measured.i_cha.samples - star_a.samples, measured.i_chb.samples - star_b.samples
+    """Alice's and Bob's residual for one exchange: `residual_rows` on a batch of one."""
+    m = measured.to_convention(SignConvention.LOOP)
+    rows = np.stack([w.samples for w in (m.i_cha, m.i_chb, m.u_cha, m.u_chb)])
+    res_a, res_b = residual_rows(rows[None], cfg, m.i_cha.sample_rate_hz, model)[0]
+    return res_a, res_b
 
 
 # Calibrated thresholds never drop below this fraction of the channel current:

@@ -15,7 +15,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -58,6 +58,9 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.r_l <= 0 or self.r_h <= 0:
             raise ConfigError("r_l and r_h must be positive")
         if self.r_l >= self.r_h:
@@ -164,39 +167,56 @@ def _eavesdrop(rec: protocol.BitExchangeRecord, streams: protocol.BitStreams):
     return rho_a, rho_b, attack.eve_decide(rho_a, rho_b, tie_rng=streams.eve_coin)
 
 
-def _simulate_exchange(cfg: SimConfig, index: int):
-    """One exchange: either a discard marker or full secure-bit statistics."""
-    streams = derive_bit_streams(cfg.master_seed, index)
-    choices = protocol.choices_for_bit(cfg, streams)
-    cls = protocol.classify_bit_pair(*choices)
-    if not cls.is_secure:
-        return cls
-    rec = protocol.run_bit_exchange(cfg, index, streams, choices, cfg.injection)
-    rho_a, rho_b, guess = _eavesdrop(rec, streams)
-    honest_ok = (
-        rec.alice_inferred_remote == rec.bob_choice.resistance
-        and rec.bob_inferred_remote == rec.alice_choice.resistance
-    )
-    return _SecureStats(
-        index=index,
-        classification=cls,
-        rho_a=rho_a,
-        rho_b=rho_b,
-        q=int(guess is cls),
-        key_bit=cls.key_bit,
-        eve_bit=guess.key_bit,
-        honest_ok=honest_ok,
-        msq_u_a=float(np.mean(np.square(rec.signals.u_cha.samples))),
-        msq_i_a=float(np.mean(np.square(rec.signals.i_cha.samples))),
-    )
+def _classify_chunk(cfg: SimConfig, start: int):
+    """Each exchange of the chunk at `start`: its class, and the secure ones' inputs.
+
+    Returns the chunk's 128 classes in index order and, for the secure
+    exchanges only, (index, streams, choices) as `protocol.run_exchanges`
+    takes them.
+    """
+    classes, secure = [], []
+    for index in range(start, start + _CHUNK):
+        streams = derive_bit_streams(cfg.master_seed, index)
+        choices = protocol.choices_for_bit(cfg, streams)
+        cls = protocol.classify_bit_pair(*choices)
+        classes.append(cls)
+        if cls.is_secure:
+            secure.append((index, streams, choices))
+    return classes, secure
 
 
-def _consume_chunks(cfg: SimConfig, worker, n_secure: int):
-    """Run `worker` over exchange indices until n_secure secure bits are in.
+def _attack_chunk(cfg: SimConfig, start: int) -> list:
+    """One chunk of the attack cell: a discard marker or secure-bit statistics per exchange."""
+    results, secure = _classify_chunk(cfg, start)
+    for (index, streams, _), rec in zip(secure, protocol.run_exchanges(cfg, secure, cfg.injection)):
+        rho_a, rho_b, guess = _eavesdrop(rec, streams)
+        cls = rec.classification
+        results[index - start] = _SecureStats(
+            index=index,
+            classification=cls,
+            rho_a=rho_a,
+            rho_b=rho_b,
+            q=int(guess is cls),
+            key_bit=cls.key_bit,
+            eve_bit=guess.key_bit,
+            honest_ok=(
+                rec.alice_inferred_remote == rec.bob_choice.resistance
+                and rec.bob_inferred_remote == rec.alice_choice.resistance
+            ),
+            msq_u_a=float(np.mean(np.square(rec.signals.u_cha.samples))),
+            msq_i_a=float(np.mean(np.square(rec.signals.i_cha.samples))),
+        )
+    return results
 
-    Chunks are processed strictly in index order; with several workers the
-    chunks are evaluated concurrently but consumed in order, so the collected
-    sequence is identical to the sequential one.
+
+def _consume_chunks(cfg: SimConfig, chunk_worker, n_secure: int):
+    """Run `chunk_worker(cfg, start)` over 128-exchange chunks until n_secure secure bits are in.
+
+    A chunk worker returns one result per exchange of its chunk: a BitClass
+    for a discard, anything else for a secure bit. Chunks are processed
+    strictly in index order; with several workers the chunks are evaluated
+    concurrently but consumed in order, so the collected sequence is
+    identical to the sequential one.
     """
     secure = []
     discard_counts = collections.Counter()
@@ -214,12 +234,9 @@ def _consume_chunks(cfg: SimConfig, worker, n_secure: int):
                 secure.append(item)
         return len(secure) >= n_secure
 
-    def run_chunk(start):
-        return [worker(cfg, i) for i in range(start, start + _CHUNK)]
-
     if cfg.workers == 1:
         start = 0
-        while not consume(run_chunk(start)):
+        while not consume(chunk_worker(cfg, start)):
             start += _CHUNK
     else:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
@@ -228,7 +245,7 @@ def _consume_chunks(cfg: SimConfig, worker, n_secure: int):
             done = False
             while not done:
                 while len(futures) < cfg.workers + 1:
-                    futures.append(pool.submit(run_chunk, next_start))
+                    futures.append(pool.submit(chunk_worker, cfg, next_start))
                     next_start += _CHUNK
                 done = consume(futures.popleft().result())
             for f in futures:
@@ -260,7 +277,7 @@ class CellResult:
 
 def run_attack_cell(cfg: SimConfig) -> CellResult:
     """Accumulate cfg.n_bits secure exchanges and Eve's statistics over them."""
-    secure, discards, n_exchanges = _consume_chunks(cfg, _simulate_exchange, cfg.n_bits)
+    secure, discards, n_exchanges = _consume_chunks(cfg, _attack_chunk, cfg.n_bits)
     q = np.array([s.q for s in secure], dtype=np.int8)
     p_e, stderr = attack.success_probability(q)
     return CellResult(
@@ -332,21 +349,36 @@ class _DefenseBitSim:
     channel_rms_clean: float
 
 
-def _simulate_defense_pair(cfg: SimConfig, index: int, defense_model=None):
-    """One exchange solved with Eve's current (the record) and without it (the clean arm)."""
-    streams = derive_bit_streams(cfg.master_seed, index)
-    choices = protocol.choices_for_bit(cfg, streams)
-    cls = protocol.classify_bit_pair(*choices)
-    if not cls.is_secure:
-        return cls
-    rec = protocol.run_bit_exchange(cfg, index, streams, choices, cfg.injection)
-    clean = circuit.solve_loop(rec.u_a, rec.u_b, rec.loop_cfg)
-    return _DefenseBitSim(
-        index=index,
-        residuals_clean=defense.end_residuals(clean, rec.loop_cfg, defense_model),
-        residuals_attacked=defense.end_residuals(rec.signals, rec.loop_cfg, defense_model),
-        channel_rms_clean=float(np.sqrt(np.mean(np.square(clean.i_cha.samples)))),
-    )
+def _defense_chunk(cfg: SimConfig, start: int, defense_model=None) -> list:
+    """One chunk of defense pairs: each secure exchange solved with and without Eve's current.
+
+    Per batch of equal loop configuration, the clean and attacked rows are
+    solved in one call and their residuals in one in-site simulation. The
+    residuals kept are copies, so no batch array outlives its batch.
+    """
+    results, secure = _classify_chunk(cfg, start)
+    drives = [
+        protocol.exchange_drive(cfg, streams, choices, cfg.injection)
+        for _, streams, choices in secure
+    ]
+    fs = cfg.sample_rate_hz
+    # two rows per exchange, so half as many exchanges per batch
+    for loop_cfg, positions in protocol.loop_batches([d[0] for d in drives], protocol.BATCH // 2):
+        n = len(positions)
+        attacked = np.stack([circuit.input_rows(*drives[pos][1:]) for pos in positions])
+        u = np.concatenate([attacked, attacked])
+        u[:n, 2] = 0.0  # the first n rows are the clean arm
+        measured = circuit.solve_rows(u, loop_cfg, 1.0 / fs)
+        residuals = defense.residual_rows(measured, loop_cfg, fs, defense_model)
+        for j, pos in enumerate(positions):
+            index = secure[pos][0]
+            results[index - start] = _DefenseBitSim(
+                index=index,
+                residuals_clean=tuple(residuals[j].copy()),
+                residuals_attacked=tuple(residuals[n + j].copy()),
+                channel_rms_clean=float(np.sqrt(np.mean(np.square(measured[j, 0])))),
+            )
+    return results
 
 
 @dataclass
@@ -397,10 +429,10 @@ def run_defense_experiment(
             f"defense experiment needs more than {n_calibration} bits for calibration"
         )
 
-    def worker(c, i):
-        return _simulate_defense_pair(c, i, defense_model)
+    def chunk_worker(c, start):
+        return _defense_chunk(c, start, defense_model)
 
-    sims, _, _ = _consume_chunks(cfg, worker, cfg.n_bits)
+    sims, _, _ = _consume_chunks(cfg, chunk_worker, cfg.n_bits)
     fs = cfg.sample_rate_hz
     if cfg.detection is not None:
         det = cfg.detection

@@ -173,20 +173,19 @@ def _generator(cfg: "SimConfig", choice: ResistorChoice, seed: int) -> Waveform:
     )
 
 
-def run_bit_exchange(
+def exchange_drive(
     cfg: "SimConfig",
-    bit_index: int,
     streams: BitStreams,
     choices: tuple[ResistorChoice, ResistorChoice],
     attack: "InjectionSpec | None" = None,
-) -> BitExchangeRecord:
-    """Simulate one full exchange period and both parties' inferences.
+) -> tuple[circuit.LoopConfig, Waveform, Waveform, Waveform | None]:
+    """Loop configuration and drive waveforms (u_a, u_b, i_inj) of one exchange.
 
     `choices` is the (alice, bob) pair the caller drew from `streams` with
     `choices_for_bit`. Each party's generator is scaled to the thermal RMS of
-    its resistor and synthesized from the bit's own noise seed. The optional
-    injected current is synthesized at the requested fraction of the nominal
-    secure-state loop current.
+    its resistor and synthesized from the bit's own noise seed, Alice's
+    first. The optional injected current is synthesized last, at the
+    requested fraction of the nominal secure-state loop current.
     """
     from .attack import reference_rms_channel_current, synth_injection
 
@@ -211,25 +210,83 @@ def run_bit_exchange(
         variant=cfg.variant,
         injection_position=cfg.injection_position,
     )
-    signals = circuit.solve_loop(u_a, u_b, loop_cfg, injected)
-    alice_guess = decide_remote_resistor(
-        signals.u_cha, signals.i_cha, alice.resistance,
-        cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz,
-    )
-    bob_guess = decide_remote_resistor(
-        signals.u_chb, signals.i_chb, bob.resistance,
-        cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz,
-    )
-    return BitExchangeRecord(
-        index=bit_index,
-        alice_choice=alice,
-        bob_choice=bob,
-        loop_cfg=loop_cfg,
-        u_a=u_a,
-        u_b=u_b,
-        signals=signals,
-        injected=injected,
-        classification=classify_bit_pair(alice, bob),
-        alice_inferred_remote=alice_guess.resistance,
-        bob_inferred_remote=bob_guess.resistance,
-    )
+    return loop_cfg, u_a, u_b, injected
+
+
+# Rows per batched loop solve. A solve holds its (t, BATCH, m) state
+# trajectory at once, so this bounds its memory.
+BATCH = 16
+
+
+def loop_batches(loop_cfgs: list[circuit.LoopConfig], size: int = BATCH):
+    """Positions of the exchanges that share a loop configuration, at most `size` at a time.
+
+    Yields (loop_cfg, positions) with configurations in order of first
+    appearance and positions ascending within each.
+    """
+    groups: dict[circuit.LoopConfig, list[int]] = {}
+    for pos, loop_cfg in enumerate(loop_cfgs):
+        groups.setdefault(loop_cfg, []).append(pos)
+    for loop_cfg, positions in groups.items():
+        for start in range(0, len(positions), size):
+            yield loop_cfg, positions[start : start + size]
+
+
+def run_exchanges(
+    cfg: "SimConfig",
+    exchanges: list[tuple[int, BitStreams, tuple[ResistorChoice, ResistorChoice]]],
+    attack: "InjectionSpec | None" = None,
+) -> list[BitExchangeRecord]:
+    """Simulate exchange periods and both parties' inferences, one record each.
+
+    `exchanges` holds (bit_index, streams, choices) per exchange. The drive
+    waveforms are synthesized exchange by exchange (`exchange_drive`); the
+    loop is then solved in batches of equal loop configuration
+    (`loop_batches`), and each party decides on its own end's signals.
+    """
+    drives = [exchange_drive(cfg, streams, choices, attack) for _, streams, choices in exchanges]
+    fs = cfg.sample_rate_hz
+    signals = [None] * len(drives)
+    for loop_cfg, positions in loop_batches([d[0] for d in drives]):
+        u = np.stack([circuit.input_rows(*drives[pos][1:]) for pos in positions])
+        for pos, y in zip(positions, circuit.solve_rows(u, loop_cfg, 1.0 / fs)):
+            signals[pos] = circuit.ChannelSignals.from_rows(y, fs)
+    records = []
+    for (index, _, (alice, bob)), (loop_cfg, u_a, u_b, injected), sig in zip(
+        exchanges, drives, signals
+    ):
+        alice_guess = decide_remote_resistor(
+            sig.u_cha, sig.i_cha, alice.resistance,
+            cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz,
+        )
+        bob_guess = decide_remote_resistor(
+            sig.u_chb, sig.i_chb, bob.resistance,
+            cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz,
+        )
+        records.append(
+            BitExchangeRecord(
+                index=index,
+                alice_choice=alice,
+                bob_choice=bob,
+                loop_cfg=loop_cfg,
+                u_a=u_a,
+                u_b=u_b,
+                signals=sig,
+                injected=injected,
+                classification=classify_bit_pair(alice, bob),
+                alice_inferred_remote=alice_guess.resistance,
+                bob_inferred_remote=bob_guess.resistance,
+            )
+        )
+    return records
+
+
+def run_bit_exchange(
+    cfg: "SimConfig",
+    bit_index: int,
+    streams: BitStreams,
+    choices: tuple[ResistorChoice, ResistorChoice],
+    attack: "InjectionSpec | None" = None,
+) -> BitExchangeRecord:
+    """Simulate one full exchange period: `run_exchanges` on a batch of one."""
+    return run_exchanges(cfg, [(bit_index, streams, choices)], attack)[0]

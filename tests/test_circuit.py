@@ -51,21 +51,58 @@ def _reference_steps(system, u, x0):
     return np.array(states), np.array(outs)
 
 
+def _single_row_solve(system, u):
+    """The one-row solve that the batched `TransientSolver.solve` replaced.
+
+    `u` has shape (n_inputs, t); returns the outputs, shape (t, n_outputs).
+    A batch of one must reproduce it bit for bit.
+    """
+    x = system.dc_gain @ u[:, 0]
+    qu = u[:, 1:].T @ system.q_next.T + u[:, :-1].T @ system.q_prev.T
+    states = [x]
+    for k in range(1, u.shape[1]):
+        x = system.p @ x + qu[k - 1]
+        states.append(x)
+    return np.array(states) @ system.c_out.T + u.T @ system.d_out.T
+
+
 def test_ladder_scan_matches_reference_loop():
     rng = np.random.default_rng(3)
     m, t = 19, 200
     p = rng.standard_normal((m, m))
     p *= 0.95 / np.max(np.abs(np.linalg.eigvals(p)))  # keep the recurrence stable
-    qu = rng.standard_normal((t - 1, m))
-    x0 = rng.standard_normal(m)
-    got = circuit.ladder_scan(p, qu, x0)
-    assert got.shape == (t, m)
+    qu = rng.standard_normal((t - 1, 1, m))
+    x0 = rng.standard_normal((1, m))
+    got = circuit.ladder_scan(p, np.concatenate([x0[None], qu]))
+    assert got.shape == (t, 1, m)
     expected = np.empty((t, m))
-    expected[0] = x = x0
+    expected[0] = x = x0[0]
     for k in range(1, t):
-        x = p @ x + qu[k - 1]
+        x = p @ x + qu[k - 1, 0]
         expected[k] = x
-    assert np.array_equal(got, expected)
+    assert np.array_equal(got[:, 0], expected)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 17])
+@pytest.mark.parametrize("variant", [Cable(1000.0, 10), CableWithKiller(1000.0, 10)])
+def test_batched_solve_matches_reference_steps(variant, batch):
+    solver = TransientSolver(
+        circuit.model_for_variant(variant), LoopConfig(1000.0, 9000.0, variant), 1.0 / FS
+    )
+    u = np.stack(
+        [
+            np.vstack([_noise(1.0, 3 * k).samples, _noise(3.0, 3 * k + 1).samples,
+                       _noise(3e-5, 3 * k + 2).samples])
+            for k in range(batch)
+        ]
+    )
+    y = solver.solve(u)
+    assert y.shape == (batch, 4, u.shape[2])
+    for row, out in zip(u, y):
+        _, ref = _reference_steps(solver.system, row, solver.system.dc_gain @ row[:, 0])
+        np.testing.assert_allclose(out.T, ref, rtol=1e-10, atol=1e-18)
+    if batch == 1:
+        assert np.array_equal(y[0].T, _single_row_solve(solver.system, u[0]))
 
 
 def test_divider_fractions_reference_pair():

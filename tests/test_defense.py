@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kljnsim import circuit, harness
 from kljnsim.attack import InjectionSpec, reference_rms_channel_current
@@ -12,7 +14,9 @@ from kljnsim.defense import (
     DetectionVerdict,
     calibrate_threshold,
     detect_residuals,
+    _first_run_end,
     end_residuals,
+    residual_rows,
     simulate_expected_currents,
 )
 from kljnsim.exceptions import ConfigError, ShapeMismatchError
@@ -116,14 +120,25 @@ def test_model_self_consistency_on_clean_run():
 @pytest.mark.parametrize("n_segments", [2, 3, 10])
 @pytest.mark.parametrize("variant_type", [Cable, CableWithKiller])
 def test_in_site_simulation_reproduces_clean_channel(variant_type, n_segments):
-    """Guard on the shared assembly: the defense's cable is the channel's cable."""
+    """Guard on the shared assembly: the defense's cable is the channel's cable.
+
+    Checked on one noise pair and on a batch of 16 pairs solved together.
+    """
     variant = variant_type(1000.0, n_segments)
     loop_cfg = LoopConfig(R_L, R_H, variant)
-    u_a, u_b = _noise(_johnson(R_L), 80), _noise(_johnson(R_H), 81)
-    measured = circuit.solve_loop(u_a, u_b, loop_cfg)
-    i_rms = float(np.sqrt(np.mean(measured.i_cha.samples**2)))
-    for res in end_residuals(measured, loop_cfg):
-        assert np.max(np.abs(res)) <= 1e-12 * i_rms
+    for batch in (1, 16):
+        u = np.stack(
+            [
+                circuit.input_rows(
+                    _noise(_johnson(R_L), 80 + 2 * k), _noise(_johnson(R_H), 81 + 2 * k)
+                )
+                for k in range(batch)
+            ]
+        )
+        measured = circuit.solve_rows(u, loop_cfg, 1.0 / FS)
+        for y, residuals in zip(measured, residual_rows(measured, loop_cfg, FS)):
+            i_rms = float(np.sqrt(np.mean(y[0] ** 2)))
+            assert np.max(np.abs(residuals)) <= 1e-12 * i_rms
 
 
 def test_model_residual_visible_under_attack():
@@ -223,3 +238,25 @@ def test_consecutive_sample_requirement():
     det3 = detect_residuals([residual], DetectionConfig(0.5, 3), FS)
     assert det1.first_detection_sample == 10
     assert det3.first_detection_sample == 22
+
+
+def _first_run_end_loop(above, run):
+    """The per-sample loop that `_first_run_end` replaced: the oracle."""
+    count = 0
+    for i, flag in enumerate(above):
+        count = count + 1 if flag else 0
+        if count >= run:
+            return i
+    return None
+
+
+@given(above=st.lists(st.booleans(), max_size=64), run=st.integers(1, 72))
+@example(above=[], run=1)
+@example(above=[False] * 20, run=1)
+@example(above=[False] * 20, run=4)
+@example(above=[True] * 20, run=1)
+@example(above=[True] * 20, run=20)
+@example(above=[True] * 20, run=21)
+@settings(max_examples=300, deadline=None)
+def test_first_run_end_matches_loop(above, run):
+    assert _first_run_end(np.array(above, dtype=bool), run) == _first_run_end_loop(above, run)

@@ -30,7 +30,7 @@ CASES = {
         harness.SimConfig(n_bits=40, variant=CABLE, master_seed=12345),
         "defense_result",
         harness.run_defense_experiment,
-        "d1007ff7359a925b0577a0713252ffe46214f53280012921274d4404c88b2a6d",
+        "ccf463a4bb83230231634d5fa2a2df5bd1c59717690f13598a54e388e48a17ea",
     ),
     "single_bit.csv": (
         harness.SimConfig(

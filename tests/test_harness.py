@@ -44,6 +44,23 @@ def test_malformed_value_is_named():
     ):
         with pytest.raises(ConfigError, match=key):
             harness.parse_config_text(f"{key} = {raw}\n")
+    # and a config built in code meets the same check
+    nan, inf = float("nan"), float("inf")
+    for key, value in (
+        ("r_l", nan),
+        ("r_h", nan),
+        ("t_eff", nan),
+        ("bandwidth_hz", nan),
+        ("detection_multiplier", nan),
+        ("r_h", inf),
+        ("t_eff", inf),
+        ("detection_multiplier", inf),
+        ("tau_s", nan),
+        ("tau_s", inf),
+        ("sample_rate_hz", nan),
+    ):
+        with pytest.raises(ConfigError, match=key):
+            harness.SimConfig(**{key: value})
 
 
 def test_negative_bit_count_is_named():
@@ -109,10 +126,11 @@ def _tiny_cfg(**kw):
 
 
 def test_seed_prefix_stability():
-    big = harness.run_attack_cell(harness._cell_config(_tiny_cfg(n_bits=80), circuit.Ideal(), 0.1))
-    small = harness.run_attack_cell(harness._cell_config(_tiny_cfg(n_bits=50), circuit.Ideal(), 0.1))
-    assert np.array_equal(big.q[:50], small.q)
-    assert np.array_equal(big.rho_a[:50], small.rho_a)
+    for variant in (circuit.Ideal(), circuit.Cable(1000.0, 10)):
+        big = harness.run_attack_cell(harness._cell_config(_tiny_cfg(n_bits=80), variant, 0.1))
+        small = harness.run_attack_cell(harness._cell_config(_tiny_cfg(n_bits=50), variant, 0.1))
+        assert np.array_equal(big.q[:50], small.q)
+        assert np.array_equal(big.rho_a[:50], small.rho_a)
 
 
 def test_worker_count_does_not_change_results():
