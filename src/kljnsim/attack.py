@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, ShapeMismatchError
 from .noise import K_BOLTZMANN, NoiseSpec, Waveform, synth_band_limited_gaussian
 from .protocol import BitClass
 
@@ -67,15 +67,16 @@ def synth_injection(
     )
 
 
-def correlate(i_inj: Waveform, i_ch_end: Waveform) -> float:
+def correlate(i_inj: np.ndarray, i_ch_end: np.ndarray) -> float:
     """Raw product average of the injected current and one end current.
 
-    The end current must be expressed in the divider-from-injection sign
-    convention so that the injected share enters with positive sign at both
-    ends.
+    Both are sample rows of one period. The end current must be read from
+    the injection node outward (Alice's end as solved, Bob's end negated) so
+    that the injected share enters with positive sign at both ends.
     """
-    i_inj.require_compatible(i_ch_end)
-    return float(np.mean(i_inj.samples * i_ch_end.samples))
+    if i_inj.shape != i_ch_end.shape:
+        raise ShapeMismatchError(f"sample rows differ: {i_inj.shape} vs {i_ch_end.shape}")
+    return float(np.mean(i_inj * i_ch_end))
 
 
 def eve_decide(

@@ -14,18 +14,17 @@ Integration is trapezoidal (A-stable, second order, the SPICE default) with
 each run starting from the DC-consistent state for the first input sample, so
 no artificial start-up transient leaks into the statistics.
 
-Sign conventions
-----------------
-Loop: positive current at both ends points along the cable from Bob's end
-toward Alice's end; without injection the two end currents are identical, and
-an ideal-wire injection makes i_cha - i_chb equal the injected current.
-DividerFromInjection: positive direction at each end points from the
-injection node outward toward that end, so Eve's injected current shows up
-with positive sign at both ends. Conversion is a relabeling: negate Bob's end.
+Sign convention
+---------------
+Every solve reports the Loop convention: positive current at both ends points
+along the cable from Bob's end toward Alice's end; without injection the two
+end currents are identical, and an ideal-wire injection makes i_cha - i_chb
+equal the injected current. Eve reads the ends from the injection node
+outward, so that her current enters both with positive sign: her view is
+Alice's end as solved and Bob's end negated.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,7 +32,6 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import ConfigError, ShapeMismatchError
-from .noise import Waveform
 
 # RG58 coaxial per-unit defaults (datasheet-typical; configurable)
 RG58_R_PER_M = 0.0365  # ohm/m
@@ -60,11 +58,6 @@ class CableWithKiller:
 
 
 Variant = Ideal | Cable | CableWithKiller
-
-
-class SignConvention(enum.Enum):
-    LOOP = "loop"
-    DIVIDER_FROM_INJECTION = "divider_from_injection"
 
 
 @dataclass(frozen=True)
@@ -143,7 +136,7 @@ def build_cable_model(
             )
         r_seg = r_per_m * length_m / n_segments
         c_seg = c_per_m * length_m / n_segments
-        if r_seg > 0:
+        if r_seg * c_seg > 0:
             corner_hz = 1.0 / (2.0 * math.pi * r_seg * c_seg)
             if corner_hz < 100.0 * signal_bandwidth_hz:
                 raise ConfigError(
@@ -171,57 +164,12 @@ def model_for_variant(variant: Variant) -> CableModel | None:
     )
 
 
-@dataclass
-class ChannelSignals:
-    """End currents and voltages of one solved exchange period."""
-
-    i_cha: Waveform
-    i_chb: Waveform
-    u_cha: Waveform
-    u_chb: Waveform
-    sign_convention: SignConvention = SignConvention.LOOP
-
-    def __post_init__(self):
-        ref = self.i_cha
-        for w in (self.i_chb, self.u_cha, self.u_chb):
-            ref.require_compatible(w)
-
-    @classmethod
-    def from_rows(cls, y: np.ndarray, fs: float) -> "ChannelSignals":
-        """Loop-convention signals from output rows (i_cha, i_chb, u_cha, u_chb), shape (4, t)."""
-        return cls(*(Waveform(row, fs) for row in y))
-
-    def to_convention(self, convention: SignConvention) -> "ChannelSignals":
-        """Relabel signs; switching conventions negates Bob's end current."""
-        if convention == self.sign_convention:
-            return self
-        flipped = Waveform(-self.i_chb.samples, self.i_chb.sample_rate_hz)
-        return ChannelSignals(self.i_cha, flipped, self.u_cha, self.u_chb, convention)
-
-
 def divider_fractions(r_a: float, r_b: float) -> tuple[float, float]:
     """Share of a node-injected current flowing toward each termination."""
     if r_a <= 0 or r_b <= 0:
         raise ValueError("resistances must be positive")
     total = r_a + r_b
     return r_b / total, r_a / total
-
-
-def _check_aligned(*waveforms: Waveform) -> None:
-    first = waveforms[0]
-    for w in waveforms[1:]:
-        first.require_compatible(w)
-
-
-def input_rows(u_a: Waveform, u_b: Waveform, i_inj: Waveform | None = None) -> np.ndarray:
-    """Loop inputs (u_a, u_b, i_inj) as rows, shape (3, t); no injection is a zero row."""
-    _check_aligned(u_a, u_b, *([i_inj] if i_inj is not None else []))
-    u = np.zeros((3, len(u_a)))
-    u[0] = u_a.samples
-    u[1] = u_b.samples
-    if i_inj is not None:
-        u[2] = i_inj.samples
-    return u
 
 
 def _ideal_rows(u: np.ndarray, cfg: LoopConfig) -> np.ndarray:
@@ -236,19 +184,6 @@ def _ideal_rows(u: np.ndarray, cfg: LoopConfig) -> np.ndarray:
     y[:, 2] = u_ch
     y[:, 3] = u_ch
     return y
-
-
-def solve_ideal_loop(
-    u_a: Waveform,
-    u_b: Waveform,
-    cfg: LoopConfig,
-    i_inj: Waveform | None = None,
-) -> ChannelSignals:
-    """Closed-form solve of the single-node loop, sample by sample."""
-    if not isinstance(cfg.variant, Ideal):
-        raise ConfigError("solve_ideal_loop requires the Ideal variant")
-    y = _ideal_rows(input_rows(u_a, u_b, i_inj)[None], cfg)[0]
-    return ChannelSignals.from_rows(y, u_a.sample_rate_hz)
 
 
 @dataclass(frozen=True)
@@ -392,16 +327,23 @@ class TransientSolver:
         if dt <= 0:
             raise ConfigError("dt must be positive")
         assemble = _assemble_killer if model.killer_enabled else _assemble_ladder
-        if cfg is None:
-            # any interior injection node: its input column is dropped
-            a, b, b_deriv, c, d = assemble(model, 0.0, 0.0, 1)
-            b, b_deriv, c, d = b[:, :2], b_deriv[:, :2], c[:2], d[:2, :2]
-        else:
-            inj = injection_node_index(cfg.variant, cfg.injection_position)
-            a, b, b_deriv, c, d = assemble(model, cfg.r_alice, cfg.r_bob, inj)
+        try:
+            with np.errstate(all="ignore"):  # overflow shows up as non-finite matrices below
+                if cfg is None:
+                    # any interior injection node: its input column is dropped
+                    a, b, b_deriv, c, d = assemble(model, 0.0, 0.0, 1)
+                    b, b_deriv, c, d = b[:, :2], b_deriv[:, :2], c[:2], d[:2, :2]
+                else:
+                    inj = injection_node_index(cfg.variant, cfg.injection_position)
+                    a, b, b_deriv, c, d = assemble(model, cfg.r_alice, cfg.r_bob, inj)
+                system = _discretize(a, b, b_deriv, c, d, dt)
+        except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
+            raise ConfigError(f"cable system cannot be discretized: {exc}") from exc
+        if not all(np.isfinite(v).all() for v in vars(system).values()):
+            raise ConfigError("cable system is not representable in floating point at this dt")
         self.model = model
         self.cfg = cfg
-        self.system = _discretize(a, b, b_deriv, c, d, dt)
+        self.system = system
 
     def solve(self, u: np.ndarray) -> np.ndarray:
         """Outputs, shape (B, n_outputs, t), for a batch of inputs u of shape (B, n_inputs, t).
@@ -423,15 +365,6 @@ class TransientSolver:
         y = x @ sys.c_out.T + flat @ sys.d_out.T
         return np.ascontiguousarray(y.reshape(t, n_rows, n_out).transpose(1, 2, 0))
 
-    def run(
-        self, u_a: Waveform, u_b: Waveform, i_inj: Waveform | None = None
-    ) -> ChannelSignals:
-        """Solve a whole segment of the loop; the four end signals in the Loop convention."""
-        if abs(u_a.sample_rate_hz * self.system.dt - 1.0) > 1e-9:
-            raise ShapeMismatchError("waveform sample rate does not match solver dt")
-        y = self.solve(input_rows(u_a, u_b, i_inj)[None])[0]
-        return ChannelSignals.from_rows(y, u_a.sample_rate_hz)
-
 
 @lru_cache(maxsize=128)
 def transient_solver(model: CableModel, cfg: LoopConfig | None, dt: float) -> TransientSolver:
@@ -445,26 +378,13 @@ def solve_rows(
 
     Inputs (B, 3, t) are (u_a, u_b, i_inj) rows; outputs (B, 4, t) are
     (i_cha, i_chb, u_cha, u_chb) rows in the Loop convention. Closed form for
-    the ideal wire, ladder otherwise (default model: the variant's).
+    the ideal wire, ladder otherwise (default model: the variant's). Raises
+    ShapeMismatchError if any solved sample is not finite.
     """
     if isinstance(cfg.variant, Ideal):
-        return _ideal_rows(u, cfg)
-    if model is None:
-        model = model_for_variant(cfg.variant)
-    return transient_solver(model, cfg, dt).solve(u)
-
-
-def solve_loop(
-    u_a: Waveform,
-    u_b: Waveform,
-    cfg: LoopConfig,
-    i_inj: Waveform | None = None,
-    model: CableModel | None = None,
-) -> ChannelSignals:
-    """One exchange through `solve_rows`, as a batch of one.
-
-    Returns the Loop convention; `ChannelSignals.to_convention` relabels.
-    """
-    fs = u_a.sample_rate_hz
-    y = solve_rows(input_rows(u_a, u_b, i_inj)[None], cfg, 1.0 / fs, model)[0]
-    return ChannelSignals.from_rows(y, fs)
+        y = _ideal_rows(u, cfg)
+    else:
+        y = transient_solver(model or model_for_variant(cfg.variant), cfg, dt).solve(u)
+    if not np.isfinite(y).all():
+        raise ShapeMismatchError("solved loop samples must all be finite")
+    return y

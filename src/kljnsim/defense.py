@@ -14,17 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (
-    CableModel,
-    ChannelSignals,
-    Ideal,
-    LoopConfig,
-    SignConvention,
-    model_for_variant,
-    transient_solver,
-)
+from .circuit import CableModel, Ideal, LoopConfig, model_for_variant, transient_solver
 from .exceptions import ConfigError
-from .noise import Waveform
 
 
 @dataclass(frozen=True)
@@ -45,7 +36,7 @@ class DetectionVerdict:
     attacked: bool
     first_detection_sample: int | None
     max_residual: float
-    residual_trace: Waveform
+    residual_trace: np.ndarray
 
     def __post_init__(self):
         if self.attacked != (self.first_detection_sample is not None):
@@ -66,9 +57,7 @@ def _first_run_end(above: np.ndarray, run: int) -> int | None:
     return int(hits[0]) + run - 1 if hits.size else None
 
 
-def detect_residuals(
-    residuals: list[np.ndarray], cfg: DetectionConfig, fs: float
-) -> DetectionVerdict:
+def detect_residuals(residuals: list[np.ndarray], cfg: DetectionConfig) -> DetectionVerdict:
     """Threshold test over one or more residual traces; earliest firing wins."""
     first = None
     max_res = 0.0
@@ -81,42 +70,8 @@ def detect_residuals(
         attacked=first is not None,
         first_detection_sample=first,
         max_residual=max_res,
-        residual_trace=Waveform(residuals[0], fs),
+        residual_trace=residuals[0],
     )
-
-
-def compare_instantaneous_ideal(
-    i_cha: Waveform, i_chb: Waveform, cfg: DetectionConfig
-) -> DetectionVerdict:
-    """Ideal-system check: the residual i_cha - i_chb is the injected current.
-
-    Inputs must be in the Loop convention, where the unattacked ends agree
-    exactly.
-    """
-    i_cha.require_compatible(i_chb)
-    residual = i_cha.samples - i_chb.samples
-    return detect_residuals([residual], cfg, i_cha.sample_rate_hz)
-
-
-def simulate_expected_currents(
-    model: CableModel,
-    cfg: LoopConfig,
-    u_cha: Waveform,
-    u_chb: Waveform,
-) -> tuple[Waveform, Waveform]:
-    """Currents the cable alone would draw given the measured end voltages.
-
-    This is the in-site cable simulation: the channel's own ladder assembly,
-    driven by the exchanged voltage data, with no injection source. Returned
-    in the Loop convention, directly comparable with the measured currents.
-    """
-    if isinstance(cfg.variant, Ideal):
-        raise ConfigError("the ideal variant has no cable model to simulate")
-    u_cha.require_compatible(u_chb)
-    fs = u_cha.sample_rate_hz
-    solver = transient_solver(model, None, 1.0 / fs)
-    y = solver.solve(np.vstack([u_cha.samples, u_chb.samples])[None])[0]
-    return Waveform(y[0], fs), Waveform(y[1], fs)
 
 
 def residual_rows(
@@ -145,18 +100,6 @@ def residual_rows(
     return measured[:, :2] - expected
 
 
-def end_residuals(
-    measured: ChannelSignals,
-    cfg: LoopConfig,
-    model: CableModel | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's and Bob's residual for one exchange: `residual_rows` on a batch of one."""
-    m = measured.to_convention(SignConvention.LOOP)
-    rows = np.stack([w.samples for w in (m.i_cha, m.i_chb, m.u_cha, m.u_chb)])
-    res_a, res_b = residual_rows(rows[None], cfg, m.i_cha.sample_rate_hz, model)[0]
-    return res_a, res_b
-
-
 # Calibrated thresholds never drop below this fraction of the channel current:
 # an exact defense model leaves only solver roundoff (~1e-16 relative) in the
 # no-attack residuals, and a threshold keyed to that noise would ride its
@@ -166,7 +109,7 @@ NUMERICAL_FLOOR_FRACTION = 1e-9
 
 
 def calibrate_threshold(
-    no_attack_residuals: list[Waveform] | list[np.ndarray],
+    no_attack_residuals: list[np.ndarray],
     multiplier: float = 5.0,
     consecutive_samples: int = 1,
     reference_rms: float | None = None,
@@ -182,9 +125,7 @@ def calibrate_threshold(
         raise ConfigError("multiplier must be positive")
     if len(no_attack_residuals) == 0:
         raise ValueError("calibration requires at least one residual trace")
-    pooled = np.concatenate(
-        [r.samples if isinstance(r, Waveform) else np.asarray(r) for r in no_attack_residuals]
-    )
+    pooled = np.concatenate(no_attack_residuals)
     residual_rms = math.sqrt(float(np.mean(np.square(pooled))))
     threshold = multiplier * residual_rms
     if reference_rms is not None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import attack, circuit, defense, privacy, protocol
+from . import attack, circuit, defense, noise, privacy, protocol
 from .exceptions import ConfigError
 
 _CHUNK = 128  # fixed chunk size keeps worker partitioning deterministic
@@ -92,6 +92,37 @@ class SimConfig:
             raise ConfigError("detection_consecutive must be >= 1")
         if self.injection is not None and self.injection.bandwidth_hz != self.bandwidth_hz:
             raise ConfigError("injection bandwidth must equal the channel bandwidth")
+        if self.r_h > 1e24 * self.r_l:
+            # the low side's current is a difference of node voltages whose relative
+            # rounding error is about 1e-16 * sqrt(r_h / r_l)
+            raise ConfigError("r_h / r_l must not exceed 1e24")
+        # Finite inputs can still overflow or underflow the signal scales. Every
+        # expected mean square of a period's samples must keep its squares and
+        # sums well inside the float range.
+        r_l, r_h, t_eff, bw = self.r_l, self.r_h, self.t_eff, self.bandwidth_hz
+        four_ktb = 4.0 * noise.K_BOLTZMANN * t_eff * bw
+        derived = {}
+        for r in (r_l, r_h):
+            rms = noise.johnson_rms_voltage(r, t_eff, bw)
+            derived[f"generator mean square at {r!r} ohm"] = rms * rms
+        model = circuit.model_for_variant(self.variant)
+        r_cable = 0.0 if model is None else model.total_series_resistance
+        if r_cable > 0:  # the in-site simulation drives the cable alone
+            derived["mean-square current of r_h's generator across the cable"] = (
+                four_ktb * r_h / r_cable / r_cable
+            )
+        for own, cand in ((r_l, r_l), (r_l, r_h), (r_h, r_h)):
+            pair, loop = f"{own!r} + {cand!r} ohm", own + cand + r_cable
+            # the likelihood scales; for (r_l, r_h) the current one is the reference current squared
+            s_i, s_u = protocol.likelihood_scales(four_ktb, own, cand)
+            derived[f"mean-square current for {pair}"] = s_i
+            derived[f"mean-square voltage for {pair}"] = s_u
+            derived[f"mean-square current for {pair} and the cable"] = (
+                four_ktb / loop * ((own + cand) / loop)
+            )
+        for name, value in derived.items():
+            if not 1e-300 <= value <= 1e300:
+                raise ConfigError(f"derived {name} is {value!r}, outside 1e-300 .. 1e300")
 
     @property
     def samples_per_bit(self) -> int:
@@ -157,13 +188,14 @@ class _SecureStats:
     msq_i_a: float
 
 
-def _eavesdrop(rec: protocol.BitExchangeRecord, streams: protocol.BitStreams):
+def _eavesdrop(cfg: SimConfig, rec: protocol.BitExchangeRecord, streams: protocol.BitStreams):
     """Eve's two correlators and her guess; without injection both read 0 and a coin decides."""
     rho_a = rho_b = 0.0
-    if rec.injected is not None:
-        div = rec.signals.to_convention(circuit.SignConvention.DIVIDER_FROM_INJECTION)
-        rho_a = attack.correlate(rec.injected, div.i_cha)
-        rho_b = attack.correlate(rec.injected, div.i_chb)
+    if cfg.injection is not None:
+        i_inj, y = rec.u[2], rec.y
+        rho_a = attack.correlate(i_inj, y[0])
+        # Eve reads from her node outward: Alice's end as solved, Bob's end negated
+        rho_b = attack.correlate(i_inj, -y[1])
     return rho_a, rho_b, attack.eve_decide(rho_a, rho_b, tie_rng=streams.eve_coin)
 
 
@@ -189,7 +221,7 @@ def _attack_chunk(cfg: SimConfig, start: int) -> list:
     """One chunk of the attack cell: a discard marker or secure-bit statistics per exchange."""
     results, secure = _classify_chunk(cfg, start)
     for (index, streams, _), rec in zip(secure, protocol.run_exchanges(cfg, secure, cfg.injection)):
-        rho_a, rho_b, guess = _eavesdrop(rec, streams)
+        rho_a, rho_b, guess = _eavesdrop(cfg, rec, streams)
         cls = rec.classification
         results[index - start] = _SecureStats(
             index=index,
@@ -203,8 +235,8 @@ def _attack_chunk(cfg: SimConfig, start: int) -> list:
                 rec.alice_inferred_remote == rec.bob_choice.resistance
                 and rec.bob_inferred_remote == rec.alice_choice.resistance
             ),
-            msq_u_a=float(np.mean(np.square(rec.signals.u_cha.samples))),
-            msq_i_a=float(np.mean(np.square(rec.signals.i_cha.samples))),
+            msq_u_a=float(np.mean(np.square(rec.y[2]))),
+            msq_i_a=float(np.mean(np.square(rec.y[0]))),
         )
     return results
 
@@ -365,7 +397,7 @@ def _defense_chunk(cfg: SimConfig, start: int, defense_model=None) -> list:
     # two rows per exchange, so half as many exchanges per batch
     for loop_cfg, positions in protocol.loop_batches([d[0] for d in drives], protocol.BATCH // 2):
         n = len(positions)
-        attacked = np.stack([circuit.input_rows(*drives[pos][1:]) for pos in positions])
+        attacked = np.stack([drives[pos][1] for pos in positions])
         u = np.concatenate([attacked, attacked])
         u[:n, 2] = 0.0  # the first n rows are the clean arm
         measured = circuit.solve_rows(u, loop_cfg, 1.0 / fs)
@@ -449,7 +481,7 @@ def run_defense_experiment(
     eval_sims = sims[n_calibration:]
     for s in eval_sims:
         for attacked, residual_pair in ((False, s.residuals_clean), (True, s.residuals_attacked)):
-            verdict = defense.detect_residuals(list(residual_pair), det, fs)
+            verdict = defense.detect_residuals(list(residual_pair), det)
             rows.append(
                 DefenseBitRow(
                     bit=s.index,
@@ -514,6 +546,8 @@ def run_privacy_experiment(cfg: SimConfig, passes: int = 2) -> PrivacyResult:
     the config does not pin an injection itself.
     """
     t0 = time.monotonic()
+    if cfg.n_bits < 2**passes:
+        raise ConfigError(f"privacy experiment needs at least {2**passes} bits for {passes} passes")
     if cfg.injection is None:
         cfg = replace(
             cfg,
@@ -546,7 +580,6 @@ def run_privacy_experiment(cfg: SimConfig, passes: int = 2) -> PrivacyResult:
 @dataclass
 class SingleBitDump:
     record: protocol.BitExchangeRecord
-    i_inj: np.ndarray
     residuals: tuple[np.ndarray, np.ndarray] | None
     rho_a: float
     rho_b: float
@@ -554,18 +587,16 @@ class SingleBitDump:
 
 
 def run_single_bit(cfg: SimConfig, bit_index: int = 0) -> SingleBitDump:
-    """Simulate one exchange and keep every waveform for inspection."""
+    """Simulate one exchange, `run_exchanges` on a batch of one, and keep every row."""
     streams = derive_bit_streams(cfg.master_seed, bit_index)
-    choices = protocol.choices_for_bit(cfg, streams)
-    rec = protocol.run_bit_exchange(cfg, bit_index, streams, choices, cfg.injection)
-    rho_a, rho_b, guess = _eavesdrop(rec, streams)
-    i_inj = rec.injected.samples if rec.injected is not None else np.zeros(cfg.samples_per_bit)
+    exchange = (bit_index, streams, protocol.choices_for_bit(cfg, streams))
+    rec = protocol.run_exchanges(cfg, [exchange], cfg.injection)[0]
+    rho_a, rho_b, guess = _eavesdrop(cfg, rec, streams)
     residuals = None
     if not isinstance(cfg.variant, circuit.Ideal):
-        residuals = defense.end_residuals(rec.signals, rec.loop_cfg)
+        residuals = tuple(defense.residual_rows(rec.y[None], rec.loop_cfg, cfg.sample_rate_hz)[0])
     return SingleBitDump(
         record=rec,
-        i_inj=i_inj,
         residuals=residuals,
         rho_a=rho_a,
         rho_b=rho_b,
@@ -811,17 +842,13 @@ def write_report(report: ExperimentReport, out_dir: str) -> list[str]:
         s = report.single_bit
         rec = s.record
         path = os.path.join(out_dir, "single_bit.csv")
-        sig = rec.signals  # Loop convention, as solved
-        t = np.arange(len(sig.i_cha)) / report.config.sample_rate_hz
+        u, y = rec.u, rec.y  # y in the Loop convention, as solved
+        t = np.arange(y.shape[1]) / report.config.sample_rate_hz
         header = [
             "time_s", "u_alice_gen_V", "u_bob_gen_V", "i_injected_A",
             "u_cha_V", "u_chb_V", "i_cha_A", "i_chb_A",
         ]
-        cols = [
-            t, rec.u_a.samples, rec.u_b.samples, s.i_inj,
-            sig.u_cha.samples, sig.u_chb.samples,
-            sig.i_cha.samples, sig.i_chb.samples,
-        ]
+        cols = [t, u[0], u[1], u[2], y[2], y[3], y[0], y[1]]
         if s.residuals is not None:
             header += ["residual_a_A", "residual_b_A"]
             cols += [s.residuals[0], s.residuals[1]]

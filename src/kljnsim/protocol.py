@@ -88,10 +88,8 @@ class BitExchangeRecord:
     alice_choice: ResistorChoice
     bob_choice: ResistorChoice
     loop_cfg: circuit.LoopConfig
-    u_a: Waveform
-    u_b: Waveform
-    signals: circuit.ChannelSignals
-    injected: Waveform | None
+    u: np.ndarray  # drive rows (u_a, u_b, i_inj), shape (3, t)
+    y: np.ndarray  # solved rows (i_cha, i_chb, u_cha, u_chb), Loop convention, shape (4, t)
     classification: BitClass
     alice_inferred_remote: float
     bob_inferred_remote: float
@@ -110,13 +108,14 @@ def classify_bit_pair(alice: ResistorChoice, bob: ResistorChoice) -> BitClass:
     return BitClass.DISCARD_HH if bob.level is BitLevel.HIGH else BitClass.SECURE_HL
 
 
-def _mean_square(w: Waveform) -> float:
-    return float(np.mean(np.square(w.samples)))
+def likelihood_scales(four_ktb: float, own_r: float, cand: float) -> tuple[float, float]:
+    """Expected mean-square end current and voltage when `own_r` faces `cand`."""
+    return four_ktb / (own_r + cand), four_ktb * (own_r * cand / (own_r + cand))
 
 
 def decide_remote_resistor(
-    u_ch: Waveform,
-    i_ch: Waveform,
+    u_ch: np.ndarray,
+    i_ch: np.ndarray,
     own_r: float,
     r_l: float,
     r_h: float,
@@ -130,17 +129,16 @@ def decide_remote_resistor(
     and parallel resistance of the hypothesised pair. The log-likelihood of a
     scaled chi-square reduces to -(m/s + ln s) per measurement up to common
     factors, so scoring both and taking the larger sum is the exact
-    two-hypothesis test.
+    two-hypothesis test. `u_ch` and `i_ch` are one end's sample rows.
     """
-    msq_u = _mean_square(u_ch)
-    msq_i = _mean_square(i_ch)
+    msq_u = float(np.mean(np.square(u_ch)))
+    msq_i = float(np.mean(np.square(i_ch)))
     if msq_i <= 0.0 or msq_u <= 0.0:
         raise InferenceError("degenerate channel measurement")
     four_ktb = 4.0 * K_BOLTZMANN * t_eff * bandwidth_hz
     best_level, best_score = None, -math.inf
     for level, cand in ((BitLevel.LOW, r_l), (BitLevel.HIGH, r_h)):
-        s_i = four_ktb / (own_r + cand)
-        s_u = four_ktb * (own_r * cand / (own_r + cand))
+        s_i, s_u = likelihood_scales(four_ktb, own_r, cand)
         score = -(msq_i / s_i + math.log(s_i)) - (msq_u / s_u + math.log(s_u))
         if score > best_score:
             best_level, best_score = level, score
@@ -178,39 +176,40 @@ def exchange_drive(
     streams: BitStreams,
     choices: tuple[ResistorChoice, ResistorChoice],
     attack: "InjectionSpec | None" = None,
-) -> tuple[circuit.LoopConfig, Waveform, Waveform, Waveform | None]:
-    """Loop configuration and drive waveforms (u_a, u_b, i_inj) of one exchange.
+) -> tuple[circuit.LoopConfig, np.ndarray]:
+    """Loop configuration and drive rows (u_a, u_b, i_inj), shape (3, t), of one exchange.
 
     `choices` is the (alice, bob) pair the caller drew from `streams` with
     `choices_for_bit`. Each party's generator is scaled to the thermal RMS of
     its resistor and synthesized from the bit's own noise seed, Alice's
     first. The optional injected current is synthesized last, at the
-    requested fraction of the nominal secure-state loop current.
+    requested fraction of the nominal secure-state loop current; without an
+    attack its row is zero.
     """
     from .attack import reference_rms_channel_current, synth_injection
 
     alice, bob = choices
-    u_a = _generator(cfg, alice, streams.alice_noise_seed)
-    u_b = _generator(cfg, bob, streams.bob_noise_seed)
-    injected = None
+    u = np.zeros((3, cfg.samples_per_bit))
+    u[0] = _generator(cfg, alice, streams.alice_noise_seed).samples
+    u[1] = _generator(cfg, bob, streams.bob_noise_seed).samples
     if attack is not None:
         ref = reference_rms_channel_current(
             cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz
         )
-        injected = synth_injection(
+        u[2] = synth_injection(
             attack,
             ref,
             cfg.sample_rate_hz,
             cfg.tau_s,
             seed_override=streams.eve_noise_seed,
-        )
+        ).samples
     loop_cfg = circuit.LoopConfig(
         r_alice=alice.resistance,
         r_bob=bob.resistance,
         variant=cfg.variant,
         injection_position=cfg.injection_position,
     )
-    return loop_cfg, u_a, u_b, injected
+    return loop_cfg, u
 
 
 # Rows per batched loop solve. A solve holds its (t, BATCH, m) state
@@ -240,27 +239,24 @@ def run_exchanges(
     """Simulate exchange periods and both parties' inferences, one record each.
 
     `exchanges` holds (bit_index, streams, choices) per exchange. The drive
-    waveforms are synthesized exchange by exchange (`exchange_drive`); the
-    loop is then solved in batches of equal loop configuration
-    (`loop_batches`), and each party decides on its own end's signals.
+    rows are synthesized exchange by exchange (`exchange_drive`); the loop is
+    then solved in batches of equal loop configuration (`loop_batches`), and
+    each party decides on its own end's rows.
     """
     drives = [exchange_drive(cfg, streams, choices, attack) for _, streams, choices in exchanges]
-    fs = cfg.sample_rate_hz
-    signals = [None] * len(drives)
+    solved = [None] * len(drives)
     for loop_cfg, positions in loop_batches([d[0] for d in drives]):
-        u = np.stack([circuit.input_rows(*drives[pos][1:]) for pos in positions])
-        for pos, y in zip(positions, circuit.solve_rows(u, loop_cfg, 1.0 / fs)):
-            signals[pos] = circuit.ChannelSignals.from_rows(y, fs)
+        u = np.stack([drives[pos][1] for pos in positions])
+        for pos, y in zip(positions, circuit.solve_rows(u, loop_cfg, 1.0 / cfg.sample_rate_hz)):
+            solved[pos] = y
     records = []
-    for (index, _, (alice, bob)), (loop_cfg, u_a, u_b, injected), sig in zip(
-        exchanges, drives, signals
-    ):
+    for (index, _, (alice, bob)), (loop_cfg, u), y in zip(exchanges, drives, solved):
         alice_guess = decide_remote_resistor(
-            sig.u_cha, sig.i_cha, alice.resistance,
+            y[2], y[0], alice.resistance,
             cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz,
         )
         bob_guess = decide_remote_resistor(
-            sig.u_chb, sig.i_chb, bob.resistance,
+            y[3], y[1], bob.resistance,
             cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz,
         )
         records.append(
@@ -269,24 +265,11 @@ def run_exchanges(
                 alice_choice=alice,
                 bob_choice=bob,
                 loop_cfg=loop_cfg,
-                u_a=u_a,
-                u_b=u_b,
-                signals=sig,
-                injected=injected,
+                u=u,
+                y=y,
                 classification=classify_bit_pair(alice, bob),
                 alice_inferred_remote=alice_guess.resistance,
                 bob_inferred_remote=bob_guess.resistance,
             )
         )
     return records
-
-
-def run_bit_exchange(
-    cfg: "SimConfig",
-    bit_index: int,
-    streams: BitStreams,
-    choices: tuple[ResistorChoice, ResistorChoice],
-    attack: "InjectionSpec | None" = None,
-) -> BitExchangeRecord:
-    """Simulate one full exchange period: `run_exchanges` on a batch of one."""
-    return run_exchanges(cfg, [(bit_index, streams, choices)], attack)[0]

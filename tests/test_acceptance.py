@@ -12,9 +12,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kljnsim import attack, circuit, harness, protocol
-from kljnsim.circuit import Cable, CableWithKiller, Ideal, LoopConfig, SignConvention
-from kljnsim.noise import NoiseSpec, Waveform, rms, synth_band_limited_gaussian
+from kljnsim import attack, circuit, defense, harness, protocol
+from kljnsim.circuit import Cable, CableWithKiller, Ideal, LoopConfig
+from kljnsim.noise import NoiseSpec, synth_band_limited_gaussian
 
 N_FULL = 10_000
 IDEAL_TARGETS = {0.001: 0.503, 0.01: 0.513, 0.1: 0.613}
@@ -122,22 +122,17 @@ def test_criterion_4_defense_efficacy(defense_run, base_cfg):
     checks.append(ideal_run.detection_rate == 1.0)
     first_crossing_ok = True
     ideal_lh = replace(base_cfg, variant=Ideal(), selection_mode="fixed_lh")
+    spec = attack.InjectionSpec(0.1, base_cfg.bandwidth_hz, base_cfg.master_seed)
     for k in range(5):
         streams = harness.derive_bit_streams(base_cfg.master_seed, k)
-        rec = protocol.run_bit_exchange(
-            ideal_lh,
-            k,
-            streams,
-            protocol.choices_for_bit(ideal_lh, streams),
-            attack.InjectionSpec(0.1, base_cfg.bandwidth_hz, base_cfg.master_seed),
-        )
-        from kljnsim.defense import DetectionConfig, compare_instantaneous_ideal
-
-        thr = rms(rec.injected)
-        verdict = compare_instantaneous_ideal(
-            rec.signals.i_cha, rec.signals.i_chb, DetectionConfig(thr)
-        )
-        expected = int(np.flatnonzero(np.abs(rec.injected.samples) > thr)[0])
+        exchange = (k, streams, protocol.choices_for_bit(ideal_lh, streams))
+        rec = protocol.run_exchanges(ideal_lh, [exchange], spec)[0]
+        i_inj = rec.u[2]
+        thr = math.sqrt(float(np.mean(np.square(i_inj))))
+        # ideal wire: the residual is the instantaneous comparison i_cha - i_chb
+        residuals = defense.residual_rows(rec.y[None], rec.loop_cfg, ideal_lh.sample_rate_hz)[0]
+        verdict = defense.detect_residuals(list(residuals), defense.DetectionConfig(thr))
+        expected = int(np.flatnonzero(np.abs(i_inj) > thr)[0])
         first_crossing_ok &= verdict.first_detection_sample == expected
     checks.append(first_crossing_ok)
     detail = (
@@ -161,17 +156,16 @@ def test_criterion_6_physics_property_suite(zero_injection_cells, table1):
 
     # superposition of the cable solver to 1e-10 relative
     fs, bw = 2000.0, 250.0
-    mk = lambda r, s: synth_band_limited_gaussian(NoiseSpec(bw, fs, 0.1, r, s))
+    mk = lambda r, s: synth_band_limited_gaussian(NoiseSpec(bw, fs, 0.1, r, s)).samples
     u_a, u_b, inj = mk(1.0, 301), mk(3.0, 302), mk(3e-5, 303)
-    zero = Waveform(np.zeros(len(u_a)), fs)
+    zero = np.zeros(len(u_a))
     cfg_cable = LoopConfig(1000.0, 9000.0, Cable(1000.0, 10))
-    full = circuit.solve_loop(u_a, u_b, cfg_cable, inj)
-    parts = circuit.solve_loop(u_a, u_b, cfg_cable), circuit.solve_loop(zero, zero, cfg_cable, inj)
+    # one batch: full drive, the two generators alone, the injection alone
+    u = np.array([[u_a, u_b, inj], [u_a, u_b, zero], [zero, zero, inj]])
+    full, sources, injection = circuit.solve_rows(u, cfg_cable, 1.0 / fs)
     sup_err = max(
-        np.max(np.abs(getattr(full, n).samples
-                      - getattr(parts[0], n).samples - getattr(parts[1], n).samples))
-        / np.max(np.abs(getattr(full, n).samples))
-        for n in ("i_cha", "i_chb", "u_cha", "u_chb")
+        np.max(np.abs(f - s - i)) / np.max(np.abs(f))
+        for f, s, i in zip(full, sources, injection)  # each of the four end rows
     )
     checks["superposition<=1e-10"] = sup_err <= 1e-10
 
@@ -179,12 +173,14 @@ def test_criterion_6_physics_property_suite(zero_injection_cells, table1):
     checks["divider(0.9,0.1)"] = circuit.divider_fractions(1000.0, 9000.0) == (0.9, 0.1)
 
     # killer variant end-current mismatch over a 10 s run
-    big_a, big_b = mk(1.0, 304), mk(3.0, 305)
-    big_a = synth_band_limited_gaussian(NoiseSpec(bw, fs, 10.0, 1.0, 304))
-    big_b = synth_band_limited_gaussian(NoiseSpec(bw, fs, 10.0, 3.0, 305))
-    killer_out = circuit.solve_loop(big_a, big_b, LoopConfig(1000.0, 9000.0, CableWithKiller(1000.0, 10)))
-    mismatch = np.max(np.abs(killer_out.i_cha.samples - killer_out.i_chb.samples))
-    checks["killer mismatch<=1e-6*rms"] = mismatch <= 1e-6 * rms(killer_out.i_cha)
+    big_a = synth_band_limited_gaussian(NoiseSpec(bw, fs, 10.0, 1.0, 304)).samples
+    big_b = synth_band_limited_gaussian(NoiseSpec(bw, fs, 10.0, 3.0, 305)).samples
+    cfg_killer = LoopConfig(1000.0, 9000.0, CableWithKiller(1000.0, 10))
+    big_u = np.array([[big_a, big_b, np.zeros(len(big_a))]])
+    killer_out = circuit.solve_rows(big_u, cfg_killer, 1.0 / fs)[0]
+    mismatch = np.max(np.abs(killer_out[0] - killer_out[1]))
+    i_rms = math.sqrt(float(np.mean(np.square(killer_out[0]))))
+    checks["killer mismatch<=1e-6*rms"] = mismatch <= 1e-6 * i_rms
 
     # noise generator contracts: moments and spectrum
     w = synth_band_limited_gaussian(NoiseSpec(bw, fs, 100.0, 1.0, 306))

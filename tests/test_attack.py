@@ -15,7 +15,7 @@ from kljnsim.attack import (
     synth_injection,
 )
 from kljnsim.exceptions import ConfigError, ShapeMismatchError
-from kljnsim.noise import K_BOLTZMANN, NoiseSpec, Waveform, synth_band_limited_gaussian
+from kljnsim.noise import K_BOLTZMANN, NoiseSpec, synth_band_limited_gaussian
 from kljnsim.protocol import BitClass
 
 T_EFF = 7.25e16
@@ -53,12 +53,12 @@ def test_injection_spec_validation():
 def _noise(rms_v, seed, duration=0.1):
     return synth_band_limited_gaussian(
         NoiseSpec(BW, 2000.0, duration, rms_v, seed)
-    )
+    ).samples
 
 
 def test_correlate_self_is_mean_square():
     w = _noise(2.5e-5, 17)
-    assert correlate(w, w) == pytest.approx(float(np.mean(w.samples**2)), rel=1e-14)
+    assert correlate(w, w) == pytest.approx(float(np.mean(w**2)), rel=1e-14)
 
 
 def test_correlate_shape_mismatch():
@@ -86,7 +86,7 @@ def test_correlate_mixed_signal_expectation():
     for k in range(1000):
         inj = _noise(sigma, 100_000 + k)
         other = _noise(sigma, 500_000 + k)
-        mixed = Waveform(0.9 * inj.samples + other.samples, inj.sample_rate_hz)
+        mixed = 0.9 * inj + other
         vals.append(correlate(inj, mixed))
     vals = np.array(vals)
     expected = 0.9 * sigma**2
@@ -134,10 +134,9 @@ def _run_fixed_arrangement(r_a, r_b, level, n_bits, master):
         u_b = _noise(johnson_rms_voltage(r_b, T_EFF, BW), streams.bob_noise_seed)
         inj = _noise(level * ref, streams.eve_noise_seed)
         cfg = circuit.LoopConfig(r_a, r_b)
-        out = circuit.solve_ideal_loop(u_a, u_b, cfg, inj).to_convention(
-            circuit.SignConvention.DIVIDER_FROM_INJECTION
-        )
-        rhos.append(correlate(inj, out.i_cha) - correlate(inj, out.i_chb))
+        y = circuit.solve_rows(np.array([[u_a, u_b, inj]]), cfg, 1.0 / 2000.0)[0]
+        # Eve's view: Alice's end as solved, Bob's end negated
+        rhos.append(correlate(inj, y[0]) - correlate(inj, -y[1]))
     return np.array(rhos)
 
 

@@ -12,28 +12,36 @@ from kljnsim.circuit import (
     CableWithKiller,
     Ideal,
     LoopConfig,
-    SignConvention,
     TransientSolver,
     build_cable_model,
     divider_fractions,
     injection_node_index,
-    solve_ideal_loop,
 )
 from kljnsim.exceptions import ConfigError, ShapeMismatchError
-from kljnsim.noise import NoiseSpec, Waveform, synth_band_limited_gaussian
+from kljnsim.noise import NoiseSpec, synth_band_limited_gaussian
 
 FS = 2000.0
 
 
-def _const(value, n=32, fs=FS):
-    return Waveform(np.full(n, float(value)), fs)
+def _const(value, n=32):
+    return np.full(n, float(value))
 
 
 def _noise(rms_v, seed, duration=0.1, fs=FS, bw=250.0):
     return synth_band_limited_gaussian(
         NoiseSpec(bandwidth_hz=bw, sample_rate_hz=fs, duration_s=duration,
                   target_rms=rms_v, seed=seed)
-    )
+    ).samples
+
+
+def _drive(u_a, u_b, inj=None):
+    """Drive rows (u_a, u_b, i_inj), shape (3, t); no injection is a zero row."""
+    return np.vstack([u_a, u_b, np.zeros(len(u_a)) if inj is None else inj])
+
+
+def _solve(cfg, u_a, u_b, inj=None, model=None):
+    """One exchange through `solve_rows`: rows (i_cha, i_chb, u_cha, u_chb), shape (4, t)."""
+    return circuit.solve_rows(_drive(u_a, u_b, inj)[None], cfg, 1.0 / FS, model)[0]
 
 
 def _reference_steps(system, u, x0):
@@ -91,8 +99,7 @@ def test_batched_solve_matches_reference_steps(variant, batch):
     )
     u = np.stack(
         [
-            np.vstack([_noise(1.0, 3 * k).samples, _noise(3.0, 3 * k + 1).samples,
-                       _noise(3e-5, 3 * k + 2).samples])
+            _drive(_noise(1.0, 3 * k), _noise(3.0, 3 * k + 1), _noise(3e-5, 3 * k + 2))
             for k in range(batch)
         ]
     )
@@ -130,55 +137,43 @@ def test_divider_fractions_rejects_non_positive():
 
 def test_ideal_loop_dc_drive():
     cfg = LoopConfig(1000.0, 9000.0)
-    out = solve_ideal_loop(_const(1.0), _const(0.0), cfg)
+    y = _solve(cfg, _const(1.0), _const(0.0))
     # Ohm's law oracle: 1 V across 10 kOhm, node at 0.9 V
-    np.testing.assert_allclose(np.abs(out.i_cha.samples), 1e-4, rtol=1e-12)
-    np.testing.assert_allclose(out.u_cha.samples, 0.9, rtol=1e-12)
-    np.testing.assert_allclose(out.u_chb.samples, 0.9, rtol=1e-12)
-    np.testing.assert_allclose(out.i_cha.samples, out.i_chb.samples, rtol=1e-12)
+    np.testing.assert_allclose(np.abs(y[0]), 1e-4, rtol=1e-12)
+    np.testing.assert_allclose(y[2], 0.9, rtol=1e-12)
+    np.testing.assert_allclose(y[3], 0.9, rtol=1e-12)
+    np.testing.assert_allclose(y[0], y[1], rtol=1e-12)
 
 
 def test_ideal_loop_injection_divider():
-    # oracle: one-node nodal analysis, u = i * (ra || rb), shares rb/(ra+rb)
+    # oracle: one-node nodal analysis, u = i * (ra || rb), shares rb/(ra+rb);
+    # Eve's view is Alice's end as solved and Bob's end negated
     cfg = LoopConfig(1000.0, 9000.0)
-    out = solve_ideal_loop(_const(0.0), _const(0.0), cfg, i_inj=_const(1e-3)).to_convention(
-        SignConvention.DIVIDER_FROM_INJECTION
-    )
-    np.testing.assert_allclose(out.i_cha.samples, 0.9e-3, rtol=1e-12)
-    np.testing.assert_allclose(out.i_chb.samples, 0.1e-3, rtol=1e-12)
+    y = _solve(cfg, _const(0.0), _const(0.0), inj=_const(1e-3))
+    np.testing.assert_allclose(y[0], 0.9e-3, rtol=1e-12)
+    np.testing.assert_allclose(-y[1], 0.1e-3, rtol=1e-12)
 
 
 def test_ideal_loop_injection_divider_swapped():
     cfg = LoopConfig(9000.0, 1000.0)
-    out = solve_ideal_loop(_const(0.0), _const(0.0), cfg, i_inj=_const(1e-3)).to_convention(
-        SignConvention.DIVIDER_FROM_INJECTION
-    )
-    np.testing.assert_allclose(out.i_cha.samples, 0.1e-3, rtol=1e-12)
-    np.testing.assert_allclose(out.i_chb.samples, 0.9e-3, rtol=1e-12)
+    y = _solve(cfg, _const(0.0), _const(0.0), inj=_const(1e-3))
+    np.testing.assert_allclose(y[0], 0.1e-3, rtol=1e-12)
+    np.testing.assert_allclose(-y[1], 0.9e-3, rtol=1e-12)
 
 
 def test_ideal_loop_current_difference_equals_injection():
     cfg = LoopConfig(1000.0, 9000.0)
     u_a, u_b, inj = _noise(1.0, 1), _noise(3.0, 2), _noise(1e-4, 3)
-    out = solve_ideal_loop(u_a, u_b, cfg, i_inj=inj)
-    diff = out.i_cha.samples - out.i_chb.samples
-    np.testing.assert_allclose(diff, inj.samples, rtol=0, atol=1e-16)
+    y = _solve(cfg, u_a, u_b, inj=inj)
+    np.testing.assert_allclose(y[0] - y[1], inj, rtol=0, atol=1e-16)
 
 
-def test_ideal_loop_rejects_mismatched_waveforms():
-    cfg = LoopConfig(1000.0, 9000.0)
+@pytest.mark.parametrize("variant", [Ideal(), Cable(1000.0, 10), CableWithKiller(1000.0, 10)])
+def test_solve_rows_rejects_non_finite_drive(variant):
+    u = np.stack([_drive(_noise(1.0, 7), _noise(3.0, 8)) for _ in range(3)])
+    u[1, 0, 5] = np.nan
     with pytest.raises(ShapeMismatchError):
-        solve_ideal_loop(_const(1.0, n=32), _const(0.0, n=16), cfg)
-
-
-def test_convention_conversion_round_trip():
-    cfg = LoopConfig(1000.0, 9000.0)
-    out = solve_ideal_loop(_noise(1.0, 4), _noise(3.0, 5), cfg)
-    back = out.to_convention(SignConvention.DIVIDER_FROM_INJECTION).to_convention(
-        SignConvention.LOOP
-    )
-    assert np.array_equal(back.i_chb.samples, out.i_chb.samples)
-    assert np.array_equal(back.i_cha.samples, out.i_cha.samples)
+        circuit.solve_rows(u, LoopConfig(1000.0, 9000.0, variant), 1.0 / FS)
 
 
 def test_build_cable_model_totals():
@@ -209,8 +204,7 @@ def test_injection_node_index_midpoint_and_clamping():
 
 
 def _run(variant, u_a, u_b, inj=None, r_a=1000.0, r_h=9000.0, model=None):
-    cfg = LoopConfig(r_a, r_h, variant)
-    return circuit.solve_loop(u_a, u_b, cfg, inj, model=model)
+    return _solve(LoopConfig(r_a, r_h, variant), u_a, u_b, inj, model=model)
 
 
 def test_killer_cable_matches_ideal_loop_closely():
@@ -218,9 +212,7 @@ def test_killer_cable_matches_ideal_loop_closely():
     u_a, u_b, inj = _noise(1.0, 11), _noise(3.0, 12), _noise(3e-5, 13)
     ideal = _run(Ideal(), u_a, u_b, inj)
     killer = _run(CableWithKiller(1000.0, 10), u_a, u_b, inj)
-    for name in ("i_cha", "i_chb"):
-        a = getattr(ideal, name).samples
-        b = getattr(killer, name).samples
+    for a, b in zip(ideal[:2], killer[:2]):  # i_cha, i_chb
         rel = np.sqrt(np.mean((a - b) ** 2) / np.mean(a**2))
         assert rel < 5e-3
 
@@ -228,22 +220,20 @@ def test_killer_cable_matches_ideal_loop_closely():
 def test_killer_cable_end_currents_match_without_attack():
     u_a = _noise(1.0, 21, duration=10.0)
     u_b = _noise(3.0, 22, duration=10.0)
-    out = _run(CableWithKiller(1000.0, 10), u_a, u_b)
-    mismatch = np.max(np.abs(out.i_cha.samples - out.i_chb.samples))
-    i_rms = np.sqrt(np.mean(out.i_cha.samples**2))
+    y = _run(CableWithKiller(1000.0, 10), u_a, u_b)
+    mismatch = np.max(np.abs(y[0] - y[1]))
+    i_rms = np.sqrt(np.mean(y[0] ** 2))
     assert mismatch <= 1e-6 * i_rms
 
 
 def test_cable_superposition():
     variant = Cable(1000.0, 10)
     u_a, u_b, inj = _noise(1.0, 31), _noise(3.0, 32), _noise(3e-5, 33)
-    zero = Waveform(np.zeros(len(u_a)), FS)
+    zero = np.zeros(len(u_a))
     full = _run(variant, u_a, u_b, inj)
     sources = _run(variant, u_a, u_b)
     injection = _run(variant, zero, zero, inj)
-    for name in ("i_cha", "i_chb", "u_cha", "u_chb"):
-        got = getattr(full, name).samples
-        summed = getattr(sources, name).samples + getattr(injection, name).samples
+    for got, summed in zip(full, sources + injection):  # each of the four end rows
         scale = np.max(np.abs(got))
         assert np.max(np.abs(got - summed)) <= 1e-10 * scale
 
@@ -256,7 +246,7 @@ def test_cable_leak_charge_bookkeeping():
     u_a, u_b = _noise(1.0, 41), _noise(3.0, 42)
     n_caps = model.n_segments - 1
     c_node = model.total_shunt_capacitance / n_caps
-    u = np.vstack([u_a.samples, u_b.samples, np.zeros(len(u_a))])
+    u = _drive(u_a, u_b)
     states, outs = _reference_steps(solver.system, u, solver.system.dc_gain @ u[:, 0])
     caps, inds = states[:, :n_caps], states[:, n_caps:]
     dt = 1.0 / FS
@@ -276,10 +266,7 @@ def test_transient_zero_drive_stays_zero():
     model = build_cable_model(1000.0, 10)
     cfg = LoopConfig(1000.0, 9000.0, Cable(1000.0, 10))
     solver = TransientSolver(model, cfg, 1.0 / FS)
-    zero = Waveform(np.zeros(50), FS)
-    out = solver.run(zero, zero, zero)
-    for name in ("i_cha", "i_chb", "u_cha", "u_chb"):
-        assert np.all(getattr(out, name).samples == 0.0)
+    assert np.all(solver.solve(np.zeros((1, 3, 50))) == 0.0)
     _, outs = _reference_steps(solver.system, np.zeros((3, 50)), np.zeros(solver.system.n_states))
     assert np.all(outs == 0.0)
 
@@ -290,13 +277,11 @@ def test_transient_dc_steady_state():
     solver = TransientSolver(model, cfg, 1.0 / FS)
     # oracle: resistive chain
     i_expected = 1.0 / (1000.0 + 9000.0 + model.total_series_resistance)
-    u = Waveform(np.ones(400), FS)
-    zero = Waveform(np.zeros(400), FS)
-    out = solver.run(u, zero)
-    np.testing.assert_allclose(np.abs(out.i_cha.samples), i_expected, rtol=1e-10)
+    drive = _drive(np.ones(400), np.zeros(400))
+    y = solver.solve(drive[None])[0]
+    np.testing.assert_allclose(np.abs(y[0]), i_expected, rtol=1e-10)
     # the inconsistent zero start excites a zero-mean alternating mode; the
     # signed tail average still converges on the DC value
-    drive = np.vstack([u.samples, zero.samples, zero.samples])
     _, outs = _reference_steps(solver.system, drive, np.zeros(solver.system.n_states))
     tail = outs[-200:, 0]
     assert abs(abs(np.mean(tail)) - i_expected) / i_expected < 1e-3
@@ -313,7 +298,7 @@ def test_lossless_cable_energy_balance():
     c_node = model.total_shunt_capacitance / n_caps
     l_br = model.total_series_inductance / model.n_segments
     inj_node = injection_node_index(cfg.variant, 0.5)
-    u = np.vstack([u_a.samples, u_b.samples, inj.samples])
+    u = _drive(u_a, u_b, inj)
     u[:, 0] = 0.0  # zero initial state pairs with zero initial drive
     states, outs = _reference_steps(solver.system, u, np.zeros(solver.system.n_states))
     caps, inds = states[:, :n_caps], states[:, n_caps:]
@@ -335,9 +320,7 @@ def test_segment_count_convergence():
     u_a, u_b, inj = _noise(1.0, 61), _noise(3.0, 62), _noise(3e-5, 63)
     coarse = _run(Cable(1000.0, 10), u_a, u_b, inj)
     fine = _run(Cable(1000.0, 20), u_a, u_b, inj)
-    for name in ("i_cha", "i_chb"):
-        a = getattr(coarse, name).samples
-        b = getattr(fine, name).samples
+    for a, b in zip(coarse[:2], fine[:2]):  # i_cha, i_chb
         rel = math.sqrt(np.mean((a - b) ** 2) / np.mean(a**2))
         assert rel < 1e-3
 
@@ -347,13 +330,21 @@ def test_run_matches_repeated_steps():
     cfg = LoopConfig(1000.0, 9000.0, Cable(1000.0, 10))
     solver = TransientSolver(model, cfg, 1.0 / FS)
     u_a, u_b, inj = _noise(1.0, 71), _noise(3.0, 72), _noise(3e-5, 73)
-    out = solver.run(u_a, u_b, inj)
-    u = np.vstack([u_a.samples, u_b.samples, inj.samples])
+    u = _drive(u_a, u_b, inj)
+    y = solver.solve(u[None])[0]
     _, outs = _reference_steps(solver.system, u, solver.system.dc_gain @ u[:, 0])
-    for idx, name in enumerate(("i_cha", "i_chb", "u_cha", "u_chb")):
-        np.testing.assert_allclose(
-            getattr(out, name).samples, outs[:, idx], rtol=1e-10, atol=1e-18
-        )
+    for idx in range(4):  # i_cha, i_chb, u_cha, u_chb
+        np.testing.assert_allclose(y[idx], outs[:, idx], rtol=1e-10, atol=1e-18)
+
+
+@pytest.mark.parametrize("length_m", [1e-300, 1e-320])
+def test_transient_solver_rejects_unrepresentable_cable(length_m):
+    # element values whose inverses overflow, or underflow to zero
+    variant = Cable(length_m, 10)
+    model = build_cable_model(length_m, 10)
+    for cfg in (LoopConfig(1000.0, 9000.0, variant), None):
+        with pytest.raises(ConfigError):
+            TransientSolver(model, cfg, 1.0 / FS)
 
 
 def test_loop_config_validation():

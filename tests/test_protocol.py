@@ -6,7 +6,7 @@ from dataclasses import replace
 
 from kljnsim import harness, protocol
 from kljnsim.exceptions import ConfigError, InferenceError
-from kljnsim.noise import K_BOLTZMANN, Waveform
+from kljnsim.noise import K_BOLTZMANN
 from kljnsim.protocol import (
     BitClass,
     BitLevel,
@@ -71,15 +71,10 @@ def test_key_bit_mapping():
         _ = BitClass.DISCARD_HH.key_bit
 
 
-def _const_wave(value, n=200):
-    return Waveform(np.full(n, value), 2000.0)
-
-
 def _run(cfg, i, attack=None):
     streams = harness.derive_bit_streams(cfg.master_seed, i)
-    return protocol.run_bit_exchange(
-        cfg, i, streams, protocol.choices_for_bit(cfg, streams), attack
-    )
+    exchange = (i, streams, protocol.choices_for_bit(cfg, streams))
+    return protocol.run_exchanges(cfg, [exchange], attack)[0]
 
 
 def test_full_bit_inference_snaps_to_true_partner():
@@ -91,7 +86,7 @@ def test_full_bit_inference_snaps_to_true_partner():
     low_side_ok = 0
     both_ok = 0
     for rec in records:
-        est = four_ktb / float(np.mean(np.square(rec.signals.i_cha.samples))) - R_L
+        est = four_ktb / float(np.mean(np.square(rec.y[0]))) - R_L  # Alice's end current
         if abs(est - R_H) < abs(est - R_L):
             low_side_ok += 1
         if rec.alice_inferred_remote == R_H and rec.bob_inferred_remote == R_L:
@@ -143,6 +138,4 @@ def test_fixed_mode_pins_arrangement():
 
 def test_decide_remote_resistor_rejects_degenerate():
     with pytest.raises(InferenceError):
-        decide_remote_resistor(
-            _const_wave(0.0), _const_wave(0.0), 1000.0, R_L, R_H, T_EFF, BW
-        )
+        decide_remote_resistor(np.zeros(200), np.zeros(200), 1000.0, R_L, R_H, T_EFF, BW)
