@@ -14,13 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, ShapeMismatchError
-from .noise import K_BOLTZMANN, NoiseSpec, Waveform, synth_band_limited_gaussian
-from .protocol import BitClass
+from .noise import K_BOLTZMANN
 
 
 @dataclass(frozen=True)
 class InjectionSpec:
-    """Injected-current recipe: level as a fraction of the rms loop current."""
+    """Injected-current recipe: level as a fraction of the rms loop current.
+
+    The experiments draw Eve's noise from each exchange's own stream, not
+    from `seed`.
+    """
 
     level_fraction: float
     bandwidth_hz: float
@@ -46,55 +49,32 @@ def reference_rms_channel_current(
     return math.sqrt(4.0 * K_BOLTZMANN * t_eff * bandwidth_hz / (r_l + r_h))
 
 
-def synth_injection(
-    spec: InjectionSpec,
-    reference_rms: float,
-    sample_rate_hz: float,
-    duration_s: float,
-    seed_override: int | None = None,
-) -> Waveform:
-    """Synthesize Eve's injected current for one exchange period."""
-    if reference_rms <= 0:
-        raise ValueError("reference_rms must be positive")
-    return synth_band_limited_gaussian(
-        NoiseSpec(
-            bandwidth_hz=spec.bandwidth_hz,
-            sample_rate_hz=sample_rate_hz,
-            duration_s=duration_s,
-            target_rms=spec.level_fraction * reference_rms,
-            seed=spec.seed if seed_override is None else seed_override,
-        )
-    )
+def correlate(i_inj: np.ndarray, i_ch_end: np.ndarray) -> np.ndarray:
+    """Raw product average of the injected current and one end current, per row.
 
-
-def correlate(i_inj: np.ndarray, i_ch_end: np.ndarray) -> float:
-    """Raw product average of the injected current and one end current.
-
-    Both are sample rows of one period. The end current must be read from
-    the injection node outward (Alice's end as solved, Bob's end negated) so
-    that the injected share enters with positive sign at both ends.
+    Both are sample rows of one period each, shape (k, t); returns (k,). The
+    end current must be read from the injection node outward (Alice's end as
+    solved, Bob's end negated) so that the injected share enters with
+    positive sign at both ends.
     """
     if i_inj.shape != i_ch_end.shape:
         raise ShapeMismatchError(f"sample rows differ: {i_inj.shape} vs {i_ch_end.shape}")
-    return float(np.mean(i_inj * i_ch_end))
+    return np.mean(i_inj * i_ch_end, axis=-1)
 
 
-def eve_decide(
-    rho_a: float, rho_b: float, tie_rng: np.random.Generator | None = None
-) -> BitClass:
-    """Guess the arrangement from the correlator difference.
+def eve_decide(rho_a: np.ndarray, rho_b: np.ndarray, tie_coin) -> np.ndarray:
+    """Eve's key bit per row from the correlator difference.
 
     Positive difference: more of the injection flowed toward Alice, i.e.
-    Alice holds the low resistor (LH). Exactly zero is broken by a fair coin.
+    Alice holds the low resistor (LH, key bit 0); negative: HL, key bit 1.
+    A zero difference takes `tie_coin(row)`, a fair 0/1 draw, which is
+    called for those rows only.
     """
     rho = rho_a - rho_b
-    if rho > 0:
-        return BitClass.SECURE_LH
-    if rho < 0:
-        return BitClass.SECURE_HL
-    if tie_rng is None:
-        raise ValueError("correlator tie: a tie-break stream is required")
-    return BitClass.SECURE_LH if tie_rng.integers(0, 2) == 0 else BitClass.SECURE_HL
+    bits = (rho < 0).astype(np.uint8)
+    for row in np.flatnonzero(rho == 0):
+        bits[row] = tie_coin(row)
+    return bits
 
 
 def success_probability(q: np.ndarray) -> tuple[float, float]:

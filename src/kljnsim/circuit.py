@@ -100,6 +100,12 @@ class CableModel:
     def total_shunt_capacitance(self) -> float:
         return self.c_per_m * self.length_m
 
+    @property
+    def n_states(self) -> int:
+        """State count of the loop system: the canceller's one current, else
+        n_segments branch currents and n_segments - 1 junction voltages."""
+        return 1 if self.killer_enabled else 2 * self.n_segments - 1
+
 
 def build_cable_model(
     length_m: float,
@@ -155,12 +161,19 @@ def build_cable_model(
     )
 
 
-def model_for_variant(variant: Variant) -> CableModel | None:
-    """Default cable model for a loop variant (None for the ideal wire)."""
+def model_for_variant(variant: Variant, signal_bandwidth_hz: float = 250.0) -> CableModel | None:
+    """Default cable model for a loop variant (None for the ideal wire).
+
+    The segmentation is checked at `signal_bandwidth_hz`; the model does not
+    depend on it.
+    """
     if isinstance(variant, Ideal):
         return None
     return build_cable_model(
-        variant.length_m, variant.n_segments, killer=isinstance(variant, CableWithKiller)
+        variant.length_m,
+        variant.n_segments,
+        killer=isinstance(variant, CableWithKiller),
+        signal_bandwidth_hz=signal_bandwidth_hz,
     )
 
 

@@ -6,7 +6,7 @@ class ConfigError(ValueError):
 
 
 class ShapeMismatchError(ValueError):
-    """Waveforms or signal bundles with incompatible length or sample rate."""
+    """Arrays of incompatible shape, or solved samples that are not finite."""
 
 
 class InferenceError(RuntimeError):

@@ -7,6 +7,11 @@ noise, Eve's injection and Eve's tie-break coin. Outcomes therefore depend
 only on (master_seed, exchange_index): changing the requested bit count never
 changes earlier bits, and any partition of the index range across workers
 reproduces the sequential result exactly.
+
+A stream is derived only when it is drawn: every exchange derives its two
+choice streams, a secure one its three noise seeds, and Eve's coin is
+derived only for a correlator tie. Exchanges run in chunks of 128
+consecutive indices, each one array pass from the seeds to the decisions.
 """
 from __future__ import annotations
 
@@ -23,6 +28,10 @@ from . import attack, circuit, defense, noise, privacy, protocol
 from .exceptions import ConfigError
 
 _CHUNK = 128  # fixed chunk size keeps worker partitioning deterministic
+
+# Largest single array a run may allocate. The size check in SimConfig
+# predicts it from the shapes, so a config past it exits before allocating.
+MAX_ARRAY_BYTES = 2**30
 
 _STREAM_IDS = {
     "alice_choice": 0,
@@ -105,7 +114,7 @@ class SimConfig:
         for r in (r_l, r_h):
             rms = noise.johnson_rms_voltage(r, t_eff, bw)
             derived[f"generator mean square at {r!r} ohm"] = rms * rms
-        model = circuit.model_for_variant(self.variant)
+        model = circuit.model_for_variant(self.variant, bw)
         r_cable = 0.0 if model is None else model.total_series_resistance
         if r_cable > 0:  # the in-site simulation drives the cable alone
             derived["mean-square current of r_h's generator across the cable"] = (
@@ -123,6 +132,18 @@ class SimConfig:
         for name, value in derived.items():
             if not 1e-300 <= value <= 1e300:
                 raise ConfigError(f"derived {name} is {value!r}, outside 1e-300 .. 1e300")
+        t, m = self.samples_per_bit, 0 if model is None else model.n_states
+        sizes = {
+            "the cable discretization's (m, m) matrices": 8 * m * m,
+            f"a batched solve's (t, {protocol.BATCH}, m) trajectory": 8 * t * protocol.BATCH * m,
+            f"a chunk's ({_CHUNK}, 7, t) drive and solved rows": 8 * _CHUNK * 7 * t,
+        }
+        for name, size in sizes.items():
+            if size > MAX_ARRAY_BYTES:
+                raise ConfigError(
+                    f"{name} would take {size:.3g} bytes, above the {MAX_ARRAY_BYTES} byte budget "
+                    f"(t = {t} samples per bit, m = {m} cable states)"
+                )
 
     @property
     def samples_per_bit(self) -> int:
@@ -156,115 +177,101 @@ def _stream_seed(master_seed: int, exchange_index: int, stream_id: int) -> int:
     return int(_stream_seq(master_seed, exchange_index, stream_id).generate_state(1, np.uint64)[0])
 
 
-def derive_bit_streams(master_seed: int, exchange_index: int) -> protocol.BitStreams:
-    """Build the six per-exchange streams from the documented splitting scheme."""
-    return protocol.BitStreams(
-        alice_choice=np.random.default_rng(
-            _stream_seq(master_seed, exchange_index, _STREAM_IDS["alice_choice"])
-        ),
-        bob_choice=np.random.default_rng(
-            _stream_seq(master_seed, exchange_index, _STREAM_IDS["bob_choice"])
-        ),
-        alice_noise_seed=_stream_seed(master_seed, exchange_index, _STREAM_IDS["alice_noise"]),
-        bob_noise_seed=_stream_seed(master_seed, exchange_index, _STREAM_IDS["bob_noise"]),
-        eve_noise_seed=_stream_seed(master_seed, exchange_index, _STREAM_IDS["eve_noise"]),
-        eve_coin=np.random.default_rng(
-            _stream_seq(master_seed, exchange_index, _STREAM_IDS["eve_coin"])
-        ),
+def derive_bit_streams(master_seed: int, exchange_index: int):
+    """Alice's and Bob's choice draws of one exchange, as BitLevels, from streams 0 and 1."""
+    return tuple(
+        protocol.select_bit(
+            np.random.default_rng(_stream_seq(master_seed, exchange_index, _STREAM_IDS[name]))
+        )
+        for name in ("alice_choice", "bob_choice")
     )
 
 
-@dataclass
-class _SecureStats:
-    index: int
-    classification: protocol.BitClass
-    rho_a: float
-    rho_b: float
-    q: int
-    key_bit: int
-    eve_bit: int
-    honest_ok: bool
-    msq_u_a: float
-    msq_i_a: float
+def _noise_seeds(master_seed: int, index: np.ndarray) -> np.ndarray:
+    """Alice's, Bob's and Eve's noise seeds for each exchange index, shape (k, 3)."""
+    ids = [_STREAM_IDS[name] for name in ("alice_noise", "bob_noise", "eve_noise")]
+    seeds = [_stream_seed(master_seed, i, s) for i in index.tolist() for s in ids]
+    return np.array(seeds, dtype=np.uint64).reshape(-1, 3)
 
 
-def _eavesdrop(cfg: SimConfig, rec: protocol.BitExchangeRecord, streams: protocol.BitStreams):
-    """Eve's two correlators and her guess; without injection both read 0 and a coin decides."""
-    rho_a = rho_b = 0.0
+def _levels(cfg: SimConfig, index: int) -> tuple[protocol.BitLevel, protocol.BitLevel]:
+    """Both parties' resistor levels at one exchange; `fixed_lh` draws nothing."""
+    if cfg.selection_mode == "fixed_lh":
+        return protocol.BitLevel.LOW, protocol.BitLevel.HIGH
+    return derive_bit_streams(cfg.master_seed, index)
+
+
+def _eavesdrop(cfg: SimConfig, ex: protocol.Exchanges):
+    """Eve's two correlators and key bits; without injection both read 0 and a coin decides."""
+    rho_a = rho_b = np.zeros(len(ex.index))
     if cfg.injection is not None:
-        i_inj, y = rec.u[2], rec.y
-        rho_a = attack.correlate(i_inj, y[0])
+        i_inj = ex.u[:, 2]
+        rho_a = attack.correlate(i_inj, ex.y[:, 0])
         # Eve reads from her node outward: Alice's end as solved, Bob's end negated
-        rho_b = attack.correlate(i_inj, -y[1])
-    return rho_a, rho_b, attack.eve_decide(rho_a, rho_b, tie_rng=streams.eve_coin)
+        rho_b = attack.correlate(i_inj, -ex.y[:, 1])
+
+    def coin(row):
+        seq = _stream_seq(cfg.master_seed, int(ex.index[row]), _STREAM_IDS["eve_coin"])
+        return np.random.default_rng(seq).integers(0, 2)
+
+    return rho_a, rho_b, attack.eve_decide(rho_a, rho_b, coin)
 
 
 def _classify_chunk(cfg: SimConfig, start: int):
     """Each exchange of the chunk at `start`: its class, and the secure ones' inputs.
 
     Returns the chunk's 128 classes in index order and, for the secure
-    exchanges only, (index, streams, choices) as `protocol.run_exchanges`
-    takes them.
+    exchanges only, their indices and (Alice, Bob) resistances, shape (k, 2).
     """
-    classes, secure = [], []
-    for index in range(start, start + _CHUNK):
-        streams = derive_bit_streams(cfg.master_seed, index)
-        choices = protocol.choices_for_bit(cfg, streams)
-        cls = protocol.classify_bit_pair(*choices)
-        classes.append(cls)
-        if cls.is_secure:
-            secure.append((index, streams, choices))
-    return classes, secure
+    levels = [_levels(cfg, index) for index in range(start, start + _CHUNK)]
+    classes = [protocol.classify_bit_pair(*pair) for pair in levels]
+    secure = [pos for pos, cls in enumerate(classes) if cls.is_secure]
+    choices = protocol.resistances([levels[pos] for pos in secure], cfg.r_l, cfg.r_h)
+    return classes, start + np.array(secure, dtype=np.int64), choices
 
 
-def _attack_chunk(cfg: SimConfig, start: int) -> list:
-    """One chunk of the attack cell: a discard marker or secure-bit statistics per exchange."""
-    results, secure = _classify_chunk(cfg, start)
-    for (index, streams, _), rec in zip(secure, protocol.run_exchanges(cfg, secure, cfg.injection)):
-        rho_a, rho_b, guess = _eavesdrop(cfg, rec, streams)
-        cls = rec.classification
-        results[index - start] = _SecureStats(
-            index=index,
-            classification=cls,
-            rho_a=rho_a,
-            rho_b=rho_b,
-            q=int(guess is cls),
-            key_bit=cls.key_bit,
-            eve_bit=guess.key_bit,
-            honest_ok=(
-                rec.alice_inferred_remote == rec.bob_choice.resistance
-                and rec.bob_inferred_remote == rec.alice_choice.resistance
-            ),
-            msq_u_a=float(np.mean(np.square(rec.y[2]))),
-            msq_i_a=float(np.mean(np.square(rec.y[0]))),
-        )
-    return results
+def _attack_chunk(cfg: SimConfig, start: int):
+    """One chunk of the attack cell: its classes, and Eve's and the parties' statistics per
+    secure bit."""
+    classes, index, choices = _classify_chunk(cfg, start)
+    ex = protocol.run_exchanges(
+        cfg, index, choices, _noise_seeds(cfg.master_seed, index), cfg.injection
+    )
+    rho_a, rho_b, eve_bits = _eavesdrop(cfg, ex)
+    return classes, {
+        "rho_a": rho_a,
+        "rho_b": rho_b,
+        "eve_bits": eve_bits,
+        "honest_ok": (ex.inferred[:, 0] == choices[:, 1]) & (ex.inferred[:, 1] == choices[:, 0]),
+        "msq_u_a": np.mean(np.square(ex.y[:, 2]), axis=-1),
+        "msq_i_a": np.mean(np.square(ex.y[:, 0]), axis=-1),
+    }
 
 
 def _consume_chunks(cfg: SimConfig, chunk_worker, n_secure: int):
     """Run `chunk_worker(cfg, start)` over 128-exchange chunks until n_secure secure bits are in.
 
-    A chunk worker returns one result per exchange of its chunk: a BitClass
-    for a discard, anything else for a secure bit. Chunks are processed
-    strictly in index order; with several workers the chunks are evaluated
-    concurrently but consumed in order, so the collected sequence is
-    identical to the sequential one.
+    A chunk worker returns (classes, payload): the BitClass of each exchange
+    of its chunk, and what it computed for the chunk's secure exchanges.
+    Chunks are processed strictly in index order; with several workers the
+    chunks are evaluated concurrently but consumed in order, so the result is
+    identical to the sequential one. Returns the classes of the exchanges
+    consumed, up to the n_secure-th secure one, and the consumed chunks'
+    payloads in order; the last may hold secure exchanges past it.
     """
-    secure = []
-    discard_counts = collections.Counter()
-    n_exchanges = 0
+    consumed, payloads = [], []
+    found = 0
 
-    def consume(chunk_results):
-        nonlocal n_exchanges
-        for item in chunk_results:
-            if len(secure) >= n_secure:
+    def consume(result):
+        nonlocal found
+        classes, payload = result
+        payloads.append(payload)
+        for cls in classes:
+            consumed.append(cls)
+            found += cls.is_secure
+            if found == n_secure:
                 return True
-            n_exchanges += 1
-            if isinstance(item, protocol.BitClass):
-                discard_counts[item] += 1
-            else:
-                secure.append(item)
-        return len(secure) >= n_secure
+        return False
 
     if cfg.workers == 1:
         start = 0
@@ -282,7 +289,7 @@ def _consume_chunks(cfg: SimConfig, chunk_worker, n_secure: int):
                 done = consume(futures.popleft().result())
             for f in futures:
                 f.cancel()
-    return secure, discard_counts, n_exchanges
+    return consumed, payloads
 
 
 @dataclass
@@ -309,8 +316,13 @@ class CellResult:
 
 def run_attack_cell(cfg: SimConfig) -> CellResult:
     """Accumulate cfg.n_bits secure exchanges and Eve's statistics over them."""
-    secure, discards, n_exchanges = _consume_chunks(cfg, _attack_chunk, cfg.n_bits)
-    q = np.array([s.q for s in secure], dtype=np.int8)
+    classes, payloads = _consume_chunks(cfg, _attack_chunk, cfg.n_bits)
+    cols = {
+        name: np.concatenate([p[name] for p in payloads])[: cfg.n_bits] for name in payloads[0]
+    }
+    secure = [cls for cls in classes if cls.is_secure]
+    key_bits = np.array([cls.key_bit for cls in secure], dtype=np.uint8)
+    q = (cols["eve_bits"] == key_bits).astype(np.int8)
     p_e, stderr = attack.success_probability(q)
     return CellResult(
         variant_lbl=variant_label(cfg.variant),
@@ -318,17 +330,17 @@ def run_attack_cell(cfg: SimConfig) -> CellResult:
         n=len(secure),
         p_e=p_e,
         stderr=stderr,
-        honest_error_rate=1.0 - np.mean([s.honest_ok for s in secure]),
-        n_exchanges=n_exchanges,
-        n_discarded=sum(discards.values()),
+        honest_error_rate=1.0 - np.mean(cols["honest_ok"]),
+        n_exchanges=len(classes),
+        n_discarded=len(classes) - len(secure),
         q=q,
-        rho_a=np.array([s.rho_a for s in secure]),
-        rho_b=np.array([s.rho_b for s in secure]),
-        key_bits=np.array([s.key_bit for s in secure], dtype=np.uint8),
-        eve_bits=np.array([s.eve_bit for s in secure], dtype=np.uint8),
-        classifications=[s.classification for s in secure],
-        msq_u_a=np.array([s.msq_u_a for s in secure]),
-        msq_i_a=np.array([s.msq_i_a for s in secure]),
+        rho_a=cols["rho_a"],
+        rho_b=cols["rho_b"],
+        key_bits=key_bits,
+        eve_bits=cols["eve_bits"],
+        classifications=secure,
+        msq_u_a=cols["msq_u_a"],
+        msq_i_a=cols["msq_i_a"],
     )
 
 
@@ -373,44 +385,31 @@ def run_table1(
 # --- defense experiment -----------------------------------------------------
 
 
-@dataclass
-class _DefenseBitSim:
-    index: int
-    residuals_clean: tuple[np.ndarray, np.ndarray]
-    residuals_attacked: tuple[np.ndarray, np.ndarray]
-    channel_rms_clean: float
-
-
-def _defense_chunk(cfg: SimConfig, start: int, defense_model=None) -> list:
+def _defense_chunk(cfg: SimConfig, start: int, defense_model=None):
     """One chunk of defense pairs: each secure exchange solved with and without Eve's current.
 
     Per batch of equal loop configuration, the clean and attacked rows are
-    solved in one call and their residuals in one in-site simulation. The
-    residuals kept are copies, so no batch array outlives its batch.
+    solved in one call and their residuals in one in-site simulation.
     """
-    results, secure = _classify_chunk(cfg, start)
-    drives = [
-        protocol.exchange_drive(cfg, streams, choices, cfg.injection)
-        for _, streams, choices in secure
-    ]
+    classes, index, choices = _classify_chunk(cfg, start)
+    drives = protocol.exchange_drives(
+        cfg, choices, _noise_seeds(cfg.master_seed, index), cfg.injection
+    )
     fs = cfg.sample_rate_hz
+    residuals_clean = np.empty((len(index), 2, cfg.samples_per_bit))
+    residuals_attacked = np.empty_like(residuals_clean)
+    channel_rms_clean = np.empty(len(index))
     # two rows per exchange, so half as many exchanges per batch
-    for loop_cfg, positions in protocol.loop_batches([d[0] for d in drives], protocol.BATCH // 2):
+    for loop_cfg, positions in protocol.loop_batches(cfg, choices, protocol.BATCH // 2):
         n = len(positions)
-        attacked = np.stack([drives[pos][1] for pos in positions])
-        u = np.concatenate([attacked, attacked])
+        u = np.concatenate([drives[positions], drives[positions]])
         u[:n, 2] = 0.0  # the first n rows are the clean arm
         measured = circuit.solve_rows(u, loop_cfg, 1.0 / fs)
         residuals = defense.residual_rows(measured, loop_cfg, fs, defense_model)
-        for j, pos in enumerate(positions):
-            index = secure[pos][0]
-            results[index - start] = _DefenseBitSim(
-                index=index,
-                residuals_clean=tuple(residuals[j].copy()),
-                residuals_attacked=tuple(residuals[n + j].copy()),
-                channel_rms_clean=float(np.sqrt(np.mean(np.square(measured[j, 0])))),
-            )
-    return results
+        residuals_clean[positions] = residuals[:n]
+        residuals_attacked[positions] = residuals[n:]
+        channel_rms_clean[positions] = np.sqrt(np.mean(np.square(measured[:n, 0]), axis=-1))
+    return classes, (index, residuals_clean, residuals_attacked, channel_rms_clean)
 
 
 @dataclass
@@ -464,13 +463,16 @@ def run_defense_experiment(
     def chunk_worker(c, start):
         return _defense_chunk(c, start, defense_model)
 
-    sims, _, _ = _consume_chunks(cfg, chunk_worker, cfg.n_bits)
+    _, chunks = _consume_chunks(cfg, chunk_worker, cfg.n_bits)
+    # (index, clean residual rows, attacked residual rows, clean channel rms) per pair,
+    # as views into the chunks' arrays: concatenating would copy every residual row
+    pairs = [pair for chunk in chunks for pair in zip(*chunk)][: cfg.n_bits]
     fs = cfg.sample_rate_hz
     if cfg.detection is not None:
         det = cfg.detection
     else:
-        pool = [r for s in sims[:n_calibration] for r in s.residuals_clean]
-        reference = float(np.mean([s.channel_rms_clean for s in sims[:n_calibration]]))
+        pool = [r for _, clean, _, _ in pairs[:n_calibration] for r in clean]
+        reference = float(np.mean([rms for *_, rms in pairs[:n_calibration]]))
         det = defense.calibrate_threshold(
             pool, cfg.detection_multiplier, cfg.detection_consecutive, reference_rms=reference
         )
@@ -478,13 +480,13 @@ def run_defense_experiment(
     latencies = []
     n_detected_att = 0
     n_fp = 0
-    eval_sims = sims[n_calibration:]
-    for s in eval_sims:
-        for attacked, residual_pair in ((False, s.residuals_clean), (True, s.residuals_attacked)):
+    eval_pairs = pairs[n_calibration:]
+    for index, clean, attacked_rows, _ in eval_pairs:
+        for attacked, residual_pair in ((False, clean), (True, attacked_rows)):
             verdict = defense.detect_residuals(list(residual_pair), det)
             rows.append(
                 DefenseBitRow(
-                    bit=s.index,
+                    bit=int(index),
                     attacked=attacked,
                     detected=verdict.attacked,
                     latency_fraction=verdict.latency_fraction,
@@ -497,14 +499,12 @@ def run_defense_experiment(
                     latencies.append(verdict.latency_fraction)
             elif verdict.attacked:
                 n_fp += 1
-    n_eval = len(eval_sims)
+    n_eval = len(eval_pairs)
     clean_ratio = max(
-        float(np.sqrt(np.mean(np.square(np.concatenate(s.residuals_clean)))))
-        / s.channel_rms_clean
-        for s in eval_sims
+        float(np.sqrt(np.mean(np.square(clean.ravel())))) / rms for _, clean, _, rms in eval_pairs
     )
     t = np.arange(cfg.samples_per_bit) / fs
-    first = eval_sims[0]
+    _, first_clean, first_attacked, _ = eval_pairs[0]
     return DefenseResult(
         rows=rows,
         detection=det,
@@ -514,8 +514,8 @@ def run_defense_experiment(
         false_positive_rate=n_fp / n_eval,
         median_latency_fraction=float(np.median(latencies)) if latencies else None,
         clean_residual_ratio=clean_ratio,
-        trace_attacked=(t, first.residuals_attacked[0]),
-        trace_clean=(t, first.residuals_clean[0]),
+        trace_attacked=(t, first_attacked[0]),
+        trace_clean=(t, first_clean[0]),
         elapsed_s=time.monotonic() - t0,
     )
 
@@ -579,7 +579,7 @@ def run_privacy_experiment(cfg: SimConfig, passes: int = 2) -> PrivacyResult:
 
 @dataclass
 class SingleBitDump:
-    record: protocol.BitExchangeRecord
+    record: protocol.Exchanges  # one row
     residuals: tuple[np.ndarray, np.ndarray] | None
     rho_a: float
     rho_b: float
@@ -588,19 +588,22 @@ class SingleBitDump:
 
 def run_single_bit(cfg: SimConfig, bit_index: int = 0) -> SingleBitDump:
     """Simulate one exchange, `run_exchanges` on a batch of one, and keep every row."""
-    streams = derive_bit_streams(cfg.master_seed, bit_index)
-    exchange = (bit_index, streams, protocol.choices_for_bit(cfg, streams))
-    rec = protocol.run_exchanges(cfg, [exchange], cfg.injection)[0]
-    rho_a, rho_b, guess = _eavesdrop(cfg, rec, streams)
+    index = np.array([bit_index])
+    choices = protocol.resistances([_levels(cfg, bit_index)], cfg.r_l, cfg.r_h)
+    rec = protocol.run_exchanges(
+        cfg, index, choices, _noise_seeds(cfg.master_seed, index), cfg.injection
+    )
+    rho_a, rho_b, eve_bits = _eavesdrop(cfg, rec)
     residuals = None
     if not isinstance(cfg.variant, circuit.Ideal):
-        residuals = tuple(defense.residual_rows(rec.y[None], rec.loop_cfg, cfg.sample_rate_hz)[0])
+        loop_cfg, _ = next(protocol.loop_batches(cfg, choices))
+        residuals = tuple(defense.residual_rows(rec.y, loop_cfg, cfg.sample_rate_hz)[0])
     return SingleBitDump(
         record=rec,
         residuals=residuals,
-        rho_a=rho_a,
-        rho_b=rho_b,
-        eve_guess=guess,
+        rho_a=float(rho_a[0]),
+        rho_b=float(rho_b[0]),
+        eve_guess=protocol.BitClass.SECURE_HL if eve_bits[0] else protocol.BitClass.SECURE_LH,
     )
 
 
@@ -842,7 +845,7 @@ def write_report(report: ExperimentReport, out_dir: str) -> list[str]:
         s = report.single_bit
         rec = s.record
         path = os.path.join(out_dir, "single_bit.csv")
-        u, y = rec.u, rec.y  # y in the Loop convention, as solved
+        u, y = rec.u[0], rec.y[0]  # y in the Loop convention, as solved
         t = np.arange(y.shape[1]) / report.config.sample_rate_hz
         header = [
             "time_s", "u_alice_gen_V", "u_bob_gen_V", "i_injected_A",
@@ -854,13 +857,15 @@ def write_report(report: ExperimentReport, out_dir: str) -> list[str]:
             cols += [s.residuals[0], s.residuals[1]]
         _write_csv(path, header, zip(*cols))
         written.append(path)
+        r_a, r_b = rec.choices[0].tolist()
+        low, high = protocol.BitLevel.LOW, protocol.BitLevel.HIGH
+        levels = [low if r == report.config.r_l else high for r in (r_a, r_b)]
         summary += [
             "single bit dump:",
-            f"  alice {rec.alice_choice.level.value} ({rec.alice_choice.resistance:g} ohm), "
-            f"bob {rec.bob_choice.level.value} ({rec.bob_choice.resistance:g} ohm) "
-            f"-> {rec.classification.value}",
-            f"  alice inferred remote: {rec.alice_inferred_remote:g} ohm; "
-            f"bob inferred remote: {rec.bob_inferred_remote:g} ohm",
+            f"  alice {levels[0].value} ({r_a:g} ohm), bob {levels[1].value} ({r_b:g} ohm) "
+            f"-> {protocol.classify_bit_pair(*levels).value}",
+            f"  alice inferred remote: {rec.inferred[0, 0]:g} ohm; "
+            f"bob inferred remote: {rec.inferred[0, 1]:g} ohm",
             f"  eve: rho_a = {s.rho_a:.4e}, rho_b = {s.rho_b:.4e}, guess {s.eve_guess.value}",
             "",
         ]

@@ -1,94 +1,21 @@
 """Band-limited Gaussian noise synthesis with thermal-noise amplitude scaling.
 
-Every signal in the simulator (generator voltages, injected current) is a
-`Waveform` produced here. Synthesis works in the frequency domain: independent
-complex Gaussian amplitudes on every FFT bin inside the band, zero outside,
-inverse transform, analytic scaling to the requested RMS. That gives an exact
-brick-wall band limit and bit-for-bit reproducibility from the seed.
+Every signal in the simulator (generator voltages, injected current) is a row
+of samples produced here, a whole batch of rows per call. Synthesis works in
+the frequency domain: independent complex Gaussian amplitudes on every FFT bin
+inside the band, zero outside, inverse transform, analytic scaling to the
+requested RMS. That gives an exact brick-wall band limit and bit-for-bit
+reproducibility from each row's seed.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, ShapeMismatchError
+from .exceptions import ConfigError
 
 K_BOLTZMANN = 1.380649e-23  # J/K
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Recipe for one synthesized noise segment.
-
-    sample_rate_hz must be at least 4x bandwidth_hz (enforced oversampling)
-    and duration_s * sample_rate_hz must land on an integer sample count.
-    """
-
-    bandwidth_hz: float
-    sample_rate_hz: float
-    duration_s: float
-    target_rms: float
-    seed: int
-
-    def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ConfigError("bandwidth_hz must be positive")
-        if self.sample_rate_hz < 4.0 * self.bandwidth_hz:
-            raise ConfigError(
-                f"sample_rate_hz ({self.sample_rate_hz}) must be >= 4 x "
-                f"bandwidth_hz ({self.bandwidth_hz})"
-            )
-        if self.target_rms <= 0:
-            raise ConfigError("target_rms must be positive")
-        n = self.duration_s * self.sample_rate_hz
-        if n <= 0 or abs(n - round(n)) > 1e-9:
-            raise ConfigError(
-                "duration_s x sample_rate_hz must be a positive integer sample count"
-            )
-
-    @property
-    def n_samples(self) -> int:
-        return int(round(self.duration_s * self.sample_rate_hz))
-
-
-@dataclass
-class Waveform:
-    """Uniformly sampled real-valued time series."""
-
-    samples: np.ndarray
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1 or self.samples.size == 0:
-            raise ShapeMismatchError("waveform must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(self.samples)):
-            raise ShapeMismatchError("waveform samples must all be finite")
-        if self.sample_rate_hz <= 0:
-            raise ConfigError("sample_rate_hz must be positive")
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.samples.size) / self.sample_rate_hz
-
-    def require_compatible(self, other: "Waveform") -> None:
-        """Raise unless both waveforms can be combined arithmetically."""
-        if len(self) != len(other):
-            raise ShapeMismatchError(
-                f"waveform lengths differ: {len(self)} vs {len(other)}"
-            )
-        if self.sample_rate_hz != other.sample_rate_hz:
-            raise ShapeMismatchError(
-                f"sample rates differ: {self.sample_rate_hz} vs {other.sample_rate_hz}"
-            )
 
 
 def johnson_rms_voltage(resistance: float, t_eff: float, bandwidth_hz: float) -> float:
@@ -107,31 +34,28 @@ def _band_bin_mask(n: int, sample_rate_hz: float, bandwidth_hz: float) -> np.nda
     return (freqs > 0) & (freqs <= bandwidth_hz)
 
 
-def synth_band_limited_gaussian(spec: NoiseSpec) -> Waveform:
-    """Synthesize one zero-mean Gaussian segment, flat from DC to the band edge.
+def synth_band_limited_gaussian(
+    seeds, target_rms, n: int, sample_rate_hz: float, bandwidth_hz: float
+) -> np.ndarray:
+    """Zero-mean Gaussian rows of n samples, flat from DC to the band edge, shape (k, n).
 
-    The scale factor is analytic (expected mean square equals target_rms**2),
-    so short segments keep their natural statistical RMS fluctuation instead
-    of being renormalized per segment.
+    Row j draws its bin amplitudes from its own `default_rng(seeds[j])`, real
+    parts first, and is scaled to `target_rms` (a scalar or one value per
+    row). The scale factor is analytic (expected mean square equals
+    target_rms**2), so short rows keep their natural statistical RMS
+    fluctuation instead of being renormalized per row. One inverse FFT
+    transforms all rows.
     """
-    n = spec.n_samples
-    mask = _band_bin_mask(n, spec.sample_rate_hz, spec.bandwidth_hz)
+    mask = _band_bin_mask(n, sample_rate_hz, bandwidth_hz)
     n_bins = int(mask.sum())
     if n_bins == 0:
         raise ConfigError(
             "no FFT bin falls inside the band; increase duration_s or bandwidth_hz"
         )
-    rng = np.random.default_rng(spec.seed)
-    z = np.zeros(mask.size, dtype=np.complex128)
-    z[mask] = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+    z = np.zeros((len(seeds), mask.size), dtype=np.complex128)
+    for row, seed in zip(z, np.asarray(seeds).tolist()):
+        rng = np.random.default_rng(seed)
+        row[mask] = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
     # var(x_j) = 4 s^2 n_bins / n^2 for unit-variance bin parts scaled by s
-    scale = spec.target_rms * n / (2.0 * math.sqrt(n_bins))
-    samples = np.fft.irfft(z * scale, n)
-    return Waveform(samples, spec.sample_rate_hz)
-
-
-def rms(w: Waveform) -> float:
-    """Root mean square of the samples."""
-    if len(w) == 0:
-        raise ValueError("rms of an empty waveform is undefined")
-    return math.sqrt(float(np.mean(np.square(w.samples))))
+    scale = np.asarray(target_rms, dtype=np.float64) * n / (2.0 * math.sqrt(n_bins))
+    return np.fft.irfft(z * np.reshape(scale, (-1, 1)), n)

@@ -14,7 +14,7 @@ import pytest
 
 from kljnsim import attack, circuit, defense, harness, protocol
 from kljnsim.circuit import Cable, CableWithKiller, Ideal, LoopConfig
-from kljnsim.noise import NoiseSpec, synth_band_limited_gaussian
+from kljnsim.noise import synth_band_limited_gaussian
 
 N_FULL = 10_000
 IDEAL_TARGETS = {0.001: 0.503, 0.01: 0.513, 0.1: 0.613}
@@ -123,14 +123,16 @@ def test_criterion_4_defense_efficacy(defense_run, base_cfg):
     first_crossing_ok = True
     ideal_lh = replace(base_cfg, variant=Ideal(), selection_mode="fixed_lh")
     spec = attack.InjectionSpec(0.1, base_cfg.bandwidth_hz, base_cfg.master_seed)
+    index = np.arange(5)
+    choices = np.tile([ideal_lh.r_l, ideal_lh.r_h], (5, 1))
+    seeds = harness._noise_seeds(base_cfg.master_seed, index)
+    ex = protocol.run_exchanges(ideal_lh, index, choices, seeds, spec)
+    loop_cfg = LoopConfig(ideal_lh.r_l, ideal_lh.r_h)
     for k in range(5):
-        streams = harness.derive_bit_streams(base_cfg.master_seed, k)
-        exchange = (k, streams, protocol.choices_for_bit(ideal_lh, streams))
-        rec = protocol.run_exchanges(ideal_lh, [exchange], spec)[0]
-        i_inj = rec.u[2]
+        i_inj = ex.u[k, 2]
         thr = math.sqrt(float(np.mean(np.square(i_inj))))
         # ideal wire: the residual is the instantaneous comparison i_cha - i_chb
-        residuals = defense.residual_rows(rec.y[None], rec.loop_cfg, ideal_lh.sample_rate_hz)[0]
+        residuals = defense.residual_rows(ex.y[k : k + 1], loop_cfg, ideal_lh.sample_rate_hz)[0]
         verdict = defense.detect_residuals(list(residuals), defense.DetectionConfig(thr))
         expected = int(np.flatnonzero(np.abs(i_inj) > thr)[0])
         first_crossing_ok &= verdict.first_detection_sample == expected
@@ -156,8 +158,7 @@ def test_criterion_6_physics_property_suite(zero_injection_cells, table1):
 
     # superposition of the cable solver to 1e-10 relative
     fs, bw = 2000.0, 250.0
-    mk = lambda r, s: synth_band_limited_gaussian(NoiseSpec(bw, fs, 0.1, r, s)).samples
-    u_a, u_b, inj = mk(1.0, 301), mk(3.0, 302), mk(3e-5, 303)
+    u_a, u_b, inj = synth_band_limited_gaussian([301, 302, 303], [1.0, 3.0, 3e-5], 200, fs, bw)
     zero = np.zeros(len(u_a))
     cfg_cable = LoopConfig(1000.0, 9000.0, Cable(1000.0, 10))
     # one batch: full drive, the two generators alone, the injection alone
@@ -173,8 +174,7 @@ def test_criterion_6_physics_property_suite(zero_injection_cells, table1):
     checks["divider(0.9,0.1)"] = circuit.divider_fractions(1000.0, 9000.0) == (0.9, 0.1)
 
     # killer variant end-current mismatch over a 10 s run
-    big_a = synth_band_limited_gaussian(NoiseSpec(bw, fs, 10.0, 1.0, 304)).samples
-    big_b = synth_band_limited_gaussian(NoiseSpec(bw, fs, 10.0, 3.0, 305)).samples
+    big_a, big_b = synth_band_limited_gaussian([304, 305], [1.0, 3.0], 20000, fs, bw)
     cfg_killer = LoopConfig(1000.0, 9000.0, CableWithKiller(1000.0, 10))
     big_u = np.array([[big_a, big_b, np.zeros(len(big_a))]])
     killer_out = circuit.solve_rows(big_u, cfg_killer, 1.0 / fs)[0]
@@ -183,8 +183,7 @@ def test_criterion_6_physics_property_suite(zero_injection_cells, table1):
     checks["killer mismatch<=1e-6*rms"] = mismatch <= 1e-6 * i_rms
 
     # noise generator contracts: moments and spectrum
-    w = synth_band_limited_gaussian(NoiseSpec(bw, fs, 100.0, 1.0, 306))
-    x = w.samples
+    x = synth_band_limited_gaussian([306], 1.0, 200000, fs, bw)[0]
     m2 = np.mean(x**2)
     checks["noise rms in 2%"] = 0.98 <= math.sqrt(m2) <= 1.02
     checks["noise skew/kurt"] = (

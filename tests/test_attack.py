@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kljnsim import circuit, harness
+from kljnsim import circuit, harness, protocol
 from kljnsim.attack import (
     InjectionSpec,
     analytic_ideal_success_probability,
@@ -12,11 +12,9 @@ from kljnsim.attack import (
     eve_decide,
     reference_rms_channel_current,
     success_probability,
-    synth_injection,
 )
 from kljnsim.exceptions import ConfigError, ShapeMismatchError
-from kljnsim.noise import K_BOLTZMANN, NoiseSpec, synth_band_limited_gaussian
-from kljnsim.protocol import BitClass
+from kljnsim.noise import synth_band_limited_gaussian
 
 T_EFF = 7.25e16
 BW = 250.0
@@ -50,58 +48,66 @@ def test_injection_spec_validation():
         InjectionSpec(0.1, -1.0)
 
 
-def _noise(rms_v, seed, duration=0.1):
-    return synth_band_limited_gaussian(
-        NoiseSpec(BW, 2000.0, duration, rms_v, seed)
-    ).samples
+def _noise(rms_v, seeds, duration=0.1):
+    """One 2 kHz row per seed, shape (k, t)."""
+    return synth_band_limited_gaussian(seeds, rms_v, round(duration * 2000.0), 2000.0, BW)
 
 
 def test_correlate_self_is_mean_square():
-    w = _noise(2.5e-5, 17)
-    assert correlate(w, w) == pytest.approx(float(np.mean(w**2)), rel=1e-14)
+    w = _noise(2.5e-5, [17])
+    assert correlate(w, w)[0] == pytest.approx(float(np.mean(w**2)), rel=1e-14)
 
 
 def test_correlate_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        correlate(_noise(1e-5, 1), _noise(1e-5, 2, duration=0.2))
+        correlate(_noise(1e-5, [1]), _noise(1e-5, [2], duration=0.2))
 
 
 def test_correlate_independent_inputs_within_variance_bound():
     tau = 0.1
-    bound_hits = 0
     trials = 200
-    for k in range(trials):
-        a = _noise(1.0, 3000 + k)
-        b = _noise(1.0, 9000 + k)
-        bound = 4.0 / math.sqrt(2.0 * BW * tau)
-        if abs(correlate(a, b)) < bound:
-            bound_hits += 1
-    assert bound_hits >= 0.95 * trials
+    a = _noise(1.0, range(3000, 3000 + trials))
+    rho = correlate(a, _noise(1.0, range(9000, 9000 + trials)))
+    bound = 4.0 / math.sqrt(2.0 * BW * tau)
+    assert np.count_nonzero(np.abs(rho) < bound) >= 0.95 * trials
 
 
 def test_correlate_mixed_signal_expectation():
     # i_ch = 0.9 * i_inj + independent noise; expectation 0.9 * <i_inj^2>
     sigma = 3e-5
-    vals = []
-    for k in range(1000):
-        inj = _noise(sigma, 100_000 + k)
-        other = _noise(sigma, 500_000 + k)
-        mixed = 0.9 * inj + other
-        vals.append(correlate(inj, mixed))
-    vals = np.array(vals)
+    inj = _noise(sigma, range(100_000, 101_000))
+    other = _noise(sigma, range(500_000, 501_000))
+    vals = correlate(inj, 0.9 * inj + other)
     expected = 0.9 * sigma**2
     sem = np.std(vals) / math.sqrt(len(vals))
     assert abs(np.mean(vals) - expected) <= 3.0 * sem
 
 
+def _no_coin(row):
+    raise AssertionError(f"coin consulted for row {row}")
+
+
 def test_eve_decide_rule_and_ties():
-    assert eve_decide(0.9, 0.1) is BitClass.SECURE_LH
-    assert eve_decide(0.1, 0.9) is BitClass.SECURE_HL
+    # key bits: LH -> 0, HL -> 1
+    assert eve_decide(np.array([0.9]), np.array([0.1]), _no_coin).tolist() == [0]
+    assert eve_decide(np.array([0.1]), np.array([0.9]), _no_coin).tolist() == [1]
     rng = np.random.default_rng(5)
-    flips = [eve_decide(0.5, 0.5, tie_rng=rng) is BitClass.SECURE_LH for _ in range(2000)]
-    assert 0.45 <= np.mean(flips) <= 0.55
-    with pytest.raises(ValueError):
-        eve_decide(0.5, 0.5)
+    flips = eve_decide(np.full(2000, 0.5), np.full(2000, 0.5), lambda row: rng.integers(0, 2))
+    assert 0.45 <= np.mean(flips == 0) <= 0.55
+
+
+def test_eve_decide_consults_its_coin_only_on_zero_differences():
+    rho_a = np.array([0.9, 0.5, -0.0, 1e-300, 0.0, 2.0])
+    rho_b = np.array([0.1, 0.5, 0.0, 0.0, 1e-300, 2.0])
+    asked = []
+
+    def coin(row):
+        asked.append(row)
+        return 1
+
+    bits = eve_decide(rho_a, rho_b, coin)
+    assert asked == [1, 2, 5]
+    assert bits.tolist() == [0, 1, 1, 0, 1, 1]
 
 
 def test_success_probability_trivials():
@@ -116,28 +122,31 @@ def test_success_probability_trivials():
 
 def test_synth_injection_level_scaling():
     ref = reference_rms_channel_current(R_L, R_H, T_EFF, BW)
-    spec = InjectionSpec(0.1, BW, seed=4)
-    w = synth_injection(spec, ref, 2000.0, 10.0)
-    measured = math.sqrt(float(np.mean(w.samples**2)))
+    cfg = harness.SimConfig(tau_s=10.0)
+    u = protocol.exchange_drives(
+        cfg, np.array([[R_L, R_H]]), np.array([[1, 2, 4]]), InjectionSpec(0.1, BW)
+    )
+    measured = math.sqrt(float(np.mean(u[0, 2] ** 2)))
     assert measured == pytest.approx(0.1 * ref, rel=0.03)
 
 
 def _run_fixed_arrangement(r_a, r_b, level, n_bits, master):
     """Direct mini-pipeline over the ideal loop at a pinned arrangement."""
     ref = reference_rms_channel_current(R_L, R_H, T_EFF, BW)
-    rhos = []
     from kljnsim.noise import johnson_rms_voltage
 
-    for i in range(n_bits):
-        streams = harness.derive_bit_streams(master, i)
-        u_a = _noise(johnson_rms_voltage(r_a, T_EFF, BW), streams.alice_noise_seed)
-        u_b = _noise(johnson_rms_voltage(r_b, T_EFF, BW), streams.bob_noise_seed)
-        inj = _noise(level * ref, streams.eve_noise_seed)
-        cfg = circuit.LoopConfig(r_a, r_b)
-        y = circuit.solve_rows(np.array([[u_a, u_b, inj]]), cfg, 1.0 / 2000.0)[0]
-        # Eve's view: Alice's end as solved, Bob's end negated
-        rhos.append(correlate(inj, y[0]) - correlate(inj, -y[1]))
-    return np.array(rhos)
+    seeds = harness._noise_seeds(master, np.arange(n_bits))
+    u = np.stack(
+        [
+            _noise(johnson_rms_voltage(r_a, T_EFF, BW), seeds[:, 0]),
+            _noise(johnson_rms_voltage(r_b, T_EFF, BW), seeds[:, 1]),
+            _noise(level * ref, seeds[:, 2]),
+        ],
+        axis=1,
+    )
+    y = circuit.solve_rows(u, circuit.LoopConfig(r_a, r_b), 1.0 / 2000.0)
+    # Eve's view: Alice's end as solved, Bob's end negated
+    return correlate(u[:, 2], y[:, 0]) - correlate(u[:, 2], -y[:, 1])
 
 
 def test_side_symmetry_of_correlator_difference():

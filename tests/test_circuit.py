@@ -18,7 +18,7 @@ from kljnsim.circuit import (
     injection_node_index,
 )
 from kljnsim.exceptions import ConfigError, ShapeMismatchError
-from kljnsim.noise import NoiseSpec, synth_band_limited_gaussian
+from kljnsim.noise import synth_band_limited_gaussian
 
 FS = 2000.0
 
@@ -28,10 +28,7 @@ def _const(value, n=32):
 
 
 def _noise(rms_v, seed, duration=0.1, fs=FS, bw=250.0):
-    return synth_band_limited_gaussian(
-        NoiseSpec(bandwidth_hz=bw, sample_rate_hz=fs, duration_s=duration,
-                  target_rms=rms_v, seed=seed)
-    ).samples
+    return synth_band_limited_gaussian([seed], rms_v, round(duration * fs), fs, bw)[0]
 
 
 def _drive(u_a, u_b, inj=None):

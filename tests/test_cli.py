@@ -72,6 +72,11 @@ def test_bad_config_key_exits_2(tmp_path):
         # the defense's cable-alone current overflows; the ladder does not discretize
         "variant = cable_killer\ncable_length_m = 1e-250\nt_eff = 1e150\n",
         "variant = cable\ncable_length_m = 1e-300\n",
+        # segment RC corner (4.36 MHz) below 100 x the configured band
+        "variant = cable\ncable_length_m = 1000\nbandwidth_hz = 1e5\nsample_rate_hz = 4e5\n",
+        # predicted arrays past the size budget, rejected before anything is allocated
+        "variant = cable\nn_segments = 100000\n",
+        "tau_s = 1e7\n",
     ):
         cfg = _cfg_file(tmp_path, TINY + text)
         assert cli.main(["table1", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -1,5 +1,6 @@
 """Detection defenses: ideal comparison, model-based residuals, calibration."""
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from kljnsim.defense import (
     residual_rows,
 )
 from kljnsim.exceptions import ConfigError
-from kljnsim.noise import NoiseSpec, synth_band_limited_gaussian
+from kljnsim.noise import synth_band_limited_gaussian
 
 T_EFF = 7.25e16
 BW = 250.0
@@ -27,7 +28,7 @@ R_L, R_H = 1000.0, 9000.0
 
 
 def _noise(rms_v, seed, duration=0.1):
-    return synth_band_limited_gaussian(NoiseSpec(BW, FS, duration, rms_v, seed)).samples
+    return synth_band_limited_gaussian([seed], rms_v, round(duration * FS), FS, BW)[0]
 
 
 def _johnson(r):
@@ -100,14 +101,19 @@ def test_verdict_consistency_enforced():
         )
 
 
+_Record = namedtuple("_Record", "u y loop_cfg")  # one exchange's drive and solved rows
+
+
 def _cable_records(seed, level, variant=Cable(1000.0, 10)):
     cfg = harness.SimConfig(
         n_bits=4, variant=variant, selection_mode="fixed_lh", master_seed=seed
     )
     inj = InjectionSpec(level, BW, seed) if level > 0 else None
-    streams = harness.derive_bit_streams(cfg.master_seed, 0)
-    exchange = (0, streams, protocol.choices_for_bit(cfg, streams))
-    return cfg, protocol.run_exchanges(cfg, [exchange], inj)[0]
+    index = np.array([0])
+    ex = protocol.run_exchanges(
+        cfg, index, np.array([[R_L, R_H]]), harness._noise_seeds(seed, index), inj
+    )
+    return cfg, _Record(ex.u[0], ex.y[0], LoopConfig(R_L, R_H, variant))
 
 
 def test_model_self_consistency_on_clean_run():

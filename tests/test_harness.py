@@ -215,34 +215,37 @@ def test_fixed_selection_mode_has_no_discards():
     assert cell.n_exchanges == 30
 
 
+def _draw(master_seed, index, stream):
+    """One 0/1 draw of the documented seed scheme, computed here independently."""
+    seq = np.random.SeedSequence(entropy=(master_seed, index, stream))
+    return int(np.random.default_rng(seq).integers(0, 2))
+
+
+def _is_secure(master_seed, index):
+    return _draw(master_seed, index, 0) != _draw(master_seed, index, 1)
+
+
 def _count_pipeline_calls(monkeypatch):
-    """Count stream derivations per exchange index and noise syntheses per run."""
+    """Count stream derivations per (exchange index, stream id), and synthesis calls and rows."""
     from kljnsim import protocol
 
     derived = collections.Counter()
-    synths = [0]
-    derive = harness.derive_bit_streams
+    synths = {"calls": 0, "rows": 0}
+    stream_seq = harness._stream_seq
 
-    def counting_derive(master_seed, index):
-        derived[index] += 1
-        return derive(master_seed, index)
+    def counting_seq(master_seed, index, stream_id):
+        derived[index, stream_id] += 1
+        return stream_seq(master_seed, index, stream_id)
 
-    def counting(synth):
-        def wrapper(spec):
-            synths[0] += 1
-            return synth(spec)
-        return wrapper
+    def counting_synth(seeds, *args):
+        synths["calls"] += 1
+        synths["rows"] += len(seeds)
+        return synth(seeds, *args)
 
-    monkeypatch.setattr(harness, "derive_bit_streams", counting_derive)
-    for module in (protocol, attack):  # generators and Eve's injection
-        synth = module.synth_band_limited_gaussian
-        monkeypatch.setattr(module, "synth_band_limited_gaussian", counting(synth))
-
-    def n_secure(cfg):
-        choices = (protocol.choices_for_bit(cfg, derive(cfg.master_seed, i)) for i in derived)
-        return sum(protocol.classify_bit_pair(*pair).is_secure for pair in choices)
-
-    return derived, synths, n_secure
+    synth = protocol.synth_band_limited_gaussian
+    monkeypatch.setattr(harness, "_stream_seq", counting_seq)
+    monkeypatch.setattr(protocol, "synth_band_limited_gaussian", counting_synth)
+    return derived, synths
 
 
 @pytest.mark.parametrize(
@@ -254,16 +257,35 @@ def _count_pipeline_calls(monkeypatch):
     ],
 )
 def test_each_exchange_is_derived_and_synthesized_once(monkeypatch, run, level, per_secure):
-    derived, synths, n_secure = _count_pipeline_calls(monkeypatch)
+    """A discard derives streams 0 and 1 only, a secure exchange also 2-4, and the coin
+    (stream 5) is derived only on a correlator tie, which zero injection always is."""
+    derived, synths = _count_pipeline_calls(monkeypatch)
     cfg = harness._cell_config(_tiny_cfg(n_bits=30), circuit.Cable(100.0, 10), level)
     run(cfg)
-    assert len(derived) % 128 == 0 and set(derived.values()) == {1}
-    assert synths[0] == per_secure * n_secure(cfg)
+    indices = sorted({index for index, _ in derived})
+    assert indices == list(range(len(indices))) and len(indices) % 128 == 0
+    assert set(derived.values()) == {1}
+    secure = [i for i in indices if _is_secure(cfg.master_seed, i)]
+    coin = secure if run is harness.run_attack_cell and level == 0.0 else []
+    for i in indices:
+        expected = {0, 1} | ({2, 3, 4} if i in secure else set()) | ({5} if i in coin else set())
+        assert {stream for index, stream in derived if index == i} == expected, i
+    assert synths["rows"] == per_secure * len(secure)
+    assert synths["calls"] <= 2 * len(indices) // 128
 
 
 def test_single_bit_derives_its_streams_once(monkeypatch):
-    derived, synths, _ = _count_pipeline_calls(monkeypatch)
+    derived, synths = _count_pipeline_calls(monkeypatch)
     cfg = harness._cell_config(_tiny_cfg(), circuit.Ideal(), 0.1)
     harness.run_single_bit(cfg, 3)
-    assert derived == {3: 1}
-    assert synths[0] == 3
+    assert derived == {(3, stream): 1 for stream in range(5)}
+    assert synths == {"calls": 2, "rows": 3}
+
+
+def test_zero_injection_coin_is_stream_5_of_each_secure_exchange():
+    cfg = harness._cell_config(_tiny_cfg(n_bits=150), circuit.Ideal(), 0.0)
+    cell = harness.run_attack_cell(cfg)
+    secure = [i for i in range(cell.n_exchanges) if _is_secure(cfg.master_seed, i)]
+    assert len(secure) == cell.n
+    coins = [_draw(cfg.master_seed, i, 5) for i in secure]
+    assert cell.eve_bits.tolist() == coins

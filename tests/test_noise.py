@@ -7,14 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kljnsim.exceptions import ConfigError
-from kljnsim.noise import (
-    K_BOLTZMANN,
-    NoiseSpec,
-    Waveform,
-    johnson_rms_voltage,
-    rms,
-    synth_band_limited_gaussian,
-)
+from kljnsim import harness
+from kljnsim.noise import johnson_rms_voltage, synth_band_limited_gaussian
 
 T_EFF = 7.25e16
 BW = 250.0
@@ -45,40 +39,32 @@ def test_johnson_rms_rejects_non_positive_arguments(args):
         johnson_rms_voltage(*args)
 
 
-def test_rms_of_constant_waveform():
-    w = Waveform(np.full(64, 3.0), 1000.0)
-    assert rms(w) == pytest.approx(3.0, rel=1e-15)
+def _synth(target_rms=1.0, duration_s=10.0, seed=42, fs=2000.0, bw=BW):
+    """One synthesized row."""
+    return synth_band_limited_gaussian([seed], target_rms, round(duration_s * fs), fs, bw)[0]
 
 
-def test_rms_of_alternating_waveform():
-    w = Waveform(np.tile([1.0, -1.0], 32), 1000.0)
-    assert rms(w) == pytest.approx(1.0, rel=1e-15)
-
-
-def test_rms_of_zero_two_pair():
-    w = Waveform(np.array([0.0, 2.0]), 1000.0)
-    assert rms(w) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-
-
-def test_waveform_rejects_empty_and_non_finite():
-    with pytest.raises(ValueError):
-        Waveform(np.array([]), 1000.0)
-    with pytest.raises(ValueError):
-        Waveform(np.array([1.0, np.nan]), 1000.0)
-
-
-def _spec(**kw):
-    base = dict(
-        bandwidth_hz=BW, sample_rate_hz=2000.0, duration_s=10.0, target_rms=1.0, seed=42
-    )
-    base.update(kw)
-    return NoiseSpec(**base)
+def test_batched_synthesis_matches_one_row_reference():
+    """Each row equals its own default_rng + irfft, whatever its neighbours and scale."""
+    n, fs, bw = 200, 2000.0, 250.0
+    seeds = np.array([3, 2**63 + 5, 7, 3], dtype=np.uint64)
+    target = [1.0, 2.5e-5, 3.0, 1e-3]
+    rows = synth_band_limited_gaussian(seeds, target, n, fs, bw)
+    freqs = np.arange(n // 2 + 1) * (fs / n)
+    mask = (freqs > 0) & (freqs <= bw)
+    n_bins = int(mask.sum())
+    for row, seed, rms_v in zip(rows, seeds.tolist(), target):
+        rng = np.random.default_rng(seed)
+        z = np.zeros(mask.size, dtype=np.complex128)
+        z[mask] = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+        expected = np.fft.irfft(z * (rms_v * n / (2.0 * math.sqrt(n_bins))), n)
+        assert np.array_equal(row, expected)
+    assert np.array_equal(synth_band_limited_gaussian(seeds[:1], 1.0, n, fs, bw)[0], rows[0])
 
 
 def test_synth_rms_and_moments_at_long_duration():
-    w = synth_band_limited_gaussian(_spec())
-    x = w.samples
-    assert 0.98 <= rms(w) <= 1.02
+    x = _synth()
+    assert 0.98 <= math.sqrt(np.mean(x**2)) <= 1.02
     # independent moment estimates
     m2 = np.mean(x**2)
     skew = np.mean(x**3) / m2**1.5
@@ -89,45 +75,43 @@ def test_synth_rms_and_moments_at_long_duration():
 
 
 def test_synth_deterministic_given_seed():
-    a = synth_band_limited_gaussian(_spec())
-    b = synth_band_limited_gaussian(_spec())
-    assert np.array_equal(a.samples, b.samples)
-    c = synth_band_limited_gaussian(_spec(seed=43))
-    assert not np.array_equal(a.samples, c.samples)
+    a = _synth()
+    b = _synth()
+    assert np.array_equal(a, b)
+    c = _synth(seed=43)
+    assert not np.array_equal(a, c)
 
 
 def test_synth_scaling_linearity():
-    base = synth_band_limited_gaussian(_spec(target_rms=0.5, duration_s=1.0))
-    scaled = synth_band_limited_gaussian(_spec(target_rms=1.7, duration_s=1.0))
-    np.testing.assert_allclose(scaled.samples, (1.7 / 0.5) * base.samples, rtol=1e-12)
+    base = _synth(target_rms=0.5, duration_s=1.0)
+    scaled = _synth(target_rms=1.7, duration_s=1.0)
+    np.testing.assert_allclose(scaled, (1.7 / 0.5) * base, rtol=1e-12)
 
 
 def test_synth_rejects_bad_specs():
+    # the band must hold at least one FFT bin; the config checks the rest
+    with pytest.raises(ConfigError, match="no FFT bin"):
+        synth_band_limited_gaussian([1], 1.0, 4, 2000.0, 250.0)
     with pytest.raises(ConfigError):
-        _spec(target_rms=0.0)
+        harness.SimConfig(sample_rate_hz=900.0)  # below 4x bandwidth
     with pytest.raises(ConfigError):
-        _spec(sample_rate_hz=900.0)  # below 4x bandwidth
+        harness.SimConfig(tau_s=0.10001)  # non-integer sample count
     with pytest.raises(ConfigError):
-        _spec(duration_s=0.10001)  # non-integer sample count
-    with pytest.raises(ConfigError):
-        _spec(duration_s=-1.0)
+        harness.SimConfig(tau_s=-1.0)
 
 
 def test_independent_seeds_have_small_cross_correlation():
     duration = 10.0
     bound = 4.0 / math.sqrt(2.0 * BW * duration)
     for seed in (7, 8, 9, 10):
-        a = synth_band_limited_gaussian(_spec(seed=seed)).samples
-        b = synth_band_limited_gaussian(_spec(seed=seed + 1000)).samples
+        a, b = synth_band_limited_gaussian([seed, seed + 1000], 1.0, 20000, 2000.0, BW)
         rho = np.mean(a * b) / (np.std(a) * np.std(b))
         assert abs(rho) < bound
 
 
 def test_psd_flat_in_band_and_attenuated_above():
     scipy_signal = pytest.importorskip("scipy.signal")
-    spec = _spec(duration_s=100.0, seed=5)
-    w = synth_band_limited_gaussian(spec)
-    freqs, psd = scipy_signal.welch(w.samples, fs=spec.sample_rate_hz, nperseg=1024)
+    freqs, psd = scipy_signal.welch(_synth(duration_s=100.0, seed=5), fs=2000.0, nperseg=1024)
     res = freqs[1] - freqs[0]
     in_band = (freqs > 2 * res) & (freqs < BW - 2 * res)
     ref = np.median(psd[in_band])
@@ -141,11 +125,7 @@ def test_psd_flat_in_band_and_attenuated_above():
 def test_expected_mean_square_is_analytic_not_renormalized():
     # many short segments: per-segment RMS fluctuates, the average mean square
     # converges on the target, which per-segment renormalization would destroy
-    msqs = [
-        np.mean(synth_band_limited_gaussian(
-            _spec(duration_s=0.1, seed=seed)).samples ** 2)
-        for seed in range(300)
-    ]
+    msqs = np.mean(synth_band_limited_gaussian(range(300), 1.0, 200, 2000.0, BW) ** 2, axis=-1)
     spread = np.std(msqs)
     assert spread > 0.05  # natural chi-square fluctuation is present
     assert np.mean(msqs) == pytest.approx(1.0, abs=5 * spread / math.sqrt(300))
@@ -154,6 +134,6 @@ def test_expected_mean_square_is_analytic_not_renormalized():
 @given(scale=st.floats(0.1, 50.0), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_synth_rms_scales_exactly(scale, seed):
-    a = synth_band_limited_gaussian(_spec(target_rms=1.0, duration_s=0.5, seed=seed))
-    b = synth_band_limited_gaussian(_spec(target_rms=scale, duration_s=0.5, seed=seed))
-    np.testing.assert_allclose(b.samples, scale * a.samples, rtol=1e-9, atol=1e-12 * scale)
+    a = _synth(target_rms=1.0, duration_s=0.5, seed=seed)
+    b = _synth(target_rms=scale, duration_s=0.5, seed=seed)
+    np.testing.assert_allclose(b, scale * a, rtol=1e-9, atol=1e-12 * scale)

@@ -1,8 +1,9 @@
 """Honest-party protocol: selection, classification, resistance inference."""
 
+import math
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from kljnsim import harness, protocol
 from kljnsim.exceptions import ConfigError, InferenceError
@@ -10,7 +11,6 @@ from kljnsim.noise import K_BOLTZMANN
 from kljnsim.protocol import (
     BitClass,
     BitLevel,
-    ResistorChoice,
     classify_bit_pair,
     decide_remote_resistor,
     select_bit,
@@ -23,28 +23,26 @@ R_L, R_H = 1000.0, 9000.0
 
 def test_select_bit_is_balanced():
     rng = np.random.default_rng(100)
-    draws = np.array(
-        [select_bit(rng, R_L, R_H).level is BitLevel.LOW for _ in range(100_000)]
-    )
+    draws = np.array([select_bit(rng) is BitLevel.LOW for _ in range(100_000)])
     # binomial oracle: 3 sigma ~ 0.0047 at this count
     assert 0.49 <= draws.mean() <= 0.51
 
 
 def test_select_bit_reproducible():
-    a = [select_bit(np.random.default_rng(7), R_L, R_H).level for _ in range(1)]
-    b = [select_bit(np.random.default_rng(7), R_L, R_H).level for _ in range(1)]
+    a = [select_bit(np.random.default_rng(7)) for _ in range(1)]
+    b = [select_bit(np.random.default_rng(7)) for _ in range(1)]
     assert a == b
     rng1, rng2 = np.random.default_rng(7), np.random.default_rng(7)
-    seq1 = [select_bit(rng1, R_L, R_H).level for _ in range(200)]
-    seq2 = [select_bit(rng2, R_L, R_H).level for _ in range(200)]
+    seq1 = [select_bit(rng1) for _ in range(200)]
+    seq2 = [select_bit(rng2) for _ in range(200)]
     assert seq1 == seq2
 
 
 def test_select_bit_streams_uncorrelated():
     rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(12)
     n = 100_000
-    a = np.array([select_bit(rng_a, R_L, R_H).level is BitLevel.LOW for _ in range(n)])
-    b = np.array([select_bit(rng_b, R_L, R_H).level is BitLevel.LOW for _ in range(n)])
+    a = np.array([select_bit(rng_a) is BitLevel.LOW for _ in range(n)])
+    b = np.array([select_bit(rng_b) is BitLevel.LOW for _ in range(n)])
     x, y = 2.0 * a - 1.0, 2.0 * b - 1.0
     assert abs(np.mean(x * y)) < 0.01
 
@@ -59,9 +57,7 @@ def test_select_bit_streams_uncorrelated():
     ],
 )
 def test_classify_bit_pair(a_level, b_level, expected):
-    a = ResistorChoice(a_level, R_L if a_level is BitLevel.LOW else R_H)
-    b = ResistorChoice(b_level, R_L if b_level is BitLevel.LOW else R_H)
-    assert classify_bit_pair(a, b) is expected
+    assert classify_bit_pair(a_level, b_level) is expected
 
 
 def test_key_bit_mapping():
@@ -71,28 +67,26 @@ def test_key_bit_mapping():
         _ = BitClass.DISCARD_HH.key_bit
 
 
-def _run(cfg, i, attack=None):
-    streams = harness.derive_bit_streams(cfg.master_seed, i)
-    exchange = (i, streams, protocol.choices_for_bit(cfg, streams))
-    return protocol.run_exchanges(cfg, [exchange], attack)[0]
+def _run(cfg, n, attack=None):
+    """Exchanges 0..n-1 at the fixed LH arrangement, as one batch."""
+    index = np.arange(n)
+    choices = np.tile([cfg.r_l, cfg.r_h], (n, 1))
+    return protocol.run_exchanges(
+        cfg, index, choices, harness._noise_seeds(cfg.master_seed, index), attack
+    )
 
 
 def test_full_bit_inference_snaps_to_true_partner():
     cfg = harness.SimConfig(n_bits=10, selection_mode="fixed_lh", master_seed=901)
-    records = [_run(cfg, i) for i in range(4000)]
+    ex = _run(cfg, 4000)
     # literal snap of the current-only estimate from the low side:
     # <i^2> = 4kTB / (R_L + R_remote), so R_remote = 4kTB / <i^2> - R_L
     four_ktb = 4.0 * K_BOLTZMANN * T_EFF * BW
-    low_side_ok = 0
-    both_ok = 0
-    for rec in records:
-        est = four_ktb / float(np.mean(np.square(rec.y[0]))) - R_L  # Alice's end current
-        if abs(est - R_H) < abs(est - R_L):
-            low_side_ok += 1
-        if rec.alice_inferred_remote == R_H and rec.bob_inferred_remote == R_L:
-            both_ok += 1
-    assert low_side_ok / len(records) >= 0.99
-    assert both_ok / len(records) >= 0.99
+    est = four_ktb / np.mean(np.square(ex.y[:, 0]), axis=1) - R_L  # Alice's end current
+    low_side_ok = np.count_nonzero(np.abs(est - R_H) < np.abs(est - R_L))
+    both_ok = np.count_nonzero((ex.inferred[:, 0] == R_H) & (ex.inferred[:, 1] == R_L))
+    assert low_side_ok / len(est) >= 0.99
+    assert both_ok / len(est) >= 0.99
 
 
 def test_inference_robust_under_attack():
@@ -100,15 +94,11 @@ def test_inference_robust_under_attack():
 
     cfg = harness.SimConfig(n_bits=10, selection_mode="fixed_lh", master_seed=902)
     spec = InjectionSpec(0.1, BW, cfg.master_seed)
-    errors_clean = errors_attacked = 0
     n = 2000
-    for i in range(n):
-        clean = _run(cfg, i)
-        attacked = _run(cfg, i, spec)
-        errors_clean += clean.alice_inferred_remote != R_H or clean.bob_inferred_remote != R_L
-        errors_attacked += (
-            attacked.alice_inferred_remote != R_H or attacked.bob_inferred_remote != R_L
-        )
+    errors_clean, errors_attacked = (
+        np.count_nonzero((ex.inferred[:, 0] != R_H) | (ex.inferred[:, 1] != R_L))
+        for ex in (_run(cfg, n), _run(cfg, n, spec))
+    )
     assert abs(errors_attacked - errors_clean) / n < 0.01
 
 
@@ -122,20 +112,79 @@ def test_discard_rate_near_half():
     n = 10_000
     discards = 0
     for i in range(n):
-        streams = harness.derive_bit_streams(cfg.master_seed, i)
-        alice, bob = protocol.choices_for_bit(cfg, streams)
-        discards += not classify_bit_pair(alice, bob).is_secure
+        discards += not classify_bit_pair(*harness.derive_bit_streams(cfg.master_seed, i)).is_secure
     assert 0.485 <= discards / n <= 0.515
 
 
 def test_fixed_mode_pins_arrangement():
     cfg = harness.SimConfig(selection_mode="fixed_lh")
-    for i in range(20):
-        streams = harness.derive_bit_streams(cfg.master_seed, i)
-        alice, bob = protocol.choices_for_bit(cfg, streams)
-        assert alice.level is BitLevel.LOW and bob.level is BitLevel.HIGH
+    classes, index, choices = harness._classify_chunk(cfg, 0)
+    assert set(classes) == {BitClass.SECURE_LH}
+    assert index.tolist() == list(range(128))
+    assert choices.tolist() == [[R_L, R_H]] * 128
 
 
 def test_decide_remote_resistor_rejects_degenerate():
-    with pytest.raises(InferenceError):
-        decide_remote_resistor(np.zeros(200), np.zeros(200), 1000.0, R_L, R_H, T_EFF, BW)
+    rows = np.ones((3, 200))
+    rows[1] = 0.0
+    for u_ch, i_ch in ((rows, np.ones((3, 200))), (np.ones((3, 200)), rows)):
+        with pytest.raises(InferenceError):
+            decide_remote_resistor(u_ch, i_ch, np.full(3, R_L), R_L, R_H, T_EFF, BW)
+
+
+def _reference_scores(u_ch, i_ch, own_r, candidates, t_eff, bandwidth_hz):
+    """Likelihood score of each candidate for one row, in plain float arithmetic."""
+    msq_u = float(np.mean(np.square(u_ch)))
+    msq_i = float(np.mean(np.square(i_ch)))
+    four_ktb = 4.0 * K_BOLTZMANN * t_eff * bandwidth_hz
+    scores = []
+    for cand in candidates:
+        s_i = four_ktb / (own_r + cand)
+        s_u = four_ktb * (own_r * cand / (own_r + cand))
+        scores.append(-(msq_i / s_i + math.log(s_i)) - (msq_u / s_u + math.log(s_u)))
+    return scores
+
+
+def _decide_reference(u_ch, i_ch, own_r, r_l, r_h, t_eff, bandwidth_hz):
+    """One row's remote resistor: the first candidate with the strictly highest score."""
+    best, best_score = None, -math.inf
+    scores = _reference_scores(u_ch, i_ch, own_r, (r_l, r_h), t_eff, bandwidth_hz)
+    for cand, score in zip((r_l, r_h), scores):
+        if score > best_score:
+            best, best_score = cand, score
+    return best
+
+
+def test_decide_remote_resistor_matches_scalar_reference():
+    rng = np.random.default_rng(31)
+    four_ktb = 4.0 * K_BOLTZMANN * T_EFF * BW
+    own = rng.choice([R_L, R_H], size=300)
+    remote = rng.choice([R_L, R_H], size=300)
+    # rows at each hypothesis' expected levels, so that both answers occur
+    i_ch = rng.standard_normal((300, 200)) * np.sqrt(four_ktb / (own + remote))[:, None]
+    s_u = four_ktb * own * remote / (own + remote)
+    u_ch = rng.standard_normal((300, 200)) * np.sqrt(s_u)[:, None]
+    got = decide_remote_resistor(u_ch, i_ch, own, R_L, R_H, T_EFF, BW)
+    expected = [_decide_reference(*row, R_L, R_H, T_EFF, BW) for row in zip(u_ch, i_ch, own)]
+    assert got.tolist() == expected
+    assert set(expected) == {R_L, R_H}
+
+
+def test_decide_remote_resistor_tie_goes_to_low():
+    # At own_r = 2**60 the candidates 1 and 2 share one current scale (own_r + 1 and
+    # own_r + 2 both round to own_r), so stepping the voltage level by ulps finds
+    # a row whose two scores are exactly equal.
+    own, r_l, r_h = 2.0**60, 1.0, 2.0
+    four_ktb = 4.0 * K_BOLTZMANN * T_EFF * BW
+    i_row = np.array([math.sqrt(four_ktb) * 2.0**-30])  # at the shared current scale
+    level = math.sqrt(four_ktb * 2.0 * math.log(2.0))  # where the two voltage terms balance
+    for k in range(-2000, 2000):
+        u_row = np.array([level * (1.0 + k * 2.0**-52)])
+        low, high = _reference_scores(u_row, i_row, own, (r_l, r_h), T_EFF, BW)
+        if low == high:
+            break
+    else:
+        pytest.fail("no exact tie found")
+    assert _decide_reference(u_row, i_row, own, r_l, r_h, T_EFF, BW) == r_l
+    got = decide_remote_resistor(u_row[None], i_row[None], np.array([own]), r_l, r_h, T_EFF, BW)
+    assert got.tolist() == [r_l]
