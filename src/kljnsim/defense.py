@@ -6,6 +6,10 @@ differ naturally, so the parties instead feed the publicly exchanged end
 voltages into an accurate cable model and compare the simulated end currents
 with the measured ones; a residual above a pre-agreed threshold discards the
 bit.
+
+`detect` works on arrays: residual rows of shape (..., n_traces, t), a whole
+chunk of pairs, arms and ends at once, give each leading index its first
+firing sample (-1 if none) and its peak |residual|, with no per-bit objects.
 """
 from __future__ import annotations
 
@@ -31,47 +35,32 @@ class DetectionConfig:
             raise ConfigError("consecutive_samples must be >= 1")
 
 
-@dataclass
-class DetectionVerdict:
-    attacked: bool
-    first_detection_sample: int | None
-    max_residual: float
-    residual_trace: np.ndarray
+def detect(residuals: np.ndarray, cfg: DetectionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Threshold test on residual rows of shape (..., n_traces, t), one verdict per leading index.
 
-    def __post_init__(self):
-        if self.attacked != (self.first_detection_sample is not None):
-            raise ValueError("attacked verdict must match detection index presence")
-
-    @property
-    def latency_fraction(self) -> float | None:
-        """First firing sample as a fraction of the period (None if clean)."""
-        if self.first_detection_sample is None:
-            return None
-        return self.first_detection_sample / len(self.residual_trace)
-
-
-def _first_run_end(above: np.ndarray, run: int) -> int | None:
-    """Index at which `run` consecutive True values complete, or None."""
-    total = np.concatenate(([0], np.cumsum(above, dtype=np.int64)))
-    hits = np.flatnonzero(total[run:] - total[:-run] == run)
-    return int(hits[0]) + run - 1 if hits.size else None
-
-
-def detect_residuals(residuals: list[np.ndarray], cfg: DetectionConfig) -> DetectionVerdict:
-    """Threshold test over one or more residual traces; earliest firing wins."""
-    first = None
-    max_res = 0.0
-    for r in residuals:
-        max_res = max(max_res, float(np.max(np.abs(r))))
-        idx = _first_run_end(np.abs(r) > cfg.threshold, cfg.consecutive_samples)
-        if idx is not None and (first is None or idx < first):
-            first = idx
-    return DetectionVerdict(
-        attacked=first is not None,
-        first_detection_sample=first,
-        max_residual=max_res,
-        residual_trace=residuals[0],
-    )
+    A trace fires at the sample that completes `cfg.consecutive_samples`
+    consecutive samples with |residual| strictly above the threshold. Returns
+    each row's first firing sample, the earliest over its traces (-1 if none
+    fires), and its peak |residual| over all traces, both of shape (...).
+    """
+    run, t = cfg.consecutive_samples, residuals.shape[-1]
+    # + 0.0 turns a peak of -0.0 (all-zero traces) into 0.0
+    peak = np.maximum(residuals.max(axis=-1), -residuals.min(axis=-1)).max(axis=-1) + 0.0
+    if run > t:  # no trace is long enough to fire
+        return np.full(peak.shape, -1), peak
+    # sign tests rather than np.abs: no float copy of the rows
+    above = residuals > cfg.threshold
+    above |= residuals < -cfg.threshold
+    # fires[..., j]: the `width` samples from j on are all above the threshold. Each
+    # pass widens the window by up to its width, so reaching `run` takes log2(run)
+    # passes, each with one boolean temporary.
+    fires, width = above, 1
+    while width < run:
+        step = min(width, run - width)
+        fires = fires[..., :-step] & fires[..., step:]
+        width += step
+    end = np.where(fires.any(axis=-1), fires.argmax(axis=-1) + run - 1, t).min(axis=-1)
+    return np.where(end < t, end, -1), peak
 
 
 def residual_rows(

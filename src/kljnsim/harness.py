@@ -9,13 +9,15 @@ changes earlier bits, and any partition of the index range across workers
 reproduces the sequential result exactly.
 
 A stream is derived only when it is drawn: every exchange derives its two
-choice streams, a secure one its three noise seeds, and Eve's coin is
-derived only for a correlator tie. Exchanges run in chunks of 128
-consecutive indices, each one array pass from the seeds to the decisions.
+choice streams, a secure one the parties' noise seeds and, when an injection
+is configured, Eve's, and Eve's coin is derived only for a correlator tie.
+Exchanges run in chunks of 128 consecutive indices, each one array pass from
+the seeds to the decisions.
 """
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 import os
 import time
@@ -187,11 +189,11 @@ def derive_bit_streams(master_seed: int, exchange_index: int):
     )
 
 
-def _noise_seeds(master_seed: int, index: np.ndarray) -> np.ndarray:
-    """Alice's, Bob's and Eve's noise seeds for each exchange index, shape (k, 3)."""
-    ids = [_STREAM_IDS[name] for name in ("alice_noise", "bob_noise", "eve_noise")]
+def _noise_seeds(master_seed: int, index: np.ndarray, eve: bool = True) -> np.ndarray:
+    """Alice's, Bob's and, if `eve`, Eve's noise seed of each exchange index, shape (k, 2 + eve)."""
+    ids = [_STREAM_IDS[name] for name in ("alice_noise", "bob_noise", "eve_noise")[: 2 + eve]]
     seeds = [_stream_seed(master_seed, i, s) for i in index.tolist() for s in ids]
-    return np.array(seeds, dtype=np.uint64).reshape(-1, 3)
+    return np.array(seeds, dtype=np.uint64).reshape(-1, len(ids))
 
 
 def _levels(cfg: SimConfig, index: int) -> tuple[protocol.BitLevel, protocol.BitLevel]:
@@ -234,9 +236,8 @@ def _attack_chunk(cfg: SimConfig, start: int):
     """One chunk of the attack cell: its classes, and Eve's and the parties' statistics per
     secure bit."""
     classes, index, choices = _classify_chunk(cfg, start)
-    ex = protocol.run_exchanges(
-        cfg, index, choices, _noise_seeds(cfg.master_seed, index), cfg.injection
-    )
+    seeds = _noise_seeds(cfg.master_seed, index, cfg.injection is not None)
+    ex = protocol.run_exchanges(cfg, index, choices, seeds, cfg.injection)
     rho_a, rho_b, eve_bits = _eavesdrop(cfg, ex)
     return classes, {
         "rho_a": rho_a,
@@ -258,6 +259,11 @@ def _consume_chunks(cfg: SimConfig, chunk_worker, n_secure: int):
     identical to the sequential one. Returns the classes of the exchanges
     consumed, up to the n_secure-th secure one, and the consumed chunks'
     payloads in order; the last may hold secure exchanges past it.
+
+    The last chunk runs in full by design. A (B, m) @ (m, m) product's rows
+    can change in the last ulp with B (for m = 19, 12 of 16 batch sizes
+    differ from B = 16), so trimming it would change its solve batches and
+    with them the bits that an n_bits-independent prefix must keep.
     """
     consumed, payloads = [], []
     found = 0
@@ -389,27 +395,35 @@ def _defense_chunk(cfg: SimConfig, start: int, defense_model=None):
     """One chunk of defense pairs: each secure exchange solved with and without Eve's current.
 
     Per batch of equal loop configuration, the clean and attacked rows are
-    solved in one call and their residuals in one in-site simulation.
+    solved in one call and their residuals in one in-site simulation. Per
+    pair the payload holds the index, the residual rows, shape
+    (2 arms, 2 ends, t) with the clean arm first, the clean channel current
+    RMS and the clean residual RMS over it.
     """
     classes, index, choices = _classify_chunk(cfg, start)
-    drives = protocol.exchange_drives(
-        cfg, choices, _noise_seeds(cfg.master_seed, index), cfg.injection
-    )
+    seeds = _noise_seeds(cfg.master_seed, index, cfg.injection is not None)
+    drives = protocol.exchange_drives(cfg, choices, seeds, cfg.injection)
     fs = cfg.sample_rate_hz
-    residuals_clean = np.empty((len(index), 2, cfg.samples_per_bit))
-    residuals_attacked = np.empty_like(residuals_clean)
-    channel_rms_clean = np.empty(len(index))
+    residuals = np.empty((len(index), 2, 2, cfg.samples_per_bit))
+    channel_rms = np.empty(len(index))
+    clean_ratio = np.empty(len(index))
     # two rows per exchange, so half as many exchanges per batch
     for loop_cfg, positions in protocol.loop_batches(cfg, choices, protocol.BATCH // 2):
         n = len(positions)
         u = np.concatenate([drives[positions], drives[positions]])
         u[:n, 2] = 0.0  # the first n rows are the clean arm
         measured = circuit.solve_rows(u, loop_cfg, 1.0 / fs)
-        residuals = defense.residual_rows(measured, loop_cfg, fs, defense_model)
-        residuals_clean[positions] = residuals[:n]
-        residuals_attacked[positions] = residuals[n:]
-        channel_rms_clean[positions] = np.sqrt(np.mean(np.square(measured[:n, 0]), axis=-1))
-    return classes, (index, residuals_clean, residuals_attacked, channel_rms_clean)
+        arms = defense.residual_rows(measured, loop_cfg, fs, defense_model).reshape(2, n, 2, -1)
+        residuals[positions] = arms.swapaxes(0, 1)
+        channel_rms[positions] = np.sqrt(np.mean(np.square(measured[:n, 0]), axis=-1))
+        clean_rms = np.sqrt(np.mean(np.square(arms[0].reshape(n, -1)), axis=-1))
+        clean_ratio[positions] = clean_rms / channel_rms[positions]
+    return classes, {
+        "index": index,
+        "residuals": residuals,
+        "channel_rms": channel_rms,
+        "clean_ratio": clean_ratio,
+    }
 
 
 @dataclass
@@ -459,63 +473,59 @@ def run_defense_experiment(
         raise ConfigError(
             f"defense experiment needs more than {n_calibration} bits for calibration"
         )
+    t = cfg.samples_per_bit
+    held = 8 * cfg.n_bits * 2 * 2 * t
+    if held > MAX_ARRAY_BYTES:
+        raise ConfigError(
+            f"the defense's held residual rows (n_bits x 2 arms x 2 ends x t) would take "
+            f"{held:.3g} bytes, above the {MAX_ARRAY_BYTES} byte budget "
+            f"(n_bits = {cfg.n_bits}, t = {t} samples per bit)"
+        )
 
     def chunk_worker(c, start):
         return _defense_chunk(c, start, defense_model)
 
-    _, chunks = _consume_chunks(cfg, chunk_worker, cfg.n_bits)
-    # (index, clean residual rows, attacked residual rows, clean channel rms) per pair,
-    # as views into the chunks' arrays: concatenating would copy every residual row
-    pairs = [pair for chunk in chunks for pair in zip(*chunk)][: cfg.n_bits]
-    fs = cfg.sample_rate_hz
+    _, payloads = _consume_chunks(cfg, chunk_worker, cfg.n_bits)
+    # residuals stay per chunk: concatenating would copy every row
+    residuals = [p.pop("residuals") for p in payloads]
+    cols = {name: np.concatenate([p[name] for p in payloads])[: cfg.n_bits] for name in payloads[0]}
+    # residual rows (arm, end, t) of the first n_calibration + 1 pairs: calibration, then the trace
+    *calibration, traced = itertools.islice(itertools.chain(*residuals), n_calibration + 1)
     if cfg.detection is not None:
         det = cfg.detection
     else:
-        pool = [r for _, clean, _, _ in pairs[:n_calibration] for r in clean]
-        reference = float(np.mean([rms for *_, rms in pairs[:n_calibration]]))
+        pool = [row for pair in calibration for row in pair[0]]  # Alice's, then Bob's clean row
         det = defense.calibrate_threshold(
-            pool, cfg.detection_multiplier, cfg.detection_consecutive, reference_rms=reference
+            pool,
+            cfg.detection_multiplier,
+            cfg.detection_consecutive,
+            reference_rms=float(np.mean(cols["channel_rms"][:n_calibration])),
         )
-    rows = []
-    latencies = []
-    n_detected_att = 0
-    n_fp = 0
-    eval_pairs = pairs[n_calibration:]
-    for index, clean, attacked_rows, _ in eval_pairs:
-        for attacked, residual_pair in ((False, clean), (True, attacked_rows)):
-            verdict = defense.detect_residuals(list(residual_pair), det)
-            rows.append(
-                DefenseBitRow(
-                    bit=int(index),
-                    attacked=attacked,
-                    detected=verdict.attacked,
-                    latency_fraction=verdict.latency_fraction,
-                    max_residual=verdict.max_residual,
-                )
-            )
-            if attacked:
-                if verdict.attacked:
-                    n_detected_att += 1
-                    latencies.append(verdict.latency_fraction)
-            elif verdict.attacked:
-                n_fp += 1
-    n_eval = len(eval_pairs)
-    clean_ratio = max(
-        float(np.sqrt(np.mean(np.square(clean.ravel())))) / rms for _, clean, _, rms in eval_pairs
+    # each evaluated pair's first firing sample and peak |residual|, shape (n_eval, 2 arms)
+    first, peak = (
+        np.concatenate(col)[n_calibration : cfg.n_bits]
+        for col in zip(*(defense.detect(r, det) for r in residuals))
     )
-    t = np.arange(cfg.samples_per_bit) / fs
-    _, first_clean, first_attacked, _ = eval_pairs[0]
+    bits = cols["index"][n_calibration:].tolist()
+    rows = [
+        DefenseBitRow(bit, attacked, f >= 0, f / t if f >= 0 else None, p)
+        for bit, firsts, peaks in zip(bits, first.tolist(), peak.tolist())
+        for attacked, f, p in zip((False, True), firsts, peaks)
+    ]
+    n_eval, attacked_first = len(first), first[:, 1]
+    latencies = attacked_first[attacked_first >= 0] / t
+    trace_t = np.arange(t) / cfg.sample_rate_hz
     return DefenseResult(
         rows=rows,
         detection=det,
         n_bits=n_eval,
         n_calibration=n_calibration,
-        detection_rate=n_detected_att / n_eval,
-        false_positive_rate=n_fp / n_eval,
-        median_latency_fraction=float(np.median(latencies)) if latencies else None,
-        clean_residual_ratio=clean_ratio,
-        trace_attacked=(t, first_attacked[0]),
-        trace_clean=(t, first_clean[0]),
+        detection_rate=latencies.size / n_eval,
+        false_positive_rate=int(np.count_nonzero(first[:, 0] >= 0)) / n_eval,
+        median_latency_fraction=float(np.median(latencies)) if latencies.size else None,
+        clean_residual_ratio=float(np.max(cols["clean_ratio"][n_calibration:])),
+        trace_attacked=(trace_t, traced[1, 0]),
+        trace_clean=(trace_t, traced[0, 0]),
         elapsed_s=time.monotonic() - t0,
     )
 
@@ -590,9 +600,8 @@ def run_single_bit(cfg: SimConfig, bit_index: int = 0) -> SingleBitDump:
     """Simulate one exchange, `run_exchanges` on a batch of one, and keep every row."""
     index = np.array([bit_index])
     choices = protocol.resistances([_levels(cfg, bit_index)], cfg.r_l, cfg.r_h)
-    rec = protocol.run_exchanges(
-        cfg, index, choices, _noise_seeds(cfg.master_seed, index), cfg.injection
-    )
+    seeds = _noise_seeds(cfg.master_seed, index, cfg.injection is not None)
+    rec = protocol.run_exchanges(cfg, index, choices, seeds, cfg.injection)
     rho_a, rho_b, eve_bits = _eavesdrop(cfg, rec)
     residuals = None
     if not isinstance(cfg.variant, circuit.Ideal):
@@ -609,7 +618,11 @@ def run_single_bit(cfg: SimConfig, bit_index: int = 0) -> SingleBitDump:
 
 # --- config file parsing ------------------------------------------------------
 
-_VARIANT_NAMES = ("ideal", "cable", "cable_killer")
+_VARIANTS = {
+    "ideal": circuit.Ideal,
+    "cable": circuit.Cable,
+    "cable_killer": circuit.CableWithKiller,
+}
 
 
 def _parse_value(key: str, raw: str, kind):
@@ -626,26 +639,20 @@ def _parse_value(key: str, raw: str, kind):
         raise ConfigError(f"config key '{key}': cannot parse {raw!r}") from exc
 
 
-_CONFIG_SCHEMA = {
-    "r_l": float,
-    "r_h": float,
-    "t_eff": float,
-    "bandwidth_hz": float,
-    "tau_s": float,
-    "sample_rate_hz": float,
-    "n_bits": int,
+# SimConfig's scalar fields are config keys as they stand; its variant, injection
+# and detection objects are written as these five keys.
+_COMPOSITE_KEYS = {
     "variant": str,
     "cable_length_m": float,
     "n_segments": int,
-    "injection_position": float,
     "injection_level": float,
     "detection_threshold": float,
-    "detection_multiplier": float,
-    "detection_consecutive": int,
-    "selection_mode": str,
-    "master_seed": int,
-    "workers": int,
 }
+_CONFIG_SCHEMA = {
+    f.name: {"float": float, "int": int, "str": str}[f.type]
+    for f in fields(SimConfig)
+    if f.type in ("float", "int", "str")
+} | _COMPOSITE_KEYS
 
 
 def parse_config_text(text: str) -> SimConfig:
@@ -662,18 +669,12 @@ def parse_config_text(text: str) -> SimConfig:
         values[key] = _parse_value(key, raw, _CONFIG_SCHEMA[key])
 
     variant_name = values.pop("variant", "ideal")
-    if variant_name not in _VARIANT_NAMES:
+    if variant_name not in _VARIANTS:
         raise ConfigError(
-            f"config key 'variant': must be one of {_VARIANT_NAMES}, got {variant_name!r}"
+            f"config key 'variant': must be one of {tuple(_VARIANTS)}, got {variant_name!r}"
         )
-    length = values.pop("cable_length_m", 1000.0)
-    n_segments = values.pop("n_segments", 10)
-    if variant_name == "ideal":
-        variant = circuit.Ideal()
-    elif variant_name == "cable":
-        variant = circuit.Cable(length, n_segments)
-    else:
-        variant = circuit.CableWithKiller(length, n_segments)
+    cable = values.pop("cable_length_m", 1000.0), values.pop("n_segments", 10)
+    variant = circuit.Ideal() if variant_name == "ideal" else _VARIANTS[variant_name](*cable)
 
     level = values.pop("injection_level", 0.0)
     if level < 0 or level >= 1:
@@ -686,15 +687,9 @@ def parse_config_text(text: str) -> SimConfig:
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
     if level > 0:
-        cfg = replace(
-            cfg,
-            injection=attack.InjectionSpec(level, cfg.bandwidth_hz, cfg.master_seed),
-        )
+        cfg = replace(cfg, injection=attack.InjectionSpec(level, cfg.bandwidth_hz, cfg.master_seed))
     if threshold is not None:
-        cfg = replace(
-            cfg,
-            detection=defense.DetectionConfig(threshold, consecutive),
-        )
+        cfg = replace(cfg, detection=defense.DetectionConfig(threshold, consecutive))
     return cfg
 
 
@@ -705,34 +700,30 @@ def parse_config(path: str) -> SimConfig:
 
 
 def config_to_text(cfg: SimConfig) -> str:
-    """Serialize a config so that parse_config_text round-trips it."""
-    if isinstance(cfg.variant, circuit.Ideal):
-        vname, length, nseg = "ideal", 1000.0, 10
-    else:
-        vname = "cable_killer" if isinstance(cfg.variant, circuit.CableWithKiller) else "cable"
-        length, nseg = cfg.variant.length_m, cfg.variant.n_segments
-    lines = [
-        f"r_l = {cfg.r_l!r}",
-        f"r_h = {cfg.r_h!r}",
-        f"t_eff = {cfg.t_eff!r}",
-        f"bandwidth_hz = {cfg.bandwidth_hz!r}",
-        f"tau_s = {cfg.tau_s!r}",
-        f"sample_rate_hz = {cfg.sample_rate_hz!r}",
-        f"n_bits = {cfg.n_bits}",
-        f"variant = {vname}",
-        f"cable_length_m = {length!r}",
-        f"n_segments = {nseg}",
-        f"injection_position = {cfg.injection_position!r}",
-        f"injection_level = {cfg.injection.level_fraction!r}" if cfg.injection else "injection_level = 0.0",
-        f"detection_multiplier = {cfg.detection_multiplier!r}",
-        f"detection_consecutive = {cfg.detection_consecutive}",
-        f"selection_mode = {cfg.selection_mode}",
-        f"master_seed = {cfg.master_seed}",
-        f"workers = {cfg.workers}",
-    ]
+    """Serialize a config so that parse_config_text round-trips it.
+
+    Keys follow SimConfig's fields, each object's composite keys in its
+    field's place, except detection_threshold: last, and only when set.
+    """
+    kind = {cls: name for name, cls in _VARIANTS.items()}[type(cfg.variant)]
+    composite = {
+        "variant": {
+            "variant": kind,
+            "cable_length_m": getattr(cfg.variant, "length_m", 1000.0),
+            "n_segments": getattr(cfg.variant, "n_segments", 10),
+        },
+        "injection": {"injection_level": cfg.injection.level_fraction if cfg.injection else 0.0},
+        "detection": {},
+    }
+    values = {}
+    for f in fields(SimConfig):
+        values.update(composite.get(f.name, {f.name: getattr(cfg, f.name)}))
     if cfg.detection is not None:
-        lines.append(f"detection_threshold = {cfg.detection.threshold!r}")
-    return "\n".join(lines) + "\n"
+        values["detection_threshold"] = cfg.detection.threshold
+    return "".join(
+        f"{key} = {repr(value) if _CONFIG_SCHEMA[key] is float else value}\n"
+        for key, value in values.items()
+    )
 
 
 # --- report writing -----------------------------------------------------------

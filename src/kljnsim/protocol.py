@@ -138,7 +138,7 @@ def exchange_drives(
     """Drive rows (u_a, u_b, i_inj) of k exchanges, shape (k, 3, t).
 
     `noise_seeds` holds each exchange's (Alice, Bob, Eve) noise seeds, shape
-    (k, 3). Each party's generator is scaled to the thermal RMS of its
+    (k, 3), or (k, 2) without an attack. Each party's generator is scaled to the thermal RMS of its
     resistor; one synthesis call makes all 2k generator rows. A second makes
     the k rows of the injected current, at the requested fraction of the
     nominal secure-state loop current; without an attack those rows are zero.

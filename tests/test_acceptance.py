@@ -133,9 +133,9 @@ def test_criterion_4_defense_efficacy(defense_run, base_cfg):
         thr = math.sqrt(float(np.mean(np.square(i_inj))))
         # ideal wire: the residual is the instantaneous comparison i_cha - i_chb
         residuals = defense.residual_rows(ex.y[k : k + 1], loop_cfg, ideal_lh.sample_rate_hz)[0]
-        verdict = defense.detect_residuals(list(residuals), defense.DetectionConfig(thr))
+        first, _ = defense.detect(residuals, defense.DetectionConfig(thr))
         expected = int(np.flatnonzero(np.abs(i_inj) > thr)[0])
-        first_crossing_ok &= verdict.first_detection_sample == expected
+        first_crossing_ok &= int(first) == expected
     checks.append(first_crossing_ok)
     detail = (
         f"rate={d.detection_rate:.4f} fp={d.false_positive_rate:.4f} "

@@ -85,6 +85,23 @@ def test_bad_config_key_exits_2(tmp_path):
     assert cli.main(["privacy", "--bits", "3", "--out", str(tmp_path / "o")]) == 2
 
 
+def test_defense_residual_budget_exits_2(tmp_path, capsys):
+    # 10000 pairs x 2 arms x 2 ends x 20000 samples x 8 bytes = 6.4 GB of held residual rows,
+    # though each chunk's arrays fit the budget; rejected before the first chunk runs
+    cfg = _cfg_file(tmp_path, "n_bits = 10000\ntau_s = 10\nvariant = cable\n")
+    assert cli.main(["defense", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "held residual rows" in capsys.readouterr().err
+
+
+def test_defense_run_longer_than_the_period_never_fires(tmp_path):
+    cfg = _cfg_file(tmp_path, "n_bits = 24\ndetection_consecutive = 201\n")  # t = 200
+    out = tmp_path / "out"
+    assert cli.main(["defense", "--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "defense.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 * 4
+    assert all(row.split(",")[2:4] == ["0", ""] for row in rows)
+
+
 def test_missing_config_file_exits_3(tmp_path):
     code = cli.main(["table1", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path)])
     assert code == 3

@@ -10,14 +10,7 @@ from hypothesis import strategies as st
 from kljnsim import circuit, harness, protocol
 from kljnsim.attack import InjectionSpec, reference_rms_channel_current
 from kljnsim.circuit import Cable, CableWithKiller, LoopConfig
-from kljnsim.defense import (
-    DetectionConfig,
-    DetectionVerdict,
-    calibrate_threshold,
-    detect_residuals,
-    _first_run_end,
-    residual_rows,
-)
+from kljnsim.defense import DetectionConfig, calibrate_threshold, detect, residual_rows
 from kljnsim.exceptions import ConfigError
 from kljnsim.noise import synth_band_limited_gaussian
 
@@ -51,16 +44,17 @@ def _residuals(y, loop_cfg):
 
 
 def _verdict(y, loop_cfg, det):
-    return detect_residuals(list(_residuals(y, loop_cfg)), det)
+    """First firing sample (-1 if none) and peak |residual| of one exchange's two residual rows."""
+    first, peak = detect(_residuals(y, loop_cfg), det)
+    return int(first), float(peak)
 
 
 def test_ideal_comparison_clean_loop_is_silent():
     out, _ = _ideal_signals(60)
     cfg = DetectionConfig(threshold=1e-12)
-    verdict = _verdict(out, LoopConfig(R_L, R_H), cfg)
-    assert not verdict.attacked
-    assert verdict.first_detection_sample is None
-    assert verdict.max_residual < 1e-16
+    first, peak = _verdict(out, LoopConfig(R_L, R_H), cfg)
+    assert first == -1
+    assert peak < 1e-16
 
 
 def test_ideal_comparison_residual_is_the_injected_current():
@@ -69,19 +63,17 @@ def test_ideal_comparison_residual_is_the_injected_current():
     res_a, res_b = _residuals(out, LoopConfig(R_L, R_H))
     np.testing.assert_allclose(res_a, inj, rtol=0, atol=1e-16)
     assert np.all(res_b == 0.0)
-    verdict = detect_residuals([res_a, res_b], cfg)
-    assert np.array_equal(verdict.residual_trace, res_a)
+    first, _ = detect(np.stack([res_a, res_b]), cfg)
     # oracle: first sample where the injected current magnitude crosses
     expected_first = int(np.flatnonzero(np.abs(inj) > cfg.threshold)[0])
-    assert verdict.attacked
-    assert verdict.first_detection_sample == expected_first
+    assert first == expected_first
 
 
 def test_ideal_comparison_miss_when_threshold_above_peak():
     out, inj = _ideal_signals(62, level=0.1)
     cfg = DetectionConfig(threshold=2.0 * float(np.max(np.abs(inj))))
-    verdict = _verdict(out, LoopConfig(R_L, R_H), cfg)
-    assert not verdict.attacked
+    first, _ = _verdict(out, LoopConfig(R_L, R_H), cfg)
+    assert first == -1
 
 
 def test_detection_config_validation():
@@ -89,16 +81,6 @@ def test_detection_config_validation():
         DetectionConfig(threshold=0.0)
     with pytest.raises(ConfigError):
         DetectionConfig(threshold=1.0, consecutive_samples=0)
-
-
-def test_verdict_consistency_enforced():
-    with pytest.raises(ValueError):
-        DetectionVerdict(
-            attacked=True,
-            first_detection_sample=None,
-            max_residual=0.0,
-            residual_trace=np.zeros(4),
-        )
 
 
 _Record = namedtuple("_Record", "u y loop_cfg")  # one exchange's drive and solved rows
@@ -174,18 +156,18 @@ def test_model_based_detect_trivial_equality():
     model = circuit.model_for_variant(cfg.variant)
     measured = rec.y.copy()
     measured[:2] = circuit.transient_solver(model, None, 1.0 / FS).solve(rec.y[None, 2:])[0]
-    verdict = _verdict(measured, rec.loop_cfg, DetectionConfig(threshold=1e-9))
-    assert not verdict.attacked
-    assert verdict.max_residual == 0.0
+    first, peak = _verdict(measured, rec.loop_cfg, DetectionConfig(threshold=1e-9))
+    assert first == -1
+    assert peak == 0.0
     measured[1] = -measured[1]
-    assert _verdict(measured, rec.loop_cfg, DetectionConfig(threshold=1e-9)).attacked
+    assert _verdict(measured, rec.loop_cfg, DetectionConfig(threshold=1e-9))[0] >= 0
 
 
 def test_model_based_detect_fires_fast_under_attack():
     cfg, rec = _cable_records(74, 0.1)
-    verdict = _verdict(rec.y, rec.loop_cfg, DetectionConfig(threshold=3.2e-13))
-    assert verdict.attacked
-    assert verdict.latency_fraction <= 0.01
+    first, _ = _verdict(rec.y, rec.loop_cfg, DetectionConfig(threshold=3.2e-13))
+    assert first >= 0
+    assert first / rec.y.shape[-1] <= 0.01
 
 
 def test_detection_power_ordering_at_fixed_threshold():
@@ -196,7 +178,7 @@ def test_detection_power_ordering_at_fixed_threshold():
         n = 20
         for k in range(n):
             cfg, rec = _cable_records(200 + k, level)
-            detected += _verdict(rec.y, rec.loop_cfg, det).attacked
+            detected += _verdict(rec.y, rec.loop_cfg, det)[0] >= 0
         rates.append(detected / n)
     assert rates[0] >= rates[1] >= rates[2]
     assert rates[0] > rates[2]
@@ -227,14 +209,14 @@ def test_consecutive_sample_requirement():
     residual = np.zeros(50)
     residual[10] = 1.0  # isolated spike
     residual[20:23] = 1.0  # sustained crossing
-    det1 = detect_residuals([residual], DetectionConfig(0.5, 1))
-    det3 = detect_residuals([residual], DetectionConfig(0.5, 3))
-    assert det1.first_detection_sample == 10
-    assert det3.first_detection_sample == 22
+    first1, _ = detect(residual[None], DetectionConfig(0.5, 1))
+    first3, _ = detect(residual[None], DetectionConfig(0.5, 3))
+    assert first1 == 10
+    assert first3 == 22
 
 
 def _first_run_end_loop(above, run):
-    """The per-sample loop that `_first_run_end` replaced: the oracle."""
+    """The per-sample loop that the detector's run test replaced: the oracle."""
     count = 0
     for i, flag in enumerate(above):
         count = count + 1 if flag else 0
@@ -243,13 +225,37 @@ def _first_run_end_loop(above, run):
     return None
 
 
-@given(above=st.lists(st.booleans(), max_size=64), run=st.integers(1, 72))
-@example(above=[], run=1)
-@example(above=[False] * 20, run=1)
-@example(above=[False] * 20, run=4)
-@example(above=[True] * 20, run=1)
-@example(above=[True] * 20, run=20)
-@example(above=[True] * 20, run=21)
+@st.composite
+def _residual_cases(draw):
+    """Residual rows of shape (k, n_traces, t) around a threshold of 1, and a run length."""
+    k, n, t = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 24))
+    # +-1.0 sit exactly on the threshold, which the strict test does not count
+    values = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    flat = draw(st.lists(values, min_size=k * n * t, max_size=k * n * t))
+    return np.array(flat).reshape(k, n, t), draw(st.integers(1, t + 8))
+
+
+@given(case=_residual_cases())
+@example(case=(np.array([[[0.5, 1.0, -1.0, 0.0]]]), 1))  # on the threshold: never fires
+@example(case=(np.zeros((2, 2, 5)), 1))  # never fires, peak 0.0
+@example(case=(np.full((1, 2, 4), -0.0), 1))  # peak 0.0, not -0.0
+@example(  # traces that fire at different samples, the later one first
+    case=(np.array([[[0, 0, 0, 2, 2], [0, -2, -2, 0, 0]], [[2, 0, 0, 0, 0], [0, 0, 0, 0, 2]]]), 1)
+)
+@example(
+    case=(np.array([[[0, 0, 0, 2, 2], [0, -2, -2, 0, 0]], [[2, 0, 0, 0, 0], [0, 0, 0, 0, 2]]]), 2)
+)
+@example(case=(np.full((2, 2, 3), 2.0), 3))  # the run fills the trace
+@example(case=(np.full((2, 2, 3), 2.0), 4))  # a run longer than the trace never fires
+@example(case=(np.full((1, 1, 1), 2.0), 9))
 @settings(max_examples=300, deadline=None)
-def test_first_run_end_matches_loop(above, run):
-    assert _first_run_end(np.array(above, dtype=bool), run) == _first_run_end_loop(above, run)
+def test_detect_matches_loop(case):
+    residuals, run = case
+    first, peak = detect(residuals, DetectionConfig(1.0, run))
+    assert first.shape == peak.shape == residuals.shape[:1]
+    for row, row_first, row_peak in zip(residuals, first.tolist(), peak.tolist()):
+        ends = [_first_run_end_loop(np.abs(trace) > 1.0, run) for trace in row]
+        fired = [end for end in ends if end is not None]
+        assert row_first == (min(fired) if fired else -1)
+        assert row_peak == max(float(np.max(np.abs(trace))) for trace in row)
+    assert not np.signbit(peak).any()

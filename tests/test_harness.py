@@ -257,8 +257,9 @@ def _count_pipeline_calls(monkeypatch):
     ],
 )
 def test_each_exchange_is_derived_and_synthesized_once(monkeypatch, run, level, per_secure):
-    """A discard derives streams 0 and 1 only, a secure exchange also 2-4, and the coin
-    (stream 5) is derived only on a correlator tie, which zero injection always is."""
+    """A discard derives streams 0 and 1 only, a secure exchange also 2 and 3, and 4 when
+    an injection is configured; the coin (stream 5) is derived only on a correlator tie,
+    which zero injection always is."""
     derived, synths = _count_pipeline_calls(monkeypatch)
     cfg = harness._cell_config(_tiny_cfg(n_bits=30), circuit.Cable(100.0, 10), level)
     run(cfg)
@@ -267,8 +268,9 @@ def test_each_exchange_is_derived_and_synthesized_once(monkeypatch, run, level, 
     assert set(derived.values()) == {1}
     secure = [i for i in indices if _is_secure(cfg.master_seed, i)]
     coin = secure if run is harness.run_attack_cell and level == 0.0 else []
+    noise = {2, 3, 4} if level > 0 else {2, 3}
     for i in indices:
-        expected = {0, 1} | ({2, 3, 4} if i in secure else set()) | ({5} if i in coin else set())
+        expected = {0, 1} | (noise if i in secure else set()) | ({5} if i in coin else set())
         assert {stream for index, stream in derived if index == i} == expected, i
     assert synths["rows"] == per_secure * len(secure)
     assert synths["calls"] <= 2 * len(indices) // 128
