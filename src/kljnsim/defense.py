@@ -26,7 +26,6 @@ from .exceptions import ConfigError
 class DetectionConfig:
     threshold: float
     consecutive_samples: int = 1
-    calibration_rms: float | None = None
 
     def __post_init__(self):
         if self.threshold <= 0:
@@ -121,8 +120,4 @@ def calibrate_threshold(
         threshold = max(threshold, NUMERICAL_FLOOR_FRACTION * reference_rms)
     if threshold == 0.0:
         threshold = np.finfo(np.float64).tiny
-    return DetectionConfig(
-        threshold=threshold,
-        consecutive_samples=consecutive_samples,
-        calibration_rms=residual_rms,
-    )
+    return DetectionConfig(threshold=threshold, consecutive_samples=consecutive_samples)

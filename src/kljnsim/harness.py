@@ -12,7 +12,9 @@ A stream is derived only when it is drawn: every exchange derives its two
 choice streams, a secure one the parties' noise seeds and, when an injection
 is configured, Eve's, and Eve's coin is derived only for a correlator tie.
 Exchanges run in chunks of 128 consecutive indices, each one array pass from
-the seeds to the decisions.
+the seeds to the decisions. A chunk's choice draws form one (128, 2) array of
+which party holds r_h; its mixed rows are the chunk's secure mask, and a run
+ends at the n-th secure exchange, found by a cumulative sum over the masks.
 """
 from __future__ import annotations
 
@@ -34,6 +36,10 @@ _CHUNK = 128  # fixed chunk size keeps worker partitioning deterministic
 # Largest single array a run may allocate. The size check in SimConfig
 # predicts it from the shapes, so a config past it exits before allocating.
 MAX_ARRAY_BYTES = 2**30
+
+# Largest clean residual RMS, relative to the channel current RMS, that the
+# defense's in-site simulation must reach (acceptance criterion 5).
+MAX_CLEAN_RESIDUAL_RATIO = 1e-6
 
 _STREAM_IDS = {
     "alice_choice": 0,
@@ -179,13 +185,11 @@ def _stream_seed(master_seed: int, exchange_index: int, stream_id: int) -> int:
     return int(_stream_seq(master_seed, exchange_index, stream_id).generate_state(1, np.uint64)[0])
 
 
-def derive_bit_streams(master_seed: int, exchange_index: int):
-    """Alice's and Bob's choice draws of one exchange, as BitLevels, from streams 0 and 1."""
+def derive_bit_streams(master_seed: int, exchange_index: int) -> tuple[int, int]:
+    """Alice's and Bob's choice draws of one exchange from streams 0 and 1; 1 picks r_h."""
     return tuple(
-        protocol.select_bit(
-            np.random.default_rng(_stream_seq(master_seed, exchange_index, _STREAM_IDS[name]))
-        )
-        for name in ("alice_choice", "bob_choice")
+        int(np.random.default_rng(_stream_seq(master_seed, exchange_index, stream)).integers(0, 2))
+        for stream in (_STREAM_IDS["alice_choice"], _STREAM_IDS["bob_choice"])
     )
 
 
@@ -196,11 +200,14 @@ def _noise_seeds(master_seed: int, index: np.ndarray, eve: bool = True) -> np.nd
     return np.array(seeds, dtype=np.uint64).reshape(-1, len(ids))
 
 
-def _levels(cfg: SimConfig, index: int) -> tuple[protocol.BitLevel, protocol.BitLevel]:
-    """Both parties' resistor levels at one exchange; `fixed_lh` draws nothing."""
+def _holds_r_h(cfg: SimConfig, indices) -> np.ndarray:
+    """Whether Alice and Bob hold r_h at each of k exchanges, shape (k, 2).
+
+    `fixed_lh` draws nothing: Alice holds r_l and Bob r_h.
+    """
     if cfg.selection_mode == "fixed_lh":
-        return protocol.BitLevel.LOW, protocol.BitLevel.HIGH
-    return derive_bit_streams(cfg.master_seed, index)
+        return np.tile([False, True], (len(indices), 1))
+    return np.array([derive_bit_streams(cfg.master_seed, i) for i in indices], dtype=bool)
 
 
 def _eavesdrop(cfg: SimConfig, ex: protocol.Exchanges):
@@ -220,26 +227,27 @@ def _eavesdrop(cfg: SimConfig, ex: protocol.Exchanges):
 
 
 def _classify_chunk(cfg: SimConfig, start: int):
-    """Each exchange of the chunk at `start`: its class, and the secure ones' inputs.
+    """The chunk at `start` as arrays: which exchanges are secure, and the secure ones' inputs.
 
-    Returns the chunk's 128 classes in index order and, for the secure
-    exchanges only, their indices and (Alice, Bob) resistances, shape (k, 2).
+    Returns the chunk's (128,) secure mask in index order and, for the secure
+    exchanges only, their indices, their key bits (1 when Alice holds r_h)
+    and their (Alice, Bob) resistances, shape (k, 2).
     """
-    levels = [_levels(cfg, index) for index in range(start, start + _CHUNK)]
-    classes = [protocol.classify_bit_pair(*pair) for pair in levels]
-    secure = [pos for pos, cls in enumerate(classes) if cls.is_secure]
-    choices = protocol.resistances([levels[pos] for pos in secure], cfg.r_l, cfg.r_h)
-    return classes, start + np.array(secure, dtype=np.int64), choices
+    high = _holds_r_h(cfg, range(start, start + _CHUNK))
+    secure = high[:, 0] != high[:, 1]
+    index = start + np.flatnonzero(secure)
+    return secure, index, high[secure, 0].astype(np.uint8), np.where(high[secure], cfg.r_h, cfg.r_l)
 
 
 def _attack_chunk(cfg: SimConfig, start: int):
-    """One chunk of the attack cell: its classes, and Eve's and the parties' statistics per
-    secure bit."""
-    classes, index, choices = _classify_chunk(cfg, start)
+    """One chunk of the attack cell: its secure mask, and the key bits and Eve's and the
+    parties' statistics per secure bit."""
+    secure, index, key_bits, choices = _classify_chunk(cfg, start)
     seeds = _noise_seeds(cfg.master_seed, index, cfg.injection is not None)
     ex = protocol.run_exchanges(cfg, index, choices, seeds, cfg.injection)
     rho_a, rho_b, eve_bits = _eavesdrop(cfg, ex)
-    return classes, {
+    return secure, {
+        "key_bits": key_bits,
         "rho_a": rho_a,
         "rho_b": rho_b,
         "eve_bits": eve_bits,
@@ -252,32 +260,33 @@ def _attack_chunk(cfg: SimConfig, start: int):
 def _consume_chunks(cfg: SimConfig, chunk_worker, n_secure: int):
     """Run `chunk_worker(cfg, start)` over 128-exchange chunks until n_secure secure bits are in.
 
-    A chunk worker returns (classes, payload): the BitClass of each exchange
-    of its chunk, and what it computed for the chunk's secure exchanges.
-    Chunks are processed strictly in index order; with several workers the
-    chunks are evaluated concurrently but consumed in order, so the result is
-    identical to the sequential one. Returns the classes of the exchanges
-    consumed, up to the n_secure-th secure one, and the consumed chunks'
-    payloads in order; the last may hold secure exchanges past it.
+    A chunk worker returns (secure, payload): its chunk's (128,) secure mask,
+    and what it computed for the chunk's secure exchanges. Chunks are
+    processed strictly in index order; with several workers the chunks are
+    evaluated concurrently but consumed in order, so the result is identical
+    to the sequential one. The n_secure-th secure exchange is found by a
+    cumulative sum over the masks. Returns the number of exchanges consumed,
+    up to and including that one, and the consumed chunks' payloads in order;
+    the last may hold secure exchanges past it.
 
     The last chunk runs in full by design. A (B, m) @ (m, m) product's rows
     can change in the last ulp with B (for m = 19, 12 of 16 batch sizes
     differ from B = 16), so trimming it would change its solve batches and
     with them the bits that an n_bits-independent prefix must keep.
     """
-    consumed, payloads = [], []
-    found = 0
+    payloads = []
+    consumed = found = 0
 
     def consume(result):
-        nonlocal found
-        classes, payload = result
+        nonlocal consumed, found
+        secure, payload = result
         payloads.append(payload)
-        for cls in classes:
-            consumed.append(cls)
-            found += cls.is_secure
-            if found == n_secure:
-                return True
-        return False
+        counts = found + np.cumsum(secure)
+        if counts[-1] < n_secure:
+            consumed, found = consumed + len(secure), int(counts[-1])
+            return False
+        consumed += int(np.searchsorted(counts, n_secure)) + 1
+        return True
 
     if cfg.workers == 1:
         start = 0
@@ -322,29 +331,29 @@ class CellResult:
 
 def run_attack_cell(cfg: SimConfig) -> CellResult:
     """Accumulate cfg.n_bits secure exchanges and Eve's statistics over them."""
-    classes, payloads = _consume_chunks(cfg, _attack_chunk, cfg.n_bits)
+    n_exchanges, payloads = _consume_chunks(cfg, _attack_chunk, cfg.n_bits)
     cols = {
         name: np.concatenate([p[name] for p in payloads])[: cfg.n_bits] for name in payloads[0]
     }
-    secure = [cls for cls in classes if cls.is_secure]
-    key_bits = np.array([cls.key_bit for cls in secure], dtype=np.uint8)
+    key_bits = cols["key_bits"]
     q = (cols["eve_bits"] == key_bits).astype(np.int8)
     p_e, stderr = attack.success_probability(q)
+    classes = (protocol.BitClass.SECURE_LH, protocol.BitClass.SECURE_HL)
     return CellResult(
         variant_lbl=variant_label(cfg.variant),
         level=cfg.injection.level_fraction if cfg.injection else 0.0,
-        n=len(secure),
+        n=len(key_bits),
         p_e=p_e,
         stderr=stderr,
         honest_error_rate=1.0 - np.mean(cols["honest_ok"]),
-        n_exchanges=len(classes),
-        n_discarded=len(classes) - len(secure),
+        n_exchanges=n_exchanges,
+        n_discarded=n_exchanges - len(key_bits),
         q=q,
         rho_a=cols["rho_a"],
         rho_b=cols["rho_b"],
         key_bits=key_bits,
         eve_bits=cols["eve_bits"],
-        classifications=secure,
+        classifications=[classes[bit] for bit in key_bits.tolist()],
         msq_u_a=cols["msq_u_a"],
         msq_i_a=cols["msq_i_a"],
     )
@@ -400,7 +409,7 @@ def _defense_chunk(cfg: SimConfig, start: int, defense_model=None):
     (2 arms, 2 ends, t) with the clean arm first, the clean channel current
     RMS and the clean residual RMS over it.
     """
-    classes, index, choices = _classify_chunk(cfg, start)
+    secure, index, _, choices = _classify_chunk(cfg, start)
     seeds = _noise_seeds(cfg.master_seed, index, cfg.injection is not None)
     drives = protocol.exchange_drives(cfg, choices, seeds, cfg.injection)
     fs = cfg.sample_rate_hz
@@ -418,7 +427,7 @@ def _defense_chunk(cfg: SimConfig, start: int, defense_model=None):
         channel_rms[positions] = np.sqrt(np.mean(np.square(measured[:n, 0]), axis=-1))
         clean_rms = np.sqrt(np.mean(np.square(arms[0].reshape(n, -1)), axis=-1))
         clean_ratio[positions] = clean_rms / channel_rms[positions]
-    return classes, {
+    return secure, {
         "index": index,
         "residuals": residuals,
         "channel_rms": channel_rms,
@@ -481,6 +490,21 @@ def run_defense_experiment(
             f"{held:.3g} bytes, above the {MAX_ARRAY_BYTES} byte budget "
             f"(n_bits = {cfg.n_bits}, t = {t} samples per bit)"
         )
+    if not isinstance(cfg.variant, circuit.Ideal):
+        # The in-site simulation takes a cable current as a voltage difference over a
+        # branch's resistance, so its roundoff is about eps x r_h's generator voltage over
+        # that resistance. Over the reference loop current that reads eps x
+        # sqrt(r_h (r_l + r_h)) / R_branch; a sweep of length, segments and resistor pairs
+        # measured at most 4.7 times this, hence the margin of 8.
+        model = defense_model or circuit.model_for_variant(cfg.variant, cfg.bandwidth_hz)
+        r_branch = model.total_series_resistance / (1 if model.killer_enabled else model.n_segments)
+        floor = 8 * np.finfo(float).eps * math.sqrt(cfg.r_h * (cfg.r_l + cfg.r_h)) / r_branch
+        if floor > MAX_CLEAN_RESIDUAL_RATIO:
+            raise ConfigError(
+                f"the defense's clean residuals would read up to {floor:.3g} of the channel "
+                f"current, above {MAX_CLEAN_RESIDUAL_RATIO:g}: the cable's branch resistance of "
+                f"{r_branch:.3g} ohm is too small for the in-site simulation's roundoff"
+            )
 
     def chunk_worker(c, start):
         return _defense_chunk(c, start, defense_model)
@@ -565,8 +589,8 @@ def run_privacy_experiment(cfg: SimConfig, passes: int = 2) -> PrivacyResult:
             injection=attack.InjectionSpec(0.1, cfg.bandwidth_hz, cfg.master_seed),
         )
     cell = run_attack_cell(cfg)
-    true_key = privacy.KeyBits(cell.key_bits, privacy.PROVENANCE_TRUE)
-    eve_key = privacy.KeyBits(cell.eve_bits, privacy.PROVENANCE_EVE)
+    true_key = privacy.KeyBits(cell.key_bits)
+    eve_key = privacy.KeyBits(cell.eve_bits)
     stages = [PrivacyStage(0, cell.p_e, cell.stderr, cell.n)]
     for k in range(1, passes + 1):
         p_k = privacy.eve_success_after_amplification(true_key, eve_key, k)
@@ -599,7 +623,7 @@ class SingleBitDump:
 def run_single_bit(cfg: SimConfig, bit_index: int = 0) -> SingleBitDump:
     """Simulate one exchange, `run_exchanges` on a batch of one, and keep every row."""
     index = np.array([bit_index])
-    choices = protocol.resistances([_levels(cfg, bit_index)], cfg.r_l, cfg.r_h)
+    choices = np.where(_holds_r_h(cfg, [bit_index]), cfg.r_h, cfg.r_l)
     seeds = _noise_seeds(cfg.master_seed, index, cfg.injection is not None)
     rec = protocol.run_exchanges(cfg, index, choices, seeds, cfg.injection)
     rho_a, rho_b, eve_bits = _eavesdrop(cfg, rec)
@@ -849,12 +873,11 @@ def write_report(report: ExperimentReport, out_dir: str) -> list[str]:
         _write_csv(path, header, zip(*cols))
         written.append(path)
         r_a, r_b = rec.choices[0].tolist()
-        low, high = protocol.BitLevel.LOW, protocol.BitLevel.HIGH
-        levels = [low if r == report.config.r_l else high for r in (r_a, r_b)]
+        a, b = ("low" if r == report.config.r_l else "high" for r in (r_a, r_b))
+        kind = "discard" if a == b else "secure"
         summary += [
             "single bit dump:",
-            f"  alice {levels[0].value} ({r_a:g} ohm), bob {levels[1].value} ({r_b:g} ohm) "
-            f"-> {protocol.classify_bit_pair(*levels).value}",
+            f"  alice {a} ({r_a:g} ohm), bob {b} ({r_b:g} ohm) -> {kind}_{a[0]}{b[0]}",
             f"  alice inferred remote: {rec.inferred[0, 0]:g} ohm; "
             f"bob inferred remote: {rec.inferred[0, 1]:g} ohm",
             f"  eve: rho_a = {s.rho_a:.4e}, rho_b = {s.rho_b:.4e}, guess {s.eve_guess.value}",

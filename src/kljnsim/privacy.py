@@ -13,14 +13,10 @@ import numpy as np
 
 from .exceptions import ShapeMismatchError
 
-PROVENANCE_TRUE = "true"
-PROVENANCE_EVE = "eve_guess"
-
 
 @dataclass
 class KeyBits:
     bits: np.ndarray
-    provenance: str = PROVENANCE_TRUE
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits, dtype=np.uint8)
@@ -28,8 +24,6 @@ class KeyBits:
             raise ValueError("a key must be a non-empty 1-d bit sequence")
         if np.any(self.bits > 1):
             raise ValueError("key bits must be 0 or 1")
-        if self.provenance not in (PROVENANCE_TRUE, PROVENANCE_EVE):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
     def __len__(self) -> int:
         return self.bits.size
@@ -42,7 +36,7 @@ def xor_compress(key: KeyBits) -> KeyBits:
         raise ValueError("xor compression needs at least two bits")
     m = n // 2
     out = key.bits[: 2 * m : 2] ^ key.bits[1 : 2 * m : 2]
-    return KeyBits(out, key.provenance)
+    return KeyBits(out)
 
 
 def predicted_leak_after_xor(p: float) -> float:

@@ -14,8 +14,8 @@ holding the high resistor, so using both keeps the bit error rate negligible
 at the default period of 25 band cycles.
 
 Exchanges are simulated k at a time as arrays: `choices` holds each
-exchange's (Alice, Bob) resistances, shape (k, 2), and every signal is a
-(k, ..., t) array of sample rows.
+exchange's (Alice, Bob) resistances, shape (k, 2), as `harness` drew them,
+and every signal is a (k, ..., t) array of sample rows.
 """
 from __future__ import annotations
 
@@ -36,27 +36,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .harness import SimConfig
 
 
-class BitLevel(enum.Enum):
-    LOW = "low"
-    HIGH = "high"
-
-
 class BitClass(enum.Enum):
+    """A secure exchange's (Alice, Bob) resistors, low-high or high-low: key bit 0 or 1."""
+
     SECURE_LH = "secure_lh"
     SECURE_HL = "secure_hl"
-    DISCARD_HH = "discard_hh"
-    DISCARD_LL = "discard_ll"
-
-    @property
-    def is_secure(self) -> bool:
-        return self in (BitClass.SECURE_LH, BitClass.SECURE_HL)
-
-    @property
-    def key_bit(self) -> int:
-        """Shared key bit for a secure exchange: LH -> 0, HL -> 1."""
-        if not self.is_secure:
-            raise ValueError(f"{self} carries no key bit")
-        return 0 if self is BitClass.SECURE_LH else 1
 
 
 @dataclass
@@ -68,23 +52,6 @@ class Exchanges:
     u: np.ndarray  # drive rows (u_a, u_b, i_inj), shape (k, 3, t)
     y: np.ndarray  # solved rows (i_cha, i_chb, u_cha, u_chb), Loop convention, shape (k, 4, t)
     inferred: np.ndarray  # remote resistance inferred by (Alice, Bob), shape (k, 2)
-
-
-def select_bit(rng: np.random.Generator) -> BitLevel:
-    """Draw Low or High with equal probability from the caller's stream."""
-    return BitLevel.LOW if rng.integers(0, 2) == 0 else BitLevel.HIGH
-
-
-def classify_bit_pair(alice: BitLevel, bob: BitLevel) -> BitClass:
-    if alice is BitLevel.LOW:
-        return BitClass.SECURE_LH if bob is BitLevel.HIGH else BitClass.DISCARD_LL
-    return BitClass.DISCARD_HH if bob is BitLevel.HIGH else BitClass.SECURE_HL
-
-
-def resistances(levels, r_l: float, r_h: float) -> np.ndarray:
-    """Alice's and Bob's resistances, shape (k, 2), for k (alice, bob) level pairs."""
-    high = np.array([[level is BitLevel.HIGH for level in pair] for pair in levels], dtype=bool)
-    return np.where(high.reshape(-1, 2), r_h, r_l)
 
 
 def likelihood_scales(four_ktb: float, own_r: float, cand: float) -> tuple[float, float]:

@@ -83,6 +83,9 @@ def test_bad_config_key_exits_2(tmp_path):
         assert cli.main(["single-bit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     # the privacy chain's two XOR passes need 4 bits
     assert cli.main(["privacy", "--bits", "3", "--out", str(tmp_path / "o")]) == 2
+    # a cable so short that the defense's in-site simulation cannot resolve its current
+    cfg = _cfg_file(tmp_path, "variant = cable_killer\ncable_length_m = 1e-9\nn_bits = 60\n")
+    assert cli.main(["defense", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
 def test_defense_residual_budget_exits_2(tmp_path, capsys):
@@ -91,6 +94,16 @@ def test_defense_residual_budget_exits_2(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, "n_bits = 10000\ntau_s = 10\nvariant = cable\n")
     assert cli.main(["defense", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "held residual rows" in capsys.readouterr().err
+
+
+def test_defense_on_a_1m_cable_keeps_clean_residuals_below_1e6(tmp_path):
+    for variant in ("cable", "cable_killer"):
+        cfg = _cfg_file(tmp_path, f"variant = {variant}\ncable_length_m = 1\nn_bits = 60\n")
+        out = tmp_path / variant
+        assert cli.main(["defense", "--config", cfg, "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text()
+        ratio = summary.split("worst clean residual rms / channel rms: ")[1].split()[0]
+        assert float(ratio) <= 1e-6
 
 
 def test_defense_run_longer_than_the_period_never_fires(tmp_path):

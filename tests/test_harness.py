@@ -1,6 +1,7 @@
 """Harness: config parsing, reports, determinism, worker equivalence."""
 import collections
 import filecmp
+import itertools
 import os
 from dataclasses import replace
 
@@ -142,6 +143,48 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(seq.q, par.q)
     assert np.array_equal(seq.rho_a, par.rho_a)
     assert np.array_equal(seq.rho_b, par.rho_b)
+
+
+def _synthetic_mask(chunk):
+    """Chunk masks whose secure exchanges sit first, mid-chunk, last and after an all-discard chunk."""
+    mask = np.zeros(128, dtype=bool)
+    if chunk == 0:
+        mask[[0, 5, 6, 64, 127]] = True
+    elif chunk == 2:
+        mask[-1] = True
+    elif chunk == 3:
+        mask[0] = True
+    elif chunk == 4:
+        mask[:] = True
+    elif chunk != 1:  # chunk 1 is all discards
+        mask = np.random.default_rng(chunk).integers(0, 2, 128).astype(bool)
+    return mask
+
+
+def _consume_loop(n_secure):
+    """The per-exchange loop `_consume_chunks` replaced: walk each mask to the n-th secure one.
+
+    Returns the number of exchanges consumed and of chunks read.
+    """
+    consumed = found = 0
+    for chunk in itertools.count():
+        for secure in _synthetic_mask(chunk).tolist():
+            consumed += 1
+            found += secure
+            if found == n_secure:
+                return consumed, chunk + 1
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_consume_chunks_matches_the_per_exchange_loop(workers):
+    def chunk_worker(cfg, start):
+        return _synthetic_mask(start // 128), start
+
+    cfg = _tiny_cfg(workers=workers)
+    for n_secure in range(1, 200):
+        consumed, n_chunks = _consume_loop(n_secure)
+        got = harness._consume_chunks(cfg, chunk_worker, n_secure)
+        assert got == (consumed, list(range(0, 128 * n_chunks, 128))), n_secure
 
 
 def _write_table1(out_dir, cfg):

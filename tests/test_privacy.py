@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from kljnsim.exceptions import ShapeMismatchError
 from kljnsim.privacy import (
-    PROVENANCE_EVE,
-    PROVENANCE_TRUE,
     KeyBits,
     eve_success_after_amplification,
     predicted_leak_after_xor,
@@ -37,7 +35,7 @@ def test_keybits_validation():
     with pytest.raises(ValueError):
         KeyBits(np.array([0, 2]))
     with pytest.raises(ValueError):
-        KeyBits(np.array([0, 1]), provenance="unknown")
+        KeyBits(np.array([[0, 1]]))
 
 
 @given(st.lists(st.integers(0, 1), min_size=2, max_size=400))
@@ -103,8 +101,8 @@ def test_repeated_application_converges_to_half():
 
 
 def test_eve_success_equal_keys():
-    key = KeyBits(np.random.default_rng(1).integers(0, 2, 4096), PROVENANCE_TRUE)
-    eve = KeyBits(key.bits.copy(), PROVENANCE_EVE)
+    key = KeyBits(np.random.default_rng(1).integers(0, 2, 4096))
+    eve = KeyBits(key.bits.copy())
     for passes in (0, 1, 2):
         assert eve_success_after_amplification(key, eve, passes) == 1.0
 
@@ -113,7 +111,7 @@ def test_eve_success_independent_keys():
     rng = np.random.default_rng(2)
     n = 20000
     true = KeyBits(rng.integers(0, 2, n))
-    eve = KeyBits(rng.integers(0, 2, n), PROVENANCE_EVE)
+    eve = KeyBits(rng.integers(0, 2, n))
     p1 = eve_success_after_amplification(true, eve, 1)
     assert abs(p1 - 0.5) <= 0.015  # 3 sigma at the compressed length of 10^4
 
@@ -137,7 +135,7 @@ def test_empirical_pass_matches_closed_form_on_grid():
         wrong = rng.random(n) >= p  # eve errs with probability 1-p
         eve = true ^ wrong.astype(np.uint8)
         t1 = xor_compress(KeyBits(true))
-        e1 = xor_compress(KeyBits(eve, PROVENANCE_EVE))
+        e1 = xor_compress(KeyBits(eve))
         empirical = float(np.mean(t1.bits == e1.bits))
         expected = predicted_leak_after_xor(float(p))
         sigma = math.sqrt(max(expected * (1 - expected), 1e-12) / (n // 2))

@@ -8,63 +8,89 @@ import pytest
 from kljnsim import harness, protocol
 from kljnsim.exceptions import ConfigError, InferenceError
 from kljnsim.noise import K_BOLTZMANN
-from kljnsim.protocol import (
-    BitClass,
-    BitLevel,
-    classify_bit_pair,
-    decide_remote_resistor,
-    select_bit,
-)
+from kljnsim.protocol import decide_remote_resistor
 
 T_EFF = 7.25e16
 BW = 250.0
 R_L, R_H = 1000.0, 9000.0
+CHUNK = 128
 
 
-def test_select_bit_is_balanced():
-    rng = np.random.default_rng(100)
-    draws = np.array([select_bit(rng) is BitLevel.LOW for _ in range(100_000)])
+def _draw(master_seed, index, stream):
+    """One 0/1 draw of the documented seed scheme, computed here independently."""
+    seq = np.random.SeedSequence(entropy=(master_seed, index, stream))
+    return int(np.random.default_rng(seq).integers(0, 2))
+
+
+def _recount(master_seed, n):
+    """Alice's and Bob's draws (1 holds r_h) at exchanges 0..n-1, from streams 0 and 1, shape (n, 2)."""
+    return np.array([[_draw(master_seed, i, s) for s in (0, 1)] for i in range(n)])
+
+
+def _classify(cfg, n_chunks):
+    """`_classify_chunk` over the first n_chunks chunks: the masks and secure arrays concatenated."""
+    parts = [harness._classify_chunk(cfg, start) for start in range(0, n_chunks * CHUNK, CHUNK)]
+    return [np.concatenate(col) for col in zip(*parts)]
+
+
+@pytest.fixture(scope="module")
+def choice_draws():
+    """derive_bit_streams at master seed 12345 over exchanges 0..99 999, shape (100 000, 2)."""
+    return np.array([harness.derive_bit_streams(12345, i) for i in range(100_000)])
+
+
+def test_select_bit_is_balanced(choice_draws):
     # binomial oracle: 3 sigma ~ 0.0047 at this count
-    assert 0.49 <= draws.mean() <= 0.51
+    for stream in (0, 1):
+        assert 0.49 <= np.mean(choice_draws[:, stream] == 0) <= 0.51
 
 
 def test_select_bit_reproducible():
-    a = [select_bit(np.random.default_rng(7)) for _ in range(1)]
-    b = [select_bit(np.random.default_rng(7)) for _ in range(1)]
+    a = [harness.derive_bit_streams(7, i) for i in range(200)]
+    b = [harness.derive_bit_streams(7, i) for i in range(200)]
     assert a == b
-    rng1, rng2 = np.random.default_rng(7), np.random.default_rng(7)
-    seq1 = [select_bit(rng1) for _ in range(200)]
-    seq2 = [select_bit(rng2) for _ in range(200)]
-    assert seq1 == seq2
+    assert a == [(_draw(7, i, 0), _draw(7, i, 1)) for i in range(200)]
+    assert {type(bit) for pair in a for bit in pair} == {int}
 
 
-def test_select_bit_streams_uncorrelated():
-    rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(12)
-    n = 100_000
-    a = np.array([select_bit(rng_a) is BitLevel.LOW for _ in range(n)])
-    b = np.array([select_bit(rng_b) is BitLevel.LOW for _ in range(n)])
-    x, y = 2.0 * a - 1.0, 2.0 * b - 1.0
+def test_select_bit_streams_uncorrelated(choice_draws):
+    x, y = 2.0 * choice_draws[:, 0] - 1.0, 2.0 * choice_draws[:, 1] - 1.0
     assert abs(np.mean(x * y)) < 0.01
 
 
-@pytest.mark.parametrize(
-    "a_level,b_level,expected",
-    [
-        (BitLevel.LOW, BitLevel.HIGH, BitClass.SECURE_LH),
-        (BitLevel.HIGH, BitLevel.LOW, BitClass.SECURE_HL),
-        (BitLevel.LOW, BitLevel.LOW, BitClass.DISCARD_LL),
-        (BitLevel.HIGH, BitLevel.HIGH, BitClass.DISCARD_HH),
-    ],
-)
-def test_classify_bit_pair(a_level, b_level, expected):
-    assert classify_bit_pair(a_level, b_level) is expected
+CLASSES = {"secure_lh": (0, 1), "secure_hl": (1, 0), "discard_ll": (0, 0), "discard_hh": (1, 1)}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_classify_chunk_per_class(name):
+    cfg = harness.SimConfig(master_seed=604)
+    draws = _recount(cfg.master_seed, 4 * CHUNK)
+    secure, index, key_bits, choices = _classify(cfg, 4)
+    alice_high, bob_high = CLASSES[name]
+    members = np.flatnonzero((draws[:, 0] == alice_high) & (draws[:, 1] == bob_high))
+    assert members.size > 0
+    assert np.all(secure[members] == (alice_high != bob_high))
+    rows = np.isin(index, members)
+    if alice_high == bob_high:
+        assert not rows.any()
+    else:
+        assert index[rows].tolist() == members.tolist()
+        assert key_bits[rows].tolist() == [alice_high] * members.size
+        resistance = {0: R_L, 1: R_H}
+        assert choices[rows].tolist() == [[resistance[alice_high], resistance[bob_high]]] * members.size
 
 
 def test_key_bit_mapping():
-    assert BitClass.SECURE_LH.key_bit == 0
-    assert BitClass.SECURE_HL.key_bit == 1
-    with pytest.raises(ValueError):
-        _ = BitClass.DISCARD_HH.key_bit
+    cfg = harness.SimConfig(master_seed=605)
+    draws = _recount(cfg.master_seed, 2 * CHUNK)
+    secure, index, key_bits, choices = _classify(cfg, 2)
+    assert secure.tolist() == (draws[:, 0] != draws[:, 1]).tolist()
+    assert index.tolist() == np.flatnonzero(secure).tolist()
+    # LH -> 0, HL -> 1: the key bit is 1 when Alice holds r_h
+    assert key_bits.dtype == np.uint8
+    assert key_bits.tolist() == draws[index, 0].tolist()
+    assert key_bits.tolist() == (choices[:, 0] == R_H).tolist()
+    assert set(map(tuple, choices.tolist())) == {(R_L, R_H), (R_H, R_L)}
 
 
 def _run(cfg, n, attack=None):
@@ -110,18 +136,24 @@ def test_zero_duration_is_a_config_error():
 def test_discard_rate_near_half():
     cfg = harness.SimConfig()
     n = 10_000
-    discards = 0
-    for i in range(n):
-        discards += not classify_bit_pair(*harness.derive_bit_streams(cfg.master_seed, i)).is_secure
-    assert 0.485 <= discards / n <= 0.515
+    secure = _classify(cfg, -(-n // CHUNK))[0][:n]
+    draws = _recount(cfg.master_seed, n)
+    assert secure.tolist() == (draws[:, 0] != draws[:, 1]).tolist()
+    assert 0.485 <= 1.0 - np.mean(secure) <= 0.515
 
 
-def test_fixed_mode_pins_arrangement():
+def test_fixed_mode_pins_arrangement(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("fixed_lh draws no choice streams")
+
+    monkeypatch.setattr(harness, "derive_bit_streams", no_draws)
     cfg = harness.SimConfig(selection_mode="fixed_lh")
-    classes, index, choices = harness._classify_chunk(cfg, 0)
-    assert set(classes) == {BitClass.SECURE_LH}
-    assert index.tolist() == list(range(128))
-    assert choices.tolist() == [[R_L, R_H]] * 128
+    for start in (0, CHUNK):
+        secure, index, key_bits, choices = harness._classify_chunk(cfg, start)
+        assert secure.tolist() == [True] * CHUNK
+        assert index.tolist() == list(range(start, start + CHUNK))
+        assert key_bits.tolist() == [0] * CHUNK
+        assert choices.tolist() == [[R_L, R_H]] * CHUNK
 
 
 def test_decide_remote_resistor_rejects_degenerate():
