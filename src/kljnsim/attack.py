@@ -67,13 +67,15 @@ def eve_decide(rho_a: np.ndarray, rho_b: np.ndarray, tie_coin) -> np.ndarray:
 
     Positive difference: more of the injection flowed toward Alice, i.e.
     Alice holds the low resistor (LH, key bit 0); negative: HL, key bit 1.
-    A zero difference takes `tie_coin(row)`, a fair 0/1 draw, which is
-    called for those rows only.
+    Zero differences take `tie_coin(rows)`, which gets the array of those
+    rows, is called only if there are any, and returns a fair 0/1 draw per
+    row.
     """
     rho = rho_a - rho_b
     bits = (rho < 0).astype(np.uint8)
-    for row in np.flatnonzero(rho == 0):
-        bits[row] = tie_coin(row)
+    ties = np.flatnonzero(rho == 0)
+    if ties.size:
+        bits[ties] = tie_coin(ties)
     return bits
 
 

@@ -11,10 +11,14 @@ reproduces the sequential result exactly.
 A stream is derived only when it is drawn: every exchange derives its two
 choice streams, a secure one the parties' noise seeds and, when an injection
 is configured, Eve's, and Eve's coin is derived only for a correlator tie.
+No SeedSequence is built per stream: `seeds` computes numpy's SeedSequence
+hashing and PCG64 seeding over whole index arrays, with the same results.
 Exchanges run in chunks of 128 consecutive indices, each one array pass from
-the seeds to the decisions. A chunk's choice draws form one (128, 2) array of
-which party holds r_h; its mixed rows are the chunk's secure mask, and a run
-ends at the n-th secure exchange, found by a cumulative sum over the masks.
+the seeds to the decisions: one `seeds` call draws the chunk's (128, 2) array
+of which party holds r_h, one derives its secure rows' noise seeds, and one
+draws Eve's coins on its ties. The mixed rows are the chunk's secure mask,
+and a run ends at the n-th secure exchange, found by a cumulative sum over
+the masks.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import attack, circuit, defense, noise, privacy, protocol
+from . import attack, circuit, defense, noise, privacy, protocol, seeds
 from .exceptions import ConfigError
 
 _CHUNK = 128  # fixed chunk size keeps worker partitioning deterministic
@@ -101,6 +105,8 @@ class SimConfig:
             raise ConfigError(
                 f"selection_mode must be one of {SELECTION_MODES}"
             )
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.detection_multiplier <= 0:
@@ -177,27 +183,21 @@ def default_table1_variants() -> list[circuit.Variant]:
 TABLE1_LEVELS = (0.001, 0.01, 0.1)
 
 
-def _stream_seq(master_seed: int, exchange_index: int, stream_id: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=(master_seed, exchange_index, stream_id))
-
-
-def _stream_seed(master_seed: int, exchange_index: int, stream_id: int) -> int:
-    return int(_stream_seq(master_seed, exchange_index, stream_id).generate_state(1, np.uint64)[0])
+_CHOICE_STREAMS = (_STREAM_IDS["alice_choice"], _STREAM_IDS["bob_choice"])
 
 
 def derive_bit_streams(master_seed: int, exchange_index: int) -> tuple[int, int]:
-    """Alice's and Bob's choice draws of one exchange from streams 0 and 1; 1 picks r_h."""
-    return tuple(
-        int(np.random.default_rng(_stream_seq(master_seed, exchange_index, stream)).integers(0, 2))
-        for stream in (_STREAM_IDS["alice_choice"], _STREAM_IDS["bob_choice"])
-    )
+    """Alice's and Bob's choice draws of one exchange from streams 0 and 1; 1 picks r_h.
+
+    A scalar view of the seed scheme; the runs draw whole chunks at once.
+    """
+    return tuple(seeds.stream_bits(master_seed, [exchange_index], _CHOICE_STREAMS)[0].tolist())
 
 
 def _noise_seeds(master_seed: int, index: np.ndarray, eve: bool = True) -> np.ndarray:
     """Alice's, Bob's and, if `eve`, Eve's noise seed of each exchange index, shape (k, 2 + eve)."""
     ids = [_STREAM_IDS[name] for name in ("alice_noise", "bob_noise", "eve_noise")[: 2 + eve]]
-    seeds = [_stream_seed(master_seed, i, s) for i in index.tolist() for s in ids]
-    return np.array(seeds, dtype=np.uint64).reshape(-1, len(ids))
+    return seeds.stream_seeds(master_seed, index, ids)
 
 
 def _holds_r_h(cfg: SimConfig, indices) -> np.ndarray:
@@ -207,7 +207,7 @@ def _holds_r_h(cfg: SimConfig, indices) -> np.ndarray:
     """
     if cfg.selection_mode == "fixed_lh":
         return np.tile([False, True], (len(indices), 1))
-    return np.array([derive_bit_streams(cfg.master_seed, i) for i in indices], dtype=bool)
+    return seeds.stream_bits(cfg.master_seed, indices, _CHOICE_STREAMS).astype(bool)
 
 
 def _eavesdrop(cfg: SimConfig, ex: protocol.Exchanges):
@@ -219,9 +219,8 @@ def _eavesdrop(cfg: SimConfig, ex: protocol.Exchanges):
         # Eve reads from her node outward: Alice's end as solved, Bob's end negated
         rho_b = attack.correlate(i_inj, -ex.y[:, 1])
 
-    def coin(row):
-        seq = _stream_seq(cfg.master_seed, int(ex.index[row]), _STREAM_IDS["eve_coin"])
-        return np.random.default_rng(seq).integers(0, 2)
+    def coin(rows):
+        return seeds.stream_bits(cfg.master_seed, ex.index[rows], (_STREAM_IDS["eve_coin"],))[:, 0]
 
     return rho_a, rho_b, attack.eve_decide(rho_a, rho_b, coin)
 
@@ -233,7 +232,7 @@ def _classify_chunk(cfg: SimConfig, start: int):
     exchanges only, their indices, their key bits (1 when Alice holds r_h)
     and their (Alice, Bob) resistances, shape (k, 2).
     """
-    high = _holds_r_h(cfg, range(start, start + _CHUNK))
+    high = _holds_r_h(cfg, np.arange(start, start + _CHUNK))
     secure = high[:, 0] != high[:, 1]
     index = start + np.flatnonzero(secure)
     return secure, index, high[secure, 0].astype(np.uint8), np.where(high[secure], cfg.r_h, cfg.r_l)
@@ -243,8 +242,8 @@ def _attack_chunk(cfg: SimConfig, start: int):
     """One chunk of the attack cell: its secure mask, and the key bits and Eve's and the
     parties' statistics per secure bit."""
     secure, index, key_bits, choices = _classify_chunk(cfg, start)
-    seeds = _noise_seeds(cfg.master_seed, index, cfg.injection is not None)
-    ex = protocol.run_exchanges(cfg, index, choices, seeds, cfg.injection)
+    noise_seeds = _noise_seeds(cfg.master_seed, index, cfg.injection is not None)
+    ex = protocol.run_exchanges(cfg, index, choices, noise_seeds, cfg.injection)
     rho_a, rho_b, eve_bits = _eavesdrop(cfg, ex)
     return secure, {
         "key_bits": key_bits,
@@ -410,8 +409,8 @@ def _defense_chunk(cfg: SimConfig, start: int, defense_model=None):
     RMS and the clean residual RMS over it.
     """
     secure, index, _, choices = _classify_chunk(cfg, start)
-    seeds = _noise_seeds(cfg.master_seed, index, cfg.injection is not None)
-    drives = protocol.exchange_drives(cfg, choices, seeds, cfg.injection)
+    noise_seeds = _noise_seeds(cfg.master_seed, index, cfg.injection is not None)
+    drives = protocol.exchange_drives(cfg, choices, noise_seeds, cfg.injection)
     fs = cfg.sample_rate_hz
     residuals = np.empty((len(index), 2, 2, cfg.samples_per_bit))
     channel_rms = np.empty(len(index))
@@ -622,10 +621,12 @@ class SingleBitDump:
 
 def run_single_bit(cfg: SimConfig, bit_index: int = 0) -> SingleBitDump:
     """Simulate one exchange, `run_exchanges` on a batch of one, and keep every row."""
+    if bit_index < 0:
+        raise ConfigError(f"bit_index must be non-negative, got {bit_index}")
     index = np.array([bit_index])
-    choices = np.where(_holds_r_h(cfg, [bit_index]), cfg.r_h, cfg.r_l)
-    seeds = _noise_seeds(cfg.master_seed, index, cfg.injection is not None)
-    rec = protocol.run_exchanges(cfg, index, choices, seeds, cfg.injection)
+    choices = np.where(_holds_r_h(cfg, index), cfg.r_h, cfg.r_l)
+    noise_seeds = _noise_seeds(cfg.master_seed, index, cfg.injection is not None)
+    rec = protocol.run_exchanges(cfg, index, choices, noise_seeds, cfg.injection)
     rho_a, rho_b, eve_bits = _eavesdrop(cfg, rec)
     residuals = None
     if not isinstance(cfg.variant, circuit.Ideal):

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .exceptions import ConfigError
+from .seeds import pcg64_states
 
 K_BOLTZMANN = 1.380649e-23  # J/K
 
@@ -39,12 +40,16 @@ def synth_band_limited_gaussian(
 ) -> np.ndarray:
     """Zero-mean Gaussian rows of n samples, flat from DC to the band edge, shape (k, n).
 
-    Row j draws its bin amplitudes from its own `default_rng(seeds[j])`, real
+    Row j draws its bin amplitudes as `default_rng(seeds[j])` would, real
     parts first, and is scaled to `target_rms` (a scalar or one value per
     row). The scale factor is analytic (expected mean square equals
     target_rms**2), so short rows keep their natural statistical RMS
     fluctuation instead of being renormalized per row. One inverse FFT
     transforms all rows.
+
+    The rows share one PCG64 of this call, set to each row's seeded state
+    in turn (`pcg64_states`); it is never shared across calls, so
+    concurrent calls stay independent.
     """
     mask = _band_bin_mask(n, sample_rate_hz, bandwidth_hz)
     n_bins = int(mask.sum())
@@ -52,10 +57,15 @@ def synth_band_limited_gaussian(
         raise ConfigError(
             "no FFT bin falls inside the band; increase duration_s or bandwidth_hz"
         )
-    z = np.zeros((len(seeds), mask.size), dtype=np.complex128)
-    for row, seed in zip(z, np.asarray(seeds).tolist()):
-        rng = np.random.default_rng(seed)
-        row[mask] = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+    states = pcg64_states(seeds)
+    parts = np.empty((len(states), 2 * n_bins))  # each row's real parts, then imaginary parts
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for row, state in zip(parts, states):
+        bit_generator.state = state
+        rng.standard_normal(out=row)
+    z = np.zeros((len(states), mask.size), dtype=np.complex128)
+    z[:, mask] = parts[:, :n_bins] + 1j * parts[:, n_bins:]
     # var(x_j) = 4 s^2 n_bins / n^2 for unit-variance bin parts scaled by s
     scale = np.asarray(target_rms, dtype=np.float64) * n / (2.0 * math.sqrt(n_bins))
     return np.fft.irfft(z * np.reshape(scale, (-1, 1)), n)

@@ -83,8 +83,8 @@ def test_correlate_mixed_signal_expectation():
     assert abs(np.mean(vals) - expected) <= 3.0 * sem
 
 
-def _no_coin(row):
-    raise AssertionError(f"coin consulted for row {row}")
+def _no_coin(rows):
+    raise AssertionError(f"coin consulted for rows {rows}")
 
 
 def test_eve_decide_rule_and_ties():
@@ -92,7 +92,9 @@ def test_eve_decide_rule_and_ties():
     assert eve_decide(np.array([0.9]), np.array([0.1]), _no_coin).tolist() == [0]
     assert eve_decide(np.array([0.1]), np.array([0.9]), _no_coin).tolist() == [1]
     rng = np.random.default_rng(5)
-    flips = eve_decide(np.full(2000, 0.5), np.full(2000, 0.5), lambda row: rng.integers(0, 2))
+    flips = eve_decide(
+        np.full(2000, 0.5), np.full(2000, 0.5), lambda rows: rng.integers(0, 2, len(rows))
+    )
     assert 0.45 <= np.mean(flips == 0) <= 0.55
 
 
@@ -101,12 +103,12 @@ def test_eve_decide_consults_its_coin_only_on_zero_differences():
     rho_b = np.array([0.1, 0.5, 0.0, 0.0, 1e-300, 2.0])
     asked = []
 
-    def coin(row):
-        asked.append(row)
-        return 1
+    def coin(rows):
+        asked.append(rows.tolist())
+        return np.ones(len(rows), dtype=np.uint8)
 
     bits = eve_decide(rho_a, rho_b, coin)
-    assert asked == [1, 2, 5]
+    assert asked == [[1, 2, 5]]
     assert bits.tolist() == [0, 1, 1, 0, 1, 1]
 
 

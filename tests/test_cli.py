@@ -57,7 +57,7 @@ def test_single_bit_verb(tmp_path):
     assert "residual_a_A" in header
 
 
-def test_bad_config_key_exits_2(tmp_path):
+def test_bad_config_key_exits_2(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, "nonsense_key = 5\n")
     assert cli.main(["table1", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     for text in ("injection_level = nan\n", "r_h = inf\n", "sample_rate_hz = inf\n"):
@@ -86,6 +86,26 @@ def test_bad_config_key_exits_2(tmp_path):
     # a cable so short that the defense's in-site simulation cannot resolve its current
     cfg = _cfg_file(tmp_path, "variant = cable_killer\ncable_length_m = 1e-9\nn_bits = 60\n")
     assert cli.main(["defense", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    # negative seeds and bit indices are config errors that name their field
+    for args, field in (
+        (["table1", "--config", _cfg_file(tmp_path, "master_seed = -1\n")], "master_seed"),
+        (["privacy", "--seed", "-3"], "master_seed"),
+        (["single-bit", "--bit-index", "-1"], "bit_index"),
+    ):
+        capsys.readouterr()
+        assert cli.main(args + ["--out", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
+
+
+def test_seed_and_bit_index_of_2_to_the_64_run(tmp_path):
+    """Values past 64 bits coerce to three SeedSequence entropy words, not two."""
+    big = str(2**64)
+    assert cli.main(["privacy", "--seed", big, "--bits", "8", "--out", str(tmp_path / "p")]) == 0
+    cfg = _cfg_file(tmp_path, TINY + "variant = cable\ninjection_level = 0.1\n")
+    out = tmp_path / "s"
+    args = ["single-bit", "--config", cfg, "--seed", big, "--bit-index", big, "--out", str(out)]
+    assert cli.main(args) == 0
+    assert "residual_a_A" in (out / "single_bit.csv").read_text().splitlines()[0]
 
 
 def test_defense_residual_budget_exits_2(tmp_path, capsys):

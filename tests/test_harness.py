@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kljnsim import attack, circuit, harness
+from kljnsim import attack, circuit, harness, seeds
 from kljnsim.defense import DetectionConfig
 from kljnsim.exceptions import ConfigError
 
@@ -269,16 +269,17 @@ def _is_secure(master_seed, index):
 
 
 def _count_pipeline_calls(monkeypatch):
-    """Count stream derivations per (exchange index, stream id), and synthesis calls and rows."""
+    """Count stream derivations per (exchange index, stream id) where `seeds` derives them,
+    and synthesis calls and rows."""
     from kljnsim import protocol
 
     derived = collections.Counter()
     synths = {"calls": 0, "rows": 0}
-    stream_seq = harness._stream_seq
+    stream_words = seeds.stream_words
 
-    def counting_seq(master_seed, index, stream_id):
-        derived[index, stream_id] += 1
-        return stream_seq(master_seed, index, stream_id)
+    def counting_words(master_seed, index, streams, n_words):
+        derived.update(itertools.product(np.asarray(index).tolist(), streams))
+        return stream_words(master_seed, index, streams, n_words)
 
     def counting_synth(seeds, *args):
         synths["calls"] += 1
@@ -286,7 +287,7 @@ def _count_pipeline_calls(monkeypatch):
         return synth(seeds, *args)
 
     synth = protocol.synth_band_limited_gaussian
-    monkeypatch.setattr(harness, "_stream_seq", counting_seq)
+    monkeypatch.setattr(seeds, "stream_words", counting_words)
     monkeypatch.setattr(protocol, "synth_band_limited_gaussian", counting_synth)
     return derived, synths
 
@@ -325,6 +326,28 @@ def test_single_bit_derives_its_streams_once(monkeypatch):
     harness.run_single_bit(cfg, 3)
     assert derived == {(3, stream): 1 for stream in range(5)}
     assert synths == {"calls": 2, "rows": 3}
+
+
+@pytest.mark.parametrize("level", [0.1, 0.0])
+def test_attack_cell_builds_at_most_one_seed_sequence_per_synthesis_call(monkeypatch, level):
+    """No SeedSequence per exchange or per noise row: counted where the package can ask numpy
+    for one, directly or through a PCG64 or default_rng."""
+    built = collections.Counter()
+
+    def counting(name, make):
+        def build(*args, **kwargs):
+            built[name] += 1
+            return make(*args, **kwargs)
+
+        return build
+
+    for name in ("SeedSequence", "PCG64", "default_rng"):
+        monkeypatch.setattr(np.random, name, counting(name, getattr(np.random, name)))
+    _, synths = _count_pipeline_calls(monkeypatch)
+    cfg = harness._cell_config(_tiny_cfg(n_bits=150), circuit.Ideal(), level)
+    cell = harness.run_attack_cell(cfg)
+    assert cell.n == 150 and synths["rows"] >= 2 * 150
+    assert 0 < sum(built.values()) <= synths["calls"]
 
 
 def test_zero_injection_coin_is_stream_5_of_each_secure_exchange():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kljnsim import harness, protocol
+from kljnsim import harness, protocol, seeds
 from kljnsim.exceptions import ConfigError, InferenceError
 from kljnsim.noise import K_BOLTZMANN
 from kljnsim.protocol import decide_remote_resistor
@@ -35,8 +35,11 @@ def _classify(cfg, n_chunks):
 
 @pytest.fixture(scope="module")
 def choice_draws():
-    """derive_bit_streams at master seed 12345 over exchanges 0..99 999, shape (100 000, 2)."""
-    return np.array([harness.derive_bit_streams(12345, i) for i in range(100_000)])
+    """The choice draws at master seed 12345 over exchanges 0..99 999, shape (100 000, 2).
+
+    Drawn as the runs draw them, one array call; `derive_bit_streams` is the scalar view.
+    """
+    return harness._holds_r_h(harness.SimConfig(master_seed=12345), np.arange(100_000)).astype(int)
 
 
 def test_select_bit_is_balanced(choice_draws):
@@ -146,7 +149,7 @@ def test_fixed_mode_pins_arrangement(monkeypatch):
     def no_draws(*args):
         raise AssertionError("fixed_lh draws no choice streams")
 
-    monkeypatch.setattr(harness, "derive_bit_streams", no_draws)
+    monkeypatch.setattr(seeds, "stream_bits", no_draws)
     cfg = harness.SimConfig(selection_mode="fixed_lh")
     for start in (0, CHUNK):
         secure, index, key_bits, choices = harness._classify_chunk(cfg, start)
