@@ -185,18 +185,29 @@ def divider_fractions(r_a: float, r_b: float) -> tuple[float, float]:
     return r_b / total, r_a / total
 
 
-def _ideal_rows(u: np.ndarray, cfg: LoopConfig) -> np.ndarray:
-    """Closed form of the single-node loop, row-wise: inputs (B, 3, t), outputs (B, 4, t)."""
-    g_a, g_b = 1.0 / cfg.r_alice, 1.0 / cfg.r_bob
-    r_par = 1.0 / (g_a + g_b)
-    u_a, u_b = u[:, 0], u[:, 1]
-    u_ch = (u_a * g_a + u_b * g_b + u[:, 2]) * r_par
-    y = np.empty((u.shape[0], 4, u.shape[2]))
-    y[:, 0] = -((u_a - u_ch) * g_a)  # source -> node current, negated
-    y[:, 1] = (u_b - u_ch) * g_b
-    y[:, 2] = u_ch
-    y[:, 3] = u_ch
+def _finite(y: np.ndarray) -> np.ndarray:
+    if not np.isfinite(y).all():
+        raise ShapeMismatchError("solved loop samples must all be finite")
     return y
+
+
+def ideal_rows(u_a: np.ndarray, u_b: np.ndarray, i_inj: np.ndarray, r_a, r_b) -> np.ndarray:
+    """Closed form of the single-node loop: input rows (..., B, t) each, outputs (..., B, 4, t).
+
+    The generator voltages, the injected current and the terminations
+    broadcast against each other; the terminations are scalars or one per
+    row, shape (B, 1). Every operation is elementwise, so a row's samples do
+    not depend on the batch it is solved in.
+    """
+    g_a, g_b = 1.0 / r_a, 1.0 / r_b
+    r_par = 1.0 / (g_a + g_b)
+    u_ch = (u_a * g_a + u_b * g_b + i_inj) * r_par
+    y = np.empty(u_ch.shape[:-1] + (4, u_ch.shape[-1]))
+    y[..., 0, :] = -((u_a - u_ch) * g_a)  # source -> node current, negated
+    y[..., 1, :] = (u_b - u_ch) * g_b
+    y[..., 2, :] = u_ch
+    y[..., 3, :] = u_ch
+    return _finite(y)
 
 
 @dataclass(frozen=True)
@@ -312,14 +323,17 @@ def injection_node_index(variant: Variant, injection_position: float) -> int:
 def ladder_scan(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Run the state recurrence x[k] = p @ x[k-1] + qu[k-1] in place, for a batch of rows.
 
-    `x` is time-major, shape (t, B, m): on entry x[0] holds the B start
-    states and x[k] the drive term qu[k-1]; on return it holds the state
-    trajectory. Each sample step advances all B states with one
-    (B, m) @ (m, m) product. Returns `x`.
+    `x` is time-major within each level, shape (L, t, B, m), or (t, B, m) for
+    one level: on entry x[..., 0, :, :] holds the B start states and
+    x[..., k, :, :] the drive term qu[k-1]; on return it holds the state
+    trajectory. Each sample step advances the L x B states with one stacked
+    (L, B, m) @ (m, m) product, whose rows equal the L separate (B, m) @ (m, m)
+    products bit for bit. Returns `x`.
     """
     p_t = np.asarray(p, dtype=np.float64).T
-    for k in range(1, x.shape[0]):
-        x[k] += x[k - 1] @ p_t
+    steps = list(np.moveaxis(x, -3, 0))  # views: steps[k] is sample k of every level
+    for prev, cur in zip(steps, steps[1:]):
+        cur += prev @ p_t
     return x
 
 
@@ -359,24 +373,36 @@ class TransientSolver:
         self.system = system
 
     def solve(self, u: np.ndarray) -> np.ndarray:
-        """Outputs, shape (B, n_outputs, t), for a batch of inputs u of shape (B, n_inputs, t).
+        """Outputs, shape (L, B, n_outputs, t), for inputs u of shape (L, B, n_inputs, t).
 
-        Each row starts from the DC-consistent state for its first input
-        sample. The input and output maps are each one 2-D product over all
-        t * B time-major samples; the state recurrence runs in `ladder_scan`.
+        L levels of B rows each, solved in one scan; a (B, n_inputs, t) batch
+        is one level and gives (B, n_outputs, t). Each row starts from the
+        DC-consistent state for its first input sample. Per level, the input
+        and output maps are each one 2-D product over all t * B time-major
+        samples; the state recurrence of all levels runs in one `ladder_scan`.
         """
         sys = self.system
-        n_rows, n_in, t = u.shape
+        levels = u.reshape((-1,) + u.shape[-3:])
+        n_levels, n_rows, n_in, t = levels.shape
         m, n_out = sys.n_states, sys.c_out.shape[0]
-        flat = u.transpose(2, 0, 1).reshape(t * n_rows, n_in)
-        x = np.empty((t, n_rows, m))
-        x[0] = u[:, :, 0] @ sys.dc_gain.T
-        drive = x[1:].reshape((t - 1) * n_rows, m)
-        np.matmul(flat[n_rows:], sys.q_next.T, out=drive)
-        drive += flat[:-n_rows] @ sys.q_prev.T
-        x = ladder_scan(sys.p, x).reshape(t * n_rows, m)
-        y = x @ sys.c_out.T + flat @ sys.d_out.T
-        return np.ascontiguousarray(y.reshape(t, n_rows, n_out).transpose(1, 2, 0))
+
+        def time_major(u_lvl):
+            return u_lvl.transpose(2, 0, 1).reshape(t * n_rows, n_in)
+
+        x = np.empty((n_levels, t, n_rows, m))
+        for u_lvl, x_lvl in zip(levels, x):
+            flat = time_major(u_lvl)
+            x_lvl[0] = u_lvl[:, :, 0] @ sys.dc_gain.T
+            drive = x_lvl[1:].reshape((t - 1) * n_rows, m)
+            np.matmul(flat[n_rows:], sys.q_next.T, out=drive)
+            drive += flat[:-n_rows] @ sys.q_prev.T
+        ladder_scan(sys.p, x)
+        y = np.empty((n_levels, n_rows, n_out, t))
+        for u_lvl, x_lvl, y_lvl in zip(levels, x, y):
+            out = x_lvl.reshape(t * n_rows, m) @ sys.c_out.T
+            out += time_major(u_lvl) @ sys.d_out.T
+            y_lvl[:] = out.reshape(t, n_rows, n_out).transpose(1, 2, 0)
+        return y.reshape(u.shape[:-2] + (n_out, t))
 
 
 @lru_cache(maxsize=128)
@@ -389,15 +415,12 @@ def solve_rows(
 ) -> np.ndarray:
     """Solve a batch of exchanges that share one loop configuration.
 
-    Inputs (B, 3, t) are (u_a, u_b, i_inj) rows; outputs (B, 4, t) are
-    (i_cha, i_chb, u_cha, u_chb) rows in the Loop convention. Closed form for
-    the ideal wire, ladder otherwise (default model: the variant's). Raises
+    Inputs (..., B, 3, t) are (u_a, u_b, i_inj) rows, with an optional
+    leading level axis; outputs (..., B, 4, t) are (i_cha, i_chb, u_cha,
+    u_chb) rows in the Loop convention. Closed form for the ideal wire,
+    ladder otherwise (default model: the variant's). Raises
     ShapeMismatchError if any solved sample is not finite.
     """
     if isinstance(cfg.variant, Ideal):
-        y = _ideal_rows(u, cfg)
-    else:
-        y = transient_solver(model or model_for_variant(cfg.variant), cfg, dt).solve(u)
-    if not np.isfinite(y).all():
-        raise ShapeMismatchError("solved loop samples must all be finite")
-    return y
+        return ideal_rows(u[..., 0, :], u[..., 1, :], u[..., 2, :], cfg.r_alice, cfg.r_bob)
+    return _finite(transient_solver(model or model_for_variant(cfg.variant), cfg, dt).solve(u))

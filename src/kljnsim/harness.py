@@ -19,6 +19,14 @@ of which party holds r_h, one derives its secure rows' noise seeds, and one
 draws Eve's coins on its ties. The mixed rows are the chunk's secure mask,
 and a run ends at the n-th secure exchange, found by a cumulative sum over
 the masks.
+
+An attack run is a grid of wire variants x injection levels (`run_table1`;
+`run_attack_cell` is a grid of one cell), and all its cells consume the same
+exchanges. So the grid is one pass over the chunks: each chunk is
+classified, seeded and its generator rows synthesized once, and Eve's rows
+once per level. Each variant then solves a loop batch at all levels in one
+level-stacked scan and reduces the solved rows at once to per-bit
+statistics. A tie takes its exchange's coin, drawn once for all cells.
 """
 from __future__ import annotations
 
@@ -146,11 +154,19 @@ class SimConfig:
         for name, value in derived.items():
             if not 1e-300 <= value <= 1e300:
                 raise ConfigError(f"derived {name} is {value!r}, outside 1e-300 .. 1e300")
-        t, m = self.samples_per_bit, 0 if model is None else model.n_states
+        self.check_array_budget(1)
+
+    def check_array_budget(self, n_levels: int) -> None:
+        """Reject a run over `n_levels` injection levels at once if one of its arrays would
+        exceed MAX_ARRAY_BYTES, predicted from the shapes."""
+        model = circuit.model_for_variant(self.variant, self.bandwidth_hz)
+        t, m, L = self.samples_per_bit, 0 if model is None else model.n_states, n_levels
         sizes = {
             "the cable discretization's (m, m) matrices": 8 * m * m,
-            f"a batched solve's (t, {protocol.BATCH}, m) trajectory": 8 * t * protocol.BATCH * m,
+            f"a batched solve's ({L}, t, {protocol.BATCH}, m) trajectory":
+                8 * L * t * protocol.BATCH * m,
             f"a chunk's ({_CHUNK}, 7, t) drive and solved rows": 8 * _CHUNK * 7 * t,
+            f"a chunk's ({L}, {_CHUNK}, t) injected rows": 8 * L * _CHUNK * t,
         }
         for name, size in sizes.items():
             if size > MAX_ARRAY_BYTES:
@@ -210,19 +226,25 @@ def _holds_r_h(cfg: SimConfig, indices) -> np.ndarray:
     return seeds.stream_bits(cfg.master_seed, indices, _CHOICE_STREAMS).astype(bool)
 
 
-def _eavesdrop(cfg: SimConfig, ex: protocol.Exchanges):
-    """Eve's two correlators and key bits; without injection both read 0 and a coin decides."""
-    rho_a = rho_b = np.zeros(len(ex.index))
-    if cfg.injection is not None:
-        i_inj = ex.u[:, 2]
-        rho_a = attack.correlate(i_inj, ex.y[:, 0])
-        # Eve reads from her node outward: Alice's end as solved, Bob's end negated
-        rho_b = attack.correlate(i_inj, -ex.y[:, 1])
+def _correlators(i_inj: np.ndarray, y: np.ndarray):
+    """Eve's two correlators per row, from her rows (..., k, t) and the solved rows (..., k, 4, t)."""
+    # Eve reads from her node outward: Alice's end as solved, Bob's end negated
+    return attack.correlate(i_inj, y[..., 0, :]), attack.correlate(i_inj, -y[..., 1, :])
 
-    def coin(rows):
-        return seeds.stream_bits(cfg.master_seed, ex.index[rows], (_STREAM_IDS["eve_coin"],))[:, 0]
 
-    return rho_a, rho_b, attack.eve_decide(rho_a, rho_b, coin)
+def _eve_bits(cfg: SimConfig, index: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray):
+    """Eve's key bits from her correlators, shape (..., k) over the exchanges `index`.
+
+    A tie takes its exchange's coin (stream 5), derived once per exchange
+    however many cells of the grid tie on it.
+    """
+
+    def coin(ties):
+        rows, inverse = np.unique(ties % len(index), return_inverse=True)
+        bits = seeds.stream_bits(cfg.master_seed, index[rows], (_STREAM_IDS["eve_coin"],))
+        return bits[inverse, 0]
+
+    return attack.eve_decide(rho_a.ravel(), rho_b.ravel(), coin).reshape(rho_a.shape)
 
 
 def _classify_chunk(cfg: SimConfig, start: int):
@@ -238,22 +260,61 @@ def _classify_chunk(cfg: SimConfig, start: int):
     return secure, index, high[secure, 0].astype(np.uint8), np.where(high[secure], cfg.r_h, cfg.r_l)
 
 
-def _attack_chunk(cfg: SimConfig, start: int):
-    """One chunk of the attack cell: its secure mask, and the key bits and Eve's and the
-    parties' statistics per secure bit."""
-    secure, index, key_bits, choices = _classify_chunk(cfg, start)
-    noise_seeds = _noise_seeds(cfg.master_seed, index, cfg.injection is not None)
-    ex = protocol.run_exchanges(cfg, index, choices, noise_seeds, cfg.injection)
-    rho_a, rho_b, eve_bits = _eavesdrop(cfg, ex)
-    return secure, {
-        "key_bits": key_bits,
-        "rho_a": rho_a,
-        "rho_b": rho_b,
-        "eve_bits": eve_bits,
-        "honest_ok": (ex.inferred[:, 0] == choices[:, 1]) & (ex.inferred[:, 1] == choices[:, 0]),
-        "msq_u_a": np.mean(np.square(ex.y[:, 2]), axis=-1),
-        "msq_i_a": np.mean(np.square(ex.y[:, 0]), axis=-1),
+def _batch_stats(cfg: SimConfig, y, i_inj, choices, attacked) -> dict:
+    """One solved batch reduced to its per-bit statistics, each of shape (levels, B).
+
+    `y` holds the batch's solved rows, shape (levels, B, 4, t), `i_inj` Eve's
+    rows, shape (levels, B, t), `choices` the (Alice, Bob) resistances,
+    shape (B, 2), and `attacked` whether each level injects, shape (levels,).
+    Eve's correlators read 0 at a level without injection.
+    """
+    params = (cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz)
+    r_a, r_b = choices[:, 0], choices[:, 1]
+    alice = protocol.decide_remote_resistor(y[..., 2, :], y[..., 0, :], r_a, *params)
+    bob = protocol.decide_remote_resistor(y[..., 3, :], y[..., 1, :], r_b, *params)
+    rho_a, rho_b = _correlators(i_inj, y)
+    return {
+        "rho_a": np.where(attacked[:, None], rho_a, 0.0),
+        "rho_b": np.where(attacked[:, None], rho_b, 0.0),
+        "honest_ok": (alice == r_b) & (bob == r_a),
+        "msq_u_a": np.mean(np.square(y[..., 2, :]), axis=-1),
+        "msq_i_a": np.mean(np.square(y[..., 0, :]), axis=-1),
     }
+
+
+def _grid_chunk(cfg: SimConfig, start: int, cell_cfgs):
+    """One chunk of the grid: its secure mask, and the key bits and Eve's and the parties'
+    statistics per cell and secure bit.
+
+    `cell_cfgs` holds each cell's config, one row of levels per variant. The
+    chunk is classified, seeded and its generator rows synthesized once, and
+    Eve's rows once per level. Each variant then solves all levels of a loop
+    batch in one scan, and reduces the solved rows at once to the per-bit
+    statistics, so no chunk-sized array of solved rows is held. Statistics
+    have shape (variants, levels, k).
+    """
+    secure, index, key_bits, choices = _classify_chunk(cfg, start)
+    attacks = [c.injection for c in cell_cfgs[0]]
+    attacked = np.array([a is not None for a in attacks])
+    noise_seeds = _noise_seeds(cfg.master_seed, index, attacked.any())
+    gen = protocol.generator_rows(cfg, choices, noise_seeds)
+    eve = np.zeros((len(attacks), len(index), cfg.samples_per_bit))
+    for lvl, spec in zip(eve, attacks):
+        if spec is not None:
+            lvl[:] = protocol.injection_rows(cfg, noise_seeds[:, 2], spec)
+    shape = (len(cell_cfgs), len(attacks), len(index))
+    stats = {name: np.empty(shape) for name in ("rho_a", "rho_b", "msq_u_a", "msq_i_a")}
+    stats["honest_ok"] = np.empty(shape, dtype=bool)
+    for v, row in enumerate(cell_cfgs):
+        for levels, positions, y in protocol.solved_batches(row[0], choices, gen, eve):
+            batch = _batch_stats(
+                cfg, y, eve[levels][:, positions], choices[positions], attacked[levels]
+            )
+            for name, value in batch.items():
+                stats[name][v, levels][:, positions] = value
+            del y  # free the solved rows before the next batch is solved
+    stats["eve_bits"] = _eve_bits(cfg, index, stats["rho_a"], stats["rho_b"])
+    return secure, {"key_bits": key_bits, **stats}
 
 
 def _consume_chunks(cfg: SimConfig, chunk_worker, n_secure: int):
@@ -328,37 +389,64 @@ class CellResult:
     msq_i_a: np.ndarray
 
 
-def run_attack_cell(cfg: SimConfig) -> CellResult:
-    """Accumulate cfg.n_bits secure exchanges and Eve's statistics over them."""
-    n_exchanges, payloads = _consume_chunks(cfg, _attack_chunk, cfg.n_bits)
+def _run_grid(cfg: SimConfig, variants, levels) -> list[CellResult]:
+    """The cells of the variant x level grid, in that order, in one pass over the exchanges.
+
+    Every cell consumes the same exchanges, since an exchange's class and
+    noise depend only on (master_seed, index); `_grid_chunk` does each
+    chunk's shared work once for all cells.
+    """
+    cell_cfgs = [[_cell_config(cfg, variant, level) for level in levels] for variant in variants]
+    for row in cell_cfgs:
+        row[0].check_array_budget(len(levels))
+
+    def chunk_worker(c, start):
+        return _grid_chunk(c, start, cell_cfgs)
+
+    n_exchanges, payloads = _consume_chunks(cfg, chunk_worker, cfg.n_bits)
     cols = {
-        name: np.concatenate([p[name] for p in payloads])[: cfg.n_bits] for name in payloads[0]
+        name: np.concatenate([p[name] for p in payloads], axis=-1)[..., : cfg.n_bits]
+        for name in payloads[0]
     }
-    key_bits = cols["key_bits"]
-    q = (cols["eve_bits"] == key_bits).astype(np.int8)
-    p_e, stderr = attack.success_probability(q)
+    key_bits = cols.pop("key_bits")
+    n = len(key_bits)
     classes = (protocol.BitClass.SECURE_LH, protocol.BitClass.SECURE_HL)
-    return CellResult(
-        variant_lbl=variant_label(cfg.variant),
-        level=cfg.injection.level_fraction if cfg.injection else 0.0,
-        n=len(key_bits),
-        p_e=p_e,
-        stderr=stderr,
-        honest_error_rate=1.0 - np.mean(cols["honest_ok"]),
-        n_exchanges=n_exchanges,
-        n_discarded=n_exchanges - len(key_bits),
-        q=q,
-        rho_a=cols["rho_a"],
-        rho_b=cols["rho_b"],
-        key_bits=key_bits,
-        eve_bits=cols["eve_bits"],
-        classifications=[classes[bit] for bit in key_bits.tolist()],
-        msq_u_a=cols["msq_u_a"],
-        msq_i_a=cols["msq_i_a"],
-    )
+    classifications = [classes[bit] for bit in key_bits.tolist()]
+    cells = []
+    for v, row in enumerate(cell_cfgs):
+        for lvl, cell_cfg in enumerate(row):
+            col = {name: value[v, lvl] for name, value in cols.items()}
+            honest_ok = col.pop("honest_ok")
+            q = (col["eve_bits"] == key_bits).astype(np.int8)
+            p_e, stderr = attack.success_probability(q)
+            cells.append(
+                CellResult(
+                    variant_lbl=variant_label(cell_cfg.variant),
+                    level=cell_cfg.injection.level_fraction if cell_cfg.injection else 0.0,
+                    n=n,
+                    p_e=p_e,
+                    stderr=stderr,
+                    honest_error_rate=1.0 - np.mean(honest_ok),
+                    n_exchanges=n_exchanges,
+                    n_discarded=n_exchanges - n,
+                    q=q,
+                    key_bits=key_bits,
+                    classifications=list(classifications),
+                    **col,  # rho_a, rho_b, eve_bits, msq_u_a, msq_i_a
+                )
+            )
+    return cells
+
+
+def run_attack_cell(cfg: SimConfig) -> CellResult:
+    """Accumulate cfg.n_bits secure exchanges and Eve's statistics over them: a grid of one cell."""
+    level = cfg.injection.level_fraction if cfg.injection else 0.0
+    return _run_grid(cfg, [cfg.variant], (level,))[0]
 
 
 def _cell_config(cfg: SimConfig, variant: circuit.Variant, level: float) -> SimConfig:
+    if not 0.0 <= level < 1.0:
+        raise ConfigError(f"injection level must lie in [0, 1), got {level!r}")
     inj = None
     if level > 0:
         inj = attack.InjectionSpec(
@@ -385,14 +473,11 @@ def run_table1(
     levels: tuple[float, ...] = TABLE1_LEVELS,
     variants: list[circuit.Variant] | None = None,
 ) -> Table1Result:
-    """Eve's success probability over the variant x injection-level grid."""
+    """Eve's success probability over the variant x injection-level grid, in one pass."""
     if variants is None:
         variants = default_table1_variants()
     t0 = time.monotonic()
-    cells = []
-    for variant in variants:
-        for level in levels:
-            cells.append(run_attack_cell(_cell_config(cfg, variant, level)))
+    cells = _run_grid(cfg, variants, tuple(levels))
     return Table1Result(cells=cells, levels=tuple(levels), elapsed_s=time.monotonic() - t0)
 
 
@@ -627,7 +712,10 @@ def run_single_bit(cfg: SimConfig, bit_index: int = 0) -> SingleBitDump:
     choices = np.where(_holds_r_h(cfg, index), cfg.r_h, cfg.r_l)
     noise_seeds = _noise_seeds(cfg.master_seed, index, cfg.injection is not None)
     rec = protocol.run_exchanges(cfg, index, choices, noise_seeds, cfg.injection)
-    rho_a, rho_b, eve_bits = _eavesdrop(cfg, rec)
+    rho_a = rho_b = np.zeros(1)
+    if cfg.injection is not None:
+        rho_a, rho_b = _correlators(rec.u[:, 2], rec.y)
+    eve_bits = _eve_bits(cfg, index, rho_a, rho_b)
     residuals = None
     if not isinstance(cfg.variant, circuit.Ideal):
         loop_cfg, _ = next(protocol.loop_batches(cfg, choices))

@@ -76,16 +76,18 @@ def decide_remote_resistor(
     scaled chi-square reduces to -(m/s + ln s) per measurement up to common
     factors, so scoring both and taking the larger sum is the exact
     two-hypothesis test; Low wins unless High scores strictly higher.
-    `u_ch` and `i_ch` are one end's sample rows, shape (k, t), and `own_r`
-    that end's resistances, shape (k,); returns the (k,) remote resistances.
+    `u_ch` and `i_ch` are one end's sample rows, shape (..., k, t), and
+    `own_r` that end's resistances, shape (k,); returns the (..., k) remote
+    resistances.
     """
     msq_u = np.mean(np.square(u_ch), axis=-1)
     msq_i = np.mean(np.square(i_ch), axis=-1)
     if np.any(msq_i <= 0.0) or np.any(msq_u <= 0.0):
         raise InferenceError("degenerate channel measurement")
     four_ktb = 4.0 * K_BOLTZMANN * t_eff * bandwidth_hz
+    own_r = np.broadcast_to(own_r, msq_u.shape)
     remote = np.empty(msq_u.shape)
-    for own in set(own_r.tolist()):
+    for own in set(own_r.ravel().tolist()):
         rows = own_r == own
         # math.log on the scalar scales: np.log may round them differently
         low, high = (
@@ -105,28 +107,46 @@ def exchange_drives(
     """Drive rows (u_a, u_b, i_inj) of k exchanges, shape (k, 3, t).
 
     `noise_seeds` holds each exchange's (Alice, Bob, Eve) noise seeds, shape
-    (k, 3), or (k, 2) without an attack. Each party's generator is scaled to the thermal RMS of its
-    resistor; one synthesis call makes all 2k generator rows. A second makes
-    the k rows of the injected current, at the requested fraction of the
-    nominal secure-state loop current; without an attack those rows are zero.
+    (k, 3), or (k, 2) without an attack. The generator rows come from
+    `generator_rows` and the injected current from `injection_rows`; without
+    an attack those rows are zero.
+    """
+    u = np.zeros((len(choices), 3, cfg.samples_per_bit))
+    u[:, :2] = generator_rows(cfg, choices, noise_seeds)
+    if attack is not None:
+        u[:, 2] = injection_rows(cfg, noise_seeds[:, 2], attack)
+    return u
+
+
+def generator_rows(cfg: "SimConfig", choices: np.ndarray, noise_seeds: np.ndarray) -> np.ndarray:
+    """Alice's and Bob's generator rows of k exchanges, shape (k, 2, t).
+
+    Each party's generator is scaled to the thermal RMS of its resistor; one
+    synthesis call makes all 2k rows from the first two noise seeds of each
+    exchange.
     """
     k, t = len(choices), cfg.samples_per_bit
     fs, bw = cfg.sample_rate_hz, cfg.bandwidth_hz
     flat = choices.ravel().tolist()
     rms = {r: johnson_rms_voltage(r, cfg.t_eff, bw) for r in set(flat)}
-    u = np.zeros((k, 3, t))
-    u[:, :2] = synth_band_limited_gaussian(
+    return synth_band_limited_gaussian(
         noise_seeds[:, :2].ravel(), [rms[r] for r in flat], t, fs, bw
     ).reshape(k, 2, t)
-    if attack is not None:
-        ref = reference_rms_channel_current(cfg.r_l, cfg.r_h, cfg.t_eff, bw)
-        u[:, 2] = synth_band_limited_gaussian(
-            noise_seeds[:, 2], attack.level_fraction * ref, t, fs, attack.bandwidth_hz
-        )
-    return u
 
 
-# Rows per batched loop solve. A solve holds its (t, BATCH, m) state
+def injection_rows(cfg: "SimConfig", eve_seeds: np.ndarray, attack: "InjectionSpec") -> np.ndarray:
+    """Eve's injected current for k exchanges from their noise seeds, shape (k, t).
+
+    Its RMS is the requested fraction of the nominal secure-state loop current.
+    """
+    ref = reference_rms_channel_current(cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz)
+    return synth_band_limited_gaussian(
+        eve_seeds, attack.level_fraction * ref, cfg.samples_per_bit, cfg.sample_rate_hz,
+        attack.bandwidth_hz,
+    )
+
+
+# Rows per batched loop solve. A solve holds its (L, t, BATCH, m) state
 # trajectory at once, so this bounds its memory.
 BATCH = 16
 
@@ -146,6 +166,30 @@ def loop_batches(cfg: "SimConfig", choices: np.ndarray, size: int = BATCH):
             yield loop_cfg, positions[start : start + size]
 
 
+def solved_batches(cfg: "SimConfig", choices: np.ndarray, gen: np.ndarray, eve: np.ndarray):
+    """Solve k exchanges at L injection levels, one batch at a time.
+
+    `gen` holds the generator rows (u_a, u_b), shape (k, 2, t), and `eve`
+    the injected current at each level, shape (L, k, t). Yields (levels,
+    positions, y): a slice of the levels, the exchanges' positions and their
+    solved rows, shape (l, B, 4, t). The ideal wire is elementwise, so it
+    takes all k rows at once, each with its own terminations, one level at a
+    time; a cable is solved per `loop_batches` batch, all levels in one scan.
+    """
+    everywhere = slice(None)
+    if isinstance(cfg.variant, circuit.Ideal):
+        r_a, r_b = choices[:, :1], choices[:, 1:]
+        for lvl in range(len(eve)):
+            levels = slice(lvl, lvl + 1)
+            yield levels, everywhere, circuit.ideal_rows(gen[:, 0], gen[:, 1], eve[levels], r_a, r_b)
+        return
+    for loop_cfg, positions in loop_batches(cfg, choices):
+        u = np.empty((len(eve), len(positions), 3, gen.shape[-1]))
+        u[:, :, :2] = gen[positions]
+        u[:, :, 2] = eve[:, positions]
+        yield everywhere, positions, circuit.solve_rows(u, loop_cfg, 1.0 / cfg.sample_rate_hz)
+
+
 def run_exchanges(
     cfg: "SimConfig",
     index: np.ndarray,
@@ -155,14 +199,13 @@ def run_exchanges(
 ) -> Exchanges:
     """Simulate k exchange periods and both parties' inferences.
 
-    The drive rows come from `exchange_drives`; the loop is then solved in
-    batches of equal loop configuration (`loop_batches`), and each party
-    decides on its own end's rows.
+    The drive rows come from `exchange_drives` and are solved by
+    `solved_batches`; each party decides on its own end's rows.
     """
     u = exchange_drives(cfg, choices, noise_seeds, attack)
     y = np.empty((len(u), 4, cfg.samples_per_bit))
-    for loop_cfg, positions in loop_batches(cfg, choices):
-        y[positions] = circuit.solve_rows(u[positions], loop_cfg, 1.0 / cfg.sample_rate_hz)
+    for _, positions, rows in solved_batches(cfg, choices, u[:, :2], u[None, :, 2]):
+        y[positions] = rows[0]
     params = (cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz)
     inferred = np.stack(
         [

@@ -39,11 +39,8 @@ def table1(base_cfg):
 
 @pytest.fixture(scope="module")
 def zero_injection_cells(base_cfg):
-    cells = {}
-    for variant in harness.default_table1_variants():
-        cell = harness.run_attack_cell(harness._cell_config(base_cfg, variant, 0.0))
-        cells[cell.variant_lbl] = cell
-    return cells
+    table = harness.run_table1(base_cfg, levels=(0.0,))
+    return {cell.variant_lbl: cell for cell in table.cells}
 
 
 @pytest.fixture(scope="module")

@@ -184,8 +184,8 @@ def test_closed_form_matches_monte_carlo():
 
 def test_success_monotone_in_level():
     cfg = harness.SimConfig(n_bits=2500, master_seed=88)
-    p_small = harness.run_attack_cell(harness._cell_config(cfg, circuit.Ideal(), 0.01)).p_e
-    p_large = harness.run_attack_cell(harness._cell_config(cfg, circuit.Ideal(), 0.1)).p_e
+    grid = harness.run_table1(cfg, levels=(0.01, 0.1), variants=[circuit.Ideal()])
+    p_small, p_large = (cell.p_e for cell in grid.cells)
     assert p_large - p_small > 0.06
 
 

@@ -357,3 +357,56 @@ def test_zero_injection_coin_is_stream_5_of_each_secure_exchange():
     assert len(secure) == cell.n
     coins = [_draw(cfg.master_seed, i, 5) for i in secure]
     assert cell.eve_bits.tolist() == coins
+
+
+@pytest.mark.parametrize("levels", [(-0.1, 0.1), (0.1, 1.0), (float("nan"),)])
+def test_table1_rejects_levels_outside_the_unit_interval(levels):
+    with pytest.raises(ConfigError, match="injection level"):
+        harness.run_table1(harness.SimConfig(n_bits=8), levels=levels, variants=[circuit.Ideal()])
+
+
+_CELL_ARRAYS = ("q", "rho_a", "rho_b", "key_bits", "eve_bits", "msq_u_a", "msq_i_a")
+_CELL_SCALARS = (
+    "variant_lbl", "level", "n", "p_e", "stderr", "honest_error_rate", "n_exchanges", "n_discarded"
+)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("mode", harness.SELECTION_MODES)
+def test_grid_cells_equal_single_cells_bit_for_bit(mode, workers):
+    """150 bits span two chunks (fixed_lh) or three (randomized); level 0 makes every bit a tie."""
+    cfg = _tiny_cfg(n_bits=150, selection_mode=mode, workers=workers)
+    levels = (0.0, 0.01, 0.1)
+    table = harness.run_table1(cfg, levels=levels)
+    variants = harness.default_table1_variants()
+    assert [(c.variant_lbl, c.level) for c in table.cells] == [
+        (harness.variant_label(v), level) for v in variants for level in levels
+    ]
+    for grid_cell, (variant, level) in zip(table.cells, itertools.product(variants, levels)):
+        cell = harness.run_attack_cell(harness._cell_config(cfg, variant, level))
+        for name in _CELL_SCALARS:
+            assert getattr(grid_cell, name) == getattr(cell, name), name
+        for name in _CELL_ARRAYS:
+            got, want = getattr(grid_cell, name), getattr(cell, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert grid_cell.classifications == cell.classifications
+
+
+def test_table1_derives_each_stream_and_synthesizes_each_row_once_per_pass(monkeypatch):
+    """All cells share each exchange: its streams are derived once per pass, its generator
+    rows synthesized once and Eve's once per injecting level; level 0 ties every bit, so
+    each secure exchange also derives its coin, once."""
+    derived, synths = _count_pipeline_calls(monkeypatch)
+    cfg = _tiny_cfg(n_bits=150)
+    levels = (0.0, 0.01, 0.1)
+    table = harness.run_table1(cfg, levels=levels)
+    indices = sorted({index for index, _ in derived})
+    assert len(indices) == 3 * 128 and indices == list(range(len(indices)))
+    assert set(derived.values()) == {1}
+    secure = {i for i in indices if _is_secure(cfg.master_seed, i)}
+    for i in indices:
+        expected = {0, 1, 2, 3, 4, 5} if i in secure else {0, 1}
+        assert {stream for index, stream in derived if index == i} == expected, i
+    assert table.cells[0].n_exchanges <= len(indices)
+    injecting = sum(level > 0 for level in levels)
+    assert synths == {"calls": 3 * (1 + injecting), "rows": (2 + injecting) * len(secure)}
