@@ -40,6 +40,20 @@ CASES = {
         harness.run_defense_experiment,
         "ccf463a4bb83230231634d5fa2a2df5bd1c59717690f13598a54e388e48a17ea",
     ),
+    # 347 exchanges: three chunks, each with batches of several row counts
+    "defense.csv-3chunks": (
+        harness.SimConfig(n_bits=150, variant=CABLE, master_seed=12345),
+        "defense_result",
+        harness.run_defense_experiment,
+        "0c60f5528dd0b37400bdf71adf6e3d7168f83d1d7f4bd1838b993bca3a0594fa",
+    ),
+    # the canceller's one-state system
+    "defense.csv-killer": (
+        harness.SimConfig(n_bits=40, variant=circuit.CableWithKiller(1000.0, 10), master_seed=12345),
+        "defense_result",
+        harness.run_defense_experiment,
+        "326b61be164f7f116a075c8336a699c592ea4732959317f95e6c35c1532421f2",
+    ),
     "single_bit.csv": (
         harness.SimConfig(
             variant=CABLE, injection=attack.InjectionSpec(0.1, 250.0, 12345), master_seed=12345
