@@ -14,6 +14,13 @@ Integration is trapezoidal (A-stable, second order, the SPICE default) with
 each run starting from the DC-consistent state for the first input sample, so
 no artificial start-up transient leaks into the statistics.
 
+One solve path, `solve_systems`, runs S discretized systems of equal state
+count at once, B rows each: S levels of one loop, or a chunk's loop batches
+of equal size, each with its own terminations. Every sample step advances
+all S x B states with one stacked product whose rows equal the S separate
+products bit for bit, and the scan runs in time blocks whose stepping buffer
+fits SCAN_BLOCK_BYTES.
+
 Sign convention
 ---------------
 Every solve reports the Loop convention: positive current at both ends points
@@ -26,7 +33,8 @@ Alice's end as solved and Bob's end negated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -224,7 +232,17 @@ class _DiscreteSystem:
 
     @property
     def n_states(self) -> int:
-        return self.p.shape[0]
+        return self.p.shape[-1]
+
+
+def stack_systems(systems) -> _DiscreteSystem:
+    """S discretized systems of equal shapes as one, each matrix with a leading (S,) axis."""
+    matrices = (
+        np.stack([getattr(s, f.name) for s in systems])
+        for f in fields(_DiscreteSystem)
+        if f.name != "dt"
+    )
+    return _DiscreteSystem(*matrices, dt=systems[0].dt)
 
 
 def _discretize(a, b, b_deriv, c, d, dt) -> _DiscreteSystem:
@@ -320,21 +338,78 @@ def injection_node_index(variant: Variant, injection_position: float) -> int:
     return int(min(max(round(injection_position * n), 1), n - 1))
 
 
-def ladder_scan(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Run the state recurrence x[k] = p @ x[k-1] + qu[k-1] in place, for a batch of rows.
+# Byte budget of a solve's stepping buffer; the drive scratch beside it takes
+# as much again. The scan advances its S x B states through time blocks of
+# as many samples as fit, so neither grows with t or with S.
+SCAN_BLOCK_BYTES = 2**19
 
-    `x` is time-major within each level, shape (L, t, B, m), or (t, B, m) for
-    one level: on entry x[..., 0, :, :] holds the B start states and
-    x[..., k, :, :] the drive term qu[k-1]; on return it holds the state
-    trajectory. Each sample step advances the L x B states with one stacked
-    (L, B, m) @ (m, m) product, whose rows equal the L separate (B, m) @ (m, m)
-    products bit for bit. Returns `x`.
+
+def ladder_scan(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Run the state recurrence x[k] = p @ x[k-1] + qu[k-1] in place, for S stacked systems.
+
+    `p` is one (m, m) matrix shared by the stack, or one per system, shape
+    (S, m, m). `x` is the stepping buffer, shape (S, n + 1, B, m), or
+    (n + 1, B, m) for one system: on entry x[..., 0, :, :] holds the B start
+    states of each system and x[..., k, :, :] the drive term qu[k-1]; on
+    return it holds the state trajectory. Each step advances all S x B states
+    with one stacked (S, B, m) @ (S, m, m) product, whose rows equal the S
+    separate (B, m) @ (m, m) products bit for bit. Returns `x`.
     """
-    p_t = np.asarray(p, dtype=np.float64).T
-    steps = list(np.moveaxis(x, -3, 0))  # views: steps[k] is sample k of every level
+    p_t = np.swapaxes(p, -1, -2)
+    steps = list(x.swapaxes(0, -3))  # views: steps[k] is sample k of every system
     for prev, cur in zip(steps, steps[1:]):
         cur += prev @ p_t
     return x
+
+
+def solve_systems(system: _DiscreteSystem, u: np.ndarray) -> np.ndarray:
+    """Outputs, shape (S, B, n_outputs, t), of S systems for inputs u of shape (S, B, n_inputs, t).
+
+    `system` is one discretized system shared by all S, or S systems of equal
+    shapes stacked by `stack_systems`. Each row starts from the DC-consistent
+    state for its first input sample. The scan runs in time blocks whose
+    stepping buffer fits SCAN_BLOCK_BYTES. Per block, the input map is one
+    stacked product over the block's time-major samples, `ladder_scan`
+    advances the states, the output map writes the block's output columns,
+    and the last state carries into the next block. A row's samples do not
+    depend on the blocking.
+    """
+    n_sys, n_rows, n_in, t = u.shape
+    m, n_out = system.n_states, system.c_out.shape[-2]
+    q_next, q_prev, c_out, d_out, dc_gain = (
+        np.swapaxes(a, -1, -2)
+        for a in (system.q_next, system.q_prev, system.c_out, system.d_out, system.dc_gain)
+    )
+    # Steps per block. Two more slots hold the carried state and absorb a one-step
+    # remainder. Each block but the last spans a multiple of 8 product rows: a
+    # matrix-vector product (m = 1) over a (B = 1) strided view rounds its last
+    # partial group of rows differently.
+    unit = 8 // math.gcd(n_rows, 8)
+    block = max(2, unit, (SCAN_BLOCK_BYTES // (8 * n_sys * n_rows * m) - 2) // unit * unit)
+    slots = min(block + 2, t)
+    # The stepping buffer x and the scratch of the input map's second product share
+    # one allocation: with glibc's malloc, one larger block left the solve's other
+    # arrays fewer fresh pages to fault in than two smaller ones.
+    buf = np.empty((n_sys, 2 * slots - 1, n_rows, m))
+    x, prev_drive = buf[:, :slots], buf[:, slots:].reshape(n_sys, -1, m)
+    x[:, 0] = u[..., 0] @ dc_gain
+    y = np.empty((n_sys, n_rows, n_out, t))
+    k0 = first = 0  # x[:, 0] holds the state at sample k0; `first` is 1 once it is written out
+    while not first or k0 < t - 1:
+        n = min(block, t - 1 - k0)
+        n += t - 1 - k0 - n == 1
+        flat = u[..., k0 : k0 + n + 1].transpose(0, 3, 1, 2).reshape(n_sys, -1, n_in)
+        drive = x[:, 1 : n + 1].reshape(n_sys, n * n_rows, m)
+        np.matmul(flat[:, n_rows:], q_next, out=drive)
+        drive += np.matmul(flat[:, :-n_rows], q_prev, out=prev_drive[:, : n * n_rows])
+        ladder_scan(system.p, x[:, : n + 1])
+        out = x[:, first : n + 1].reshape(n_sys, -1, m) @ c_out
+        out += flat[:, first * n_rows :] @ d_out
+        out = out.reshape(n_sys, -1, n_rows, n_out).transpose(0, 2, 3, 1)
+        y[..., k0 + first : k0 + n + 1] = out
+        x[:, 0] = x[:, n]
+        k0, first = k0 + n, 1
+    return y
 
 
 class TransientSolver:
@@ -375,34 +450,11 @@ class TransientSolver:
     def solve(self, u: np.ndarray) -> np.ndarray:
         """Outputs, shape (L, B, n_outputs, t), for inputs u of shape (L, B, n_inputs, t).
 
-        L levels of B rows each, solved in one scan; a (B, n_inputs, t) batch
-        is one level and gives (B, n_outputs, t). Each row starts from the
-        DC-consistent state for its first input sample. Per level, the input
-        and output maps are each one 2-D product over all t * B time-major
-        samples; the state recurrence of all levels runs in one `ladder_scan`.
+        L stacks of B rows each through this one system (`solve_systems`); a
+        (B, n_inputs, t) batch is one stack and gives (B, n_outputs, t).
         """
-        sys = self.system
-        levels = u.reshape((-1,) + u.shape[-3:])
-        n_levels, n_rows, n_in, t = levels.shape
-        m, n_out = sys.n_states, sys.c_out.shape[0]
-
-        def time_major(u_lvl):
-            return u_lvl.transpose(2, 0, 1).reshape(t * n_rows, n_in)
-
-        x = np.empty((n_levels, t, n_rows, m))
-        for u_lvl, x_lvl in zip(levels, x):
-            flat = time_major(u_lvl)
-            x_lvl[0] = u_lvl[:, :, 0] @ sys.dc_gain.T
-            drive = x_lvl[1:].reshape((t - 1) * n_rows, m)
-            np.matmul(flat[n_rows:], sys.q_next.T, out=drive)
-            drive += flat[:-n_rows] @ sys.q_prev.T
-        ladder_scan(sys.p, x)
-        y = np.empty((n_levels, n_rows, n_out, t))
-        for u_lvl, x_lvl, y_lvl in zip(levels, x, y):
-            out = x_lvl.reshape(t * n_rows, m) @ sys.c_out.T
-            out += time_major(u_lvl) @ sys.d_out.T
-            y_lvl[:] = out.reshape(t, n_rows, n_out).transpose(1, 2, 0)
-        return y.reshape(u.shape[:-2] + (n_out, t))
+        y = solve_systems(self.system, u.reshape((-1,) + u.shape[-3:]))
+        return y.reshape(u.shape[:-2] + y.shape[-2:])
 
 
 @lru_cache(maxsize=128)
@@ -411,16 +463,30 @@ def transient_solver(model: CableModel, cfg: LoopConfig | None, dt: float) -> Tr
 
 
 def solve_rows(
-    u: np.ndarray, cfg: LoopConfig, dt: float, model: CableModel | None = None
+    u: np.ndarray,
+    cfg: LoopConfig | Sequence[LoopConfig],
+    dt: float,
+    model: CableModel | None = None,
 ) -> np.ndarray:
-    """Solve a batch of exchanges that share one loop configuration.
+    """Solve batches of exchanges, each sharing one loop configuration.
 
-    Inputs (..., B, 3, t) are (u_a, u_b, i_inj) rows, with an optional
-    leading level axis; outputs (..., B, 4, t) are (i_cha, i_chb, u_cha,
-    u_chb) rows in the Loop convention. Closed form for the ideal wire,
-    ladder otherwise (default model: the variant's). Raises
+    Inputs (..., B, 3, t) are (u_a, u_b, i_inj) rows; outputs (..., B, 4, t)
+    are (i_cha, i_chb, u_cha, u_chb) rows in the Loop convention. `cfg` is
+    one loop configuration for all rows, with an optional leading stack axis,
+    or S configurations of one variant, one per batch of inputs of shape
+    (S, B, 3, t). Closed form for the ideal wire, ladder otherwise (default
+    model: the variant's), all batches in one `solve_systems` scan. Raises
     ShapeMismatchError if any solved sample is not finite.
     """
-    if isinstance(cfg.variant, Ideal):
-        return ideal_rows(u[..., 0, :], u[..., 1, :], u[..., 2, :], cfg.r_alice, cfg.r_bob)
-    return _finite(transient_solver(model or model_for_variant(cfg.variant), cfg, dt).solve(u))
+    cfgs = [cfg] if isinstance(cfg, LoopConfig) else list(cfg)
+    if isinstance(cfgs[0].variant, Ideal):
+        # per-batch terminations broadcast over the batch's rows and samples
+        shape = () if isinstance(cfg, LoopConfig) else (-1, 1, 1)
+        r_a = np.reshape([c.r_alice for c in cfgs], shape)
+        r_b = np.reshape([c.r_bob for c in cfgs], shape)
+        return ideal_rows(u[..., 0, :], u[..., 1, :], u[..., 2, :], r_a, r_b)
+    model = model or model_for_variant(cfgs[0].variant)
+    if isinstance(cfg, LoopConfig):
+        return _finite(transient_solver(model, cfg, dt).solve(u))
+    systems = [transient_solver(model, c, dt).system for c in cfgs]
+    return _finite(solve_systems(stack_systems(systems), u))

@@ -68,24 +68,26 @@ def residual_rows(
     fs: float,
     model: CableModel | None = None,
 ) -> np.ndarray:
-    """Measured minus expected end currents for a batch sharing one loop configuration.
+    """Measured minus expected end currents for rows on the wire variant of `cfg`.
 
     `measured` holds (i_cha, i_chb, u_cha, u_chb) rows in the Loop
-    convention, shape (B, 4, t); the result holds Alice's and Bob's residual
-    rows, shape (B, 2, t). Ideal wire: both ends carry one loop current, so
-    Alice's residual is i_cha - i_chb (the injected current) and Bob's is
-    zero. Cable: each end's measured current minus the in-site simulation of
-    all B rows at once, driven by the measured end voltages; `model` is the
-    parties' cable model (default: the channel's).
+    convention, shape (..., B, 4, t); the result holds Alice's and Bob's
+    residual rows, shape (..., B, 2, t). Ideal wire: both ends carry one
+    loop current, so Alice's residual is i_cha - i_chb (the injected current)
+    and Bob's is zero. Cable: each end's measured current minus the in-site
+    simulation of all rows in one scan, driven by the measured end voltages;
+    the simulation does not depend on the terminations, so any batches of
+    the variant may share it. `model` is the parties' cable model (default:
+    the channel's).
     """
     if isinstance(cfg.variant, Ideal):
-        residuals = np.zeros((measured.shape[0], 2, measured.shape[2]))
-        residuals[:, 0] = measured[:, 0] - measured[:, 1]
+        residuals = np.zeros(measured.shape[:-2] + (2, measured.shape[-1]))
+        residuals[..., 0, :] = measured[..., 0, :] - measured[..., 1, :]
         return residuals
     if model is None:
         model = model_for_variant(cfg.variant)
-    expected = transient_solver(model, None, 1.0 / fs).solve(measured[:, 2:])
-    return measured[:, :2] - expected
+    expected = transient_solver(model, None, 1.0 / fs).solve(measured[..., 2:, :])
+    return np.subtract(measured[..., :2, :], expected, out=expected)
 
 
 # Calibrated thresholds never drop below this fraction of the channel current:

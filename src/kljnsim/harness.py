@@ -25,8 +25,13 @@ An attack run is a grid of wire variants x injection levels (`run_table1`;
 exchanges. So the grid is one pass over the chunks: each chunk is
 classified, seeded and its generator rows synthesized once, and Eve's rows
 once per level. Each variant then solves a loop batch at all levels in one
-level-stacked scan and reduces the solved rows at once to per-bit
-statistics. A tie takes its exchange's coin, drawn once for all cells.
+stacked scan and reduces the solved rows at once to per-bit statistics. A
+tie takes its exchange's coin, drawn once for all cells.
+
+The defense experiment solves each secure exchange with and without Eve's
+current. A chunk groups its loop batches by row count, and each group takes
+two stacked scans: the channel, each batch with its own loop system, and the
+parties' in-site simulations.
 """
 from __future__ import annotations
 
@@ -158,13 +163,24 @@ class SimConfig:
 
     def check_array_budget(self, n_levels: int) -> None:
         """Reject a run over `n_levels` injection levels at once if one of its arrays would
-        exceed MAX_ARRAY_BYTES, predicted from the shapes."""
+        exceed MAX_ARRAY_BYTES, predicted from the shapes.
+
+        A stacked solve takes S batches of B rows. The grid solves a batch at
+        all levels (n_levels x BATCH rows); the defense solves all batches of
+        one size in a chunk together (two rows per exchange, at most
+        2 x 128 rows, and at most 2 x 128 / BATCH loop systems).
+        """
         model = circuit.model_for_variant(self.variant, self.bandwidth_hz)
         t, m, L = self.samples_per_bit, 0 if model is None else model.n_states, n_levels
+        rows = max(L * protocol.BATCH, 2 * _CHUNK)
+        n_systems = 2 * _CHUNK // protocol.BATCH
+        step = 8 * rows * m  # bytes per sample of the scan
         sizes = {
-            "the cable discretization's (m, m) matrices": 8 * m * m,
-            f"a batched solve's ({L}, t, {protocol.BATCH}, m) trajectory":
-                8 * L * t * protocol.BATCH * m,
+            f"the defense's stack of {n_systems} (m, m) system matrices": 8 * n_systems * m * m,
+            f"a stacked solve's ({rows} rows, 4, t) outputs": 8 * rows * 4 * t,
+            # SCAN_BLOCK_BYTES each, but at least 10 samples (a block of 8 and two slots)
+            f"a stacked solve's ({rows} rows, m) stepping buffer and drive scratch":
+                step * (2 * min(t, max(10, circuit.SCAN_BLOCK_BYTES // max(step, 1))) - 1),
             f"a chunk's ({_CHUNK}, 7, t) drive and solved rows": 8 * _CHUNK * 7 * t,
             f"a chunk's ({L}, {_CHUNK}, t) injected rows": 8 * L * _CHUNK * t,
         }
@@ -270,15 +286,16 @@ def _batch_stats(cfg: SimConfig, y, i_inj, choices, attacked) -> dict:
     """
     params = (cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz)
     r_a, r_b = choices[:, 0], choices[:, 1]
-    alice = protocol.decide_remote_resistor(y[..., 2, :], y[..., 0, :], r_a, *params)
-    bob = protocol.decide_remote_resistor(y[..., 3, :], y[..., 1, :], r_b, *params)
+    msq = protocol.mean_squares(y)
+    alice = protocol.decide_remote_resistor(msq[..., 2], msq[..., 0], r_a, *params)
+    bob = protocol.decide_remote_resistor(msq[..., 3], msq[..., 1], r_b, *params)
     rho_a, rho_b = _correlators(i_inj, y)
     return {
         "rho_a": np.where(attacked[:, None], rho_a, 0.0),
         "rho_b": np.where(attacked[:, None], rho_b, 0.0),
         "honest_ok": (alice == r_b) & (bob == r_a),
-        "msq_u_a": np.mean(np.square(y[..., 2, :]), axis=-1),
-        "msq_i_a": np.mean(np.square(y[..., 0, :]), axis=-1),
+        "msq_u_a": msq[..., 2],
+        "msq_i_a": msq[..., 0],
     }
 
 
@@ -487,11 +504,12 @@ def run_table1(
 def _defense_chunk(cfg: SimConfig, start: int, defense_model=None):
     """One chunk of defense pairs: each secure exchange solved with and without Eve's current.
 
-    Per batch of equal loop configuration, the clean and attacked rows are
-    solved in one call and their residuals in one in-site simulation. Per
-    pair the payload holds the index, the residual rows, shape
-    (2 arms, 2 ends, t) with the clean arm first, the clean channel current
-    RMS and the clean residual RMS over it.
+    Each batch of equal loop configuration holds its clean and attacked rows.
+    All batches with the same number of rows are solved in one stacked scan,
+    each with its own loop system, and their residuals in one more: the
+    in-site simulation. Per pair the payload holds the index, the residual
+    rows, shape (2 arms, 2 ends, t) with the clean arm first, the clean
+    channel current RMS and the clean residual RMS over it.
     """
     secure, index, _, choices = _classify_chunk(cfg, start)
     noise_seeds = _noise_seeds(cfg.master_seed, index, cfg.injection is not None)
@@ -500,16 +518,26 @@ def _defense_chunk(cfg: SimConfig, start: int, defense_model=None):
     residuals = np.empty((len(index), 2, 2, cfg.samples_per_bit))
     channel_rms = np.empty(len(index))
     clean_ratio = np.empty(len(index))
+    groups = collections.defaultdict(list)
     # two rows per exchange, so half as many exchanges per batch
     for loop_cfg, positions in protocol.loop_batches(cfg, choices, protocol.BATCH // 2):
-        n = len(positions)
-        u = np.concatenate([drives[positions], drives[positions]])
-        u[:n, 2] = 0.0  # the first n rows are the clean arm
-        measured = circuit.solve_rows(u, loop_cfg, 1.0 / fs)
-        arms = defense.residual_rows(measured, loop_cfg, fs, defense_model).reshape(2, n, 2, -1)
-        residuals[positions] = arms.swapaxes(0, 1)
-        channel_rms[positions] = np.sqrt(np.mean(np.square(measured[:n, 0]), axis=-1))
-        clean_rms = np.sqrt(np.mean(np.square(arms[0].reshape(n, -1)), axis=-1))
+        groups[len(positions)].append((loop_cfg, positions))
+    for group in groups.values():
+        loop_cfgs, positions = zip(*group)
+        positions = np.array(positions)
+        n_sys, n = positions.shape
+        # filled in place: np.concatenate's temporaries raised the peak RSS
+        u = np.empty((n_sys, 2 * n) + drives.shape[1:])
+        u[:, n:] = drives[positions]
+        u[:, :n, :2] = u[:, n:, :2]
+        u[:, :n, 2] = 0.0  # the first n rows of each batch are the clean arm
+        measured = circuit.solve_rows(u, loop_cfgs, 1.0 / fs)
+        del u  # free the drive rows before the in-site scan
+        arms = defense.residual_rows(measured, loop_cfgs[0], fs, defense_model)
+        arms = arms.reshape(n_sys, 2, n, 2, -1)
+        residuals[positions] = arms.swapaxes(1, 2)
+        channel_rms[positions] = np.sqrt(np.mean(np.square(measured[:, :n, 0]), axis=-1))
+        clean_rms = np.sqrt(np.mean(np.square(arms[:, 0].reshape(n_sys, n, -1)), axis=-1))
         clean_ratio[positions] = clean_rms / channel_rms[positions]
     return secure, {
         "index": index,

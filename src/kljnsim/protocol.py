@@ -60,8 +60,8 @@ def likelihood_scales(four_ktb: float, own_r: float, cand: float) -> tuple[float
 
 
 def decide_remote_resistor(
-    u_ch: np.ndarray,
-    i_ch: np.ndarray,
+    msq_u: np.ndarray,
+    msq_i: np.ndarray,
     own_r: np.ndarray,
     r_l: float,
     r_h: float,
@@ -76,12 +76,10 @@ def decide_remote_resistor(
     scaled chi-square reduces to -(m/s + ln s) per measurement up to common
     factors, so scoring both and taking the larger sum is the exact
     two-hypothesis test; Low wins unless High scores strictly higher.
-    `u_ch` and `i_ch` are one end's sample rows, shape (..., k, t), and
-    `own_r` that end's resistances, shape (k,); returns the (..., k) remote
-    resistances.
+    `msq_u` and `msq_i` are one end's mean-square voltage and current per
+    row, shape (..., k) (`mean_squares`), and `own_r` that end's
+    resistances, shape (k,); returns the (..., k) remote resistances.
     """
-    msq_u = np.mean(np.square(u_ch), axis=-1)
-    msq_i = np.mean(np.square(i_ch), axis=-1)
     if np.any(msq_i <= 0.0) or np.any(msq_u <= 0.0):
         raise InferenceError("degenerate channel measurement")
     four_ktb = 4.0 * K_BOLTZMANN * t_eff * bandwidth_hz
@@ -96,6 +94,15 @@ def decide_remote_resistor(
         )
         remote[rows] = np.where(high > low, r_h, r_l)
     return remote
+
+
+def mean_squares(y: np.ndarray) -> np.ndarray:
+    """Mean square of each solved row over its samples: (..., 4, t) rows give (..., 4).
+
+    One signal at a time, so that the squares take a quarter of `y`'s memory.
+    """
+    msq = [np.mean(np.square(y[..., r, :]), axis=-1) for r in range(y.shape[-2])]
+    return np.stack(msq, axis=-1)
 
 
 def exchange_drives(
@@ -146,8 +153,10 @@ def injection_rows(cfg: "SimConfig", eve_seeds: np.ndarray, attack: "InjectionSp
     )
 
 
-# Rows per batched loop solve. A solve holds its (L, t, BATCH, m) state
-# trajectory at once, so this bounds its memory.
+# Rows per loop batch. A row's samples depend on how many rows share its
+# (B, m) @ (m, m) step products, so this fixes every row's rounding. Solves
+# stack whole batches (a grid's levels, a defense chunk's batches of equal
+# size) and scan them in time blocks, so memory does not grow with it.
 BATCH = 16
 
 
@@ -207,10 +216,11 @@ def run_exchanges(
     for _, positions, rows in solved_batches(cfg, choices, u[:, :2], u[None, :, 2]):
         y[positions] = rows[0]
     params = (cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz)
+    msq = mean_squares(y)
     inferred = np.stack(
         [
-            decide_remote_resistor(y[:, 2], y[:, 0], choices[:, 0], *params),
-            decide_remote_resistor(y[:, 3], y[:, 1], choices[:, 1], *params),
+            decide_remote_resistor(msq[:, 2], msq[:, 0], choices[:, 0], *params),
+            decide_remote_resistor(msq[:, 3], msq[:, 1], choices[:, 1], *params),
         ],
         axis=1,
     )

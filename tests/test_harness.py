@@ -3,6 +3,7 @@ import collections
 import filecmp
 import itertools
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -410,3 +411,24 @@ def test_table1_derives_each_stream_and_synthesizes_each_row_once_per_pass(monke
     assert table.cells[0].n_exchanges <= len(indices)
     injecting = sum(level > 0 for level in levels)
     assert synths == {"calls": 3 * (1 + injecting), "rows": (2 + injecting) * len(secure)}
+
+
+def test_defense_chunk_memory_is_bounded_by_its_shapes():
+    """One defense chunk on Cable(1000, 10) holds, at its peak, its drive and residual rows
+    (7 rows per pair), one group's inputs, solved rows and residuals (9 rows per solved
+    row, at most 2 solved rows per pair), the scan's stepping buffer and drive scratch
+    (SCAN_BLOCK_BYTES each) and a block's map temporaries (less than either). An unblocked
+    (S, t, B, m) trajectory would add 19 rows per solved row."""
+    cfg = harness.SimConfig(
+        variant=circuit.Cable(1000.0, 10), injection=attack.InjectionSpec(0.1, 250.0, 12345)
+    )
+    harness._defense_chunk(cfg, 0)  # discretize the systems outside the measurement
+    tracemalloc.start()
+    try:
+        _, payload = harness._defense_chunk(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k, t = len(payload["index"]), cfg.samples_per_bit
+    assert k > 40
+    assert peak < 8 * t * (7 * k + 9 * 2 * k) + 3 * circuit.SCAN_BLOCK_BYTES

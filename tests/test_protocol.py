@@ -160,11 +160,11 @@ def test_fixed_mode_pins_arrangement(monkeypatch):
 
 
 def test_decide_remote_resistor_rejects_degenerate():
-    rows = np.ones((3, 200))
-    rows[1] = 0.0
-    for u_ch, i_ch in ((rows, np.ones((3, 200))), (np.ones((3, 200)), rows)):
+    msq = np.ones(3)
+    msq[1] = 0.0
+    for msq_u, msq_i in ((msq, np.ones(3)), (np.ones(3), msq)):
         with pytest.raises(InferenceError):
-            decide_remote_resistor(u_ch, i_ch, np.full(3, R_L), R_L, R_H, T_EFF, BW)
+            decide_remote_resistor(msq_u, msq_i, np.full(3, R_L), R_L, R_H, T_EFF, BW)
 
 
 def _reference_scores(u_ch, i_ch, own_r, candidates, t_eff, bandwidth_hz):
@@ -199,7 +199,8 @@ def test_decide_remote_resistor_matches_scalar_reference():
     i_ch = rng.standard_normal((300, 200)) * np.sqrt(four_ktb / (own + remote))[:, None]
     s_u = four_ktb * own * remote / (own + remote)
     u_ch = rng.standard_normal((300, 200)) * np.sqrt(s_u)[:, None]
-    got = decide_remote_resistor(u_ch, i_ch, own, R_L, R_H, T_EFF, BW)
+    msq_u, msq_i = (np.mean(np.square(rows), axis=-1) for rows in (u_ch, i_ch))
+    got = decide_remote_resistor(msq_u, msq_i, own, R_L, R_H, T_EFF, BW)
     expected = [_decide_reference(*row, R_L, R_H, T_EFF, BW) for row in zip(u_ch, i_ch, own)]
     assert got.tolist() == expected
     assert set(expected) == {R_L, R_H}
@@ -221,5 +222,6 @@ def test_decide_remote_resistor_tie_goes_to_low():
     else:
         pytest.fail("no exact tie found")
     assert _decide_reference(u_row, i_row, own, r_l, r_h, T_EFF, BW) == r_l
-    got = decide_remote_resistor(u_row[None], i_row[None], np.array([own]), r_l, r_h, T_EFF, BW)
+    msq_u, msq_i = (np.mean(np.square(row), axis=-1, keepdims=True) for row in (u_row, i_row))
+    got = decide_remote_resistor(msq_u, msq_i, np.array([own]), r_l, r_h, T_EFF, BW)
     assert got.tolist() == [r_l]
