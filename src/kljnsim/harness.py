@@ -9,29 +9,34 @@ changes earlier bits, and any partition of the index range across workers
 reproduces the sequential result exactly.
 
 A stream is derived only when it is drawn: every exchange derives its two
-choice streams, a secure one the parties' noise seeds and, when an injection
-is configured, Eve's, and Eve's coin is derived only for a correlator tie.
-No SeedSequence is built per stream: `seeds` computes numpy's SeedSequence
-hashing and PCG64 seeding over whole index arrays, with the same results.
-Exchanges run in chunks of 128 consecutive indices, each one array pass from
-the seeds to the decisions: one `seeds` call draws the chunk's (128, 2) array
-of which party holds r_h, one derives its secure rows' noise seeds, and one
-draws Eve's coins on its ties. The mixed rows are the chunk's secure mask,
-and a run ends at the n-th secure exchange, found by a cumulative sum over
-the masks.
+choice streams, a secure exchange that the run solves also the parties'
+noise seeds and, when an injection is configured, Eve's, and Eve's coin is
+derived only for a correlator tie. No SeedSequence is built per stream:
+`seeds` computes numpy's SeedSequence hashing and PCG64 seeding over whole
+index arrays, with the same results. Exchanges run in chunks of 128
+consecutive indices, each one array pass from the seeds to the decisions. The harness classifies a
+chunk before it runs it: one `seeds` call draws the chunk's (128, 2) array
+of which party holds r_h, and the mixed rows are its secure exchanges. A
+run ends at the n-th secure exchange, so the harness knows how many of the
+last chunk's secure exchanges it uses, and hands that chunk over with only
+the loop batches that hold one of them (`_used_chunks`). Every chunk then
+derives its solved rows' noise seeds in one `seeds` call, and Eve's coins
+on its ties in one more.
 
 An attack run is a grid of wire variants x injection levels (`run_table1`;
 `run_attack_cell` is a grid of one cell), and all its cells consume the same
-exchanges. So the grid is one pass over the chunks: each chunk is
-classified, seeded and its generator rows synthesized once, and Eve's rows
-once per level. Each variant then solves a loop batch at all levels in one
-stacked scan and reduces the solved rows at once to per-bit statistics. A
+exchanges. So the grid is one pass over the chunks: each chunk is seeded
+and its generator rows synthesized once, and Eve's rows of every level in
+one more synthesis call. Each variant then solves a loop batch at all
+levels in one stacked scan and reduces the solved rows to mean squares and
+correlators; each party decides once per chunk for every cell and bit. A
 tie takes its exchange's coin, drawn once for all cells.
 
 The defense experiment solves each secure exchange with and without Eve's
 current. A chunk groups its loop batches by row count, and each group takes
 two stacked scans: the channel, each batch with its own loop system, and the
-parties' in-site simulations.
+parties' in-site simulations. The run calibrates on its first pairs, then
+detects on each chunk as it arrives and drops its residual rows.
 """
 from __future__ import annotations
 
@@ -264,124 +269,118 @@ def _eve_bits(cfg: SimConfig, index: np.ndarray, rho_a: np.ndarray, rho_b: np.nd
 
 
 def _classify_chunk(cfg: SimConfig, start: int):
-    """The chunk at `start` as arrays: which exchanges are secure, and the secure ones' inputs.
+    """The secure exchanges of the chunk at `start`, in index order.
 
-    Returns the chunk's (128,) secure mask in index order and, for the secure
-    exchanges only, their indices, their key bits (1 when Alice holds r_h)
-    and their (Alice, Bob) resistances, shape (k, 2).
+    Returns their indices, their key bits (1 when Alice holds r_h) and their
+    (Alice, Bob) resistances, shape (k, 2).
     """
     high = _holds_r_h(cfg, np.arange(start, start + _CHUNK))
     secure = high[:, 0] != high[:, 1]
     index = start + np.flatnonzero(secure)
-    return secure, index, high[secure, 0].astype(np.uint8), np.where(high[secure], cfg.r_h, cfg.r_l)
+    return index, high[secure, 0].astype(np.uint8), np.where(high[secure], cfg.r_h, cfg.r_l)
 
 
-def _batch_stats(cfg: SimConfig, y, i_inj, choices, attacked) -> dict:
-    """One solved batch reduced to its per-bit statistics, each of shape (levels, B).
+def _used_chunks(cfg: SimConfig, n_secure: int, batch: int):
+    """The chunks' secure exchanges that a run of n_secure secure bits solves, in index order.
 
-    `y` holds the batch's solved rows, shape (levels, B, 4, t), `i_inj` Eve's
-    rows, shape (levels, B, t), `choices` the (Alice, Bob) resistances,
-    shape (B, 2), and `attacked` whether each level injects, shape (levels,).
-    Eve's correlators read 0 at a level without injection.
+    Yields each chunk's (index, key_bits, choices) from `_classify_chunk`, and
+    skips chunks without a secure exchange. Every chunk is used in full but
+    the last, the one that holds the n_secure-th secure exchange: it keeps
+    only its `protocol.loop_batches` batches of `batch` rows that hold at
+    least one of the secure exchanges up to that one, so the rows it yields
+    start with those. A batch is kept or dropped whole, because a (B, m) @
+    (m, m) product's rows can change in the last ulp with B: a kept row keeps
+    its batch, its slice of a stacked solve and its time blocks, and so the
+    bits it gives, whatever n_secure is. A dropped batch is never seeded,
+    synthesized or solved.
     """
-    params = (cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz)
-    r_a, r_b = choices[:, 0], choices[:, 1]
-    msq = protocol.mean_squares(y)
-    alice = protocol.decide_remote_resistor(msq[..., 2], msq[..., 0], r_a, *params)
-    bob = protocol.decide_remote_resistor(msq[..., 3], msq[..., 1], r_b, *params)
-    rho_a, rho_b = _correlators(i_inj, y)
-    return {
-        "rho_a": np.where(attacked[:, None], rho_a, 0.0),
-        "rho_b": np.where(attacked[:, None], rho_b, 0.0),
-        "honest_ok": (alice == r_b) & (bob == r_a),
-        "msq_u_a": msq[..., 2],
-        "msq_i_a": msq[..., 0],
-    }
+    found = 0
+    for start in itertools.count(0, _CHUNK):
+        index, key_bits, choices = _classify_chunk(cfg, start)
+        n_used = n_secure - found
+        if len(index) >= n_used:
+            kept = sorted(
+                pos
+                for _, positions in protocol.loop_batches(cfg, choices, batch)
+                if positions[0] < n_used
+                for pos in positions
+            )
+            yield index[kept], key_bits[kept], choices[kept]
+            return
+        found += len(index)
+        if len(index):
+            yield index, key_bits, choices
 
 
-def _grid_chunk(cfg: SimConfig, start: int, cell_cfgs):
-    """One chunk of the grid: its secure mask, and the key bits and Eve's and the parties'
-    statistics per cell and secure bit.
+def _consume_chunks(cfg: SimConfig, chunk_worker, n_secure: int, batch: int):
+    """Yield `chunk_worker(cfg, chunk)` for each chunk of `_used_chunks`, in index order.
 
+    The harness classifies each chunk before it runs it, so it submits
+    exactly the chunks a run uses. With several workers the chunks are
+    evaluated concurrently, at most workers + 1 ahead of the consumer, but
+    yielded in order, so the result is identical to the sequential one.
+    """
+    chunks = _used_chunks(cfg, n_secure, batch)
+    if cfg.workers == 1:
+        for chunk in chunks:
+            yield chunk_worker(cfg, chunk)
+        return
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        futures = collections.deque()
+        for chunk in chunks:
+            futures.append(pool.submit(chunk_worker, cfg, chunk))
+            if len(futures) > cfg.workers:
+                yield futures.popleft().result()
+        while futures:
+            yield futures.popleft().result()
+
+
+def _grid_chunk(cfg: SimConfig, chunk, cell_cfgs) -> dict:
+    """One chunk of the grid: the key bits and Eve's and the parties' statistics per cell and
+    secure exchange.
+
+    `chunk` is (index, key_bits, choices) from `_used_chunks`, and
     `cell_cfgs` holds each cell's config, one row of levels per variant. The
-    chunk is classified, seeded and its generator rows synthesized once, and
-    Eve's rows once per level. Each variant then solves all levels of a loop
-    batch in one scan, and reduces the solved rows at once to the per-bit
-    statistics, so no chunk-sized array of solved rows is held. Statistics
-    have shape (variants, levels, k).
+    chunk is seeded and its generator rows synthesized once, and Eve's rows
+    in one more call for all levels. Each variant solves all levels of a
+    loop batch in one scan and reduces the solved rows to their mean squares
+    and Eve's correlators, so no chunk-sized array of solved rows is held.
+    Each party then decides for every (variant, level, exchange) at once.
+    Statistics have shape (variants, levels, k).
     """
-    secure, index, key_bits, choices = _classify_chunk(cfg, start)
+    index, key_bits, choices = chunk
     attacks = [c.injection for c in cell_cfgs[0]]
     attacked = np.array([a is not None for a in attacks])
     noise_seeds = _noise_seeds(cfg.master_seed, index, attacked.any())
     gen = protocol.generator_rows(cfg, choices, noise_seeds)
     eve = np.zeros((len(attacks), len(index), cfg.samples_per_bit))
-    for lvl, spec in zip(eve, attacks):
-        if spec is not None:
-            lvl[:] = protocol.injection_rows(cfg, noise_seeds[:, 2], spec)
+    if attacked.any():
+        specs = [a for a in attacks if a is not None]
+        eve[attacked] = protocol.injection_rows(cfg, noise_seeds[:, 2], specs)
     shape = (len(cell_cfgs), len(attacks), len(index))
-    stats = {name: np.empty(shape) for name in ("rho_a", "rho_b", "msq_u_a", "msq_i_a")}
-    stats["honest_ok"] = np.empty(shape, dtype=bool)
+    msq = np.empty(shape + (4,))
+    rho_a, rho_b = np.empty(shape), np.empty(shape)
     for v, row in enumerate(cell_cfgs):
         for levels, positions, y in protocol.solved_batches(row[0], choices, gen, eve):
-            batch = _batch_stats(
-                cfg, y, eve[levels][:, positions], choices[positions], attacked[levels]
-            )
-            for name, value in batch.items():
-                stats[name][v, levels][:, positions] = value
+            msq[v, levels][:, positions] = protocol.mean_squares(y)
+            rho = _correlators(eve[levels][:, positions], y)
+            rho_a[v, levels][:, positions], rho_b[v, levels][:, positions] = rho
             del y  # free the solved rows before the next batch is solved
-    stats["eve_bits"] = _eve_bits(cfg, index, stats["rho_a"], stats["rho_b"])
-    return secure, {"key_bits": key_bits, **stats}
-
-
-def _consume_chunks(cfg: SimConfig, chunk_worker, n_secure: int):
-    """Run `chunk_worker(cfg, start)` over 128-exchange chunks until n_secure secure bits are in.
-
-    A chunk worker returns (secure, payload): its chunk's (128,) secure mask,
-    and what it computed for the chunk's secure exchanges. Chunks are
-    processed strictly in index order; with several workers the chunks are
-    evaluated concurrently but consumed in order, so the result is identical
-    to the sequential one. The n_secure-th secure exchange is found by a
-    cumulative sum over the masks. Returns the number of exchanges consumed,
-    up to and including that one, and the consumed chunks' payloads in order;
-    the last may hold secure exchanges past it.
-
-    The last chunk runs in full by design. A (B, m) @ (m, m) product's rows
-    can change in the last ulp with B (for m = 19, 12 of 16 batch sizes
-    differ from B = 16), so trimming it would change its solve batches and
-    with them the bits that an n_bits-independent prefix must keep.
-    """
-    payloads = []
-    consumed = found = 0
-
-    def consume(result):
-        nonlocal consumed, found
-        secure, payload = result
-        payloads.append(payload)
-        counts = found + np.cumsum(secure)
-        if counts[-1] < n_secure:
-            consumed, found = consumed + len(secure), int(counts[-1])
-            return False
-        consumed += int(np.searchsorted(counts, n_secure)) + 1
-        return True
-
-    if cfg.workers == 1:
-        start = 0
-        while not consume(chunk_worker(cfg, start)):
-            start += _CHUNK
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = collections.deque()
-            next_start = 0
-            done = False
-            while not done:
-                while len(futures) < cfg.workers + 1:
-                    futures.append(pool.submit(chunk_worker, cfg, next_start))
-                    next_start += _CHUNK
-                done = consume(futures.popleft().result())
-            for f in futures:
-                f.cancel()
-    return consumed, payloads
+    params = (cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz)
+    alice = protocol.decide_remote_resistor(msq[..., 2], msq[..., 0], choices[:, 0], *params)
+    bob = protocol.decide_remote_resistor(msq[..., 3], msq[..., 1], choices[:, 1], *params)
+    # Eve's correlators read 0 at a level without injection
+    rho_a, rho_b = (np.where(attacked[:, None], rho, 0.0) for rho in (rho_a, rho_b))
+    return {
+        "index": index,
+        "key_bits": key_bits,
+        "rho_a": rho_a,
+        "rho_b": rho_b,
+        "eve_bits": _eve_bits(cfg, index, rho_a, rho_b),
+        "honest_ok": (alice == choices[:, 1]) & (bob == choices[:, 0]),
+        "msq_u_a": msq[..., 2],
+        "msq_i_a": msq[..., 0],
+    }
 
 
 @dataclass
@@ -417,14 +416,15 @@ def _run_grid(cfg: SimConfig, variants, levels) -> list[CellResult]:
     for row in cell_cfgs:
         row[0].check_array_budget(len(levels))
 
-    def chunk_worker(c, start):
-        return _grid_chunk(c, start, cell_cfgs)
+    def chunk_worker(c, chunk):
+        return _grid_chunk(c, chunk, cell_cfgs)
 
-    n_exchanges, payloads = _consume_chunks(cfg, chunk_worker, cfg.n_bits)
+    payloads = list(_consume_chunks(cfg, chunk_worker, cfg.n_bits, protocol.BATCH))
     cols = {
         name: np.concatenate([p[name] for p in payloads], axis=-1)[..., : cfg.n_bits]
         for name in payloads[0]
     }
+    n_exchanges = int(cols.pop("index")[-1]) + 1  # up to and including the last secure one
     key_bits = cols.pop("key_bits")
     n = len(key_bits)
     classes = (protocol.BitClass.SECURE_LH, protocol.BitClass.SECURE_HL)
@@ -501,17 +501,22 @@ def run_table1(
 # --- defense experiment -----------------------------------------------------
 
 
-def _defense_chunk(cfg: SimConfig, start: int, defense_model=None):
+# Exchanges per defense loop batch: each holds two solved rows, its clean and attacked arm
+_DEFENSE_BATCH = protocol.BATCH // 2
+
+
+def _defense_chunk(cfg: SimConfig, chunk, defense_model=None) -> dict:
     """One chunk of defense pairs: each secure exchange solved with and without Eve's current.
 
-    Each batch of equal loop configuration holds its clean and attacked rows.
-    All batches with the same number of rows are solved in one stacked scan,
-    each with its own loop system, and their residuals in one more: the
-    in-site simulation. Per pair the payload holds the index, the residual
-    rows, shape (2 arms, 2 ends, t) with the clean arm first, the clean
-    channel current RMS and the clean residual RMS over it.
+    `chunk` is (index, key_bits, choices) from `_used_chunks`. Each batch of
+    equal loop configuration holds its clean and attacked rows. All batches
+    with the same number of rows are solved in one stacked scan, each with
+    its own loop system, and their residuals in one more: the in-site
+    simulation. Per pair the payload holds the index, the residual rows,
+    shape (2 arms, 2 ends, t) with the clean arm first, the clean channel
+    current RMS and the clean residual RMS over it.
     """
-    secure, index, _, choices = _classify_chunk(cfg, start)
+    index, _, choices = chunk
     noise_seeds = _noise_seeds(cfg.master_seed, index, cfg.injection is not None)
     drives = protocol.exchange_drives(cfg, choices, noise_seeds, cfg.injection)
     fs = cfg.sample_rate_hz
@@ -519,8 +524,7 @@ def _defense_chunk(cfg: SimConfig, start: int, defense_model=None):
     channel_rms = np.empty(len(index))
     clean_ratio = np.empty(len(index))
     groups = collections.defaultdict(list)
-    # two rows per exchange, so half as many exchanges per batch
-    for loop_cfg, positions in protocol.loop_batches(cfg, choices, protocol.BATCH // 2):
+    for loop_cfg, positions in protocol.loop_batches(cfg, choices, _DEFENSE_BATCH):
         groups[len(positions)].append((loop_cfg, positions))
     for group in groups.values():
         loop_cfgs, positions = zip(*group)
@@ -539,7 +543,7 @@ def _defense_chunk(cfg: SimConfig, start: int, defense_model=None):
         channel_rms[positions] = np.sqrt(np.mean(np.square(measured[:, :n, 0]), axis=-1))
         clean_rms = np.sqrt(np.mean(np.square(arms[:, 0].reshape(n_sys, n, -1)), axis=-1))
         clean_ratio[positions] = clean_rms / channel_rms[positions]
-    return secure, {
+    return {
         "index": index,
         "residuals": residuals,
         "channel_rms": channel_rms,
@@ -571,6 +575,30 @@ class DefenseResult:
     elapsed_s: float
 
 
+def _calibrate_defense(cfg: SimConfig, held, n_calibration: int):
+    """The detection config and the traced pair, from the first n_calibration + 1 pairs of the
+    `held` chunks' payloads.
+
+    The first n_calibration pairs' clean rows set the threshold, unless the
+    config fixes it. Returns it and a copy of the next pair's residual rows
+    at Alice's end, shape (2 arms, t), so no view keeps the held rows alive.
+    """
+    # residual rows (arm, end, t) of the first n_calibration + 1 pairs: calibration, then the trace
+    pairs = itertools.chain.from_iterable(p["residuals"] for p in held)
+    *calibration, traced = itertools.islice(pairs, n_calibration + 1)
+    det = cfg.detection
+    if det is None:
+        pool = [row for pair in calibration for row in pair[0]]  # Alice's, then Bob's clean row
+        channel_rms = np.concatenate([p["channel_rms"] for p in held])
+        det = defense.calibrate_threshold(
+            pool,
+            cfg.detection_multiplier,
+            cfg.detection_consecutive,
+            reference_rms=float(np.mean(channel_rms[:n_calibration])),
+        )
+    return det, traced[:, 0].copy()
+
+
 def run_defense_experiment(
     cfg: SimConfig,
     n_calibration: int = 20,
@@ -583,6 +611,10 @@ def run_defense_experiment(
     statistics are computed over the remaining bits of both arms.
     `defense_model` perturbs the parties' cable model away from the channel
     truth to study robustness; by default they coincide.
+
+    The run streams: it holds chunks only until the calibration pairs and
+    the traced pair are in, then detects on each chunk as it arrives and
+    drops its residual rows, so memory does not grow with n_bits.
     """
     t0 = time.monotonic()
     if cfg.injection is None:
@@ -595,13 +627,6 @@ def run_defense_experiment(
             f"defense experiment needs more than {n_calibration} bits for calibration"
         )
     t = cfg.samples_per_bit
-    held = 8 * cfg.n_bits * 2 * 2 * t
-    if held > MAX_ARRAY_BYTES:
-        raise ConfigError(
-            f"the defense's held residual rows (n_bits x 2 arms x 2 ends x t) would take "
-            f"{held:.3g} bytes, above the {MAX_ARRAY_BYTES} byte budget "
-            f"(n_bits = {cfg.n_bits}, t = {t} samples per bit)"
-        )
     if not isinstance(cfg.variant, circuit.Ideal):
         # The in-site simulation takes a cable current as a voltage difference over a
         # branch's resistance, so its roundoff is about eps x r_h's generator voltage over
@@ -618,34 +643,29 @@ def run_defense_experiment(
                 f"{r_branch:.3g} ohm is too small for the in-site simulation's roundoff"
             )
 
-    def chunk_worker(c, start):
-        return _defense_chunk(c, start, defense_model)
+    def chunk_worker(c, chunk):
+        return _defense_chunk(c, chunk, defense_model)
 
-    _, payloads = _consume_chunks(cfg, chunk_worker, cfg.n_bits)
-    # residuals stay per chunk: concatenating would copy every row
-    residuals = [p.pop("residuals") for p in payloads]
-    cols = {name: np.concatenate([p[name] for p in payloads])[: cfg.n_bits] for name in payloads[0]}
-    # residual rows (arm, end, t) of the first n_calibration + 1 pairs: calibration, then the trace
-    *calibration, traced = itertools.islice(itertools.chain(*residuals), n_calibration + 1)
-    if cfg.detection is not None:
-        det = cfg.detection
-    else:
-        pool = [row for pair in calibration for row in pair[0]]  # Alice's, then Bob's clean row
-        det = defense.calibrate_threshold(
-            pool,
-            cfg.detection_multiplier,
-            cfg.detection_consecutive,
-            reference_rms=float(np.mean(cols["channel_rms"][:n_calibration])),
-        )
-    # each evaluated pair's first firing sample and peak |residual|, shape (n_eval, 2 arms)
-    first, peak = (
-        np.concatenate(col)[n_calibration : cfg.n_bits]
-        for col in zip(*(defense.detect(r, det) for r in residuals))
+    stream = _consume_chunks(cfg, chunk_worker, cfg.n_bits, _DEFENSE_BATCH)
+    # n_bits > n_calibration, so the stream holds the first n_calibration + 1 pairs
+    held = []
+    while sum(len(p["index"]) for p in held) <= n_calibration:
+        held.append(next(stream))
+    det, (trace_clean, trace_attacked) = _calibrate_defense(cfg, held, n_calibration)
+    cols = collections.defaultdict(list)
+    for payload in itertools.chain(held, stream):
+        # each pair's first firing sample and peak |residual|, shape (k, 2 arms); popping the
+        # residual rows frees them, held chunks' too
+        first, peak = defense.detect(payload.pop("residuals"), det)
+        for name, value in (("first", first), ("peak", peak), *payload.items()):
+            cols[name].append(value)
+    first, peak, index, clean_ratio = (
+        np.concatenate(cols[name])[n_calibration : cfg.n_bits]
+        for name in ("first", "peak", "index", "clean_ratio")
     )
-    bits = cols["index"][n_calibration:].tolist()
     rows = [
         DefenseBitRow(bit, attacked, f >= 0, f / t if f >= 0 else None, p)
-        for bit, firsts, peaks in zip(bits, first.tolist(), peak.tolist())
+        for bit, firsts, peaks in zip(index.tolist(), first.tolist(), peak.tolist())
         for attacked, f, p in zip((False, True), firsts, peaks)
     ]
     n_eval, attacked_first = len(first), first[:, 1]
@@ -659,9 +679,9 @@ def run_defense_experiment(
         detection_rate=latencies.size / n_eval,
         false_positive_rate=int(np.count_nonzero(first[:, 0] >= 0)) / n_eval,
         median_latency_fraction=float(np.median(latencies)) if latencies.size else None,
-        clean_residual_ratio=float(np.max(cols["clean_ratio"][n_calibration:])),
-        trace_attacked=(trace_t, traced[1, 0]),
-        trace_clean=(trace_t, traced[0, 0]),
+        clean_residual_ratio=float(np.max(clean_ratio)),
+        trace_attacked=(trace_t, trace_attacked),
+        trace_clean=(trace_t, trace_clean),
         elapsed_s=time.monotonic() - t0,
     )
 

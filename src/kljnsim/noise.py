@@ -47,6 +47,10 @@ def synth_band_limited_gaussian(
     fluctuation instead of being renormalized per row. One inverse FFT
     transforms all rows.
 
+    A 2-D `target_rms`, one row of scales per level, shape (L, k) or (L, 1),
+    gives L scaled copies of the rows, shape (L, k, n): the amplitudes are
+    drawn once, and each level takes the one inverse FFT it would take alone.
+
     The rows share one PCG64 of this call, set to each row's seeded state
     in turn (`pcg64_states`); it is never shared across calls, so
     concurrent calls stay independent.
@@ -68,4 +72,9 @@ def synth_band_limited_gaussian(
     z[:, mask] = parts[:, :n_bins] + 1j * parts[:, n_bins:]
     # var(x_j) = 4 s^2 n_bins / n^2 for unit-variance bin parts scaled by s
     scale = np.asarray(target_rms, dtype=np.float64) * n / (2.0 * math.sqrt(n_bins))
-    return np.fft.irfft(z * np.reshape(scale, (-1, 1)), n)
+    if scale.ndim < 2:
+        return np.fft.irfft(z * np.reshape(scale, (-1, 1)), n)
+    rows = np.empty((len(scale), len(states), n))
+    for out, level in zip(rows, scale):
+        out[:] = np.fft.irfft(z * np.reshape(level, (-1, 1)), n)
+    return rows

@@ -121,7 +121,7 @@ def exchange_drives(
     u = np.zeros((len(choices), 3, cfg.samples_per_bit))
     u[:, :2] = generator_rows(cfg, choices, noise_seeds)
     if attack is not None:
-        u[:, 2] = injection_rows(cfg, noise_seeds[:, 2], attack)
+        u[:, 2] = injection_rows(cfg, noise_seeds[:, 2], [attack])[0]
     return u
 
 
@@ -141,15 +141,19 @@ def generator_rows(cfg: "SimConfig", choices: np.ndarray, noise_seeds: np.ndarra
     ).reshape(k, 2, t)
 
 
-def injection_rows(cfg: "SimConfig", eve_seeds: np.ndarray, attack: "InjectionSpec") -> np.ndarray:
-    """Eve's injected current for k exchanges from their noise seeds, shape (k, t).
+def injection_rows(
+    cfg: "SimConfig", eve_seeds: np.ndarray, attacks: "list[InjectionSpec]"
+) -> np.ndarray:
+    """Eve's injected current at L levels for k exchanges from their noise seeds, shape (L, k, t).
 
-    Its RMS is the requested fraction of the nominal secure-state loop current.
+    `attacks` holds one injection per level, all of one bandwidth. Each
+    level's RMS is its fraction of the nominal secure-state loop current, and
+    one synthesis call makes the rows of every level.
     """
     ref = reference_rms_channel_current(cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz)
     return synth_band_limited_gaussian(
-        eve_seeds, attack.level_fraction * ref, cfg.samples_per_bit, cfg.sample_rate_hz,
-        attack.bandwidth_hz,
+        eve_seeds, [[a.level_fraction * ref] for a in attacks], cfg.samples_per_bit,
+        cfg.sample_rate_hz, attacks[0].bandwidth_hz,
     )
 
 

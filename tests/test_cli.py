@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,12 +109,25 @@ def test_seed_and_bit_index_of_2_to_the_64_run(tmp_path):
     assert "residual_a_A" in (out / "single_bit.csv").read_text().splitlines()[0]
 
 
-def test_defense_residual_budget_exits_2(tmp_path, capsys):
-    # 10000 pairs x 2 arms x 2 ends x 20000 samples x 8 bytes = 6.4 GB of held residual rows,
-    # though each chunk's arrays fit the budget; rejected before the first chunk runs
-    cfg = _cfg_file(tmp_path, "n_bits = 10000\ntau_s = 10\nvariant = cable\n")
-    assert cli.main(["defense", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "held residual rows" in capsys.readouterr().err
+def _traced_peak(argv):
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_defense_memory_does_not_grow_with_the_bit_count(tmp_path):
+    """The defense detects on each chunk as it arrives and drops its residual rows, so a run of
+    600 pairs (about ten chunks) peaks within two chunks' residual rows (128 pairs x 2 arms x 2
+    ends x t samples each) of a run of 150 pairs (three chunks); holding every pair's rows
+    would add 450 pairs' worth."""
+    args = ["defense", "--seed", "3", "--out", str(tmp_path / "o"), "--bits"]
+    _traced_peak(args + ["25"])  # discretize the systems outside the measurement
+    short, long = (_traced_peak(args + [str(n)]) for n in (150, 600))
+    chunk_residuals = 8 * 128 * 2 * 2 * 200
+    assert long - short < 2 * chunk_residuals
 
 
 def test_defense_on_a_1m_cable_keeps_clean_residuals_below_1e6(tmp_path):

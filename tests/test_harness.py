@@ -176,16 +176,64 @@ def _consume_loop(n_secure):
                 return consumed, chunk + 1
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_consume_chunks_matches_the_per_exchange_loop(workers):
-    def chunk_worker(cfg, start):
-        return _synthetic_mask(start // 128), start
+def _kept_rows(choices, n_used, batch):
+    """Positions of a last chunk's rows that a run solves, by rank within each resistor pair.
 
+    A row is kept when its batch (its rank among the rows of its pair, over
+    `batch`) is at or before the batch of its pair's last used row, one of
+    the first `n_used`.
+    """
+    pairs = [tuple(pair) for pair in np.asarray(choices).tolist()]
+    kept = []
+    for pos, pair in enumerate(pairs):
+        group = [p for p, other in enumerate(pairs) if other == pair]
+        used = [rank for rank, p in enumerate(group) if p < n_used]
+        if used and group.index(pos) // batch <= used[-1] // batch:
+            kept.append(pos)
+    return kept
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_consume_chunks_matches_the_per_exchange_loop(monkeypatch, workers):
+    """Over synthetic masks, with Alice or Bob at random holding r_h on a secure exchange, the
+    chunks run are the ones up to the n-th secure exchange, each classified once, the empty
+    ones skipped, all in full but the last, which keeps the whole batches of its used rows."""
+    classified, ran = [], []
+
+    def holds_r_h(cfg, indices):
+        chunk = indices[0] // 128
+        classified.append(chunk)
+        mask = _synthetic_mask(chunk)
+        alice = np.random.default_rng(1000 + chunk).integers(0, 2, 128).astype(bool)
+        return np.stack([mask & alice, mask & ~alice], axis=1)
+
+    def chunk_worker(cfg, chunk):
+        ran.append(int(chunk[0][0]) // 128)
+        return chunk
+
+    monkeypatch.setattr(harness, "_holds_r_h", holds_r_h)
     cfg = _tiny_cfg(workers=workers)
     for n_secure in range(1, 200):
-        consumed, n_chunks = _consume_loop(n_secure)
-        got = harness._consume_chunks(cfg, chunk_worker, n_secure)
-        assert got == (consumed, list(range(0, 128 * n_chunks, 128))), n_secure
+        for batch in (3, 16):
+            classified.clear(), ran.clear()
+            consumed, n_chunks = _consume_loop(n_secure)
+            chunks = list(harness._consume_chunks(cfg, chunk_worker, n_secure, batch))
+            assert classified == list(range(n_chunks)), n_secure
+            assert sorted(ran) == [k for k in range(n_chunks) if _synthetic_mask(k).any()]
+            assert [int(c[0][0]) // 128 for c in chunks] == sorted(ran)
+            secure = [128 * k + np.flatnonzero(_synthetic_mask(k)) for k in range(n_chunks)]
+            index, key_bits, choices = (np.concatenate(col) for col in zip(*chunks))
+            assert index[n_secure - 1] + 1 == consumed
+            full = [i for rows in secure[:-1] for i in rows.tolist()]
+            n_full = len(full)
+            assert index[:n_full].tolist() == full
+            last = chunks[-1]
+            _, all_bits, all_choices = harness._classify_chunk(cfg, 128 * (n_chunks - 1))
+            kept = _kept_rows(all_choices, n_secure - n_full, batch)
+            assert last[0].tolist() == secure[-1][kept].tolist(), (n_secure, batch)
+            assert last[1].tolist() == all_bits[kept].tolist()
+            assert last[2].tolist() == all_choices[kept].tolist()
+            assert (key_bits == (choices[:, 0] == cfg.r_h)).all()
 
 
 def _write_table1(out_dir, cfg):
@@ -293,6 +341,18 @@ def _count_pipeline_calls(monkeypatch):
     return derived, synths
 
 
+def _solved_rows(cfg, n_secure, batch):
+    """Indices of the secure exchanges a run of n_secure bits solves: every chunk's in full
+    up to the one with the n-th secure exchange, whose rows `_kept_rows` keeps."""
+    solved = []
+    for start in itertools.count(0, 128):
+        index, _, choices = harness._classify_chunk(cfg, start)
+        n_used = n_secure - len(solved)
+        if len(index) >= n_used:
+            return solved + index[_kept_rows(choices, n_used, batch)].tolist()
+        solved += index.tolist()
+
+
 @pytest.mark.parametrize(
     "run,level,per_secure",
     [
@@ -302,22 +362,26 @@ def _count_pipeline_calls(monkeypatch):
     ],
 )
 def test_each_exchange_is_derived_and_synthesized_once(monkeypatch, run, level, per_secure):
-    """A discard derives streams 0 and 1 only, a secure exchange also 2 and 3, and 4 when
-    an injection is configured; the coin (stream 5) is derived only on a correlator tie,
-    which zero injection always is."""
+    """A discard derives streams 0 and 1 only. A secure exchange that the run solves also
+    derives 2 and 3, and 4 when an injection is configured; the coin (stream 5) is derived
+    only on a correlator tie, which zero injection always is. The last chunk solves only
+    the loop batches (16 exchanges for an attack cell, 8 for the defense) that hold one of
+    the run's bits, so its other secure exchanges derive and synthesize nothing more."""
     derived, synths = _count_pipeline_calls(monkeypatch)
     cfg = harness._cell_config(_tiny_cfg(n_bits=30), circuit.Cable(100.0, 10), level)
     run(cfg)
     indices = sorted({index for index, _ in derived})
     assert indices == list(range(len(indices))) and len(indices) % 128 == 0
     assert set(derived.values()) == {1}
-    secure = [i for i in indices if _is_secure(cfg.master_seed, i)]
-    coin = secure if run is harness.run_attack_cell and level == 0.0 else []
+    batch = 8 if run is harness.run_defense_experiment else 16
+    solved = _solved_rows(cfg, cfg.n_bits, batch)
+    assert cfg.n_bits < len(solved) < len([i for i in indices if _is_secure(cfg.master_seed, i)])
+    coin = solved if run is harness.run_attack_cell and level == 0.0 else []
     noise = {2, 3, 4} if level > 0 else {2, 3}
     for i in indices:
-        expected = {0, 1} | (noise if i in secure else set()) | ({5} if i in coin else set())
+        expected = {0, 1} | (noise if i in solved else set()) | ({5} if i in coin else set())
         assert {stream for index, stream in derived if index == i} == expected, i
-    assert synths["rows"] == per_secure * len(secure)
+    assert synths["rows"] == per_secure * len(solved)
     assert synths["calls"] <= 2 * len(indices) // 128
 
 
@@ -395,8 +459,8 @@ def test_grid_cells_equal_single_cells_bit_for_bit(mode, workers):
 
 def test_table1_derives_each_stream_and_synthesizes_each_row_once_per_pass(monkeypatch):
     """All cells share each exchange: its streams are derived once per pass, its generator
-    rows synthesized once and Eve's once per injecting level; level 0 ties every bit, so
-    each secure exchange also derives its coin, once."""
+    rows synthesized once, and Eve's rows of all injecting levels in one call per chunk;
+    level 0 ties every bit, so each solved secure exchange also derives its coin, once."""
     derived, synths = _count_pipeline_calls(monkeypatch)
     cfg = _tiny_cfg(n_bits=150)
     levels = (0.0, 0.01, 0.1)
@@ -404,13 +468,12 @@ def test_table1_derives_each_stream_and_synthesizes_each_row_once_per_pass(monke
     indices = sorted({index for index, _ in derived})
     assert len(indices) == 3 * 128 and indices == list(range(len(indices)))
     assert set(derived.values()) == {1}
-    secure = {i for i in indices if _is_secure(cfg.master_seed, i)}
+    solved = set(_solved_rows(cfg, cfg.n_bits, 16))
     for i in indices:
-        expected = {0, 1, 2, 3, 4, 5} if i in secure else {0, 1}
+        expected = {0, 1, 2, 3, 4, 5} if i in solved else {0, 1}
         assert {stream for index, stream in derived if index == i} == expected, i
     assert table.cells[0].n_exchanges <= len(indices)
-    injecting = sum(level > 0 for level in levels)
-    assert synths == {"calls": 3 * (1 + injecting), "rows": (2 + injecting) * len(secure)}
+    assert synths == {"calls": 3 * 2, "rows": 3 * len(solved)}
 
 
 def test_defense_chunk_memory_is_bounded_by_its_shapes():
@@ -422,13 +485,62 @@ def test_defense_chunk_memory_is_bounded_by_its_shapes():
     cfg = harness.SimConfig(
         variant=circuit.Cable(1000.0, 10), injection=attack.InjectionSpec(0.1, 250.0, 12345)
     )
-    harness._defense_chunk(cfg, 0)  # discretize the systems outside the measurement
+    chunk = harness._classify_chunk(cfg, 0)
+    harness._defense_chunk(cfg, chunk)  # discretize the systems outside the measurement
     tracemalloc.start()
     try:
-        _, payload = harness._defense_chunk(cfg, 0)
+        payload = harness._defense_chunk(cfg, chunk)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     k, t = len(payload["index"]), cfg.samples_per_bit
     assert k > 40
     assert peak < 8 * t * (7 * k + 9 * 2 * k) + 3 * circuit.SCAN_BLOCK_BYTES
+
+
+def _trim_points(cfg, batch):
+    """n_bits values that end a run in its second chunk: at the chunk's first secure exchange,
+    at the last row of a loop batch, one row past a batch boundary, and at the chunk's last
+    secure exchange."""
+    n_before = len(harness._classify_chunk(cfg, 0)[0])
+    index, _, choices = harness._classify_chunk(cfg, 128)
+    pairs = choices.tolist()
+    group = [pos for pos, pair in enumerate(pairs) if pair == pairs[0]]
+    assert len(group) > batch
+    return [n_before + 1, n_before + group[batch - 1] + 1, n_before + group[batch] + 1,
+            n_before + len(index)]
+
+
+def test_trimmed_last_chunks_give_the_prefix_of_a_longer_run(monkeypatch):
+    """A run that ends inside a chunk solves only that chunk's loop batches holding its bits,
+    and its outputs equal the first n_bits of a run three chunks long."""
+    derived, synths = _count_pipeline_calls(monkeypatch)
+    variants = [circuit.Ideal(), circuit.Cable(1000.0, 10), circuit.CableWithKiller(1000.0, 10)]
+    levels = (0.0, 0.1)
+    cfg = _tiny_cfg(n_bits=300)
+    longer = harness.run_table1(cfg, levels=levels, variants=variants)
+    for n in _trim_points(cfg, 16):
+        derived.clear(), synths.update(calls=0, rows=0)
+        table = harness.run_table1(replace(cfg, n_bits=n), levels=levels, variants=variants)
+        solved = _solved_rows(cfg, n, 16)
+        assert sorted(i for i, stream in derived if stream == 2) == solved
+        assert synths == {"calls": 4, "rows": 3 * len(solved)}
+        for cell, full in zip(table.cells, longer.cells):
+            assert cell.n == n and cell.n_exchanges == solved[n - 1] + 1
+            for name in _CELL_ARRAYS:
+                got, want = getattr(cell, name), getattr(full, name)[:n]
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, name)
+
+    cfg = replace(cfg, variant=circuit.Cable(1000.0, 10), injection=attack.InjectionSpec(0.1, 250.0))
+    longer = harness.run_defense_experiment(cfg)
+    for n in _trim_points(cfg, 8):
+        derived.clear(), synths.update(calls=0, rows=0)
+        result = harness.run_defense_experiment(replace(cfg, n_bits=n))
+        solved = _solved_rows(cfg, n, 8)
+        assert sorted(i for i, stream in derived if stream == 2) == solved
+        assert synths == {"calls": 4, "rows": 3 * len(solved)}
+        assert result.rows == longer.rows[: 2 * (n - 20)], n
+        assert result.detection == longer.detection
+        for got, want in ((result.trace_attacked, longer.trace_attacked),
+                          (result.trace_clean, longer.trace_clean)):
+            assert got[1].tobytes() == want[1].tobytes()

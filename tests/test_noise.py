@@ -62,6 +62,18 @@ def test_batched_synthesis_matches_one_row_reference():
     assert np.array_equal(synth_band_limited_gaussian(seeds[:1], 1.0, n, fs, bw)[0], rows[0])
 
 
+def test_one_row_of_scales_per_level_equals_one_call_per_level():
+    """Scales of shape (L, k) or (L, 1) give (L, k, n): level l equals a call with its row alone."""
+    n, fs, bw = 200, 2000.0, 250.0
+    seeds = np.array([11, 2**64 - 1, 12], dtype=np.uint64)
+    for scales in ([[1.0], [2.5e-5], [3.0]], [[1.0, 2.0, 3.0], [1e-3, 1e-4, 1e-5]]):
+        rows = synth_band_limited_gaussian(seeds, scales, n, fs, bw)
+        assert rows.shape == (len(scales), len(seeds), n)
+        for got, level in zip(rows, scales):
+            want = synth_band_limited_gaussian(seeds, level if len(level) > 1 else level[0], n, fs, bw)
+            assert np.array_equal(got, want)
+
+
 def test_synth_rms_and_moments_at_long_duration():
     x = _synth()
     assert 0.98 <= math.sqrt(np.mean(x**2)) <= 1.02
