@@ -14,12 +14,14 @@ Integration is trapezoidal (A-stable, second order, the SPICE default) with
 each run starting from the DC-consistent state for the first input sample, so
 no artificial start-up transient leaks into the statistics.
 
-One solve path, `solve_systems`, runs S discretized systems of equal state
-count at once, B rows each: S levels of one loop, or a chunk's loop batches
-of equal size, each with its own terminations. Every sample step advances
-all S x B states with one stacked product whose rows equal the S separate
-products bit for bit, and the scan runs in time blocks whose stepping buffer
-fits SCAN_BLOCK_BYTES.
+Each variant's cable model is built once (`model_for_variant`), and each
+loop's discretized system once (`loop_system`). One solve path,
+`solve_systems`, runs S such systems of equal state count at once, B rows
+each: S levels of one loop, or a chunk's loop batches of equal size, each
+with its own terminations. Every sample step advances all S x B states with
+one stacked product whose rows equal the S separate products bit for bit,
+and the scan runs in time blocks whose stepping buffer fits
+SCAN_BLOCK_BYTES.
 
 Sign convention
 ---------------
@@ -124,13 +126,8 @@ def build_cable_model(
     l_per_m: float = RG58_L_PER_M,
     c_per_m: float = RG58_C_PER_M,
     g_per_m: float = RG58_G_PER_M,
-    signal_bandwidth_hz: float = 250.0,
 ) -> CableModel:
-    """Build a ladder model, checking that the segmentation is adequate.
-
-    The per-segment RC corner must sit at least 100x above the signal
-    bandwidth, otherwise the lumping would be too coarse for the band.
-    """
+    """Build a ladder model from per-unit values; `check_segmentation` checks it against a band."""
     if length_m <= 0:
         raise ConfigError("length_m must be positive")
     if n_segments < 2:
@@ -142,22 +139,11 @@ def build_cable_model(
     if killer:
         if g_per_m != 0.0:
             raise ConfigError("killer variant assumes zero shunt conductance")
-    else:
-        if c_per_m <= 0:
-            raise ConfigError(
-                "c_per_m must be positive for a plain cable; use killer=True "
-                "for the cancelled-capacitance variant"
-            )
-        r_seg = r_per_m * length_m / n_segments
-        c_seg = c_per_m * length_m / n_segments
-        if r_seg * c_seg > 0:
-            corner_hz = 1.0 / (2.0 * math.pi * r_seg * c_seg)
-            if corner_hz < 100.0 * signal_bandwidth_hz:
-                raise ConfigError(
-                    f"per-segment RC corner {corner_hz:.3g} Hz is below "
-                    f"100 x bandwidth ({100.0 * signal_bandwidth_hz:.3g} Hz); "
-                    "increase n_segments"
-                )
+    elif c_per_m <= 0:
+        raise ConfigError(
+            "c_per_m must be positive for a plain cable; use killer=True "
+            "for the cancelled-capacitance variant"
+        )
     return CableModel(
         r_per_m=r_per_m,
         l_per_m=l_per_m,
@@ -169,11 +155,27 @@ def build_cable_model(
     )
 
 
-def model_for_variant(variant: Variant, signal_bandwidth_hz: float = 250.0) -> CableModel | None:
-    """Default cable model for a loop variant (None for the ideal wire).
+def check_segmentation(model: CableModel | None, bandwidth_hz: float) -> None:
+    """Reject a plain cable whose per-segment RC corner lies less than 100x above the band,
+    where the lumping is too coarse; the ideal wire (None) and the canceller pass."""
+    if model is None or model.killer_enabled:
+        return
+    r_seg = model.r_per_m * model.length_m / model.n_segments
+    c_seg = model.c_per_m * model.length_m / model.n_segments
+    corner_hz = 1.0 / (2.0 * math.pi * r_seg * c_seg) if r_seg * c_seg > 0 else math.inf
+    if corner_hz < 100.0 * bandwidth_hz:
+        raise ConfigError(
+            f"per-segment RC corner {corner_hz:.3g} Hz is below "
+            f"100 x bandwidth ({100.0 * bandwidth_hz:.3g} Hz); increase n_segments"
+        )
 
-    The segmentation is checked at `signal_bandwidth_hz`; the model does not
-    depend on it.
+
+@lru_cache(maxsize=128)
+def model_for_variant(variant: Variant) -> CableModel | None:
+    """The cable model of a loop variant (None for the ideal wire), built once per variant.
+
+    The channel and the parties' in-site simulation both take their model
+    from here, so the two cannot drift apart.
     """
     if isinstance(variant, Ideal):
         return None
@@ -181,7 +183,6 @@ def model_for_variant(variant: Variant, signal_bandwidth_hz: float = 250.0) -> C
         variant.length_m,
         variant.n_segments,
         killer=isinstance(variant, CableWithKiller),
-        signal_bandwidth_hz=signal_bandwidth_hz,
     )
 
 
@@ -363,10 +364,11 @@ def ladder_scan(p: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def solve_systems(system: _DiscreteSystem, u: np.ndarray) -> np.ndarray:
-    """Outputs, shape (S, B, n_outputs, t), of S systems for inputs u of shape (S, B, n_inputs, t).
+    """Outputs, shape (..., B, n_outputs, t), for inputs u of shape (..., B, n_inputs, t).
 
-    `system` is one discretized system shared by all S, or S systems of equal
-    shapes stacked by `stack_systems`. Each row starts from the DC-consistent
+    `system` is one discretized system shared by every stack of B rows, or S
+    systems of equal shapes stacked by `stack_systems`, one per stack of u of
+    shape (S, B, n_inputs, t). Each row starts from the DC-consistent
     state for its first input sample. The scan runs in time blocks whose
     stepping buffer fits SCAN_BLOCK_BYTES. Per block, the input map is one
     stacked product over the block's time-major samples, `ladder_scan`
@@ -374,6 +376,8 @@ def solve_systems(system: _DiscreteSystem, u: np.ndarray) -> np.ndarray:
     and the last state carries into the next block. A row's samples do not
     depend on the blocking.
     """
+    lead = u.shape[:-3]
+    u = u.reshape((-1,) + u.shape[-3:])
     n_sys, n_rows, n_in, t = u.shape
     m, n_out = system.n_states, system.c_out.shape[-2]
     q_next, q_prev, c_out, d_out, dc_gain = (
@@ -409,11 +413,12 @@ def solve_systems(system: _DiscreteSystem, u: np.ndarray) -> np.ndarray:
         y[..., k0 + first : k0 + n + 1] = out
         x[:, 0] = x[:, n]
         k0, first = k0 + n, 1
-    return y
+    return y.reshape(lead + y.shape[1:])
 
 
-class TransientSolver:
-    """Trapezoidal solver for the cable between its two end drives.
+@lru_cache(maxsize=128)
+def loop_system(model: CableModel, cfg: LoopConfig | None, dt: float) -> _DiscreteSystem:
+    """The discretized cable system between its two end drives, built once per key.
 
     With a LoopConfig the system is the whole loop: inputs (u_a, u_b, i_inj)
     are the generator voltages and the injected current, outputs are
@@ -422,44 +427,26 @@ class TransientSolver:
     with zero termination resistance and no injection, inputs (u_cha, u_chb),
     outputs (i_cha, i_chb). Both report the Loop convention.
     """
-
-    def __init__(self, model: CableModel, cfg: LoopConfig | None, dt: float):
-        if cfg is not None and isinstance(cfg.variant, Ideal):
-            raise ConfigError("the ideal variant has no transient state")
-        if dt <= 0:
-            raise ConfigError("dt must be positive")
-        assemble = _assemble_killer if model.killer_enabled else _assemble_ladder
-        try:
-            with np.errstate(all="ignore"):  # overflow shows up as non-finite matrices below
-                if cfg is None:
-                    # any interior injection node: its input column is dropped
-                    a, b, b_deriv, c, d = assemble(model, 0.0, 0.0, 1)
-                    b, b_deriv, c, d = b[:, :2], b_deriv[:, :2], c[:2], d[:2, :2]
-                else:
-                    inj = injection_node_index(cfg.variant, cfg.injection_position)
-                    a, b, b_deriv, c, d = assemble(model, cfg.r_alice, cfg.r_bob, inj)
-                system = _discretize(a, b, b_deriv, c, d, dt)
-        except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
-            raise ConfigError(f"cable system cannot be discretized: {exc}") from exc
-        if not all(np.isfinite(v).all() for v in vars(system).values()):
-            raise ConfigError("cable system is not representable in floating point at this dt")
-        self.model = model
-        self.cfg = cfg
-        self.system = system
-
-    def solve(self, u: np.ndarray) -> np.ndarray:
-        """Outputs, shape (L, B, n_outputs, t), for inputs u of shape (L, B, n_inputs, t).
-
-        L stacks of B rows each through this one system (`solve_systems`); a
-        (B, n_inputs, t) batch is one stack and gives (B, n_outputs, t).
-        """
-        y = solve_systems(self.system, u.reshape((-1,) + u.shape[-3:]))
-        return y.reshape(u.shape[:-2] + y.shape[-2:])
-
-
-@lru_cache(maxsize=128)
-def transient_solver(model: CableModel, cfg: LoopConfig | None, dt: float) -> TransientSolver:
-    return TransientSolver(model, cfg, dt)
+    if cfg is not None and isinstance(cfg.variant, Ideal):
+        raise ConfigError("the ideal variant has no transient state")
+    if dt <= 0:
+        raise ConfigError("dt must be positive")
+    assemble = _assemble_killer if model.killer_enabled else _assemble_ladder
+    try:
+        with np.errstate(all="ignore"):  # overflow shows up as non-finite matrices below
+            if cfg is None:
+                # any interior injection node: its input column is dropped
+                a, b, b_deriv, c, d = assemble(model, 0.0, 0.0, 1)
+                b, b_deriv, c, d = b[:, :2], b_deriv[:, :2], c[:2], d[:2, :2]
+            else:
+                inj = injection_node_index(cfg.variant, cfg.injection_position)
+                a, b, b_deriv, c, d = assemble(model, cfg.r_alice, cfg.r_bob, inj)
+            system = _discretize(a, b, b_deriv, c, d, dt)
+    except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
+        raise ConfigError(f"cable system cannot be discretized: {exc}") from exc
+    if not all(np.isfinite(v).all() for v in vars(system).values()):
+        raise ConfigError("cable system is not representable in floating point at this dt")
+    return system
 
 
 def solve_rows(
@@ -487,6 +474,7 @@ def solve_rows(
         return ideal_rows(u[..., 0, :], u[..., 1, :], u[..., 2, :], r_a, r_b)
     model = model or model_for_variant(cfgs[0].variant)
     if isinstance(cfg, LoopConfig):
-        return _finite(transient_solver(model, cfg, dt).solve(u))
-    systems = [transient_solver(model, c, dt).system for c in cfgs]
-    return _finite(solve_systems(stack_systems(systems), u))
+        system = loop_system(model, cfg, dt)
+    else:
+        system = stack_systems([loop_system(model, c, dt) for c in cfgs])
+    return _finite(solve_systems(system, u))

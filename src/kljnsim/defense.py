@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CableModel, Ideal, LoopConfig, model_for_variant, transient_solver
+from .circuit import CableModel, Ideal, LoopConfig, loop_system, model_for_variant, solve_systems
 from .exceptions import ConfigError
 
 
@@ -84,9 +84,8 @@ def residual_rows(
         residuals = np.zeros(measured.shape[:-2] + (2, measured.shape[-1]))
         residuals[..., 0, :] = measured[..., 0, :] - measured[..., 1, :]
         return residuals
-    if model is None:
-        model = model_for_variant(cfg.variant)
-    expected = transient_solver(model, None, 1.0 / fs).solve(measured[..., 2:, :])
+    system = loop_system(model or model_for_variant(cfg.variant), None, 1.0 / fs)
+    expected = solve_systems(system, measured[..., 2:, :])
     return np.subtract(measured[..., :2, :], expected, out=expected)
 
 

@@ -146,7 +146,8 @@ class SimConfig:
         for r in (r_l, r_h):
             rms = noise.johnson_rms_voltage(r, t_eff, bw)
             derived[f"generator mean square at {r!r} ohm"] = rms * rms
-        model = circuit.model_for_variant(self.variant, bw)
+        model = circuit.model_for_variant(self.variant)
+        circuit.check_segmentation(model, bw)
         r_cable = 0.0 if model is None else model.total_series_resistance
         if r_cable > 0:  # the in-site simulation drives the cable alone
             derived["mean-square current of r_h's generator across the cable"] = (
@@ -175,7 +176,7 @@ class SimConfig:
         one size in a chunk together (two rows per exchange, at most
         2 x 128 rows, and at most 2 x 128 / BATCH loop systems).
         """
-        model = circuit.model_for_variant(self.variant, self.bandwidth_hz)
+        model = circuit.model_for_variant(self.variant)
         t, m, L = self.samples_per_bit, 0 if model is None else model.n_states, n_levels
         rows = max(L * protocol.BATCH, 2 * _CHUNK)
         n_systems = 2 * _CHUNK // protocol.BATCH
@@ -220,17 +221,6 @@ def default_table1_variants() -> list[circuit.Variant]:
 TABLE1_LEVELS = (0.001, 0.01, 0.1)
 
 
-_CHOICE_STREAMS = (_STREAM_IDS["alice_choice"], _STREAM_IDS["bob_choice"])
-
-
-def derive_bit_streams(master_seed: int, exchange_index: int) -> tuple[int, int]:
-    """Alice's and Bob's choice draws of one exchange from streams 0 and 1; 1 picks r_h.
-
-    A scalar view of the seed scheme; the runs draw whole chunks at once.
-    """
-    return tuple(seeds.stream_bits(master_seed, [exchange_index], _CHOICE_STREAMS)[0].tolist())
-
-
 def _noise_seeds(master_seed: int, index: np.ndarray, eve: bool = True) -> np.ndarray:
     """Alice's, Bob's and, if `eve`, Eve's noise seed of each exchange index, shape (k, 2 + eve)."""
     ids = [_STREAM_IDS[name] for name in ("alice_noise", "bob_noise", "eve_noise")[: 2 + eve]]
@@ -244,7 +234,8 @@ def _holds_r_h(cfg: SimConfig, indices) -> np.ndarray:
     """
     if cfg.selection_mode == "fixed_lh":
         return np.tile([False, True], (len(indices), 1))
-    return seeds.stream_bits(cfg.master_seed, indices, _CHOICE_STREAMS).astype(bool)
+    ids = (_STREAM_IDS["alice_choice"], _STREAM_IDS["bob_choice"])
+    return seeds.stream_bits(cfg.master_seed, indices, ids).astype(bool)
 
 
 def _correlators(i_inj: np.ndarray, y: np.ndarray):
@@ -628,12 +619,14 @@ def run_defense_experiment(
         )
     t = cfg.samples_per_bit
     if not isinstance(cfg.variant, circuit.Ideal):
+        if defense_model is not None:  # SimConfig checked the channel's model
+            circuit.check_segmentation(defense_model, cfg.bandwidth_hz)
         # The in-site simulation takes a cable current as a voltage difference over a
         # branch's resistance, so its roundoff is about eps x r_h's generator voltage over
         # that resistance. Over the reference loop current that reads eps x
         # sqrt(r_h (r_l + r_h)) / R_branch; a sweep of length, segments and resistor pairs
         # measured at most 4.7 times this, hence the margin of 8.
-        model = defense_model or circuit.model_for_variant(cfg.variant, cfg.bandwidth_hz)
+        model = defense_model or circuit.model_for_variant(cfg.variant)
         r_branch = model.total_series_resistance / (1 if model.killer_enabled else model.n_segments)
         floor = 8 * np.finfo(float).eps * math.sqrt(cfg.r_h * (cfg.r_l + cfg.r_h)) / r_branch
         if floor > MAX_CLEAN_RESIDUAL_RATIO:

@@ -1,5 +1,6 @@
 """Circuit solver: ideal loop arithmetic, ladder physics, conventions."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from kljnsim.circuit import (
     CableWithKiller,
     Ideal,
     LoopConfig,
-    TransientSolver,
     build_cable_model,
+    check_segmentation,
     divider_fractions,
     injection_node_index,
+    loop_system,
+    solve_systems,
 )
 from kljnsim.exceptions import ConfigError, ShapeMismatchError
 from kljnsim.noise import synth_band_limited_gaussian
@@ -57,7 +60,7 @@ def _reference_steps(system, u, x0):
 
 
 def _single_row_solve(system, u):
-    """The one-row solve that the batched `TransientSolver.solve` replaced.
+    """The one-row solve that the batched `solve_systems` replaced.
 
     `u` has shape (n_inputs, t); returns the outputs, shape (t, n_outputs).
     A batch of one must reproduce it bit for bit.
@@ -91,7 +94,7 @@ def test_ladder_scan_matches_reference_loop():
 @pytest.mark.parametrize("batch", [1, 3, 17])
 @pytest.mark.parametrize("variant", [Cable(1000.0, 10), CableWithKiller(1000.0, 10)])
 def test_batched_solve_matches_reference_steps(variant, batch):
-    solver = TransientSolver(
+    system = loop_system(
         circuit.model_for_variant(variant), LoopConfig(1000.0, 9000.0, variant), 1.0 / FS
     )
     u = np.stack(
@@ -100,13 +103,13 @@ def test_batched_solve_matches_reference_steps(variant, batch):
             for k in range(batch)
         ]
     )
-    y = solver.solve(u)
+    y = solve_systems(system, u)
     assert y.shape == (batch, 4, u.shape[2])
     for row, out in zip(u, y):
-        _, ref = _reference_steps(solver.system, row, solver.system.dc_gain @ row[:, 0])
+        _, ref = _reference_steps(system, row, system.dc_gain @ row[:, 0])
         np.testing.assert_allclose(out.T, ref, rtol=1e-10, atol=1e-18)
     if batch == 1:
-        assert np.array_equal(y[0].T, _single_row_solve(solver.system, u[0]))
+        assert np.array_equal(y[0].T, _single_row_solve(system, u[0]))
 
 
 def test_divider_fractions_reference_pair():
@@ -188,9 +191,27 @@ def test_build_cable_model_rejects_bad_segmentation():
         build_cable_model(1000.0, 10, c_per_m=0.0)
     with pytest.raises(ConfigError):
         # huge per-unit RC drives the segment corner below 100x bandwidth
-        build_cable_model(1e6, 2, r_per_m=1.0, c_per_m=1e-9)
+        check_segmentation(build_cable_model(1e6, 2, r_per_m=1.0, c_per_m=1e-9), 250.0)
     with pytest.raises(ConfigError):
         build_cable_model(1000.0, 10, killer=True, g_per_m=1e-9)
+
+
+def test_check_segmentation_uses_the_given_bandwidth():
+    # 3 km segments: RC corner 4.84 kHz, above 100 x 10 Hz but below 100 x 250 Hz
+    model = circuit.model_for_variant(Cable(30000.0, 10))
+    check_segmentation(model, 10.0)
+    with pytest.raises(ConfigError, match="RC corner"):
+        check_segmentation(model, 250.0)
+    # no shunt capacitance to lump: the ideal wire and the canceller always pass
+    check_segmentation(None, 1e9)
+    check_segmentation(circuit.model_for_variant(CableWithKiller(30000.0, 2)), 1e9)
+
+
+def test_models_and_loop_systems_are_built_once_per_key():
+    model = circuit.model_for_variant(Cable(1000.0, 10))
+    assert circuit.model_for_variant(Cable(1000.0, 10)) is model
+    cfg = LoopConfig(1000.0, 9000.0, Cable(1000.0, 10))
+    assert loop_system(model, cfg, 1.0 / FS) is loop_system(model, replace(cfg), 1.0 / FS)
 
 
 def test_injection_node_index_midpoint_and_clamping():
@@ -239,12 +260,12 @@ def test_cable_leak_charge_bookkeeping():
     """End-current mismatch equals the total shunt branch current, step by step."""
     model = build_cable_model(1000.0, 10)
     cfg = LoopConfig(1000.0, 9000.0, Cable(1000.0, 10))
-    solver = TransientSolver(model, cfg, 1.0 / FS)
+    system = loop_system(model, cfg, 1.0 / FS)
     u_a, u_b = _noise(1.0, 41), _noise(3.0, 42)
     n_caps = model.n_segments - 1
     c_node = model.total_shunt_capacitance / n_caps
     u = _drive(u_a, u_b)
-    states, outs = _reference_steps(solver.system, u, solver.system.dc_gain @ u[:, 0])
+    states, outs = _reference_steps(system, u, system.dc_gain @ u[:, 0])
     caps, inds = states[:, :n_caps], states[:, n_caps:]
     dt = 1.0 / FS
     for k in range(1, len(u_a)):
@@ -262,24 +283,24 @@ def test_cable_leak_charge_bookkeeping():
 def test_transient_zero_drive_stays_zero():
     model = build_cable_model(1000.0, 10)
     cfg = LoopConfig(1000.0, 9000.0, Cable(1000.0, 10))
-    solver = TransientSolver(model, cfg, 1.0 / FS)
-    assert np.all(solver.solve(np.zeros((1, 3, 50))) == 0.0)
-    _, outs = _reference_steps(solver.system, np.zeros((3, 50)), np.zeros(solver.system.n_states))
+    system = loop_system(model, cfg, 1.0 / FS)
+    assert np.all(solve_systems(system, np.zeros((1, 3, 50))) == 0.0)
+    _, outs = _reference_steps(system, np.zeros((3, 50)), np.zeros(system.n_states))
     assert np.all(outs == 0.0)
 
 
 def test_transient_dc_steady_state():
     model = build_cable_model(1000.0, 10)
     cfg = LoopConfig(1000.0, 9000.0, Cable(1000.0, 10))
-    solver = TransientSolver(model, cfg, 1.0 / FS)
+    system = loop_system(model, cfg, 1.0 / FS)
     # oracle: resistive chain
     i_expected = 1.0 / (1000.0 + 9000.0 + model.total_series_resistance)
     drive = _drive(np.ones(400), np.zeros(400))
-    y = solver.solve(drive[None])[0]
+    y = solve_systems(system, drive[None])[0]
     np.testing.assert_allclose(np.abs(y[0]), i_expected, rtol=1e-10)
     # the inconsistent zero start excites a zero-mean alternating mode; the
     # signed tail average still converges on the DC value
-    _, outs = _reference_steps(solver.system, drive, np.zeros(solver.system.n_states))
+    _, outs = _reference_steps(system, drive, np.zeros(system.n_states))
     tail = outs[-200:, 0]
     assert abs(abs(np.mean(tail)) - i_expected) / i_expected < 1e-3
 
@@ -288,7 +309,7 @@ def test_lossless_cable_energy_balance():
     """Delivered port energy (midpoint quadrature) equals stored LC energy."""
     model = build_cable_model(1000.0, 10, r_per_m=0.0)
     cfg = LoopConfig(1000.0, 9000.0, Cable(1000.0, 10), injection_position=0.5)
-    solver = TransientSolver(model, cfg, 1.0 / FS)
+    system = loop_system(model, cfg, 1.0 / FS)
     u_a, u_b, inj = _noise(1.0, 51), _noise(3.0, 52), _noise(3e-5, 53)
     dt = 1.0 / FS
     n_caps = model.n_segments - 1
@@ -297,7 +318,7 @@ def test_lossless_cable_energy_balance():
     inj_node = injection_node_index(cfg.variant, 0.5)
     u = _drive(u_a, u_b, inj)
     u[:, 0] = 0.0  # zero initial state pairs with zero initial drive
-    states, outs = _reference_steps(solver.system, u, np.zeros(solver.system.n_states))
+    states, outs = _reference_steps(system, u, np.zeros(system.n_states))
     caps, inds = states[:, :n_caps], states[:, n_caps:]
     v0 = outs[:, 2]  # u_cha is the terminal voltage
     vn = outs[:, 3]
@@ -325,23 +346,23 @@ def test_segment_count_convergence():
 def test_run_matches_repeated_steps():
     model = build_cable_model(1000.0, 10)
     cfg = LoopConfig(1000.0, 9000.0, Cable(1000.0, 10))
-    solver = TransientSolver(model, cfg, 1.0 / FS)
+    system = loop_system(model, cfg, 1.0 / FS)
     u_a, u_b, inj = _noise(1.0, 71), _noise(3.0, 72), _noise(3e-5, 73)
     u = _drive(u_a, u_b, inj)
-    y = solver.solve(u[None])[0]
-    _, outs = _reference_steps(solver.system, u, solver.system.dc_gain @ u[:, 0])
+    y = solve_systems(system, u[None])[0]
+    _, outs = _reference_steps(system, u, system.dc_gain @ u[:, 0])
     for idx in range(4):  # i_cha, i_chb, u_cha, u_chb
         np.testing.assert_allclose(y[idx], outs[:, idx], rtol=1e-10, atol=1e-18)
 
 
 @pytest.mark.parametrize("length_m", [1e-300, 1e-320])
-def test_transient_solver_rejects_unrepresentable_cable(length_m):
+def test_loop_system_rejects_unrepresentable_cable(length_m):
     # element values whose inverses overflow, or underflow to zero
     variant = Cable(length_m, 10)
     model = build_cable_model(length_m, 10)
     for cfg in (LoopConfig(1000.0, 9000.0, variant), None):
         with pytest.raises(ConfigError):
-            TransientSolver(model, cfg, 1.0 / FS)
+            loop_system(model, cfg, 1.0 / FS)
 
 
 def test_loop_config_validation():

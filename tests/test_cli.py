@@ -1,4 +1,5 @@
 """Command-line interface: verbs, outputs, exit codes."""
+import csv
 import math
 import os
 import subprocess
@@ -6,10 +7,12 @@ import sys
 import tempfile
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kljnsim import cli
+from kljnsim import circuit, cli, harness
+from kljnsim.exceptions import ConfigError
 
 TINY = "n_bits = 30\nmaster_seed = 11\n"
 
@@ -96,6 +99,51 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(args + ["--out", str(tmp_path / "o")]) == 2
         assert field in capsys.readouterr().err
+
+
+# A 30 km cable in 3 km segments: its per-segment RC corner, 4.84 kHz, lies above
+# 100 x 10 Hz but below 100 x 250 Hz.
+LOW_BAND_CABLE = "variant = cable\ncable_length_m = 30000\nn_segments = 10\n"
+LOW_BAND = LOW_BAND_CABLE + "bandwidth_hz = 10\nsample_rate_hz = 40\ntau_s = 2.5\n"
+
+
+def _assert_finite_csv(path, blank=()):
+    """Every field of the CSV at `path` is a finite number; the columns in `blank` may be empty."""
+    with open(path) as fh:
+        header, *rows = csv.reader(fh)
+    assert rows
+    for row in rows:
+        for name, field in zip(header, row, strict=True):
+            if field or name not in blank:
+                assert math.isfinite(float(field)), (path, name, field)
+
+
+def test_cable_segmentation_is_checked_at_the_configured_bandwidth(tmp_path, capsys):
+    cfg = _cfg_file(tmp_path, LOW_BAND)
+    out = tmp_path / "out"
+    assert cli.main(["single-bit", "--config", cfg, "--out", str(out / "s")]) == 0
+    assert cli.main(["defense", "--config", cfg, "--bits", "30", "--out", str(out / "d")]) == 0
+    _assert_finite_csv(out / "s" / "single_bit.csv")
+    _assert_finite_csv(out / "d" / "defense.csv", blank=("latency_fraction",))
+    for name in ("residual_trace_attacked.csv", "residual_trace_clean.csv"):
+        _assert_finite_csv(out / "d" / name)
+    # the same cable at the default 250 Hz band is rejected when the config is parsed
+    cfg = _cfg_file(tmp_path, LOW_BAND_CABLE, name="default_band.cfg")
+    with pytest.raises(ConfigError, match="RC corner"):
+        harness.parse_config(cfg)
+    capsys.readouterr()
+    assert cli.main(["single-bit", "--config", cfg, "--out", str(out / "x")]) == 2
+    assert cli.main(["defense", "--config", cfg, "--bits", "30", "--out", str(out / "x")]) == 2
+    assert "RC corner" in capsys.readouterr().err
+    assert not (out / "x").exists()
+
+
+def test_defense_rejects_a_too_coarse_defense_model():
+    cfg = harness.parse_config_text(LOW_BAND + "n_bits = 30\n")
+    # 15 km segments: RC corner 194 Hz, below 100 x 10 Hz
+    coarse = circuit.build_cable_model(30000.0, 2)
+    with pytest.raises(ConfigError, match="RC corner"):
+        harness.run_defense_experiment(cfg, defense_model=coarse)
 
 
 def test_seed_and_bit_index_of_2_to_the_64_run(tmp_path):

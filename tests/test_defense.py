@@ -155,7 +155,8 @@ def test_model_based_detect_trivial_equality():
     cfg, rec = _cable_records(73, 0.0)
     model = circuit.model_for_variant(cfg.variant)
     measured = rec.y.copy()
-    measured[:2] = circuit.transient_solver(model, None, 1.0 / FS).solve(rec.y[None, 2:])[0]
+    system = circuit.loop_system(model, None, 1.0 / FS)
+    measured[:2] = circuit.solve_systems(system, rec.y[None, 2:])[0]
     first, peak = _verdict(measured, rec.loop_cfg, DetectionConfig(threshold=1e-9))
     assert first == -1
     assert peak == 0.0

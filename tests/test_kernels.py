@@ -66,7 +66,7 @@ def test_level_stacked_scan_equals_separate_scans(m, batch, levels):
 
 def _unstacked_solve(system, u):
     """The single-level batched solve, shape (B, n_in, t) -> (B, n_out, t), one (B, m) @ (m, m)
-    product per sample step: what `TransientSolver.solve` must reproduce at every level."""
+    product per sample step: what `solve_systems` must reproduce at every level."""
     n_rows, n_in, t = u.shape
     m = system.n_states
     flat = u.transpose(2, 0, 1).reshape(t * n_rows, n_in)
@@ -92,32 +92,32 @@ def _rows(shape, seed):
 @pytest.mark.parametrize("batch", [1, 7, 16])
 @pytest.mark.parametrize("variant", [Cable(1000.0, 10), CableWithKiller(1000.0, 10)])
 def test_level_stacked_solve_equals_separate_solves(variant, batch):
-    solver = circuit.TransientSolver(
+    system = circuit.loop_system(
         circuit.model_for_variant(variant), LoopConfig(1000.0, 9000.0, variant), 1.0 / FS
     )
     u = _rows((3, batch, 3, 200), seed=batch)
-    y = solver.solve(u)
+    y = circuit.solve_systems(system, u)
     assert y.shape == (3, batch, 4, 200)
     for u_lvl, y_lvl in zip(u, y):
-        assert np.array_equal(y_lvl, solver.solve(u_lvl))
-        assert np.array_equal(y_lvl, _unstacked_solve(solver.system, u_lvl))
+        assert np.array_equal(y_lvl, circuit.solve_systems(system, u_lvl))
+        assert np.array_equal(y_lvl, _unstacked_solve(system, u_lvl))
 
 
 @pytest.mark.parametrize("batch", [1, 16, 32])
 def test_in_site_solver_is_unchanged(batch):
     """The defense's cable-alone solver (cfg=None): two end voltages in, two currents out."""
-    solver = circuit.transient_solver(circuit.model_for_variant(Cable(1000.0, 10)), None, 1.0 / FS)
+    system = circuit.loop_system(circuit.model_for_variant(Cable(1000.0, 10)), None, 1.0 / FS)
     u = _rows((batch, 2, 200), seed=100 + batch)
-    y = solver.solve(u)
+    y = circuit.solve_systems(system, u)
     assert y.shape == (batch, 2, 200) and y.flags.c_contiguous
-    assert np.array_equal(y, _unstacked_solve(solver.system, u))
+    assert np.array_equal(y, _unstacked_solve(system, u))
 
 
 def _loop_systems(variant):
     """A cable's low-high and high-low loop systems and the defense's in-site system."""
     model = circuit.model_for_variant(variant)
     cfgs = (LoopConfig(1000.0, 9000.0, variant), LoopConfig(9000.0, 1000.0, variant), None)
-    return [circuit.transient_solver(model, cfg, 1.0 / FS).system for cfg in cfgs]
+    return [circuit.loop_system(model, cfg, 1.0 / FS) for cfg in cfgs]
 
 
 @pytest.mark.parametrize("n_sys", [1, 3, 8])

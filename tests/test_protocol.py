@@ -39,7 +39,7 @@ def _classify(cfg, n_chunks):
 def choice_draws():
     """The choice draws at master seed 12345 over exchanges 0..99 999, shape (100 000, 2).
 
-    Drawn as the runs draw them, one array call; `derive_bit_streams` is the scalar view.
+    Drawn as the runs draw them, one array call.
     """
     return harness._holds_r_h(harness.SimConfig(master_seed=12345), np.arange(100_000)).astype(int)
 
@@ -51,8 +51,8 @@ def test_select_bit_is_balanced(choice_draws):
 
 
 def test_select_bit_reproducible():
-    a = [harness.derive_bit_streams(7, i) for i in range(200)]
-    b = [harness.derive_bit_streams(7, i) for i in range(200)]
+    a = [tuple(seeds.stream_bits(7, [i], (0, 1))[0].tolist()) for i in range(200)]
+    b = [tuple(seeds.stream_bits(7, [i], (0, 1))[0].tolist()) for i in range(200)]
     assert a == b
     assert a == [(_draw(7, i, 0), _draw(7, i, 1)) for i in range(200)]
     assert {type(bit) for pair in a for bit in pair} == {int}
