@@ -380,10 +380,16 @@ def solve_systems(system: _DiscreteSystem, u: np.ndarray) -> np.ndarray:
     u = u.reshape((-1,) + u.shape[-3:])
     n_sys, n_rows, n_in, t = u.shape
     m, n_out = system.n_states, system.c_out.shape[-2]
-    q_next, q_prev, c_out, d_out, dc_gain = (
-        np.swapaxes(a, -1, -2)
-        for a in (system.q_next, system.q_prev, system.c_out, system.d_out, system.dc_gain)
+    # The input and output maps multiply contiguous copies, which is faster over a block's
+    # rows. A contiguous c_out changes how a dense product rounds, but each row of c_out has
+    # one nonzero (tests/test_circuit.py checks it), so each output is one product. dc_gain
+    # stays a view: at B = 1 its product is a matrix-vector one, whose rounding a contiguous
+    # operand changes.
+    q_next, q_prev, c_out, d_out = (
+        np.ascontiguousarray(np.swapaxes(a, -1, -2))
+        for a in (system.q_next, system.q_prev, system.c_out, system.d_out)
     )
+    dc_gain = np.swapaxes(system.dc_gain, -1, -2)
     # Steps per block. Two more slots hold the carried state and absorb a one-step
     # remainder. Each block but the last spans a multiple of 8 product rows: a
     # matrix-vector product (m = 1) over a (B = 1) strided view rounds its last

@@ -564,6 +564,7 @@ class DefenseResult:
     trace_attacked: tuple[np.ndarray, np.ndarray]
     trace_clean: tuple[np.ndarray, np.ndarray]
     elapsed_s: float
+    config: SimConfig  # as run, with the default injection filled in
 
 
 def _calibrate_defense(cfg: SimConfig, held, n_calibration: int):
@@ -676,6 +677,7 @@ def run_defense_experiment(
         trace_attacked=(trace_t, trace_attacked),
         trace_clean=(trace_t, trace_clean),
         elapsed_s=time.monotonic() - t0,
+        config=cfg,
     )
 
 
@@ -696,6 +698,7 @@ class PrivacyResult:
     closed_form: list[float]
     cell: CellResult
     elapsed_s: float
+    config: SimConfig  # as run, with the default wire and injection filled in
 
 
 def run_privacy_experiment(cfg: SimConfig, passes: int = 2) -> PrivacyResult:
@@ -729,7 +732,11 @@ def run_privacy_experiment(cfg: SimConfig, passes: int = 2) -> PrivacyResult:
         p = privacy.predicted_leak_after_xor(p)
         closed.append(p)
     return PrivacyResult(
-        stages=stages, closed_form=closed, cell=cell, elapsed_s=time.monotonic() - t0
+        stages=stages,
+        closed_form=closed,
+        cell=cell,
+        elapsed_s=time.monotonic() - t0,
+        config=cfg,
     )
 
 
@@ -912,15 +919,24 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def write_report(report: ExperimentReport, out_dir: str) -> list[str]:
-    """Write the machine-readable CSVs plus a human summary; returns the paths."""
+    """Write the machine-readable CSVs plus a human summary; returns the paths.
+
+    The summary lists the config that ran: the defense and privacy
+    experiments fill in a default injection (and privacy the ideal wire), so
+    their results carry their own config.
+    """
     os.makedirs(out_dir, exist_ok=True)
     written = []
+    config = report.config
+    for result in (report.defense_result, report.privacy_result):
+        if result is not None:
+            config = result.config
     summary = [
         "kljnsim experiment report",
         "",
         "config:",
     ]
-    summary += ["  " + line for line in config_to_text(report.config).splitlines()]
+    summary += ["  " + line for line in config_to_text(config).splitlines()]
     summary.append("")
 
     if report.table is not None:

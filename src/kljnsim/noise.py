@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .exceptions import ConfigError
-from .seeds import pcg64_states
+from .seeds import pcg64_state_ints
 
 K_BOLTZMANN = 1.380649e-23  # J/K
 
@@ -47,13 +47,18 @@ def synth_band_limited_gaussian(
     fluctuation instead of being renormalized per row. One inverse FFT
     transforms all rows.
 
+    The spectra are built in place: the amplitudes are drawn into one
+    (k, 2, n_bins) block, copied into the real and imaginary parts of the
+    in-band bins 1 .. n_bins, and scaled there.
+
     A 2-D `target_rms`, one row of scales per level, shape (L, k) or (L, 1),
     gives L scaled copies of the rows, shape (L, k, n): the amplitudes are
-    drawn once, and each level takes the one inverse FFT it would take alone.
+    drawn once, each level is scaled into one shared scratch spectrum, and
+    each level takes the one inverse FFT it would take alone.
 
     The rows share one PCG64 of this call, set to each row's seeded state
-    in turn (`pcg64_states`); it is never shared across calls, so
-    concurrent calls stay independent.
+    in turn (`pcg64_state_ints`) through one state dict of the call; neither
+    is shared across calls, so concurrent calls stay independent.
     """
     mask = _band_bin_mask(n, sample_rate_hz, bandwidth_hz)
     n_bins = int(mask.sum())
@@ -61,20 +66,26 @@ def synth_band_limited_gaussian(
         raise ConfigError(
             "no FFT bin falls inside the band; increase duration_s or bandwidth_hz"
         )
-    states = pcg64_states(seeds)
-    parts = np.empty((len(states), 2 * n_bins))  # each row's real parts, then imaginary parts
+    states, incs = pcg64_state_ints(seeds)
+    parts = np.empty((len(states), 2, n_bins))  # each row's real parts, then imaginary parts
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    for row, state in zip(parts, states):
+    seeded = {"state": 0, "inc": 0}  # one state dict, refilled per row
+    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
+    for row, s, inc in zip(parts, states, incs):
+        seeded["state"], seeded["inc"] = s, inc
         bit_generator.state = state
         rng.standard_normal(out=row)
     z = np.zeros((len(states), mask.size), dtype=np.complex128)
-    z[:, mask] = parts[:, :n_bins] + 1j * parts[:, n_bins:]
+    z.real[:, 1 : n_bins + 1] = parts[:, 0]  # the in-band bins are 1 .. n_bins
+    z.imag[:, 1 : n_bins + 1] = parts[:, 1]
     # var(x_j) = 4 s^2 n_bins / n^2 for unit-variance bin parts scaled by s
     scale = np.asarray(target_rms, dtype=np.float64) * n / (2.0 * math.sqrt(n_bins))
     if scale.ndim < 2:
-        return np.fft.irfft(z * np.reshape(scale, (-1, 1)), n)
+        z *= np.reshape(scale, (-1, 1))
+        return np.fft.irfft(z, n)
     rows = np.empty((len(scale), len(states), n))
+    scaled = np.empty_like(z)
     for out, level in zip(rows, scale):
-        out[:] = np.fft.irfft(z * np.reshape(level, (-1, 1)), n)
+        out[:] = np.fft.irfft(np.multiply(z, np.reshape(level, (-1, 1)), out=scaled), n)
     return rows

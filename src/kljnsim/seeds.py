@@ -1,11 +1,12 @@
-"""numpy's SeedSequence and PCG64 seeding as uint32 arithmetic over arrays of rows.
+"""numpy's SeedSequence and PCG64 seeding as integer arithmetic over arrays of rows.
 
 The seed scheme is numpy's own: stream s of exchange i is
 `default_rng(SeedSequence(entropy=(master_seed, i, s)))`, and each noise row
 draws from `default_rng(seed)`. Building one SeedSequence and one generator
 per stream costs about 15 us; the hashing behind them is a fixed sequence of
 uint32 multiplies, xors and shifts, so this module runs it over whole arrays
-of rows at once and returns the same words numpy would:
+of rows at once, a few array operations per call, and returns the same words
+numpy would:
 
 - `stream_seeds`: `SeedSequence(...).generate_state(1, np.uint64)`;
 - `stream_bits`: `default_rng(SeedSequence(...)).integers(0, 2)`;
@@ -15,6 +16,8 @@ It follows numpy's `SeedSequence.mix_entropy` and `generate_state`
 (pool size 4) and PCG64's `pcg_setseq_128_srandom_r` and XSL-RR output.
 Each entropy value is coerced as SeedSequence does, to its little-endian
 uint32 words (one word for 0), so rows are grouped by their word count.
+SeedSequence's pool is one (4, k) uint32 array, and PCG64's 128-bit values
+are (high, low) pairs of uint64 arrays, whose wraparound is mod 2**64.
 tests/test_seeds.py checks every function against numpy itself.
 """
 from __future__ import annotations
@@ -27,10 +30,11 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MULT_HIGH, _MULT_LOW = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
 
 _U32 = np.uint64(32)
 _LOW32 = np.uint64(_MASK32)
+_MULT_LOW0, _MULT_LOW1 = _MULT_LOW & _LOW32, _MULT_LOW >> _U32
 
 
 def _int_words(value: int) -> list[int]:
@@ -73,12 +77,29 @@ def _grouped_words(values):
         yield np.array(rows), np.array([words[r] for r in rows], dtype=np.uint32).T
 
 
-def _hashmix_constants():
-    """(xor, multiplier) of each successive hashmix call: the hash constant's sequence."""
-    h = _INIT_A
-    while True:
-        x, h = h, (h * _MULT_A) & _MASK32
-        yield np.uint32(x), np.uint32(h)
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """A hash constant's first n values, read-only. Hash call j xors value j and
+    multiplies by value j + 1."""
+    h = np.empty(n, dtype=np.uint32)
+    for j in range(n):
+        h[j], init = init, (init * mult) & _MASK32
+    h.flags.writeable = False
+    return h
+
+
+# enough for entropy of up to 16 words and for generate_state of up to 64 words
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * 16 + 1)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 64 + 1)
+# the pool words that each source word mixes into, in order
+_OTHERS = tuple(np.array([d for d in range(_POOL_SIZE) if d != s]) for s in range(_POOL_SIZE))
+
+
+def _hashmix(value: np.ndarray, h: np.ndarray, j: int, n: int) -> np.ndarray:
+    """Hash calls j .. j + n - 1, one per row of the result, on value (k,) or (n, k)."""
+    value = value ^ h[j : j + n, None]
+    value *= h[j + 1 : j + n + 1, None]
+    value ^= value >> _XSHIFT
+    return value
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -86,24 +107,20 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> _XSHIFT)
 
 
-def _pool(entropy: np.ndarray) -> list[np.ndarray]:
-    """SeedSequence's entropy pool of each row: entropy (L, k) uint32 words -> 4 (k,) arrays."""
-    constants = _hashmix_constants()
-
-    def hashmix(value):
-        x, m = next(constants)
-        value = (value ^ x) * m
-        return value ^ (value >> _XSHIFT)
-
-    zero = np.zeros(entropy.shape[1], dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+def _pool(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's entropy pool of each row: entropy (L, k) uint32 words -> (4, k)."""
+    n_calls = _POOL_SIZE * max(len(entropy), _POOL_SIZE)
+    h = _HASH_A if n_calls < len(_HASH_A) else _hash_constants(_INIT_A, _MULT_A, n_calls + 1)
+    pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:_POOL_SIZE]
+    pool = _hashmix(pool, h, 0, _POOL_SIZE)
+    j = _POOL_SIZE
+    for src, others in enumerate(_OTHERS):  # one source word's three mixes are independent
+        pool[others] = _mix(pool[others], _hashmix(pool[src], h, j, _POOL_SIZE - 1))
+        j += _POOL_SIZE - 1
     for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
+        pool = _mix(pool, _hashmix(word, h, j, _POOL_SIZE))
+        j += _POOL_SIZE
     return pool
 
 
@@ -114,14 +131,8 @@ def generate_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
     words (2j, 2j + 1) form uint64 word j, low word first.
     """
     pool = _pool(np.asarray(entropy, dtype=np.uint32))
-    out = np.empty((n_words, entropy.shape[1]), dtype=np.uint32)
-    h = _INIT_B
-    for i in range(n_words):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(h)
-        h = (h * _MULT_B) & _MASK32
-        value *= np.uint32(h)
-        out[i] = value ^ (value >> _XSHIFT)
-    return out
+    h = _HASH_B if n_words < len(_HASH_B) else _hash_constants(_INIT_B, _MULT_B, n_words + 1)
+    return _hashmix(pool[np.arange(n_words) % _POOL_SIZE], h, 0, n_words)
 
 
 def stream_words(master_seed: int, index, streams, n_words: int) -> np.ndarray:
@@ -147,53 +158,38 @@ def stream_seeds(master_seed: int, index, streams) -> np.ndarray:
 
 
 # --- PCG64 --------------------------------------------------------------------
-# 128-bit values are lists of four uint64 arrays, each holding one 32-bit limb,
-# least significant first.
+# 128-bit values are (high, low) pairs of uint64 arrays.
 
 
 def _add128(a, b):
-    out, carry = [], 0
-    for x, y in zip(a, b):
-        s = x + y + carry
-        out.append(s & _LOW32)
-        carry = s >> _U32
-    return out
-
-
-_MULT_LIMBS = [np.uint64((_PCG64_MULT >> (32 * j)) & _MASK32) for j in range(4)]
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < a[1]), low
 
 
 def _mul128_mult(a):
     """a x PCG64's multiplier, mod 2**128."""
-    out, carry = [], 0
-    for k in range(4):
-        acc = carry
-        for i in range(k + 1):
-            acc = acc + ((a[i] * _MULT_LIMBS[k - i]) & _LOW32)
-        for i in range(k):  # high halves of the products one limb down
-            acc = acc + ((a[i] * _MULT_LIMBS[k - 1 - i]) >> _U32)
-        out.append(acc & _LOW32)
-        carry = acc >> _U32
-    return out
+    high, low = a
+    # the high word of low x _MULT_LOW, from 32-bit limbs
+    low0, low1 = low & _LOW32, low >> _U32
+    p00, p01, p10 = low0 * _MULT_LOW0, low0 * _MULT_LOW1, low1 * _MULT_LOW0
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry = low1 * _MULT_LOW1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    return carry + high * _MULT_LOW + low * _MULT_HIGH, low * _MULT_LOW
 
 
 def _pcg64_seeded(words: np.ndarray):
-    """PCG64's (state, inc) after seeding from generate_state(4, np.uint64), as 128-bit limbs.
+    """PCG64's (state, inc) after seeding from generate_state(4, np.uint64), as 128-bit pairs.
 
-    words: (8, k) uint32. seed = (w0..w3), inc seed = (w4..w7); each 128-bit
-    value is uint64 word 0 as its high half and uint64 word 1 as its low one.
+    words: (8, k) uint32, uint64 word j = (words[2j], words[2j + 1]), low
+    first. seed = (word 0, word 1) and inc seed = (word 2, word 3), high
+    word first.
     """
-    w = list(words.astype(np.uint64))
-    initstate = [w[2], w[3], w[0], w[1]]
+    w = words.astype(np.uint64)
+    w = w[0::2] | (w[1::2] << _U32)
     one = np.uint64(1)
-    inc = [
-        ((w[6] << one) | one) & _LOW32,
-        ((w[7] << one) | (w[6] >> np.uint64(31))) & _LOW32,
-        ((w[4] << one) | (w[7] >> np.uint64(31))) & _LOW32,
-        ((w[5] << one) | (w[4] >> np.uint64(31))) & _LOW32,
-    ]
+    inc = ((w[2] << one) | (w[3] >> np.uint64(63)), (w[3] << one) | one)
     # srandom: state = 0; step; state += initstate; step
-    state = _add128(_mul128_mult(_add128(inc, initstate)), inc)
+    state = _add128(_mul128_mult(_add128(inc, (w[0], w[1]))), inc)
     return state, inc
 
 
@@ -205,31 +201,32 @@ def stream_bits(master_seed: int, index, streams) -> np.ndarray:
     """
     words = stream_words(master_seed, index, streams, 8)
     state, inc = _pcg64_seeded(words.reshape(8, -1))
-    s = _add128(_mul128_mult(state), inc)  # step, then the XSL-RR output of the new state
-    xored = (s[0] ^ s[2]) | ((s[1] ^ s[3]) << _U32)
-    rot = s[3] >> np.uint64(26)
-    out = (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
-    return ((out >> np.uint64(31)) & np.uint64(1)).astype(np.uint8).reshape(words.shape[1:])
+    high, low = _add128(_mul128_mult(state), inc)  # step, then the XSL-RR output of the new state
+    # bit 31 of (high ^ low) rotated right by the top six bits of high
+    shift = ((high >> np.uint64(58)) + np.uint64(31)) & np.uint64(63)
+    bits = ((high ^ low) >> shift) & np.uint64(1)
+    return bits.astype(np.uint8).reshape(words.shape[1:])
 
 
-def _as_ints(limbs) -> list[int]:
-    """128-bit limbs -> one Python int per row."""
-    high = (limbs[2] | (limbs[3] << _U32)).tolist()
-    low = (limbs[0] | (limbs[1] << _U32)).tolist()
-    return [(h << 64) | lo for h, lo in zip(high, low)]
+def _as_ints(value) -> list[int]:
+    """A 128-bit (high, low) pair -> one Python int per row."""
+    return [(h << 64) | lo for h, lo in zip(value[0].tolist(), value[1].tolist())]
+
+
+def pcg64_state_ints(seeds) -> tuple[list[int], list[int]]:
+    """The 128-bit state and increment that `PCG64(seed)` starts from, for each seed, as two
+    lists of Python ints."""
+    seeds = np.asarray(seeds)
+    out = np.empty((4, seeds.size), dtype=np.uint64)  # state high, low, inc high, low
+    for rows, words in _grouped_words(seeds):
+        state, inc = _pcg64_seeded(generate_state(words, 8))
+        out[:, rows] = state + inc
+    return _as_ints(out[:2]), _as_ints(out[2:])
 
 
 def pcg64_states(seeds) -> list[dict]:
     """The bit generator state of `PCG64(seed)` for each seed, as `PCG64.state` dicts."""
-    seeds = np.asarray(seeds)
-    states = [None] * seeds.size
-    for rows, words in _grouped_words(seeds):
-        state, inc = (_as_ints(x) for x in _pcg64_seeded(generate_state(words, 8)))
-        for row, s, i in zip(rows.tolist(), state, inc):
-            states[row] = {
-                "bit_generator": "PCG64",
-                "state": {"state": s, "inc": i},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-    return states
+    return [
+        {"bit_generator": "PCG64", "state": {"state": s, "inc": i}, "has_uint32": 0, "uinteger": 0}
+        for s, i in zip(*pcg64_state_ints(seeds))
+    ]

@@ -214,6 +214,27 @@ def test_models_and_loop_systems_are_built_once_per_key():
     assert loop_system(model, cfg, 1.0 / FS) is loop_system(model, replace(cfg), 1.0 / FS)
 
 
+@pytest.mark.parametrize(
+    "variant", [Ideal(), Cable(100.0, 10), Cable(1000.0, 10), CableWithKiller(1000.0, 10)]
+)
+def test_each_output_reads_at_most_one_state(variant):
+    """solve_systems multiplies the states by a contiguous copy of c_out, which rounds like
+    the strided view only while each output is a single product."""
+    model = circuit.model_for_variant(variant)
+    if model is None:  # the ideal wire is solved in closed form and has no system
+        with pytest.raises(ConfigError, match="no transient state"):
+            loop_system(model, LoopConfig(1000.0, 9000.0, variant), 1.0 / FS)
+        return
+    systems = [loop_system(model, None, 1.0 / FS)]  # the defense's in-site simulation
+    for r_a, r_b in ((1000.0, 9000.0), (9000.0, 1000.0), (1000.0, 1000.0), (9000.0, 9000.0)):
+        for position in (0.0, 0.5, 1.0):
+            cfg = LoopConfig(r_a, r_b, variant, injection_position=position)
+            systems.append(loop_system(model, cfg, 1.0 / FS))
+    for system in systems:
+        assert system.c_out.shape[-1] == model.n_states
+        assert np.count_nonzero(system.c_out, axis=-1).max() <= 1
+
+
 def test_injection_node_index_midpoint_and_clamping():
     v = Cable(1000.0, 10)
     assert injection_node_index(v, 0.5) == 5

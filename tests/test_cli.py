@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,38 @@ def test_privacy_verb(tmp_path):
     code = cli.main(["privacy", "--out", out, "--bits", "40"])
     assert code == 0
     assert os.path.exists(os.path.join(out, "privacy.csv"))
+
+
+def _summary_config(out):
+    with open(os.path.join(out, "summary.txt")) as fh:
+        text = fh.read()
+    block = text.split("config:\n", 1)[1].split("\n\n", 1)[0]
+    return harness.parse_config_text("\n".join(line.strip() for line in block.splitlines()))
+
+
+def test_summary_lists_the_config_that_ran(tmp_path):
+    """privacy and defense fill in a 10 % injection when none is set, and privacy then runs
+    the ideal wire whatever the variant: the summary shows that config, not the given one."""
+    out = str(tmp_path / "privacy")
+    assert cli.main(["privacy", "--out", out, "--bits", "30"]) == 0
+    ran = _summary_config(out)
+    assert ran.injection.level_fraction == 0.1 and isinstance(ran.variant, circuit.Ideal)
+
+    cfg = _cfg_file(tmp_path, TINY + "variant = cable\n")
+    out = str(tmp_path / "privacy_cable")
+    assert cli.main(["privacy", "--config", cfg, "--out", out]) == 0
+    ran = _summary_config(out)
+    assert ran.injection.level_fraction == 0.1 and isinstance(ran.variant, circuit.Ideal)
+    assert (ran.master_seed, ran.n_bits) == (11, 30)
+
+    out = str(tmp_path / "defense")
+    assert cli.main(["defense", "--out", out, "--bits", "30"]) == 0
+    ran = _summary_config(out)
+    assert ran.injection.level_fraction == 0.1 and ran.variant == circuit.Cable(1000.0, 10)
+
+    out = str(tmp_path / "table1")  # table1 runs the config as given
+    assert cli.main(["table1", "--config", cfg, "--out", out, "--bits", "10"]) == 0
+    assert _summary_config(out) == replace(harness.parse_config(cfg), n_bits=10)
 
 
 def test_single_bit_verb(tmp_path):
