@@ -28,6 +28,22 @@ CASES = {
         harness.run_table1,
         "32d2f4f31065f7482dee84511429d8170f803d397d81c691e33efef5cd95973d",
     ),
+    # the canceller alone: its one-state batches of every row count, over three chunks
+    "table1.csv-killer": (
+        harness.SimConfig(n_bits=150, master_seed=12345),
+        "table",
+        lambda cfg: harness.run_table1(cfg, variants=[circuit.CableWithKiller(1000.0, 10)]),
+        "d4afe5e3a24c879e5d25285df75fb95417fa14cd484fd2b5aecc072b14cac1fc",
+    ),
+    # two ladders of one state count, which share their batches' scans
+    "table1.csv-ladders": (
+        harness.SimConfig(n_bits=150, master_seed=12345),
+        "table",
+        lambda cfg: harness.run_table1(
+            cfg, levels=(0.0, 0.05), variants=[circuit.Cable(100.0, 10), CABLE]
+        ),
+        "d704ba2fa1fcda2f832b28853692dd937dae52db3915514dfa4e7464b4e12134",
+    ),
     "privacy.csv": (
         harness.SimConfig(n_bits=200, master_seed=12345),
         "privacy_result",
