@@ -16,12 +16,18 @@ no artificial start-up transient leaks into the statistics.
 
 Each variant's cable model is built once (`model_for_variant`), and each
 loop's discretized system once (`loop_system`). One solve path,
-`solve_systems`, runs S such systems of equal state count at once, B rows
-each: S levels of one loop, or a chunk's loop batches of equal size, each
-with its own terminations. Every sample step advances all S x B states with
-one stacked product whose rows equal the S separate products bit for bit,
-and the scan runs in time blocks whose stepping buffer fits
-SCAN_BLOCK_BYTES.
+`solve_jobs`, takes several (system, inputs) jobs and groups them by state
+count. Jobs of one state count m > 1 share one row count B and run as one
+stack of S systems: S levels of one or more loops of that m (a grid's
+ladder variants at all levels), or a chunk's loop batches of equal size,
+each with its own terminations. Every sample step advances all S x B
+states with one stacked product whose rows equal the S separate products
+bit for bit, and the scan runs in time blocks whose stepping buffer fits
+SCAN_BLOCK_BYTES. One-state jobs (the canceller) of any B advance together
+in one elementwise recurrence, each row with its own p, since a one-state
+step product is a single term. Each job keeps its own input-map, start-state
+and output-map products, so its outputs equal those of its own solve;
+`solve_systems` is the solve of one job.
 
 Sign convention
 ---------------
@@ -339,9 +345,10 @@ def injection_node_index(variant: Variant, injection_position: float) -> int:
     return int(min(max(round(injection_position * n), 1), n - 1))
 
 
-# Byte budget of a solve's stepping buffer; the drive scratch beside it takes
-# as much again. The scan advances its S x B states through time blocks of
-# as many samples as fit, so neither grows with t or with S.
+# Byte budget of a stacked solve's stepping buffer; the drive scratch beside it
+# takes at most as much again. The scan advances its S x B states through time
+# blocks of as many samples as fit, so neither grows with t or with S. A
+# one-state solve's time blocks span this many bytes of its state trajectory.
 SCAN_BLOCK_BYTES = 2**19
 
 
@@ -354,13 +361,207 @@ def ladder_scan(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     states of each system and x[..., k, :, :] the drive term qu[k-1]; on
     return it holds the state trajectory. Each step advances all S x B states
     with one stacked (S, B, m) @ (S, m, m) product, whose rows equal the S
-    separate (B, m) @ (m, m) products bit for bit. Returns `x`.
+    separate (B, m) @ (m, m) products bit for bit. At m = 1 each product is a
+    single term, so the step is the elementwise x[k] += x[k-1] * p, and `p`
+    may then hold one value per row, shape (S, B, 1). Returns `x`.
     """
-    p_t = np.swapaxes(p, -1, -2)
     steps = list(x.swapaxes(0, -3))  # views: steps[k] is sample k of every system
+    if p.shape[-1] == 1:
+        for prev, cur in zip(steps, steps[1:]):
+            cur += prev * p
+        return x
+    p_t = np.swapaxes(p, -1, -2)
     for prev, cur in zip(steps, steps[1:]):
         cur += prev @ p_t
     return x
+
+
+def _time_blocks(t: int, block: int):
+    """(k0, n) per time block: n steps on from sample k0, at most `block` unless a one-step
+    remainder joins the last block; a single block of no steps when t = 1."""
+    k0 = 0
+    while True:
+        n = min(block, t - 1 - k0)
+        n += t - 1 - k0 - n == 1
+        yield k0, n
+        k0 += n
+        if k0 >= t - 1:
+            return
+
+
+class _Job:
+    """One (system, u) pair of a solve: inputs as (S, B, n_inputs, t) and the system's maps
+    transposed to multiply rows from the right."""
+
+    def __init__(self, system: _DiscreteSystem, u: np.ndarray):
+        self.p = system.p
+        self.given = u
+        self.u = u.reshape((-1,) + u.shape[-3:])
+        self.n_sys, self.n_rows, self.n_in, self.t = self.u.shape
+        self.out_shape = u.shape[:-2] + (system.c_out.shape[-2], self.t)
+        # The input and output maps multiply contiguous copies, which is faster over a
+        # block's rows. A contiguous c_out changes how a dense product rounds, but each
+        # row of c_out has one nonzero (tests/test_circuit.py checks it), so each output
+        # is one product. dc_gain stays a view: at B = 1 its product is a matrix-vector
+        # one, whose rounding a contiguous operand changes.
+        self.q_next, self.q_prev, self.c_out, self.d_out = (
+            np.ascontiguousarray(np.swapaxes(a, -1, -2))
+            for a in (system.q_next, system.q_prev, system.c_out, system.d_out)
+        )
+        self.dc_gain = np.swapaxes(system.dc_gain, -1, -2)
+
+    def start(self) -> np.ndarray:
+        """The DC-consistent state for each row's first input sample, shape (S, B, m)."""
+        return self.u[..., 0] @ self.dc_gain
+
+    def inputs(self, k0: int, n: int) -> np.ndarray:
+        """The inputs of samples k0 .. k0 + n time-major, shape (S, (n + 1) B, n_inputs)."""
+        return self.u[..., k0 : k0 + n + 1].transpose(0, 3, 1, 2).reshape(self.n_sys, -1, self.n_in)
+
+    def drive(self, flat: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Write the drive terms of a block's samples but its first into `out`, shape
+        (S, n B, m), from its `inputs`; `scratch` of that shape takes the second product."""
+        np.matmul(flat[:, self.n_rows :], self.q_next, out=out)
+        out += np.matmul(flat[:, : -self.n_rows], self.q_prev, out=scratch)
+
+    def output(self, y: np.ndarray, k0: int, first: int, states: np.ndarray, flat: np.ndarray):
+        """Write the outputs of a block's samples from k0 + first on into y, shape
+        (S, B, n_outputs, t), from their states, shape (S, N B, m), and the block's `inputs`."""
+        out = states @ self.c_out
+        out += flat[:, first * self.n_rows :] @ self.d_out
+        out = out.reshape(self.n_sys, -1, self.n_rows, out.shape[-1]).transpose(0, 2, 3, 1)
+        y[..., k0 + first : k0 + first + out.shape[-1]] = out
+
+
+def _spans(sizes):
+    bounds = np.cumsum([0, *sizes]).tolist()
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _stacked_solves(jobs: list[_Job]):
+    """Yield the outputs of jobs of one state count m > 1 and one row count B, solved as one
+    stack: one (S, B, m) @ (S, m, m) product per step for all their systems.
+
+    The stepping buffer holds a time block of every system, so each block's outputs are
+    written out before the next, and every job's outputs are held until the last block.
+    """
+    m, n_rows, t = jobs[0].p.shape[-1], jobs[0].n_rows, jobs[0].t
+    spans = _spans(job.n_sys for job in jobs)
+    n_sys = spans[-1].stop
+    p = np.empty((n_sys, m, m))  # C-contiguous, like each system's own p
+    for job, span in zip(jobs, spans):
+        p[span] = job.p
+    # Steps per block. Two more slots hold the carried state and absorb a one-step
+    # remainder. Each block but the last spans a multiple of 8 product rows, as in
+    # `_one_state_solves`, so a row's samples do not depend on where blocks end.
+    unit = 8 // math.gcd(n_rows, 8)
+    block = max(2, unit, (SCAN_BLOCK_BYTES // (8 * n_sys * n_rows * m) - 2) // unit * unit)
+    slots = min(block + 2, t)
+    # The stepping buffer x and the scratch of the input map's second product, one job
+    # at a time, share one allocation: with glibc's malloc, one larger block left the
+    # solve's other arrays fewer fresh pages to fault in than two smaller ones.
+    buf = np.empty((n_sys * slots + max(job.n_sys for job in jobs) * (slots - 1), n_rows, m))
+    x = buf[: n_sys * slots].reshape(n_sys, slots, n_rows, m)
+    scratch = buf[n_sys * slots :].reshape(-1, (slots - 1) * n_rows, m)
+    ys = [np.empty((job.n_sys, n_rows) + job.out_shape[-2:]) for job in jobs]
+    for job, span in zip(jobs, spans):
+        x[span, 0] = job.start()
+    first = 0  # 1 once the state at sample k0, x[:, 0], is written out
+    for k0, n in _time_blocks(t, block):
+        inputs = {}  # jobs given one input array share its block's inputs
+        for job in jobs:
+            if id(job.given) not in inputs:
+                inputs[id(job.given)] = job.inputs(k0, n)
+        flats = [inputs[id(job.given)] for job in jobs]
+        for job, span, flat in zip(jobs, spans, flats):
+            drive = x[span, 1 : n + 1].reshape(job.n_sys, -1, m)
+            job.drive(flat, drive, scratch[: job.n_sys, : n * n_rows])
+        ladder_scan(p, x[:, : n + 1])
+        for job, span, y, flat in zip(jobs, spans, ys, flats):
+            job.output(y, k0, first, x[span, first : n + 1].reshape(job.n_sys, -1, m), flat)
+        x[:, 0] = x[:, n]
+        first = 1
+    del buf, x, scratch, drive, inputs, flats
+    ys.reverse()
+    while ys:  # pop, so that a yielded job's outputs are not kept alive here
+        yield ys.pop()
+
+
+def _one_state_solves(jobs: list[_Job]):
+    """Yield the outputs of one-state jobs of any row counts, whose rows advance together in
+    one elementwise recurrence, each with its own p.
+
+    The R rows of all jobs sit side by side in one (t, R) state trajectory. Its time
+    blocks bound the input maps' temporaries; each block but the last spans a multiple
+    of 8 steps, so of 8 product rows whatever a job's B: a matrix-vector product
+    (m = 1) over a (B = 1) strided view rounds its last partial group of rows
+    differently. The whole trajectory is held (at m = 1 a quarter of the rows'
+    outputs), so each job's outputs are formed only when the job is yielded.
+    """
+    t = jobs[0].t
+    spans = _spans(job.n_sys * job.n_rows for job in jobs)
+    p = np.empty((1, spans[-1].stop, 1))  # each row's p, shaped like a step of the scan
+    for job, span in zip(jobs, spans):
+        p[0, span].reshape(job.n_sys, job.n_rows)[...] = job.p.reshape(-1, 1)
+    traj = np.empty((t, spans[-1].stop))
+    blocks = list(_time_blocks(t, max(8, (SCAN_BLOCK_BYTES // traj[0].nbytes - 2) // 8 * 8)))
+    for job, span in zip(jobs, spans):
+        traj[0, span] = job.start().ravel()
+    for k0, n in blocks:
+        for job, span in zip(jobs, spans):
+            drive = np.empty((2, job.n_sys, n * job.n_rows, 1))
+            job.drive(job.inputs(k0, n), drive[0], drive[1])
+            rows = traj[k0 + 1 : k0 + n + 1, span].reshape(n, job.n_sys, job.n_rows)
+            rows[...] = drive[0].reshape(job.n_sys, n, job.n_rows).transpose(1, 0, 2)
+            del drive, rows
+        ladder_scan(p, traj[None, k0 : k0 + n + 1, :, None])
+
+    def outputs(job, span):
+        y = np.empty((job.n_sys, job.n_rows) + job.out_shape[-2:])
+        c_out = job.c_out.reshape(-1, 1, y.shape[-2], 1)
+        first = 0
+        for k0, n in blocks:
+            samples = slice(k0 + first, k0 + n + 1)
+            out = job.inputs(k0, n)[:, first * job.n_rows :] @ job.d_out
+            out = out.reshape(job.n_sys, -1, job.n_rows, y.shape[-2])
+            y[..., samples] = out.transpose(0, 2, 3, 1)
+            del out
+            # c_out has one column, so a state's share of an output is a single product,
+            # added to the input's share as `_Job.output` adds them
+            states = traj[samples, span].reshape(-1, job.n_sys, job.n_rows).transpose(1, 2, 0)
+            y[..., samples] += states[:, :, None] * c_out
+            first = 1
+        return y
+
+    for job, span in zip(jobs, spans):
+        yield outputs(job, span)  # unnamed here, so the consumer alone holds it
+
+
+def solve_jobs(jobs):
+    """Outputs of several (system, u) jobs, yielded one job at a time in the jobs' order.
+
+    A job is what `solve_systems` takes: one system, or S stacked by
+    `stack_systems`, and its inputs of shape (..., B, n_inputs, t). All jobs
+    share one t. Jobs of one state count m > 1 are solved as one stack, one
+    (S, B, m) @ (S, m, m) product per sample step, so they must share one row
+    count B: jobs of unequal B raise ShapeMismatchError rather than split
+    into several scans. One-state jobs of any B advance in one elementwise
+    step per sample. Either way each job keeps its own input-map, start-state
+    and output-map products, so its outputs equal the ones it would get alone,
+    bit for bit. A group is solved when its first job is reached.
+    """
+    jobs = [_Job(system, u) for system, u in jobs]
+    if len({job.t for job in jobs}) > 1:
+        raise ShapeMismatchError("the jobs of one solve must share one sample count")
+    if len({job.n_rows for job in jobs if job.p.shape[-1] > 1}) > 1:
+        raise ShapeMismatchError("jobs with more than one state must share one row count")
+    solves = {}
+    for job in jobs:
+        m = job.p.shape[-1]
+        if m not in solves:
+            group = [other for other in jobs if other.p.shape[-1] == m]
+            solves[m] = (_one_state_solves if m == 1 else _stacked_solves)(group)
+        yield next(solves[m]).reshape(job.out_shape)
 
 
 def solve_systems(system: _DiscreteSystem, u: np.ndarray) -> np.ndarray:
@@ -368,58 +569,15 @@ def solve_systems(system: _DiscreteSystem, u: np.ndarray) -> np.ndarray:
 
     `system` is one discretized system shared by every stack of B rows, or S
     systems of equal shapes stacked by `stack_systems`, one per stack of u of
-    shape (S, B, n_inputs, t). Each row starts from the DC-consistent
-    state for its first input sample. The scan runs in time blocks whose
+    shape (S, B, n_inputs, t). Each row starts from the DC-consistent state
+    for its first input sample. A multi-state scan runs in time blocks whose
     stepping buffer fits SCAN_BLOCK_BYTES. Per block, the input map is one
     stacked product over the block's time-major samples, `ladder_scan`
     advances the states, the output map writes the block's output columns,
     and the last state carries into the next block. A row's samples do not
-    depend on the blocking.
+    depend on the blocking. The one job of `solve_jobs`.
     """
-    lead = u.shape[:-3]
-    u = u.reshape((-1,) + u.shape[-3:])
-    n_sys, n_rows, n_in, t = u.shape
-    m, n_out = system.n_states, system.c_out.shape[-2]
-    # The input and output maps multiply contiguous copies, which is faster over a block's
-    # rows. A contiguous c_out changes how a dense product rounds, but each row of c_out has
-    # one nonzero (tests/test_circuit.py checks it), so each output is one product. dc_gain
-    # stays a view: at B = 1 its product is a matrix-vector one, whose rounding a contiguous
-    # operand changes.
-    q_next, q_prev, c_out, d_out = (
-        np.ascontiguousarray(np.swapaxes(a, -1, -2))
-        for a in (system.q_next, system.q_prev, system.c_out, system.d_out)
-    )
-    dc_gain = np.swapaxes(system.dc_gain, -1, -2)
-    # Steps per block. Two more slots hold the carried state and absorb a one-step
-    # remainder. Each block but the last spans a multiple of 8 product rows: a
-    # matrix-vector product (m = 1) over a (B = 1) strided view rounds its last
-    # partial group of rows differently.
-    unit = 8 // math.gcd(n_rows, 8)
-    block = max(2, unit, (SCAN_BLOCK_BYTES // (8 * n_sys * n_rows * m) - 2) // unit * unit)
-    slots = min(block + 2, t)
-    # The stepping buffer x and the scratch of the input map's second product share
-    # one allocation: with glibc's malloc, one larger block left the solve's other
-    # arrays fewer fresh pages to fault in than two smaller ones.
-    buf = np.empty((n_sys, 2 * slots - 1, n_rows, m))
-    x, prev_drive = buf[:, :slots], buf[:, slots:].reshape(n_sys, -1, m)
-    x[:, 0] = u[..., 0] @ dc_gain
-    y = np.empty((n_sys, n_rows, n_out, t))
-    k0 = first = 0  # x[:, 0] holds the state at sample k0; `first` is 1 once it is written out
-    while not first or k0 < t - 1:
-        n = min(block, t - 1 - k0)
-        n += t - 1 - k0 - n == 1
-        flat = u[..., k0 : k0 + n + 1].transpose(0, 3, 1, 2).reshape(n_sys, -1, n_in)
-        drive = x[:, 1 : n + 1].reshape(n_sys, n * n_rows, m)
-        np.matmul(flat[:, n_rows:], q_next, out=drive)
-        drive += np.matmul(flat[:, :-n_rows], q_prev, out=prev_drive[:, : n * n_rows])
-        ladder_scan(system.p, x[:, : n + 1])
-        out = x[:, first : n + 1].reshape(n_sys, -1, m) @ c_out
-        out += flat[:, first * n_rows :] @ d_out
-        out = out.reshape(n_sys, -1, n_rows, n_out).transpose(0, 2, 3, 1)
-        y[..., k0 + first : k0 + n + 1] = out
-        x[:, 0] = x[:, n]
-        k0, first = k0 + n, 1
-    return y.reshape(lead + y.shape[1:])
+    return next(solve_jobs([(system, u)]))
 
 
 @lru_cache(maxsize=128)

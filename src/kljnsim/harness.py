@@ -27,10 +27,15 @@ An attack run is a grid of wire variants x injection levels (`run_table1`;
 `run_attack_cell` is a grid of one cell), and all its cells consume the same
 exchanges. So the grid is one pass over the chunks: each chunk is seeded
 and its generator rows synthesized once, and Eve's rows of every level in
-one more synthesis call. Each variant then solves a loop batch at all
-levels in one stacked scan and reduces the solved rows to mean squares and
-correlators; each party decides once per chunk for every cell and bit. A
-tie takes its exchange's coin, drawn once for all cells.
+one more synthesis call. The cable variants share one array of drive rows
+in loop-batch order, so a batch's rows are one view. Grouped by state
+count, not by variant: all one-state rows of the chunk, every batch at
+every level, advance in one elementwise recurrence, and the variants with
+more states solve each batch at all levels in one stacked scan of S =
+variants x levels systems. Each job's solved rows are reduced to mean
+squares and correlators as they come; each party decides once per chunk
+for every cell and bit. A tie takes its exchange's coin, drawn once for
+all cells.
 
 The defense experiment solves each secure exchange with and without Eve's
 current. A chunk groups its loop batches by row count, and each group takes
@@ -51,7 +56,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import attack, circuit, defense, noise, privacy, protocol, seeds
-from .exceptions import ConfigError
+from .exceptions import ConfigError, ShapeMismatchError
 
 _CHUNK = 128  # fixed chunk size keeps worker partitioning deterministic
 
@@ -167,34 +172,48 @@ class SimConfig:
                 raise ConfigError(f"derived {name} is {value!r}, outside 1e-300 .. 1e300")
         self.check_array_budget(1)
 
-    def check_array_budget(self, n_levels: int) -> None:
-        """Reject a run over `n_levels` injection levels at once if one of its arrays would
-        exceed MAX_ARRAY_BYTES, predicted from the shapes.
+    def check_array_budget(self, n_levels: int, variants=None) -> None:
+        """Reject a run of `variants` (default: this config's) over `n_levels` injection
+        levels if one of its arrays would exceed MAX_ARRAY_BYTES, predicted from the shapes.
 
-        A stacked solve takes S batches of B rows. The grid solves a batch at
-        all levels (n_levels x BATCH rows); the defense solves all batches of
-        one size in a chunk together (two rows per exchange, at most
-        2 x 128 rows, and at most 2 x 128 / BATCH loop systems).
+        The grid solves a loop batch (BATCH rows) at all levels: the variants
+        of each state count m > 1 in one stack of (variants) x n_levels x BATCH
+        rows, and all one-state rows of a chunk, at most (variants) x n_levels
+        x _CHUNK, in one state trajectory. The defense solves all batches of
+        one size in a chunk together (two rows per exchange, at most 2 x _CHUNK
+        rows, and at most 2 x _CHUNK / BATCH loop systems).
         """
-        model = circuit.model_for_variant(self.variant)
-        t, m, L = self.samples_per_bit, 0 if model is None else model.n_states, n_levels
+        models = [circuit.model_for_variant(v) for v in variants or [self.variant]]
+        counts = collections.Counter(model.n_states for model in models if model is not None)
+        t, L = self.samples_per_bit, n_levels
         rows = max(L * protocol.BATCH, 2 * _CHUNK)
         n_systems = 2 * _CHUNK // protocol.BATCH
-        step = 8 * rows * m  # bytes per sample of the scan
         sizes = {
-            f"the defense's stack of {n_systems} (m, m) system matrices": 8 * n_systems * m * m,
-            f"a stacked solve's ({rows} rows, 4, t) outputs": 8 * rows * 4 * t,
-            # SCAN_BLOCK_BYTES each, but at least 10 samples (a block of 8 and two slots)
-            f"a stacked solve's ({rows} rows, m) stepping buffer and drive scratch":
-                step * (2 * min(t, max(10, circuit.SCAN_BLOCK_BYTES // max(step, 1))) - 1),
+            f"a solve's ({rows} rows, 4, t) outputs": 8 * rows * 4 * t,
             f"a chunk's ({_CHUNK}, 7, t) drive and solved rows": 8 * _CHUNK * 7 * t,
             f"a chunk's ({L}, {_CHUNK}, t) injected rows": 8 * L * _CHUNK * t,
         }
+        if counts:
+            sizes[f"the grid's ({L}, {_CHUNK}, 3, t) cable drive rows"] = 8 * L * _CHUNK * 3 * t
+        for m, count in counts.items():
+            sizes[f"the defense's stack of {n_systems} ({m}, {m}) system matrices"] = (
+                8 * n_systems * m * m
+            )
+            if m == 1:
+                rows = max(count * L, 2) * _CHUNK
+                sizes[f"a one-state solve's (t, {rows} rows) state trajectory"] = 8 * rows * t
+                continue
+            rows = max(count * L * protocol.BATCH, 2 * _CHUNK)
+            step = 8 * rows * m  # bytes per sample of the scan
+            # SCAN_BLOCK_BYTES each, but at least 10 samples (a block of 8 and two slots)
+            sizes[f"a stacked solve's ({rows} rows, {m} states) stepping buffer and scratch"] = (
+                step * (2 * min(t, max(10, circuit.SCAN_BLOCK_BYTES // step)) - 1)
+            )
         for name, size in sizes.items():
             if size > MAX_ARRAY_BYTES:
                 raise ConfigError(
                     f"{name} would take {size:.3g} bytes, above the {MAX_ARRAY_BYTES} byte budget "
-                    f"(t = {t} samples per bit, m = {m} cable states)"
+                    f"(t = {t} samples per bit)"
                 )
 
     @property
@@ -281,9 +300,11 @@ def _used_chunks(cfg: SimConfig, n_secure: int, batch: int):
     least one of the secure exchanges up to that one, so the rows it yields
     start with those. A batch is kept or dropped whole, because a (B, m) @
     (m, m) product's rows can change in the last ulp with B: a kept row keeps
-    its batch, its slice of a stacked solve and its time blocks, and so the
-    bits it gives, whatever n_secure is. A dropped batch is never seeded,
-    synthesized or solved.
+    its batch, its slice of a stacked solve and its time blocks (a one-state
+    row's blocks move with the chunk's row count, but span multiples of 8
+    steps, which its bits do not depend on), and so the bits it gives,
+    whatever n_secure is. A dropped batch is never seeded, synthesized or
+    solved.
     """
     found = 0
     for start in itertools.count(0, _CHUNK):
@@ -333,30 +354,76 @@ def _grid_chunk(cfg: SimConfig, chunk, cell_cfgs) -> dict:
     `chunk` is (index, key_bits, choices) from `_used_chunks`, and
     `cell_cfgs` holds each cell's config, one row of levels per variant. The
     chunk is seeded and its generator rows synthesized once, and Eve's rows
-    in one more call for all levels. Each variant solves all levels of a
-    loop batch in one scan and reduces the solved rows to their mean squares
-    and Eve's correlators, so no chunk-sized array of solved rows is held.
-    Each party then decides for every (variant, level, exchange) at once.
-    Statistics have shape (variants, levels, k).
+    in one more call for all levels. The ideal wire takes all rows of a level
+    at once. The cables solve every loop batch at all levels from one array
+    of the chunk's drive rows in batch order, which the variants share: all
+    one-state rows of the chunk in one `circuit.solve_jobs` call, then each
+    batch's multi-state variants in one call, a stack of S = variants x
+    levels systems. Each job's solved rows are reduced to their mean squares
+    and Eve's correlators as they come, so no chunk-sized array of solved
+    rows is held. Each party then decides for every (variant, level,
+    exchange) at once. Statistics have shape (variants, levels, k).
     """
     index, key_bits, choices = chunk
     attacks = [c.injection for c in cell_cfgs[0]]
     attacked = np.array([a is not None for a in attacks])
     noise_seeds = _noise_seeds(cfg.master_seed, index, attacked.any())
     gen = protocol.generator_rows(cfg, choices, noise_seeds)
-    eve = np.zeros((len(attacks), len(index), cfg.samples_per_bit))
+    t = cfg.samples_per_bit
+    eve = np.zeros((len(attacks), len(index), t))
     if attacked.any():
         specs = [a for a in attacks if a is not None]
         eve[attacked] = protocol.injection_rows(cfg, noise_seeds[:, 2], specs)
     shape = (len(cell_cfgs), len(attacks), len(index))
     msq = np.empty(shape + (4,))
     rho_a, rho_b = np.empty(shape), np.empty(shape)
-    for v, row in enumerate(cell_cfgs):
-        for levels, positions, y in protocol.solved_batches(row[0], choices, gen, eve):
-            msq[v, levels][:, positions] = protocol.mean_squares(y)
-            rho = _correlators(eve[levels][:, positions], y)
-            rho_a[v, levels][:, positions], rho_b[v, levels][:, positions] = rho
-            del y  # free the solved rows before the next batch is solved
+
+    def reduce(v, levels, positions, y, i_inj):
+        msq[v, levels][:, positions] = protocol.mean_squares(y)
+        rho = _correlators(i_inj, y)
+        rho_a[v, levels][:, positions], rho_b[v, levels][:, positions] = rho
+
+    variants = [row[0].variant for row in cell_cfgs]
+    models = [circuit.model_for_variant(variant) for variant in variants]
+    r_a, r_b = choices[:, :1], choices[:, 1:]
+    for v in (v for v, model in enumerate(models) if model is None):
+        for lvl in range(len(attacks)):  # elementwise, each row with its own terminations
+            levels = slice(lvl, lvl + 1)
+            y = circuit.ideal_rows(gen[:, 0], gen[:, 1], eve[levels], r_a, r_b)
+            reduce(v, levels, slice(None), y, eve[levels])
+            del y
+    if any(model is not None for model in models):
+        # every row's (u_a, u_b, i_inj) at every level, in batch order, so that each loop
+        # batch's drive rows are one view that its variants share
+        drive = np.empty((len(attacks), len(index), 3, t))
+        batches = list(protocol.loop_batches(cfg, choices))
+        ends = np.cumsum([len(positions) for _, positions in batches]).tolist()
+        for b, ((loop_cfg, positions), end) in enumerate(zip(batches, ends)):
+            u = drive[:, end - len(positions) : end]
+            u[:, :, :2] = gen[positions]
+            u[:, :, 2] = eve[:, positions]
+            batches[b] = loop_cfg, positions, u
+        del gen, eve, u
+        # the one-state variants solve every batch in one call, the others each batch in one
+        one_state = [v for v, model in enumerate(models) if model and model.n_states == 1]
+        several = [v for v, model in enumerate(models) if model and model.n_states > 1]
+        calls = [[(v, batch) for batch in batches for v in one_state]]
+        calls += [[(v, batch) for v in several] for batch in batches]
+
+        def system(v, loop_cfg):  # variant v's loop system with the batch's terminations
+            # a new LoopConfig, not `replace`, which costs more than the lookup
+            loop = circuit.LoopConfig(
+                loop_cfg.r_alice, loop_cfg.r_bob, variants[v], cfg.injection_position
+            )
+            return circuit.loop_system(models[v], loop, 1.0 / cfg.sample_rate_hz)
+
+        for call in filter(None, calls):
+            jobs = [(system(v, loop_cfg), u) for v, (loop_cfg, _, u) in call]
+            for (v, (_, positions, u)), y in zip(call, circuit.solve_jobs(jobs)):
+                reduce(v, slice(None), positions, y, u[:, :, 2])
+                del y  # free the solved rows before the next job's are formed
+    if not np.isfinite(msq).all():  # a non-finite solved sample makes its row's mean square so
+        raise ShapeMismatchError("solved loop samples must all be finite")
     params = (cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz)
     alice = protocol.decide_remote_resistor(msq[..., 2], msq[..., 0], choices[:, 0], *params)
     bob = protocol.decide_remote_resistor(msq[..., 3], msq[..., 1], choices[:, 1], *params)
@@ -404,8 +471,7 @@ def _run_grid(cfg: SimConfig, variants, levels) -> list[CellResult]:
     chunk's shared work once for all cells.
     """
     cell_cfgs = [[_cell_config(cfg, variant, level) for level in levels] for variant in variants]
-    for row in cell_cfgs:
-        row[0].check_array_budget(len(levels))
+    cfg.check_array_budget(len(levels), variants)
 
     def chunk_worker(c, chunk):
         return _grid_chunk(c, chunk, cell_cfgs)

@@ -159,8 +159,9 @@ def injection_rows(
 
 # Rows per loop batch. A row's samples depend on how many rows share its
 # (B, m) @ (m, m) step products, so this fixes every row's rounding. Solves
-# stack whole batches (a grid's levels, a defense chunk's batches of equal
-# size) and scan them in time blocks, so memory does not grow with it.
+# stack whole batches (a grid's levels and ladder variants, a defense chunk's
+# batches of equal size) and scan them in time blocks, so memory does not
+# grow with it; one-state rows step elementwise, whatever their batch.
 BATCH = 16
 
 
@@ -179,30 +180,6 @@ def loop_batches(cfg: "SimConfig", choices: np.ndarray, size: int = BATCH):
             yield loop_cfg, positions[start : start + size]
 
 
-def solved_batches(cfg: "SimConfig", choices: np.ndarray, gen: np.ndarray, eve: np.ndarray):
-    """Solve k exchanges at L injection levels, one batch at a time.
-
-    `gen` holds the generator rows (u_a, u_b), shape (k, 2, t), and `eve`
-    the injected current at each level, shape (L, k, t). Yields (levels,
-    positions, y): a slice of the levels, the exchanges' positions and their
-    solved rows, shape (l, B, 4, t). The ideal wire is elementwise, so it
-    takes all k rows at once, each with its own terminations, one level at a
-    time; a cable is solved per `loop_batches` batch, all levels in one scan.
-    """
-    everywhere = slice(None)
-    if isinstance(cfg.variant, circuit.Ideal):
-        r_a, r_b = choices[:, :1], choices[:, 1:]
-        for lvl in range(len(eve)):
-            levels = slice(lvl, lvl + 1)
-            yield levels, everywhere, circuit.ideal_rows(gen[:, 0], gen[:, 1], eve[levels], r_a, r_b)
-        return
-    for loop_cfg, positions in loop_batches(cfg, choices):
-        u = np.empty((len(eve), len(positions), 3, gen.shape[-1]))
-        u[:, :, :2] = gen[positions]
-        u[:, :, 2] = eve[:, positions]
-        yield everywhere, positions, circuit.solve_rows(u, loop_cfg, 1.0 / cfg.sample_rate_hz)
-
-
 def run_exchanges(
     cfg: "SimConfig",
     index: np.ndarray,
@@ -212,13 +189,17 @@ def run_exchanges(
 ) -> Exchanges:
     """Simulate k exchange periods and both parties' inferences.
 
-    The drive rows come from `exchange_drives` and are solved by
-    `solved_batches`; each party decides on its own end's rows.
+    The drive rows come from `exchange_drives`. The ideal wire solves them
+    all at once, each row with its own terminations; a cable solves one
+    `loop_batches` batch at a time. Each party decides on its own end's rows.
     """
     u = exchange_drives(cfg, choices, noise_seeds, attack)
-    y = np.empty((len(u), 4, cfg.samples_per_bit))
-    for _, positions, rows in solved_batches(cfg, choices, u[:, :2], u[None, :, 2]):
-        y[positions] = rows[0]
+    if isinstance(cfg.variant, circuit.Ideal):
+        y = circuit.ideal_rows(u[:, 0], u[:, 1], u[:, 2], choices[:, :1], choices[:, 1:])
+    else:
+        y = np.empty((len(u), 4, cfg.samples_per_bit))
+        for loop_cfg, positions in loop_batches(cfg, choices):
+            y[positions] = circuit.solve_rows(u[positions], loop_cfg, 1.0 / cfg.sample_rate_hz)
     params = (cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz)
     msq = mean_squares(y)
     inferred = np.stack(

@@ -134,6 +134,38 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
         assert field in capsys.readouterr().err
 
 
+def _no_chunk_runs(monkeypatch):
+    """Make a grid chunk fail if one runs: a size guard must reject the run before."""
+
+    def fail(*args):
+        raise AssertionError("a chunk ran past the size guard")
+
+    monkeypatch.setattr(harness, "_grid_chunk", fail)
+
+
+def test_grid_past_the_array_budget_exits_2_before_a_chunk_runs(tmp_path, capsys, monkeypatch):
+    """The table1 grid's cable drive rows, shape (3 levels, 128, 3, t), are the largest array at
+    t = 120 000 (1.1e9 bytes); every array of one variant's run, the config's own check, stays
+    below 2**30 bytes."""
+    _no_chunk_runs(monkeypatch)
+    cfg = _cfg_file(tmp_path, TINY + "tau_s = 60\n")
+    capsys.readouterr()
+    assert cli.main(["table1", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "cable drive rows" in capsys.readouterr().err
+
+
+def test_grid_whose_shared_ladder_stack_passes_the_budget_is_rejected(monkeypatch):
+    """Two 79-state ladders at 2800 levels solve each batch as one stack of 2 x 2800 x 16 rows,
+    whose stepping buffer would take 1.08e9 bytes; one ladder's share, 5.4e8, fits."""
+    _no_chunk_runs(monkeypatch)
+    cfg = harness.SimConfig(n_bits=4, tau_s=0.005)  # t = 10 samples
+    levels = tuple(0.3 * k / 2800 for k in range(2800))
+    ladders = [circuit.Cable(100.0, 40), circuit.Cable(1000.0, 40)]
+    with pytest.raises(ConfigError, match="stepping buffer"):
+        harness.run_table1(cfg, levels=levels, variants=ladders)
+    cfg.check_array_budget(len(levels), ladders[:1])
+
+
 # A 30 km cable in 3 km segments: its per-segment RC corner, 4.84 kHz, lies above
 # 100 x 10 Hz but below 100 x 250 Hz.
 LOW_BAND_CABLE = "variant = cable\ncable_length_m = 30000\nn_segments = 10\n"

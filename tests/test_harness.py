@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kljnsim import attack, circuit, harness, seeds
+from kljnsim import attack, circuit, harness, protocol, seeds
 from kljnsim.defense import DetectionConfig
 from kljnsim.exceptions import ConfigError
 
@@ -320,8 +320,6 @@ def _is_secure(master_seed, index):
 def _count_pipeline_calls(monkeypatch):
     """Count stream derivations per (exchange index, stream id) where `seeds` derives them,
     and synthesis calls and rows."""
-    from kljnsim import protocol
-
     derived = collections.Counter()
     synths = {"calls": 0, "rows": 0}
     stream_words = seeds.stream_words
@@ -496,6 +494,33 @@ def test_defense_chunk_memory_is_bounded_by_its_shapes():
     k, t = len(payload["index"]), cfg.samples_per_bit
     assert k > 40
     assert peak < 8 * t * (7 * k + 9 * 2 * k) + 3 * circuit.SCAN_BLOCK_BYTES
+
+
+def test_grid_chunk_memory_is_bounded_by_its_shapes():
+    """One table1 chunk of 128 secure exchanges (fixed_lh) holds, at its peak, its drive rows
+    and its canceller's state trajectory (4 rows per exchange and level), either one job's
+    outputs with their output map's temporaries or the ladder pair's outputs (at most 12 rows
+    per batch row and level), and the ladder scan's stepping buffer and scratch (less than
+    2 SCAN_BLOCK_BYTES). Holding all of the canceller's outputs at once would add 4 rows per
+    exchange and level."""
+    cfg = harness.SimConfig(selection_mode="fixed_lh")
+    levels = harness.TABLE1_LEVELS
+    cell_cfgs = [
+        [harness._cell_config(cfg, variant, level) for level in levels]
+        for variant in harness.default_table1_variants()
+    ]
+    chunk = harness._classify_chunk(cfg, 0)
+    harness._grid_chunk(cfg, chunk, cell_cfgs)  # discretize the systems outside the measurement
+    tracemalloc.start()
+    try:
+        harness._grid_chunk(cfg, chunk, cell_cfgs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k, t, n_levels = len(chunk[0]), cfg.samples_per_bit, len(levels)
+    assert k == 128
+    rows = 4 * n_levels * k + 12 * n_levels * protocol.BATCH
+    assert peak < 8 * t * rows + 2 * circuit.SCAN_BLOCK_BYTES
 
 
 def _trim_points(cfg, batch):

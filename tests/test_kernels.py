@@ -5,6 +5,7 @@ import pytest
 
 from kljnsim import circuit
 from kljnsim.circuit import Cable, CableWithKiller, LoopConfig
+from kljnsim.exceptions import ShapeMismatchError
 
 FS = 2000.0
 
@@ -213,3 +214,90 @@ def test_time_blocked_solve_equals_one_block(monkeypatch, m, batch, block):
         for row, out in zip(u_s, y_s):
             ref = _reference_solve(system, row)
             np.testing.assert_allclose(out, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+
+def _one_state_jobs():
+    """One-state jobs of B = 1, 2, 5, 13, 16 rows and S = 1 or 3 systems, each with its own
+    inputs, and each job's systems: the canceller's loop systems, random one-state systems
+    and the canceller's in-site system (two inputs, two outputs)."""
+    lh, hl, in_site = _loop_systems(CableWithKiller(1000.0, 10))
+    jobs = []
+    for b, batch in enumerate((1, 2, 5, 13, 16)):
+        randoms = [_random_system(1, 3, 4, seed=10 * b + s) for s in range(3)]
+        for systems, shape in (
+            ([lh], (batch, 3, 202)),
+            ([hl, randoms[0], lh], (3, batch, 3, 202)),
+            ([randoms[1]], (1, batch, 3, 202)),
+            (randoms, (3, batch, 3, 202)),
+            ([in_site], (batch, 2, 202)),
+        ):
+            system = systems[0] if len(shape) == 3 else circuit.stack_systems(systems)
+            jobs.append((system, _rows(shape, seed=len(jobs)), systems))
+    return jobs
+
+
+# a budget of `asked` steps for the jobs' 226 rows gives blocks of `block` steps, a multiple
+# of 8 and at least 8; 201 steps leave 9 for the last block
+@pytest.mark.parametrize(("asked", "block"), [(3, 8), (27, 24)])
+def test_one_state_jobs_share_one_elementwise_scan(monkeypatch, asked, block):
+    """One-state jobs of any B and S advance in one scan whose blocks span multiples of 8 steps
+    but the last; each job's outputs equal its own solve bit for bit, and the plain loop."""
+    jobs = _one_state_jobs()
+    alone = [circuit.solve_systems(system, u) for system, u, _ in jobs]
+    n_rows = sum(u.size // (u.shape[-2] * u.shape[-1]) for _, u, _ in jobs)
+    monkeypatch.setattr(circuit, "SCAN_BLOCK_BYTES", (asked + 2) * 8 * n_rows)
+    scan, steps = circuit.ladder_scan, []
+
+    def counted_scan(p, x):
+        assert x.shape == (1, x.shape[1], n_rows, 1) and p.shape == (1, n_rows, 1)
+        steps.append(x.shape[1] - 1)
+        return scan(p, x)
+
+    monkeypatch.setattr(circuit, "ladder_scan", counted_scan)
+    together = list(circuit.solve_jobs([(system, u) for system, u, _ in jobs]))
+    *full, last = steps
+    assert sum(steps) == 201 and full and set(full) == {block} and last == 9
+    for (_, u, systems), y, y_alone in zip(jobs, together, alone):
+        assert y.shape == y_alone.shape and np.array_equal(y, y_alone)
+        rows = u.reshape((len(systems), -1) + u.shape[-2:])
+        outs = y.reshape((len(systems), -1) + y.shape[-2:])
+        for system, u_s, y_s in zip(systems, rows, outs):
+            for row, out in zip(u_s, y_s):
+                ref = _reference_solve(system, row)
+                np.testing.assert_allclose(out, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("batch", [1, 5, 16])
+def test_ladder_pair_shares_one_stacked_scan(monkeypatch, batch):
+    """The 100 m and 1000 m ladders, given one batch's drive rows at 3 levels, are solved as
+    one stack of 6 systems whose outputs equal each ladder's own scan bit for bit."""
+    systems = [
+        circuit.loop_system(circuit.model_for_variant(v), LoopConfig(9000.0, 1000.0, v), 1.0 / FS)
+        for v in (Cable(100.0, 10), Cable(1000.0, 10))
+    ]
+    u = _rows((3, batch, 3, 200), seed=batch)
+    alone = [circuit.solve_systems(system, u) for system in systems]
+    scan, stacks = circuit.ladder_scan, []
+
+    def counted_scan(p, x):
+        stacks.append(x.shape[0])
+        return scan(p, x)
+
+    monkeypatch.setattr(circuit, "ladder_scan", counted_scan)
+    shared = list(circuit.solve_jobs([(system, u) for system in systems]))
+    assert stacks and set(stacks) == {6}
+    for y, y_alone in zip(shared, alone):
+        assert np.array_equal(y, y_alone)
+
+
+def test_multi_state_jobs_of_unequal_row_counts_raise():
+    """Ladder jobs of 16 and 13 rows would need two scans; the solve refuses them, while a
+    one-state job of another B joins freely."""
+    lh, hl, _ = _loop_systems(Cable(1000.0, 10))
+    killer, _, _ = _loop_systems(CableWithKiller(1000.0, 10))
+    jobs = [(lh, _rows((3, 16, 3, 50), seed=1)), (hl, _rows((3, 13, 3, 50), seed=2))]
+    with pytest.raises(ShapeMismatchError, match="row count"):
+        list(circuit.solve_jobs(jobs))
+    mixed = [jobs[0], (killer, _rows((3, 13, 3, 50), seed=3))]
+    for (system, u), y in zip(mixed, circuit.solve_jobs(mixed)):
+        assert np.array_equal(y, circuit.solve_systems(system, u))
