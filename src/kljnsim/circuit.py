@@ -448,9 +448,11 @@ def _stacked_solves(jobs: list[_Job]):
     m, n_rows, t = jobs[0].p.shape[-1], jobs[0].n_rows, jobs[0].t
     spans = _spans(job.n_sys for job in jobs)
     n_sys = spans[-1].stop
-    p = np.empty((n_sys, m, m))  # C-contiguous, like each system's own p
-    for job, span in zip(jobs, spans):
-        p[span] = job.p
+    p = jobs[0].p  # a lone job's system, or systems, as they are
+    if len(jobs) > 1:
+        p = np.empty((n_sys, m, m))  # C-contiguous, like each system's own p
+        for job, span in zip(jobs, spans):
+            p[span] = job.p
     # Steps per block. Two more slots hold the carried state and absorb a one-step
     # remainder. Each block but the last spans a multiple of 8 product rows, as in
     # `_one_state_solves`, so a row's samples do not depend on where blocks end.
