@@ -395,7 +395,7 @@ class _Job:
 
     def __init__(self, system: _DiscreteSystem, u: np.ndarray):
         self.p = system.p
-        self.given = u
+        self.given = u  # jobs given the same array share its blocks' time-major copies
         self.u = u.reshape((-1,) + u.shape[-3:])
         self.n_sys, self.n_rows, self.n_in, self.t = self.u.shape
         self.out_shape = u.shape[:-2] + (system.c_out.shape[-2], self.t)
@@ -483,7 +483,7 @@ def _stacked_solves(jobs: list[_Job]):
             job.output(y, k0, first, x[span, first : n + 1].reshape(job.n_sys, -1, m), flat)
         x[:, 0] = x[:, n]
         first = 1
-    del buf, x, scratch, drive, inputs, flats
+    del buf, x, scratch, drive, inputs, flats  # free them before the outputs are consumed
     ys.reverse()
     while ys:  # pop, so that a yielded job's outputs are not kept alive here
         yield ys.pop()

@@ -236,7 +236,7 @@ def _one_state_jobs():
     return jobs
 
 
-# a budget of `asked` steps for the jobs' 226 rows gives blocks of `block` steps, a multiple
+# a budget of `asked` steps for the jobs' 333 rows gives blocks of `block` steps, a multiple
 # of 8 and at least 8; 201 steps leave 9 for the last block
 @pytest.mark.parametrize(("asked", "block"), [(3, 8), (27, 24)])
 def test_one_state_jobs_share_one_elementwise_scan(monkeypatch, asked, block):
