@@ -13,15 +13,19 @@ choice streams, a secure exchange that the run solves also the parties'
 noise seeds and, when an injection is configured, Eve's, and Eve's coin is
 derived only for a correlator tie. No SeedSequence is built per stream:
 `seeds` computes numpy's SeedSequence hashing and PCG64 seeding over whole
-index arrays, with the same results. Exchanges run in chunks of 128
-consecutive indices, each one array pass from the seeds to the decisions. The harness classifies a
-chunk before it runs it: one `seeds` call draws the chunk's (128, 2) array
-of which party holds r_h, and the mixed rows are its secure exchanges. A
-run ends at the n-th secure exchange, so the harness knows how many of the
-last chunk's secure exchanges it uses, and hands that chunk over with only
-the loop batches that hold one of them (`_used_chunks`). Every chunk then
-derives its solved rows' noise seeds in one `seeds` call, and Eve's coins
-on its ties in one more.
+index arrays, with the same results. Exchanges run in chunks of 256
+consecutive indices, each one array pass from the seeds to the decisions.
+A chunk is two batch windows of `protocol.WINDOW` = 128 indices, and no loop
+batch spans two windows, so a row's bits do not depend on the chunk size:
+the window fixes its rounding. A run whose arrays would exceed the size
+budget at two windows per chunk runs one. The harness classifies a chunk
+before it runs it: one `seeds` call draws the chunk's (256, 2) array of
+which party holds r_h, and the mixed rows are its secure exchanges. A run
+ends at the n-th secure exchange, so the harness knows how many of the last
+chunk's secure exchanges it uses, and hands that chunk over with only the
+loop batches that hold one of them (`_used_chunks`), or on the ideal wire
+only those rows. Every chunk then derives its solved rows' noise seeds in
+one `seeds` call, and Eve's coins on its ties in one more.
 
 An attack run is a grid of wire variants x injection levels (`run_table1`;
 `run_attack_cell` is a grid of one cell), and all its cells consume the same
@@ -58,7 +62,9 @@ import numpy as np
 from . import attack, circuit, defense, noise, privacy, protocol, seeds
 from .exceptions import ConfigError, ShapeMismatchError
 
-_CHUNK = 128  # fixed chunk size keeps worker partitioning deterministic
+# Exchanges per array pass: two batch windows. The windows, not the chunk, fix every row's
+# rounding, so a run's bits are the same at one window per chunk (the size budget's fallback).
+_CHUNK = 2 * protocol.WINDOW
 
 # Largest single array a run may allocate. The size check in SimConfig
 # predicts it from the shapes, so a config past it exits before allocating.
@@ -172,49 +178,53 @@ class SimConfig:
                 raise ConfigError(f"derived {name} is {value!r}, outside 1e-300 .. 1e300")
         self.check_array_budget(1)
 
-    def check_array_budget(self, n_levels: int, variants=None) -> None:
-        """Reject a run of `variants` (default: this config's) over `n_levels` injection
-        levels if one of its arrays would exceed MAX_ARRAY_BYTES, predicted from the shapes.
+    def check_array_budget(self, n_levels: int, variants=None) -> int:
+        """The exchanges per chunk of a run of `variants` (default: this config's) over
+        `n_levels` injection levels: two batch windows (_CHUNK), or one if an array of a
+        two-window chunk would exceed MAX_ARRAY_BYTES, predicted from the shapes. Raises
+        ConfigError if an array of a one-window chunk would.
 
         The grid solves a loop batch (BATCH rows) at all levels: the variants
         of each state count m > 1 in one stack of (variants) x n_levels x BATCH
         rows, and all one-state rows of a chunk, at most (variants) x n_levels
-        x _CHUNK, in one state trajectory. The defense solves all batches of
-        one size in a chunk together (two rows per exchange, at most 2 x _CHUNK
-        rows, and at most 2 x _CHUNK / BATCH loop systems).
+        x chunk, in one state trajectory. The defense solves all batches of
+        one size in a chunk together (two rows per exchange, at most 2 x chunk
+        rows, and at most 2 x chunk / BATCH loop systems).
         """
         models = [circuit.model_for_variant(v) for v in variants or [self.variant]]
         counts = collections.Counter(model.n_states for model in models if model is not None)
         t, L = self.samples_per_bit, n_levels
-        rows = max(L * protocol.BATCH, 2 * _CHUNK)
-        n_systems = 2 * _CHUNK // protocol.BATCH
-        sizes = {
-            f"a solve's ({rows} rows, 4, t) outputs": 8 * rows * 4 * t,
-            f"a chunk's ({_CHUNK}, 7, t) drive and solved rows": 8 * _CHUNK * 7 * t,
-            f"a chunk's ({L}, {_CHUNK}, t) injected rows": 8 * L * _CHUNK * t,
-        }
-        if counts:
-            sizes[f"the grid's ({L}, {_CHUNK}, 3, t) cable drive rows"] = 8 * L * _CHUNK * 3 * t
-        for m, count in counts.items():
-            sizes[f"the defense's stack of {n_systems} ({m}, {m}) system matrices"] = (
-                8 * n_systems * m * m
-            )
-            if m == 1:
-                rows = max(count * L, 2) * _CHUNK
-                sizes[f"a one-state solve's (t, {rows} rows) state trajectory"] = 8 * rows * t
-                continue
-            rows = max(count * L * protocol.BATCH, 2 * _CHUNK)
-            step = 8 * rows * m  # bytes per sample of the scan
-            # SCAN_BLOCK_BYTES each, but at least 10 samples (a block of 8 and two slots)
-            sizes[f"a stacked solve's ({rows} rows, {m} states) stepping buffer and scratch"] = (
-                step * (2 * min(t, max(10, circuit.SCAN_BLOCK_BYTES // step)) - 1)
-            )
-        for name, size in sizes.items():
-            if size > MAX_ARRAY_BYTES:
-                raise ConfigError(
-                    f"{name} would take {size:.3g} bytes, above the {MAX_ARRAY_BYTES} byte budget "
-                    f"(t = {t} samples per bit)"
+        for chunk in (_CHUNK, protocol.WINDOW):
+            rows = max(L * protocol.BATCH, 2 * chunk)
+            n_systems = 2 * chunk // protocol.BATCH
+            sizes = {
+                f"a solve's ({rows} rows, 4, t) outputs": 8 * rows * 4 * t,
+                f"a chunk's ({chunk}, 7, t) drive and solved rows": 8 * chunk * 7 * t,
+                f"a chunk's ({L}, {chunk}, t) injected rows": 8 * L * chunk * t,
+            }
+            if counts:
+                sizes[f"the grid's ({L}, {chunk}, 3, t) cable drive rows"] = 8 * L * chunk * 3 * t
+            for m, count in counts.items():
+                sizes[f"the defense's stack of {n_systems} ({m}, {m}) system matrices"] = (
+                    8 * n_systems * m * m
                 )
+                if m == 1:
+                    rows = max(count * L, 2) * chunk
+                    sizes[f"a one-state solve's (t, {rows} rows) state trajectory"] = 8 * rows * t
+                    continue
+                rows = max(count * L * protocol.BATCH, 2 * chunk)
+                step = 8 * rows * m  # bytes per sample of the scan
+                name = f"a stacked solve's ({rows} rows, {m} states) stepping buffer and scratch"
+                # SCAN_BLOCK_BYTES each, but at least 10 samples (a block of 8 and two slots)
+                sizes[name] = step * (2 * min(t, max(10, circuit.SCAN_BLOCK_BYTES // step)) - 1)
+            over = [(name, size) for name, size in sizes.items() if size > MAX_ARRAY_BYTES]
+            if not over:
+                return chunk
+        name, size = over[0]
+        raise ConfigError(
+            f"{name} would take {size:.3g} bytes, above the {MAX_ARRAY_BYTES} byte budget "
+            f"(t = {t} samples per bit)"
+        )
 
     @property
     def samples_per_bit(self) -> int:
@@ -278,42 +288,42 @@ def _eve_bits(cfg: SimConfig, index: np.ndarray, rho_a: np.ndarray, rho_b: np.nd
     return attack.eve_decide(rho_a.ravel(), rho_b.ravel(), coin).reshape(rho_a.shape)
 
 
-def _classify_chunk(cfg: SimConfig, start: int):
-    """The secure exchanges of the chunk at `start`, in index order.
+def _classify_chunk(cfg: SimConfig, start: int, size: int = _CHUNK):
+    """The secure exchanges of the `size` exchanges from `start`, in index order.
 
     Returns their indices, their key bits (1 when Alice holds r_h) and their
     (Alice, Bob) resistances, shape (k, 2).
     """
-    high = _holds_r_h(cfg, np.arange(start, start + _CHUNK))
+    high = _holds_r_h(cfg, np.arange(start, start + size))
     secure = high[:, 0] != high[:, 1]
     index = start + np.flatnonzero(secure)
     return index, high[secure, 0].astype(np.uint8), np.where(high[secure], cfg.r_h, cfg.r_l)
 
 
-def _used_chunks(cfg: SimConfig, n_secure: int, batch: int):
+def _used_chunks(cfg: SimConfig, n_secure: int, batch: int, size: int):
     """The chunks' secure exchanges that a run of n_secure secure bits solves, in index order.
 
-    Yields each chunk's (index, key_bits, choices) from `_classify_chunk`, and
-    skips chunks without a secure exchange. Every chunk is used in full but
-    the last, the one that holds the n_secure-th secure exchange: it keeps
-    only its `protocol.loop_batches` batches of `batch` rows that hold at
-    least one of the secure exchanges up to that one, so the rows it yields
-    start with those. A batch is kept or dropped whole, because a (B, m) @
-    (m, m) product's rows can change in the last ulp with B: a kept row keeps
-    its batch, its slice of a stacked solve and its time blocks (a one-state
-    row's blocks move with the chunk's row count, but span multiples of 8
-    steps, which its bits do not depend on), and so the bits it gives,
-    whatever n_secure is. A dropped batch is never seeded, synthesized or
-    solved.
+    Yields each chunk's (index, key_bits, choices) from `_classify_chunk` over
+    `size` exchanges, and skips chunks without a secure exchange. Every chunk
+    is used in full but the last, the one that holds the n_secure-th secure
+    exchange: it keeps only its `protocol.loop_batches` batches of `batch`
+    rows that hold at least one of the secure exchanges up to that one, so
+    the rows it yields start with those. A batch is kept or dropped whole,
+    because a (B, m) @ (m, m) product's rows can change in the last ulp with
+    B: a kept row keeps its batch, its slice of a stacked solve and its time
+    blocks (a one-state row's blocks move with the chunk's row count, but
+    span multiples of 8 steps, which its bits do not depend on), and so the
+    bits it gives, whatever n_secure is. A dropped batch is never seeded,
+    synthesized or solved.
     """
     found = 0
-    for start in itertools.count(0, _CHUNK):
-        index, key_bits, choices = _classify_chunk(cfg, start)
+    for start in itertools.count(0, size):
+        index, key_bits, choices = _classify_chunk(cfg, start, size)
         n_used = n_secure - found
         if len(index) >= n_used:
             kept = sorted(
                 pos
-                for _, positions in protocol.loop_batches(cfg, choices, batch)
+                for _, positions in protocol.loop_batches(cfg, index, choices, batch)
                 if positions[0] < n_used
                 for pos in positions
             )
@@ -324,7 +334,7 @@ def _used_chunks(cfg: SimConfig, n_secure: int, batch: int):
             yield index, key_bits, choices
 
 
-def _consume_chunks(cfg: SimConfig, chunk_worker, n_secure: int, batch: int):
+def _consume_chunks(cfg: SimConfig, chunk_worker, n_secure: int, batch: int, size: int):
     """Yield `chunk_worker(cfg, chunk)` for each chunk of `_used_chunks`, in index order.
 
     The harness classifies each chunk before it runs it, so it submits
@@ -332,7 +342,7 @@ def _consume_chunks(cfg: SimConfig, chunk_worker, n_secure: int, batch: int):
     evaluated concurrently, at most workers + 1 ahead of the consumer, but
     yielded in order, so the result is identical to the sequential one.
     """
-    chunks = _used_chunks(cfg, n_secure, batch)
+    chunks = _used_chunks(cfg, n_secure, batch, size)
     if cfg.workers == 1:
         for chunk in chunks:
             yield chunk_worker(cfg, chunk)
@@ -396,7 +406,7 @@ def _grid_chunk(cfg: SimConfig, chunk, cell_cfgs) -> dict:
         # every row's (u_a, u_b, i_inj) at every level, in batch order, so that each loop
         # batch's drive rows are one view that its variants share
         drive = np.empty((len(attacks), len(index), 3, t))
-        batches = list(protocol.loop_batches(cfg, choices))
+        batches = list(protocol.loop_batches(cfg, index, choices))
         ends = np.cumsum([len(positions) for _, positions in batches]).tolist()
         for b, ((loop_cfg, positions), end) in enumerate(zip(batches, ends)):
             u = drive[:, end - len(positions) : end]
@@ -471,12 +481,14 @@ def _run_grid(cfg: SimConfig, variants, levels) -> list[CellResult]:
     chunk's shared work once for all cells.
     """
     cell_cfgs = [[_cell_config(cfg, variant, level) for level in levels] for variant in variants]
-    cfg.check_array_budget(len(levels), variants)
+    size = cfg.check_array_budget(len(levels), variants)
+    # ideal-wire rows are elementwise, so a run on that wire alone trims its last chunk by rows
+    batch = 1 if all(isinstance(v, circuit.Ideal) for v in variants) else protocol.BATCH
 
     def chunk_worker(c, chunk):
         return _grid_chunk(c, chunk, cell_cfgs)
 
-    payloads = list(_consume_chunks(cfg, chunk_worker, cfg.n_bits, protocol.BATCH))
+    payloads = list(_consume_chunks(cfg, chunk_worker, cfg.n_bits, batch, size))
     cols = {
         name: np.concatenate([p[name] for p in payloads], axis=-1)[..., : cfg.n_bits]
         for name in payloads[0]
@@ -581,7 +593,7 @@ def _defense_chunk(cfg: SimConfig, chunk, defense_model=None) -> dict:
     channel_rms = np.empty(len(index))
     clean_ratio = np.empty(len(index))
     groups = collections.defaultdict(list)
-    for loop_cfg, positions in protocol.loop_batches(cfg, choices, _DEFENSE_BATCH):
+    for loop_cfg, positions in protocol.loop_batches(cfg, index, choices, _DEFENSE_BATCH):
         groups[len(positions)].append((loop_cfg, positions))
     for group in groups.values():
         loop_cfgs, positions = zip(*group)
@@ -706,7 +718,8 @@ def run_defense_experiment(
     def chunk_worker(c, chunk):
         return _defense_chunk(c, chunk, defense_model)
 
-    stream = _consume_chunks(cfg, chunk_worker, cfg.n_bits, _DEFENSE_BATCH)
+    size = cfg.check_array_budget(1)
+    stream = _consume_chunks(cfg, chunk_worker, cfg.n_bits, _DEFENSE_BATCH, size)
     # n_bits > n_calibration, so the stream holds the first n_calibration + 1 pairs
     held = []
     while sum(len(p["index"]) for p in held) <= n_calibration:
@@ -832,7 +845,7 @@ def run_single_bit(cfg: SimConfig, bit_index: int = 0) -> SingleBitDump:
     eve_bits = _eve_bits(cfg, index, rho_a, rho_b)
     residuals = None
     if not isinstance(cfg.variant, circuit.Ideal):
-        loop_cfg, _ = next(protocol.loop_batches(cfg, choices))
+        loop_cfg, _ = next(protocol.loop_batches(cfg, index, choices))
         residuals = tuple(defense.residual_rows(rec.y, loop_cfg, cfg.sample_rate_hz)[0])
     return SingleBitDump(
         record=rec,

@@ -164,17 +164,24 @@ def injection_rows(
 # grow with it; one-state rows step elementwise, whatever their batch.
 BATCH = 16
 
+# Exchange indices per batch window: no loop batch holds exchanges of two
+# windows, so the window, with BATCH, fixes every row's rounding, however many
+# windows an array pass runs.
+WINDOW = 128
 
-def loop_batches(cfg: "SimConfig", choices: np.ndarray, size: int = BATCH):
-    """Positions of the exchanges that share a loop configuration, at most `size` at a time.
 
-    Yields (loop_cfg, positions) with (Alice, Bob) resistance pairs in order
-    of first appearance and positions ascending within each.
+def loop_batches(cfg: "SimConfig", index: np.ndarray, choices: np.ndarray, size: int = BATCH):
+    """Positions of the exchanges that share a window and a loop configuration, at most `size`
+    at a time.
+
+    `index` holds the exchanges' indices, ascending. Yields (loop_cfg,
+    positions) with (window, Alice, Bob) keys in order of first appearance
+    and positions ascending within each.
     """
-    groups: dict[tuple[float, float], list[int]] = {}
-    for pos, pair in enumerate(choices.tolist()):
-        groups.setdefault(tuple(pair), []).append(pos)
-    for (r_a, r_b), positions in groups.items():
+    groups: dict[tuple[int, float, float], list[int]] = {}
+    for pos, key in enumerate(zip((np.asarray(index) // WINDOW).tolist(), *choices.T.tolist())):
+        groups.setdefault(key, []).append(pos)
+    for (_, r_a, r_b), positions in groups.items():
         loop_cfg = circuit.LoopConfig(r_a, r_b, cfg.variant, cfg.injection_position)
         for start in range(0, len(positions), size):
             yield loop_cfg, positions[start : start + size]
@@ -198,7 +205,7 @@ def run_exchanges(
         y = circuit.ideal_rows(u[:, 0], u[:, 1], u[:, 2], choices[:, :1], choices[:, 1:])
     else:
         y = np.empty((len(u), 4, cfg.samples_per_bit))
-        for loop_cfg, positions in loop_batches(cfg, choices):
+        for loop_cfg, positions in loop_batches(cfg, index, choices):
             y[positions] = circuit.solve_rows(u[positions], loop_cfg, 1.0 / cfg.sample_rate_hz)
     params = (cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz)
     msq = mean_squares(y)

@@ -146,38 +146,42 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(seq.rho_b, par.rho_b)
 
 
-def _synthetic_mask(chunk):
-    """Chunk masks whose secure exchanges sit first, mid-chunk, last and after an all-discard chunk."""
-    mask = np.zeros(128, dtype=bool)
-    if chunk == 0:
+WINDOW = protocol.WINDOW
+
+
+def _synthetic_mask(window):
+    """Batch-window masks whose secure exchanges sit first, mid-window, last, on both sides of
+    a window boundary inside a chunk, and after an all-discard window and chunk."""
+    mask = np.zeros(WINDOW, dtype=bool)
+    if window == 0:
         mask[[0, 5, 6, 64, 127]] = True
-    elif chunk == 2:
+    elif window == 4:
         mask[-1] = True
-    elif chunk == 3:
+    elif window == 5:
         mask[0] = True
-    elif chunk == 4:
+    elif window == 6:
         mask[:] = True
-    elif chunk != 1:  # chunk 1 is all discards
-        mask = np.random.default_rng(chunk).integers(0, 2, 128).astype(bool)
+    elif window not in (1, 2, 3):  # windows 1 to 3, chunk 1 among them, are all discards
+        mask = np.random.default_rng(window).integers(0, 2, WINDOW).astype(bool)
     return mask
 
 
 def _consume_loop(n_secure):
     """The per-exchange loop `_consume_chunks` replaced: walk each mask to the n-th secure one.
 
-    Returns the number of exchanges consumed and of chunks read.
+    Returns the number of exchanges consumed and of windows read.
     """
     consumed = found = 0
-    for chunk in itertools.count():
-        for secure in _synthetic_mask(chunk).tolist():
+    for window in itertools.count():
+        for secure in _synthetic_mask(window).tolist():
             consumed += 1
             found += secure
             if found == n_secure:
-                return consumed, chunk + 1
+                return consumed, window + 1
 
 
 def _kept_rows(choices, n_used, batch):
-    """Positions of a last chunk's rows that a run solves, by rank within each resistor pair.
+    """Positions of a last window's rows that a run solves, by rank within each resistor pair.
 
     A row is kept when its batch (its rank among the rows of its pair, over
     `batch`) is at or before the batch of its pair's last used row, one of
@@ -196,43 +200,51 @@ def _kept_rows(choices, n_used, batch):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_consume_chunks_matches_the_per_exchange_loop(monkeypatch, workers):
     """Over synthetic masks, with Alice or Bob at random holding r_h on a secure exchange, the
-    chunks run are the ones up to the n-th secure exchange, each classified once, the empty
-    ones skipped, all in full but the last, which keeps the whole batches of its used rows."""
+    chunks run are the ones up to the n-th secure exchange, each batch window classified once
+    and in order, the empty chunks skipped. Every window up to the one with the n-th secure
+    exchange is used in full; that one keeps the whole batches of its used rows, and a later
+    window of its chunk nothing."""
     classified, ran = [], []
 
     def holds_r_h(cfg, indices):
-        chunk = indices[0] // 128
-        classified.append(chunk)
-        mask = _synthetic_mask(chunk)
-        alice = np.random.default_rng(1000 + chunk).integers(0, 2, 128).astype(bool)
+        windows = range(indices[0] // WINDOW, indices[-1] // WINDOW + 1)
+        classified.extend(windows)
+        mask = np.concatenate([_synthetic_mask(w) for w in windows])
+        rngs = [np.random.default_rng(1000 + w) for w in windows]
+        alice = np.concatenate([rng.integers(0, 2, WINDOW) for rng in rngs]).astype(bool)
         return np.stack([mask & alice, mask & ~alice], axis=1)
 
     def chunk_worker(cfg, chunk):
-        ran.append(int(chunk[0][0]) // 128)
+        ran.append(int(chunk[0][0]) // harness._CHUNK)
         return chunk
 
     monkeypatch.setattr(harness, "_holds_r_h", holds_r_h)
     cfg = _tiny_cfg(workers=workers)
+    per_chunk = harness._CHUNK // WINDOW
     for n_secure in range(1, 200):
         for batch in (3, 16):
             classified.clear(), ran.clear()
-            consumed, n_chunks = _consume_loop(n_secure)
-            chunks = list(harness._consume_chunks(cfg, chunk_worker, n_secure, batch))
-            assert classified == list(range(n_chunks)), n_secure
-            assert sorted(ran) == [k for k in range(n_chunks) if _synthetic_mask(k).any()]
-            assert [int(c[0][0]) // 128 for c in chunks] == sorted(ran)
-            secure = [128 * k + np.flatnonzero(_synthetic_mask(k)) for k in range(n_chunks)]
+            consumed, n_windows = _consume_loop(n_secure)
+            n_chunks = -(-n_windows // per_chunk)
+            run = harness._consume_chunks(cfg, chunk_worker, n_secure, batch, harness._CHUNK)
+            chunks = list(run)
+            assert classified == list(range(n_chunks * per_chunk)), n_secure
+            secure = [WINDOW * w + np.flatnonzero(_synthetic_mask(w)) for w in classified]
+            by_chunk = [secure[k * per_chunk : (k + 1) * per_chunk] for k in range(n_chunks)]
+            assert sorted(ran) == [k for k, rows in enumerate(by_chunk) if any(map(len, rows))]
+            assert [int(c[0][0]) // harness._CHUNK for c in chunks] == sorted(ran)
             index, key_bits, choices = (np.concatenate(col) for col in zip(*chunks))
             assert index[n_secure - 1] + 1 == consumed
-            full = [i for rows in secure[:-1] for i in rows.tolist()]
+            full = [i for rows in secure[: n_windows - 1] for i in rows.tolist()]
             n_full = len(full)
             assert index[:n_full].tolist() == full
-            last = chunks[-1]
-            _, all_bits, all_choices = harness._classify_chunk(cfg, 128 * (n_chunks - 1))
+            start = WINDOW * (n_windows - 1)
+            _, all_bits, all_choices = harness._classify_chunk(cfg, start, WINDOW)
             kept = _kept_rows(all_choices, n_secure - n_full, batch)
-            assert last[0].tolist() == secure[-1][kept].tolist(), (n_secure, batch)
-            assert last[1].tolist() == all_bits[kept].tolist()
-            assert last[2].tolist() == all_choices[kept].tolist()
+            last = secure[n_windows - 1][kept]
+            assert index[n_full:].tolist() == last.tolist(), (n_secure, batch)
+            assert key_bits[n_full:].tolist() == all_bits[kept].tolist()
+            assert choices[n_full:].tolist() == all_choices[kept].tolist()
             assert (key_bits == (choices[:, 0] == cfg.r_h)).all()
 
 
@@ -340,11 +352,11 @@ def _count_pipeline_calls(monkeypatch):
 
 
 def _solved_rows(cfg, n_secure, batch):
-    """Indices of the secure exchanges a run of n_secure bits solves: every chunk's in full
-    up to the one with the n-th secure exchange, whose rows `_kept_rows` keeps."""
+    """Indices of the secure exchanges a run of n_secure bits solves: every batch window's in
+    full up to the one with the n-th secure exchange, whose rows `_kept_rows` keeps."""
     solved = []
-    for start in itertools.count(0, 128):
-        index, _, choices = harness._classify_chunk(cfg, start)
+    for start in itertools.count(0, WINDOW):
+        index, _, choices = harness._classify_chunk(cfg, start, WINDOW)
         n_used = n_secure - len(solved)
         if len(index) >= n_used:
             return solved + index[_kept_rows(choices, n_used, batch)].tolist()
@@ -369,7 +381,7 @@ def test_each_exchange_is_derived_and_synthesized_once(monkeypatch, run, level, 
     cfg = harness._cell_config(_tiny_cfg(n_bits=30), circuit.Cable(100.0, 10), level)
     run(cfg)
     indices = sorted({index for index, _ in derived})
-    assert indices == list(range(len(indices))) and len(indices) % 128 == 0
+    assert indices == list(range(len(indices))) and len(indices) % harness._CHUNK == 0
     assert set(derived.values()) == {1}
     batch = 8 if run is harness.run_defense_experiment else 16
     solved = _solved_rows(cfg, cfg.n_bits, batch)
@@ -380,7 +392,7 @@ def test_each_exchange_is_derived_and_synthesized_once(monkeypatch, run, level, 
         expected = {0, 1} | (noise if i in solved else set()) | ({5} if i in coin else set())
         assert {stream for index, stream in derived if index == i} == expected, i
     assert synths["rows"] == per_secure * len(solved)
-    assert synths["calls"] <= 2 * len(indices) // 128
+    assert synths["calls"] <= 2 * len(indices) // harness._CHUNK
 
 
 def test_single_bit_derives_its_streams_once(monkeypatch):
@@ -464,22 +476,22 @@ def test_table1_derives_each_stream_and_synthesizes_each_row_once_per_pass(monke
     levels = (0.0, 0.01, 0.1)
     table = harness.run_table1(cfg, levels=levels)
     indices = sorted({index for index, _ in derived})
-    assert len(indices) == 3 * 128 and indices == list(range(len(indices)))
+    assert len(indices) == 2 * harness._CHUNK and indices == list(range(len(indices)))
     assert set(derived.values()) == {1}
     solved = set(_solved_rows(cfg, cfg.n_bits, 16))
     for i in indices:
         expected = {0, 1, 2, 3, 4, 5} if i in solved else {0, 1}
         assert {stream for index, stream in derived if index == i} == expected, i
     assert table.cells[0].n_exchanges <= len(indices)
-    assert synths == {"calls": 3 * 2, "rows": 3 * len(solved)}
+    assert synths == {"calls": 2 * 2, "rows": 3 * len(solved)}
 
 
 def test_defense_chunk_memory_is_bounded_by_its_shapes():
-    """One defense chunk on Cable(1000, 10) holds, at its peak, its drive and residual rows
-    (7 rows per pair), one group's inputs, solved rows and residuals (9 rows per solved
-    row, at most 2 solved rows per pair), the scan's stepping buffer and drive scratch
-    (SCAN_BLOCK_BYTES each) and a block's map temporaries (less than either). An unblocked
-    (S, t, B, m) trajectory would add 19 rows per solved row."""
+    """One defense chunk of two batch windows on Cable(1000, 10) holds, at its peak, its drive
+    and residual rows (7 rows per pair), one group's inputs, solved rows and residuals (9
+    rows per solved row, at most 2 solved rows per pair), the scan's stepping buffer and
+    drive scratch (SCAN_BLOCK_BYTES each) and a block's map temporaries (less than either).
+    An unblocked (S, t, B, m) trajectory would add 19 rows per solved row."""
     cfg = harness.SimConfig(
         variant=circuit.Cable(1000.0, 10), injection=attack.InjectionSpec(0.1, 250.0, 12345)
     )
@@ -492,17 +504,17 @@ def test_defense_chunk_memory_is_bounded_by_its_shapes():
     finally:
         tracemalloc.stop()
     k, t = len(payload["index"]), cfg.samples_per_bit
-    assert k > 40
+    assert payload["index"][-1] >= protocol.WINDOW and k > 80
     assert peak < 8 * t * (7 * k + 9 * 2 * k) + 3 * circuit.SCAN_BLOCK_BYTES
 
 
 def test_grid_chunk_memory_is_bounded_by_its_shapes():
-    """One table1 chunk of 128 secure exchanges (fixed_lh) holds, at its peak, its drive rows
-    and its canceller's state trajectory (4 rows per exchange and level), either one job's
-    outputs with their output map's temporaries or the ladder pair's outputs (at most 12 rows
-    per batch row and level), and the ladder scan's stepping buffer and scratch (less than
-    2 SCAN_BLOCK_BYTES). Holding all of the canceller's outputs at once would add 4 rows per
-    exchange and level."""
+    """One table1 chunk of two batch windows, 256 secure exchanges (fixed_lh), holds, at its
+    peak, its drive rows and its canceller's state trajectory (4 rows per exchange and level),
+    either one job's outputs with their output map's temporaries or the ladder pair's outputs
+    (at most 12 rows per batch row and level), and the ladder scan's stepping buffer and
+    scratch (less than 2 SCAN_BLOCK_BYTES). Holding all of the canceller's outputs at once
+    would add 4 rows per exchange and level."""
     cfg = harness.SimConfig(selection_mode="fixed_lh")
     levels = harness.TABLE1_LEVELS
     cell_cfgs = [
@@ -518,17 +530,17 @@ def test_grid_chunk_memory_is_bounded_by_its_shapes():
     finally:
         tracemalloc.stop()
     k, t, n_levels = len(chunk[0]), cfg.samples_per_bit, len(levels)
-    assert k == 128
+    assert k == harness._CHUNK == 2 * protocol.WINDOW
     rows = 4 * n_levels * k + 12 * n_levels * protocol.BATCH
     assert peak < 8 * t * rows + 2 * circuit.SCAN_BLOCK_BYTES
 
 
-def _trim_points(cfg, batch):
-    """n_bits values that end a run in its second chunk: at the chunk's first secure exchange,
-    at the last row of a loop batch, one row past a batch boundary, and at the chunk's last
-    secure exchange."""
-    n_before = len(harness._classify_chunk(cfg, 0)[0])
-    index, _, choices = harness._classify_chunk(cfg, 128)
+def _trim_points(cfg, batch, window):
+    """n_bits values that end a run in batch window `window`: at the window's first secure
+    exchange, at the last row of a loop batch, one row past a batch boundary, and at the
+    window's last secure exchange."""
+    n_before = len(harness._classify_chunk(cfg, 0, WINDOW * window)[0])
+    index, _, choices = harness._classify_chunk(cfg, WINDOW * window, WINDOW)
     pairs = choices.tolist()
     group = [pos for pos, pair in enumerate(pairs) if pair == pairs[0]]
     assert len(group) > batch
@@ -536,20 +548,26 @@ def _trim_points(cfg, batch):
             n_before + len(index)]
 
 
+# Runs that end in the second batch window of the first chunk, whose first window they use in
+# full, and in the first window of the second chunk, whose second window they drop
+_TRIM_WINDOWS = {1: 1, 2: 2}  # window: chunks run
+
+
 def test_trimmed_last_chunks_give_the_prefix_of_a_longer_run(monkeypatch):
-    """A run that ends inside a chunk solves only that chunk's loop batches holding its bits,
-    and its outputs equal the first n_bits of a run three chunks long."""
+    """A run that ends inside a batch window solves only that window's loop batches holding
+    its bits, and its outputs equal the first n_bits of a run three chunks long."""
     derived, synths = _count_pipeline_calls(monkeypatch)
     variants = [circuit.Ideal(), circuit.Cable(1000.0, 10), circuit.CableWithKiller(1000.0, 10)]
     levels = (0.0, 0.1)
     cfg = _tiny_cfg(n_bits=300)
     longer = harness.run_table1(cfg, levels=levels, variants=variants)
-    for n in _trim_points(cfg, 16):
+    trims = [(n, chunks) for w, chunks in _TRIM_WINDOWS.items() for n in _trim_points(cfg, 16, w)]
+    for n, chunks in trims:
         derived.clear(), synths.update(calls=0, rows=0)
         table = harness.run_table1(replace(cfg, n_bits=n), levels=levels, variants=variants)
         solved = _solved_rows(cfg, n, 16)
         assert sorted(i for i, stream in derived if stream == 2) == solved
-        assert synths == {"calls": 4, "rows": 3 * len(solved)}
+        assert synths == {"calls": 2 * chunks, "rows": 3 * len(solved)}
         for cell, full in zip(table.cells, longer.cells):
             assert cell.n == n and cell.n_exchanges == solved[n - 1] + 1
             for name in _CELL_ARRAYS:
@@ -558,14 +576,96 @@ def test_trimmed_last_chunks_give_the_prefix_of_a_longer_run(monkeypatch):
 
     cfg = replace(cfg, variant=circuit.Cable(1000.0, 10), injection=attack.InjectionSpec(0.1, 250.0))
     longer = harness.run_defense_experiment(cfg)
-    for n in _trim_points(cfg, 8):
+    trims = [(n, chunks) for w, chunks in _TRIM_WINDOWS.items() for n in _trim_points(cfg, 8, w)]
+    for n, chunks in trims:
         derived.clear(), synths.update(calls=0, rows=0)
         result = harness.run_defense_experiment(replace(cfg, n_bits=n))
         solved = _solved_rows(cfg, n, 8)
         assert sorted(i for i, stream in derived if stream == 2) == solved
-        assert synths == {"calls": 4, "rows": 3 * len(solved)}
+        assert synths == {"calls": 2 * chunks, "rows": 3 * len(solved)}
         assert result.rows == longer.rows[: 2 * (n - 20)], n
         assert result.detection == longer.detection
         for got, want in ((result.trace_attacked, longer.trace_attacked),
                           (result.trace_clean, longer.trace_clean)):
             assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_ideal_runs_solve_exactly_their_bits(monkeypatch):
+    """Ideal-wire rows are elementwise, so a run on that wire alone seeds and synthesizes its
+    n_bits secure exchanges and no more, wherever its last chunk ends, and its outputs equal
+    the first n_bits of a longer run."""
+    derived, synths = _count_pipeline_calls(monkeypatch)
+    levels = (0.0, 0.1)
+    cfg = _tiny_cfg(n_bits=300)
+    ideal = [circuit.Ideal()]
+    longer = harness.run_table1(cfg, levels=levels, variants=ideal)
+    for n in (1, 2, 63, 64, 65, 127, 200, 299):
+        derived.clear(), synths.update(calls=0, rows=0)
+        table = harness.run_table1(replace(cfg, n_bits=n), levels=levels, variants=ideal)
+        solved = sorted(i for i, stream in derived if stream == 2)
+        assert len(solved) == n and synths["rows"] == 3 * n
+        for cell, full in zip(table.cells, longer.cells):
+            assert cell.n_exchanges == solved[-1] + 1
+            for name in _CELL_ARRAYS:
+                got, want = getattr(cell, name), getattr(full, name)[:n]
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, name)
+
+
+def _concatenated(payloads, axis):
+    return {name: np.concatenate([p[name] for p in payloads], axis=axis) for name in payloads[0]}
+
+
+@pytest.mark.parametrize("mode", harness.SELECTION_MODES)
+def test_a_chunk_gives_the_payloads_of_its_windows_bit_for_bit(mode):
+    """No loop batch spans two batch windows, so a two-window chunk's rows keep the rounding
+    of its windows run alone: the grid's at every level of every wire variant, and the
+    defense's on each cable, its row-count groups spanning both windows."""
+    cfg = _tiny_cfg(selection_mode=mode)
+    chunk = harness._classify_chunk(cfg, 0)
+    windows = [harness._classify_chunk(cfg, start, WINDOW) for start in (0, WINDOW)]
+    for got, want in zip(chunk, zip(*windows)):
+        assert got.tobytes() == np.concatenate(want).tobytes()
+    index, _, choices = chunk
+    for batch in (protocol.BATCH, harness._DEFENSE_BATCH, 1):
+        for _, positions in protocol.loop_batches(cfg, index, choices, batch):
+            assert len(set((index[positions] // WINDOW).tolist())) == 1
+    levels = (0.0, 0.01, 0.1)
+    cell_cfgs = [
+        [harness._cell_config(cfg, variant, level) for level in levels]
+        for variant in harness.default_table1_variants()
+    ]
+    got = harness._grid_chunk(cfg, chunk, cell_cfgs)
+    want = _concatenated([harness._grid_chunk(cfg, w, cell_cfgs) for w in windows], -1)
+    assert got.keys() == want.keys()
+    for name, value in got.items():
+        assert value.dtype == want[name].dtype and value.tobytes() == want[name].tobytes(), name
+    for variant in harness.default_table1_variants()[1:]:
+        cfg = harness._cell_config(cfg, variant, 0.1)
+        got = harness._defense_chunk(cfg, chunk)
+        want = _concatenated([harness._defense_chunk(cfg, w) for w in windows], 0)
+        assert got.keys() == want.keys()
+        for name, value in got.items():
+            assert value.tobytes() == want[name].tobytes(), (variant, name)
+
+
+def test_a_chunk_falls_back_to_one_window_past_the_array_budget(monkeypatch):
+    """At t = 100 000 a two-window chunk's (256, 7, t) rows would exceed the array budget and a
+    one-window chunk's do not: the config is accepted and its runs classify and solve one
+    batch window per chunk."""
+    assert harness.SimConfig().check_array_budget(1) == harness._CHUNK
+    cfg = harness.SimConfig(tau_s=50.0, n_bits=300, selection_mode="fixed_lh")
+    assert cfg.check_array_budget(1) == WINDOW
+    assert cfg.check_array_budget(3, harness.default_table1_variants()) == WINDOW
+
+    class Ran(Exception):
+        pass
+
+    def chunk(cfg, chunk, *args):
+        raise Ran(chunk[0].tolist())
+
+    runs = {"_grid_chunk": harness.run_table1, "_defense_chunk": harness.run_defense_experiment}
+    for name, run in runs.items():
+        monkeypatch.setattr(harness, name, chunk)
+        with pytest.raises(Ran) as ran:
+            run(cfg)
+        assert ran.value.args[0] == list(range(WINDOW)), name

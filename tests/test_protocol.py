@@ -13,7 +13,7 @@ from kljnsim.protocol import decide_remote_resistor
 T_EFF = 7.25e16
 BW = 250.0
 R_L, R_H = 1000.0, 9000.0
-CHUNK = 128
+CHUNK = harness._CHUNK  # exchanges per array pass, each classified by one call
 
 
 def _draw(master_seed, index, stream):
