@@ -22,12 +22,17 @@ stack of S systems: S levels of one or more loops of that m (a grid's
 ladder variants at all levels), or a chunk's loop batches of equal size,
 each with its own terminations. Every sample step advances all S x B
 states with one stacked product whose rows equal the S separate products
-bit for bit, and the scan runs in time blocks whose stepping buffer fits
-SCAN_BLOCK_BYTES. One-state jobs (the canceller) of any B advance together
-in one elementwise recurrence, each row with its own p, since a one-state
-step product is a single term. Each job keeps its own input-map, start-state
-and output-map products, so its outputs equal those of its own solve;
+bit for bit. One-state jobs (the canceller) of any B advance together in
+one elementwise recurrence, each row with its own p, since a one-state step
+product is a single term. Each job keeps its own input-map, start-state and
+output-map products, so its outputs equal those of its own solve;
 `solve_systems` is the solve of one job.
+
+One function, `_layout`, sizes a group's scan: its time blocks, which
+SCAN_BLOCK_BYTES bounds, and the shapes of its stepping array and step
+matrices. The solves allocate from it, and `scan_bytes` reports its bytes
+for job shapes, so that a caller can check a run's arrays against a budget
+before it allocates them.
 
 Sign convention
 ---------------
@@ -345,10 +350,8 @@ def injection_node_index(variant: Variant, injection_position: float) -> int:
     return int(min(max(round(injection_position * n), 1), n - 1))
 
 
-# Byte budget of a stacked solve's stepping buffer; the drive scratch beside it
-# takes at most as much again. The scan advances its S x B states through time
-# blocks of as many samples as fit, so neither grows with t or with S. A
-# one-state solve's time blocks span this many bytes of its state trajectory.
+# Byte budget of a time block: a stacked solve's stepping buffer, and a one-state
+# solve's block of its state trajectory. `_layout` sizes both from it.
 SCAN_BLOCK_BYTES = 2**19
 
 
@@ -438,6 +441,51 @@ def _spans(sizes):
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
+def _layout(shapes):
+    """The scan of jobs of one state count m, each given by its (p shape, u shape) as
+    `solve_jobs` takes them: (steps per time block, samples per system of the stepping
+    array, shape of the stepping array, shape of the step matrices p).
+
+    A stacked scan (m > 1) holds its stepping buffer of all S x B states and, after it
+    in one allocation, the scratch of one job's input map: with glibc's malloc, one
+    larger block left the solve's other arrays fewer fresh pages to fault in than two
+    smaller ones. It steps with a lone job's p, or restacks one p per system. A
+    one-state scan holds the (t, R) trajectory of all R rows and one p per row.
+    """
+    m, t = shapes[0][0][-1], shapes[0][1][-1]
+    stacks = [(math.prod(u[:-3]), u[-3]) for _, u in shapes]  # (S, B) per job
+    n_sys, n_rows = sum(s for s, _ in stacks), stacks[0][1]
+    rows = sum(s * b for s, b in stacks)
+    # As many steps as fit SCAN_BLOCK_BYTES, less two slots for the carried state and a
+    # one-step remainder. Each block but the last spans a multiple of 8 product rows,
+    # whatever a one-state job's B, so a row's samples do not depend on where blocks
+    # end: a matrix-vector product (m = 1, B = 1) rounds its last partial group of rows
+    # differently.
+    unit = 8 if m == 1 else 8 // math.gcd(n_rows, 8)
+    block = max(2, unit, (SCAN_BLOCK_BYTES // (8 * rows * m) - 2) // unit * unit)
+    if m == 1:
+        return block, t, (t, rows), (1, rows, 1)
+    slots = min(block + 2, t)
+    x = (n_sys * slots + max(s for s, _ in stacks) * (slots - 1), n_rows, m)
+    return block, slots, x, shapes[0][0] if len(shapes) == 1 else (n_sys, m, m)
+
+
+def scan_bytes(jobs) -> dict[str, int]:
+    """The bytes of the arrays that `solve_jobs` scans jobs of these shapes with, by name.
+
+    `jobs` holds each job's (p shape, u shape): (m, m) for one system, or
+    (S, m, m) for S stacked ones, and its inputs' shape. Per state count m,
+    the scan holds its stepping array and the step matrices p.
+    """
+    sizes = {}
+    for m in dict.fromkeys(p[-1] for p, _ in jobs):
+        _, _, x, p = _layout([job for job in jobs if job[0][-1] == m])
+        scan = "a one-state scan's" if m == 1 else f"a {m}-state scan's"
+        sizes[scan + (" state trajectory" if m == 1 else " stepping buffer")] = 8 * math.prod(x)
+        sizes[scan + " step matrices p"] = 8 * math.prod(p)
+    return sizes
+
+
 def _stacked_solves(jobs: list[_Job]):
     """Yield the outputs of jobs of one state count m > 1 and one row count B, solved as one
     stack: one (S, B, m) @ (S, m, m) product per step for all their systems.
@@ -448,21 +496,13 @@ def _stacked_solves(jobs: list[_Job]):
     m, n_rows, t = jobs[0].p.shape[-1], jobs[0].n_rows, jobs[0].t
     spans = _spans(job.n_sys for job in jobs)
     n_sys = spans[-1].stop
+    block, slots, buf_shape, p_shape = _layout([(job.p.shape, job.u.shape) for job in jobs])
     p = jobs[0].p  # a lone job's system, or systems, as they are
     if len(jobs) > 1:
-        p = np.empty((n_sys, m, m))  # C-contiguous, like each system's own p
+        p = np.empty(p_shape)  # C-contiguous, like each system's own p
         for job, span in zip(jobs, spans):
             p[span] = job.p
-    # Steps per block. Two more slots hold the carried state and absorb a one-step
-    # remainder. Each block but the last spans a multiple of 8 product rows, as in
-    # `_one_state_solves`, so a row's samples do not depend on where blocks end.
-    unit = 8 // math.gcd(n_rows, 8)
-    block = max(2, unit, (SCAN_BLOCK_BYTES // (8 * n_sys * n_rows * m) - 2) // unit * unit)
-    slots = min(block + 2, t)
-    # The stepping buffer x and the scratch of the input map's second product, one job
-    # at a time, share one allocation: with glibc's malloc, one larger block left the
-    # solve's other arrays fewer fresh pages to fault in than two smaller ones.
-    buf = np.empty((n_sys * slots + max(job.n_sys for job in jobs) * (slots - 1), n_rows, m))
+    buf = np.empty(buf_shape)  # the stepping buffer x, then the input map's scratch
     x = buf[: n_sys * slots].reshape(n_sys, slots, n_rows, m)
     scratch = buf[n_sys * slots :].reshape(-1, (slots - 1) * n_rows, m)
     ys = [np.empty((job.n_sys, n_rows) + job.out_shape[-2:]) for job in jobs]
@@ -494,19 +534,17 @@ def _one_state_solves(jobs: list[_Job]):
     one elementwise recurrence, each with its own p.
 
     The R rows of all jobs sit side by side in one (t, R) state trajectory. Its time
-    blocks bound the input maps' temporaries; each block but the last spans a multiple
-    of 8 steps, so of 8 product rows whatever a job's B: a matrix-vector product
-    (m = 1) over a (B = 1) strided view rounds its last partial group of rows
-    differently. The whole trajectory is held (at m = 1 a quarter of the rows'
-    outputs), so each job's outputs are formed only when the job is yielded.
+    blocks (`_layout`) bound the input maps' temporaries. The whole trajectory is held
+    (at m = 1 a quarter of the rows' outputs), so each job's outputs are formed only
+    when the job is yielded.
     """
-    t = jobs[0].t
+    block, t, traj_shape, p_shape = _layout([(job.p.shape, job.u.shape) for job in jobs])
     spans = _spans(job.n_sys * job.n_rows for job in jobs)
-    p = np.empty((1, spans[-1].stop, 1))  # each row's p, shaped like a step of the scan
+    p = np.empty(p_shape)  # each row's p, shaped like a step of the scan
     for job, span in zip(jobs, spans):
         p[0, span].reshape(job.n_sys, job.n_rows)[...] = job.p.reshape(-1, 1)
-    traj = np.empty((t, spans[-1].stop))
-    blocks = list(_time_blocks(t, max(8, (SCAN_BLOCK_BYTES // traj[0].nbytes - 2) // 8 * 8)))
+    traj = np.empty(traj_shape)
+    blocks = list(_time_blocks(t, block))
     for job, span in zip(jobs, spans):
         traj[0, span] = job.start().ravel()
     for k0, n in blocks:
@@ -572,9 +610,8 @@ def solve_systems(system: _DiscreteSystem, u: np.ndarray) -> np.ndarray:
     `system` is one discretized system shared by every stack of B rows, or S
     systems of equal shapes stacked by `stack_systems`, one per stack of u of
     shape (S, B, n_inputs, t). Each row starts from the DC-consistent state
-    for its first input sample. A multi-state scan runs in time blocks whose
-    stepping buffer fits SCAN_BLOCK_BYTES. Per block, the input map is one
-    stacked product over the block's time-major samples, `ladder_scan`
+    for its first input sample. Per time block (`_layout`), the input map is
+    one stacked product over the block's time-major samples, `ladder_scan`
     advances the states, the output map writes the block's output columns,
     and the last state carries into the next block. A row's samples do not
     depend on the blocking. The one job of `solve_jobs`.

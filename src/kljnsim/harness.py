@@ -6,50 +6,39 @@ with stream ids 0..5 for Alice's choice, Bob's choice, Alice's noise, Bob's
 noise, Eve's injection and Eve's tie-break coin. Outcomes therefore depend
 only on (master_seed, exchange_index): changing the requested bit count never
 changes earlier bits, and any partition of the index range across workers
-reproduces the sequential result exactly.
+reproduces the sequential result exactly. A stream is derived only when it
+is drawn, and `seeds` hashes whole index arrays with numpy's results.
 
-A stream is derived only when it is drawn: every exchange derives its two
-choice streams, a secure exchange that the run solves also the parties'
-noise seeds and, when an injection is configured, Eve's, and Eve's coin is
-derived only for a correlator tie. No SeedSequence is built per stream:
-`seeds` computes numpy's SeedSequence hashing and PCG64 seeding over whole
-index arrays, with the same results. Exchanges run in chunks of 256
-consecutive indices, each one array pass from the seeds to the decisions.
-A chunk is two batch windows of `protocol.WINDOW` = 128 indices, and no loop
-batch spans two windows, so a row's bits do not depend on the chunk size:
-the window fixes its rounding. A run whose arrays would exceed the size
-budget at two windows per chunk runs one. The harness classifies a chunk
-before it runs it: one `seeds` call draws the chunk's (256, 2) array of
-which party holds r_h, and the mixed rows are its secure exchanges. A run
-ends at the n-th secure exchange, so the harness knows how many of the last
-chunk's secure exchanges it uses, and hands that chunk over with only the
-loop batches that hold one of them (`_used_chunks`), or on the ideal wire
-only those rows. Every chunk then derives its solved rows' noise seeds in
-one `seeds` call, and Eve's coins on its ties in one more.
+Exchanges run in chunks of 256 consecutive indices, each one array pass
+from the seeds to the decisions. A chunk is two batch windows of
+`protocol.WINDOW` = 128 indices, and no loop batch spans two windows, so the
+window, not the chunk, fixes a row's rounding. A chunk is classified before
+it runs: one `seeds` call draws which party holds r_h, and the mixed rows
+are its secure exchanges. A run ends at the n-th secure exchange, so its
+last chunk keeps only the loop batches that hold a used one (`_used_chunks`).
+Before any chunk runs, `SimConfig.check_array_budget` sizes the chunk's
+largest arrays, the scans' from `circuit.scan_bytes`, and falls back to one
+window per chunk, or rejects the run, past the budget.
 
 An attack run is a grid of wire variants x injection levels (`run_table1`;
-`run_attack_cell` is a grid of one cell), and all its cells consume the same
-exchanges. So the grid is one pass over the chunks: each chunk is seeded
-and its generator rows synthesized once, and Eve's rows of every level in
-one more synthesis call. The cable variants share one array of drive rows
-in loop-batch order, so a batch's rows are one view. Grouped by state
-count, not by variant: all one-state rows of the chunk, every batch at
-every level, advance in one elementwise recurrence, and the variants with
-more states solve each batch at all levels in one stacked scan of S =
-variants x levels systems. Each job's solved rows are reduced to mean
-squares and correlators as they come; each party decides once per chunk
-for every cell and bit. A tie takes its exchange's coin, drawn once for
-all cells.
+`run_attack_cell` is a grid of one cell) in one pass over the chunks: each
+chunk's generator rows are synthesized once, and Eve's rows of every level
+in one more call. All one-state rows of a chunk advance in one elementwise
+recurrence, and the variants with more states solve each loop batch at all
+levels in one stacked scan. Solved rows are reduced to mean squares and
+correlators as they come; each party decides once per chunk for every cell.
 
 The defense experiment solves each secure exchange with and without Eve's
 current. A chunk groups its loop batches by row count, and each group takes
 two stacked scans: the channel, each batch with its own loop system, and the
 parties' in-site simulations. The run calibrates on its first pairs, then
-detects on each chunk as it arrives and drops its residual rows.
+detects on each chunk as it arrives and drops its residual rows. The
+single-bit dump solves one exchange as a loop batch of one row.
 """
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 import os
@@ -181,42 +170,13 @@ class SimConfig:
     def check_array_budget(self, n_levels: int, variants=None) -> int:
         """The exchanges per chunk of a run of `variants` (default: this config's) over
         `n_levels` injection levels: two batch windows (_CHUNK), or one if an array of a
-        two-window chunk would exceed MAX_ARRAY_BYTES, predicted from the shapes. Raises
-        ConfigError if an array of a one-window chunk would.
-
-        The grid solves a loop batch (BATCH rows) at all levels: the variants
-        of each state count m > 1 in one stack of (variants) x n_levels x BATCH
-        rows, and all one-state rows of a chunk, at most (variants) x n_levels
-        x chunk, in one state trajectory. The defense solves all batches of
-        one size in a chunk together (two rows per exchange, at most 2 x chunk
-        rows, and at most 2 x chunk / BATCH loop systems).
-        """
+        two-window chunk would exceed MAX_ARRAY_BYTES (`_chunk_array_bytes`). Raises
+        ConfigError if an array of a one-window chunk would."""
         models = [circuit.model_for_variant(v) for v in variants or [self.variant]]
         counts = collections.Counter(model.n_states for model in models if model is not None)
-        t, L = self.samples_per_bit, n_levels
+        t, key = self.samples_per_bit, tuple(sorted(counts.items()))
         for chunk in (_CHUNK, protocol.WINDOW):
-            rows = max(L * protocol.BATCH, 2 * chunk)
-            n_systems = 2 * chunk // protocol.BATCH
-            sizes = {
-                f"a solve's ({rows} rows, 4, t) outputs": 8 * rows * 4 * t,
-                f"a chunk's ({chunk}, 7, t) drive and solved rows": 8 * chunk * 7 * t,
-                f"a chunk's ({L}, {chunk}, t) injected rows": 8 * L * chunk * t,
-            }
-            if counts:
-                sizes[f"the grid's ({L}, {chunk}, 3, t) cable drive rows"] = 8 * L * chunk * 3 * t
-            for m, count in counts.items():
-                sizes[f"the defense's stack of {n_systems} ({m}, {m}) system matrices"] = (
-                    8 * n_systems * m * m
-                )
-                if m == 1:
-                    rows = max(count * L, 2) * chunk
-                    sizes[f"a one-state solve's (t, {rows} rows) state trajectory"] = 8 * rows * t
-                    continue
-                rows = max(count * L * protocol.BATCH, 2 * chunk)
-                step = 8 * rows * m  # bytes per sample of the scan
-                name = f"a stacked solve's ({rows} rows, {m} states) stepping buffer and scratch"
-                # SCAN_BLOCK_BYTES each, but at least 10 samples (a block of 8 and two slots)
-                sizes[name] = step * (2 * min(t, max(10, circuit.SCAN_BLOCK_BYTES // step)) - 1)
+            sizes = _chunk_array_bytes(t, n_levels, chunk, key)
             over = [(name, size) for name, size in sizes.items() if size > MAX_ARRAY_BYTES]
             if not over:
                 return chunk
@@ -229,6 +189,42 @@ class SimConfig:
     @property
     def samples_per_bit(self) -> int:
         return int(round(self.tau_s * self.sample_rate_hz))
+
+
+@functools.lru_cache(maxsize=64)
+def _chunk_array_bytes(t: int, n_levels: int, chunk: int, counts) -> dict[str, int]:
+    """The bytes of the largest arrays of a chunk, by name, for a run over `n_levels`
+    levels of variants with these (state count, variant count) pairs; cached, since
+    every SimConfig checks its own.
+
+    The harness sizes its own rows. `circuit.scan_bytes` sizes the scans of the
+    solves' worst-case jobs. The grid solves each loop batch, of up to BATCH rows,
+    at all levels, one job per variant of a state count m > 1, and all one-state
+    rows of a chunk in one scan. The defense scans a chunk's full batches, 2 x chunk
+    / BATCH systems of BATCH rows, once with one system per batch and once with the
+    in-site system; its remainder batches, at most one per window and loop
+    configuration, stack fewer.
+    """
+    L, batch = n_levels, protocol.BATCH
+    rows = max(L * batch, 2 * chunk)
+    sizes = {
+        f"a solve's ({rows} rows, 4, t) outputs": 8 * rows * 4 * t,
+        f"a chunk's ({chunk}, 7, t) drive and solved rows": 8 * chunk * 7 * t,
+        f"a chunk's ({L}, {chunk}, t) injected rows": 8 * L * chunk * t,
+    }
+    if counts:
+        sizes[f"the grid's ({L}, {chunk}, 3, t) cable drive rows"] = 8 * L * chunk * 3 * t
+    n_sys = 2 * chunk // batch
+    for m, count in counts:
+        scans = [[((n_sys, m, m), (n_sys, batch, 3, t))], [((m, m), (n_sys, batch, 2, t))]]
+        if m == 1:
+            scans.append([((m, m), (L, chunk, 3, t))] * count)
+        else:
+            scans += [[((m, m), (L, b, 3, t))] * count for b in range(1, batch + 1)]
+        for scan in scans:
+            for name, size in circuit.scan_bytes(scan).items():
+                sizes[name] = max(size, sizes.get(name, 0))
+    return sizes
 
 
 def variant_label(variant: circuit.Variant) -> str:
@@ -304,29 +300,29 @@ def _used_chunks(cfg: SimConfig, n_secure: int, batch: int, size: int):
     """The chunks' secure exchanges that a run of n_secure secure bits solves, in index order.
 
     Yields each chunk's (index, key_bits, choices) from `_classify_chunk` over
-    `size` exchanges, and skips chunks without a secure exchange. Every chunk
-    is used in full but the last, the one that holds the n_secure-th secure
-    exchange: it keeps only its `protocol.loop_batches` batches of `batch`
-    rows that hold at least one of the secure exchanges up to that one, so
-    the rows it yields start with those. A batch is kept or dropped whole,
-    because a (B, m) @ (m, m) product's rows can change in the last ulp with
-    B: a kept row keeps its batch, its slice of a stacked solve and its time
-    blocks (a one-state row's blocks move with the chunk's row count, but
-    span multiples of 8 steps, which its bits do not depend on), and so the
-    bits it gives, whatever n_secure is. A dropped batch is never seeded,
-    synthesized or solved.
+    `size` exchanges, skipping chunks without a secure exchange. The last
+    chunk, the one with the n_secure-th secure exchange, keeps only its
+    `protocol.loop_batches` batches of `batch` rows that hold one of the
+    secure exchanges up to that one (at batch = 1, just those), so the rows
+    it yields start with those. A batch is kept or dropped whole, since a
+    (B, m) @ (m, m) product's rows can change in the last ulp with B: a kept
+    row keeps its batch, its slice of a stacked solve and its time blocks'
+    multiples of 8 product rows, and so its bits. A dropped batch is never
+    seeded, synthesized or solved.
     """
     found = 0
     for start in itertools.count(0, size):
         index, key_bits, choices = _classify_chunk(cfg, start, size)
         n_used = n_secure - found
         if len(index) >= n_used:
-            kept = sorted(
-                pos
-                for _, positions in protocol.loop_batches(cfg, index, choices, batch)
-                if positions[0] < n_used
-                for pos in positions
-            )
+            kept = slice(n_used)
+            if batch > 1:
+                kept = sorted(
+                    pos
+                    for _, positions in protocol.loop_batches(cfg, index, choices, batch)
+                    if positions[0] < n_used
+                    for pos in positions
+                )
             yield index[kept], key_bits[kept], choices[kept]
             return
         found += len(index)
@@ -359,20 +355,14 @@ def _consume_chunks(cfg: SimConfig, chunk_worker, n_secure: int, batch: int, siz
 
 def _grid_chunk(cfg: SimConfig, chunk, cell_cfgs) -> dict:
     """One chunk of the grid: the key bits and Eve's and the parties' statistics per cell and
-    secure exchange.
+    secure exchange, shape (variants, levels, k).
 
-    `chunk` is (index, key_bits, choices) from `_used_chunks`, and
-    `cell_cfgs` holds each cell's config, one row of levels per variant. The
-    chunk is seeded and its generator rows synthesized once, and Eve's rows
-    in one more call for all levels. The ideal wire takes all rows of a level
-    at once. The cables solve every loop batch at all levels from one array
-    of the chunk's drive rows in batch order, which the variants share: all
-    one-state rows of the chunk in one `circuit.solve_jobs` call, then each
-    batch's multi-state variants in one call, a stack of S = variants x
-    levels systems. Each job's solved rows are reduced to their mean squares
-    and Eve's correlators as they come, so no chunk-sized array of solved
-    rows is held. Each party then decides for every (variant, level,
-    exchange) at once. Statistics have shape (variants, levels, k).
+    `chunk` is (index, key_bits, choices) from `_used_chunks`, and `cell_cfgs` holds
+    each cell's config, one row of levels per variant. The cables solve every loop batch
+    at all levels from one array of the chunk's drive rows in batch order, which the
+    variants share: all one-state rows in one `circuit.solve_jobs` call, then each
+    batch's multi-state variants in one, a stack of S = variants x levels systems. Each
+    job's solved rows are reduced as they come, so no chunk of solved rows is held.
     """
     index, key_bits, choices = chunk
     attacks = [c.injection for c in cell_cfgs[0]]
@@ -824,7 +814,14 @@ def run_privacy_experiment(cfg: SimConfig, passes: int = 2) -> PrivacyResult:
 
 @dataclass
 class SingleBitDump:
-    record: protocol.Exchanges  # one row
+    """One exchange's rows: its drive rows (u_a, u_b, i_inj), shape (3, t), its solved rows
+    (i_cha, i_chb, u_cha, u_chb) in the Loop convention, shape (4, t), and its
+    (Alice, Bob) resistances and the remote resistance each inferred, shape (2,)."""
+
+    u: np.ndarray
+    y: np.ndarray
+    choices: np.ndarray
+    inferred: np.ndarray
     residuals: tuple[np.ndarray, np.ndarray] | None
     rho_a: float
     rho_b: float
@@ -832,23 +829,31 @@ class SingleBitDump:
 
 
 def run_single_bit(cfg: SimConfig, bit_index: int = 0) -> SingleBitDump:
-    """Simulate one exchange, `run_exchanges` on a batch of one, and keep every row."""
+    """Simulate one exchange, a loop batch of one row, and keep every row."""
     if bit_index < 0:
         raise ConfigError(f"bit_index must be non-negative, got {bit_index}")
     index = np.array([bit_index])
     choices = np.where(_holds_r_h(cfg, index), cfg.r_h, cfg.r_l)
     noise_seeds = _noise_seeds(cfg.master_seed, index, cfg.injection is not None)
-    rec = protocol.run_exchanges(cfg, index, choices, noise_seeds, cfg.injection)
+    u = protocol.exchange_drives(cfg, choices, noise_seeds, cfg.injection)
+    loop_cfg, _ = next(protocol.loop_batches(cfg, index, choices))
+    y = circuit.solve_rows(u, loop_cfg, 1.0 / cfg.sample_rate_hz)
+    msq = protocol.mean_squares(y)
+    params = (cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz)
+    alice = protocol.decide_remote_resistor(msq[:, 2], msq[:, 0], choices[:, 0], *params)
+    bob = protocol.decide_remote_resistor(msq[:, 3], msq[:, 1], choices[:, 1], *params)
     rho_a = rho_b = np.zeros(1)
     if cfg.injection is not None:
-        rho_a, rho_b = _correlators(rec.u[:, 2], rec.y)
+        rho_a, rho_b = _correlators(u[:, 2], y)
     eve_bits = _eve_bits(cfg, index, rho_a, rho_b)
     residuals = None
     if not isinstance(cfg.variant, circuit.Ideal):
-        loop_cfg, _ = next(protocol.loop_batches(cfg, index, choices))
-        residuals = tuple(defense.residual_rows(rec.y, loop_cfg, cfg.sample_rate_hz)[0])
+        residuals = tuple(defense.residual_rows(y, loop_cfg, cfg.sample_rate_hz)[0])
     return SingleBitDump(
-        record=rec,
+        u=u[0],
+        y=y[0],
+        choices=choices[0],
+        inferred=np.concatenate([alice, bob]),
         residuals=residuals,
         rho_a=float(rho_a[0]),
         rho_b=float(rho_b[0]),
@@ -1083,9 +1088,8 @@ def write_report(report: ExperimentReport, out_dir: str) -> list[str]:
 
     if report.single_bit is not None:
         s = report.single_bit
-        rec = s.record
         path = os.path.join(out_dir, "single_bit.csv")
-        u, y = rec.u[0], rec.y[0]  # y in the Loop convention, as solved
+        u, y = s.u, s.y  # y in the Loop convention, as solved
         t = np.arange(y.shape[1]) / report.config.sample_rate_hz
         header = [
             "time_s", "u_alice_gen_V", "u_bob_gen_V", "i_injected_A",
@@ -1097,14 +1101,14 @@ def write_report(report: ExperimentReport, out_dir: str) -> list[str]:
             cols += [s.residuals[0], s.residuals[1]]
         _write_csv(path, header, zip(*cols))
         written.append(path)
-        r_a, r_b = rec.choices[0].tolist()
+        r_a, r_b = s.choices.tolist()
         a, b = ("low" if r == report.config.r_l else "high" for r in (r_a, r_b))
         kind = "discard" if a == b else "secure"
         summary += [
             "single bit dump:",
             f"  alice {a} ({r_a:g} ohm), bob {b} ({r_b:g} ohm) -> {kind}_{a[0]}{b[0]}",
-            f"  alice inferred remote: {rec.inferred[0, 0]:g} ohm; "
-            f"bob inferred remote: {rec.inferred[0, 1]:g} ohm",
+            f"  alice inferred remote: {s.inferred[0]:g} ohm; "
+            f"bob inferred remote: {s.inferred[1]:g} ohm",
             f"  eve: rho_a = {s.rho_a:.4e}, rho_b = {s.rho_b:.4e}, guess {s.eve_guess.value}",
             "",
         ]

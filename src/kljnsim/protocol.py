@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,17 +40,6 @@ class BitClass(enum.Enum):
 
     SECURE_LH = "secure_lh"
     SECURE_HL = "secure_hl"
-
-
-@dataclass
-class Exchanges:
-    """k simulated exchange periods as arrays, in the order they were given."""
-
-    index: np.ndarray  # exchange indices, shape (k,)
-    choices: np.ndarray  # (Alice, Bob) resistances, shape (k, 2)
-    u: np.ndarray  # drive rows (u_a, u_b, i_inj), shape (k, 3, t)
-    y: np.ndarray  # solved rows (i_cha, i_chb, u_cha, u_chb), Loop convention, shape (k, 4, t)
-    inferred: np.ndarray  # remote resistance inferred by (Alice, Bob), shape (k, 2)
 
 
 def likelihood_scales(four_ktb: float, own_r: float, cand: float) -> tuple[float, float]:
@@ -186,34 +174,3 @@ def loop_batches(cfg: "SimConfig", index: np.ndarray, choices: np.ndarray, size:
         for start in range(0, len(positions), size):
             yield loop_cfg, positions[start : start + size]
 
-
-def run_exchanges(
-    cfg: "SimConfig",
-    index: np.ndarray,
-    choices: np.ndarray,
-    noise_seeds: np.ndarray,
-    attack: "InjectionSpec | None" = None,
-) -> Exchanges:
-    """Simulate k exchange periods and both parties' inferences.
-
-    The drive rows come from `exchange_drives`. The ideal wire solves them
-    all at once, each row with its own terminations; a cable solves one
-    `loop_batches` batch at a time. Each party decides on its own end's rows.
-    """
-    u = exchange_drives(cfg, choices, noise_seeds, attack)
-    if isinstance(cfg.variant, circuit.Ideal):
-        y = circuit.ideal_rows(u[:, 0], u[:, 1], u[:, 2], choices[:, :1], choices[:, 1:])
-    else:
-        y = np.empty((len(u), 4, cfg.samples_per_bit))
-        for loop_cfg, positions in loop_batches(cfg, index, choices):
-            y[positions] = circuit.solve_rows(u[positions], loop_cfg, 1.0 / cfg.sample_rate_hz)
-    params = (cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz)
-    msq = mean_squares(y)
-    inferred = np.stack(
-        [
-            decide_remote_resistor(msq[:, 2], msq[:, 0], choices[:, 0], *params),
-            decide_remote_resistor(msq[:, 3], msq[:, 1], choices[:, 1], *params),
-        ],
-        axis=1,
-    )
-    return Exchanges(index, choices, u, y, inferred)

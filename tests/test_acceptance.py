@@ -118,18 +118,15 @@ def test_criterion_4_defense_efficacy(defense_run, base_cfg):
     ideal_run = harness.run_defense_experiment(ideal_cfg, n_calibration=20)
     checks.append(ideal_run.detection_rate == 1.0)
     first_crossing_ok = True
-    ideal_lh = replace(base_cfg, variant=Ideal(), selection_mode="fixed_lh")
     spec = attack.InjectionSpec(0.1, base_cfg.bandwidth_hz, base_cfg.master_seed)
-    index = np.arange(5)
-    choices = np.tile([ideal_lh.r_l, ideal_lh.r_h], (5, 1))
-    seeds = harness._noise_seeds(base_cfg.master_seed, index)
-    ex = protocol.run_exchanges(ideal_lh, index, choices, seeds, spec)
+    ideal_lh = replace(base_cfg, variant=Ideal(), selection_mode="fixed_lh", injection=spec)
     loop_cfg = LoopConfig(ideal_lh.r_l, ideal_lh.r_h)
     for k in range(5):
-        i_inj = ex.u[k, 2]
+        dump = harness.run_single_bit(ideal_lh, k)
+        i_inj = dump.u[2]
         thr = math.sqrt(float(np.mean(np.square(i_inj))))
         # ideal wire: the residual is the instantaneous comparison i_cha - i_chb
-        residuals = defense.residual_rows(ex.y[k : k + 1], loop_cfg, ideal_lh.sample_rate_hz)[0]
+        residuals = defense.residual_rows(dump.y[None], loop_cfg, ideal_lh.sample_rate_hz)[0]
         first, _ = defense.detect(residuals, defense.DetectionConfig(thr))
         expected = int(np.flatnonzero(np.abs(i_inj) > thr)[0])
         first_crossing_ok &= int(first) == expected

@@ -155,13 +155,29 @@ def test_grid_past_the_array_budget_exits_2_before_a_chunk_runs(tmp_path, capsys
 
 
 def test_grid_whose_shared_ladder_stack_passes_the_budget_is_rejected(monkeypatch):
-    """Two 79-state ladders at 2800 levels solve each batch as one stack of 2 x 2800 x 16 rows,
-    whose stepping buffer would take 1.08e9 bytes; one ladder's share, 5.4e8, fits."""
+    """Two 79-state ladders at 5000 levels solve each loop batch as one stack of 2 x 5000
+    systems. At t = 10 a batch of 15 rows takes blocks of 8 steps, so its stepping buffer
+    and scratch would take 1.37e9 bytes (a batch of 16 rows, 5.6e8); one ladder's share,
+    9.0e8, fits. The pair at 2800 levels, 7.7e8, fits too."""
     _no_chunk_runs(monkeypatch)
     cfg = harness.SimConfig(n_bits=4, tau_s=0.005)  # t = 10 samples
-    levels = tuple(0.3 * k / 2800 for k in range(2800))
+    levels = tuple(0.3 * k / 5000 for k in range(5000))
     ladders = [circuit.Cable(100.0, 40), circuit.Cable(1000.0, 40)]
     with pytest.raises(ConfigError, match="stepping buffer"):
+        harness.run_table1(cfg, levels=levels, variants=ladders)
+    cfg.check_array_budget(len(levels), ladders[:1])
+    cfg.check_array_budget(2800, ladders)
+
+
+def test_grid_whose_restacked_ladder_matrices_pass_the_budget_is_rejected(monkeypatch):
+    """Two 399-state ladders at 500 levels share each batch's scan, which restacks their
+    step matrices into one (1000, 399, 399) array of 1.27e9 bytes; one ladder's scan steps
+    with its one (399, 399) matrix."""
+    _no_chunk_runs(monkeypatch)
+    cfg = harness.SimConfig(n_bits=4, tau_s=0.005)  # t = 10 samples
+    levels = tuple(0.3 * k / 500 for k in range(500))
+    ladders = [circuit.Cable(100.0, 200), circuit.Cable(1000.0, 200)]
+    with pytest.raises(ConfigError, match="step matrices"):
         harness.run_table1(cfg, levels=levels, variants=ladders)
     cfg.check_array_budget(len(levels), ladders[:1])
 

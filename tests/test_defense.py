@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kljnsim import circuit, harness, protocol
+from kljnsim import circuit, harness
 from kljnsim.attack import InjectionSpec, reference_rms_channel_current
 from kljnsim.circuit import Cable, CableWithKiller, LoopConfig
 from kljnsim.defense import DetectionConfig, calibrate_threshold, detect, residual_rows
@@ -87,15 +87,12 @@ _Record = namedtuple("_Record", "u y loop_cfg")  # one exchange's drive and solv
 
 
 def _cable_records(seed, level, variant=Cable(1000.0, 10)):
-    cfg = harness.SimConfig(
-        n_bits=4, variant=variant, selection_mode="fixed_lh", master_seed=seed
-    )
     inj = InjectionSpec(level, BW, seed) if level > 0 else None
-    index = np.array([0])
-    ex = protocol.run_exchanges(
-        cfg, index, np.array([[R_L, R_H]]), harness._noise_seeds(seed, index), inj
+    cfg = harness.SimConfig(
+        n_bits=4, variant=variant, selection_mode="fixed_lh", master_seed=seed, injection=inj
     )
-    return cfg, _Record(ex.u[0], ex.y[0], LoopConfig(R_L, R_H, variant))
+    dump = harness.run_single_bit(cfg)
+    return cfg, _Record(dump.u, dump.y, LoopConfig(R_L, R_H, variant))
 
 
 def test_model_self_consistency_on_clean_run():

@@ -11,6 +11,7 @@ import pytest
 from kljnsim import attack, circuit, harness
 
 CABLE = circuit.Cable(1000.0, 10)
+INJECTION = attack.InjectionSpec(0.1, 250.0, 12345)
 
 # case -> (config, ExperimentReport field, entry point, SHA-256 of the csv); a case is
 # named after its csv, with a suffix when one csv has several cases
@@ -71,12 +72,31 @@ CASES = {
         "326b61be164f7f116a075c8336a699c592ea4732959317f95e6c35c1532421f2",
     ),
     "single_bit.csv": (
-        harness.SimConfig(
-            variant=CABLE, injection=attack.InjectionSpec(0.1, 250.0, 12345), master_seed=12345
-        ),
+        harness.SimConfig(variant=CABLE, injection=INJECTION, master_seed=12345),
         "single_bit",
         harness.run_single_bit,
         "78073733f55cf8ac2dfc3de10d58b6f681ff707688bf8c50d165bbe4f3a289f3",
+    ),
+    # exchange 0 above is an HH discard, exchange 2 an LL discard, exchange 3 secure (HL)
+    "single_bit.csv-ll": (
+        harness.SimConfig(variant=CABLE, injection=INJECTION, master_seed=12345),
+        "single_bit",
+        lambda cfg: harness.run_single_bit(cfg, 2),
+        "19eeffee0afbf22a92c79e722bcc472cf7b0bc475ca9938b109bb528ac0d1023",
+    ),
+    "single_bit.csv-ideal": (
+        harness.SimConfig(injection=INJECTION, master_seed=12345),
+        "single_bit",
+        lambda cfg: harness.run_single_bit(cfg, 3),
+        "468eb74c218da0d70038cb20dbe04781168602ddb8da8a43ade9c478f27946a6",
+    ),
+    "single_bit.csv-killer": (
+        harness.SimConfig(
+            variant=circuit.CableWithKiller(1000.0, 10), injection=INJECTION, master_seed=12345
+        ),
+        "single_bit",
+        lambda cfg: harness.run_single_bit(cfg, 3),
+        "841b41ca79c50339267904887dd20e97b4533ffe178316b26b675cc27ba947cd",
     ),
 }
 

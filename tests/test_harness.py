@@ -508,13 +508,9 @@ def test_defense_chunk_memory_is_bounded_by_its_shapes():
     assert peak < 8 * t * (7 * k + 9 * 2 * k) + 3 * circuit.SCAN_BLOCK_BYTES
 
 
-def test_grid_chunk_memory_is_bounded_by_its_shapes():
-    """One table1 chunk of two batch windows, 256 secure exchanges (fixed_lh), holds, at its
-    peak, its drive rows and its canceller's state trajectory (4 rows per exchange and level),
-    either one job's outputs with their output map's temporaries or the ladder pair's outputs
-    (at most 12 rows per batch row and level), and the ladder scan's stepping buffer and
-    scratch (less than 2 SCAN_BLOCK_BYTES). Holding all of the canceller's outputs at once
-    would add 4 rows per exchange and level."""
+def _grid_chunk_peak():
+    """The tracemalloc peak of one table1 chunk of two batch windows, 256 secure exchanges
+    (fixed_lh), and the chunk's exchanges, samples per bit and levels."""
     cfg = harness.SimConfig(selection_mode="fixed_lh")
     levels = harness.TABLE1_LEVELS
     cell_cfgs = [
@@ -529,10 +525,35 @@ def test_grid_chunk_memory_is_bounded_by_its_shapes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    k, t, n_levels = len(chunk[0]), cfg.samples_per_bit, len(levels)
+    k = len(chunk[0])
     assert k == harness._CHUNK == 2 * protocol.WINDOW
+    return peak, k, cfg.samples_per_bit, len(levels)
+
+
+def test_grid_chunk_memory_is_bounded_by_its_shapes():
+    """One table1 chunk holds, at its peak, its drive rows and its canceller's state
+    trajectory (4 rows per exchange and level), either one job's outputs with their output
+    map's temporaries or the ladder pair's outputs (at most 12 rows per batch row and level),
+    and the ladder scan's stepping buffer and scratch (less than 2 SCAN_BLOCK_BYTES). Holding
+    all of the canceller's outputs at once would add 4 rows per exchange and level."""
+    peak, k, t, n_levels = _grid_chunk_peak()
     rows = 4 * n_levels * k + 12 * n_levels * protocol.BATCH
     assert peak < 8 * t * rows + 2 * circuit.SCAN_BLOCK_BYTES
+
+
+def test_scan_bytes_bound_a_grid_chunks_peak():
+    """The peak above stays below the chunk's drive rows (3 rows per exchange and level) and
+    the ladder pair's outputs, plus every array that `circuit.scan_bytes` reports for the
+    chunk's two scans: all canceller rows, and one loop batch of the ladder pair."""
+    peak, k, t, n_levels = _grid_chunk_peak()
+    m = circuit.model_for_variant(circuit.Cable(100.0, 10)).n_states
+    scans = [
+        [((1, 1), (n_levels, k, 3, t))],
+        [((m, m), (n_levels, protocol.BATCH, 3, t))] * 2,
+    ]
+    planned = sum(sum(circuit.scan_bytes(scan).values()) for scan in scans)
+    rows = 3 * n_levels * k + 12 * n_levels * protocol.BATCH
+    assert peak < 8 * t * rows + planned
 
 
 def _trim_points(cfg, batch, window):

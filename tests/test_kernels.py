@@ -301,3 +301,47 @@ def test_multi_state_jobs_of_unequal_row_counts_raise():
     mixed = [jobs[0], (killer, _rows((3, 13, 3, 50), seed=3))]
     for (system, u), y in zip(mixed, circuit.solve_jobs(mixed)):
         assert np.array_equal(y, circuit.solve_systems(system, u))
+
+
+def _plan_jobs(m, rows, stacks, t):
+    """Jobs of m states, B = `rows` rows each (one B per job at m = 1), of t samples: a job
+    per entry of `stacks`, S stacks sharing one system, or S stacked systems when negative."""
+    jobs = []
+    for j, (n_sys, batch) in enumerate(zip(stacks, rows)):
+        systems = [_random_system(m, 3, 4, seed=10 * j + s) for s in range(abs(n_sys))]
+        system = systems[0] if n_sys > 0 else circuit.stack_systems(systems)
+        jobs.append((system, _rows((abs(n_sys), batch, 3, t), seed=j)))
+    return jobs
+
+
+# t = 5 is one time block of each group of jobs; t = 300 takes several
+@pytest.mark.parametrize("t", [5, 300])
+@pytest.mark.parametrize(
+    ("m", "rows", "stacks"),
+    [
+        (19, [16], [3]),  # one job of S levels
+        (19, [16, 16], [3, -4]),  # two jobs share one scan, one of stacked systems
+        (79, [15], [-2]),
+        (79, [15, 15], [2, 3]),
+        (79, [16, 16, 16], [1, 2, 2]),
+        (1, [1, 5, 13, 16], [20, -3, 9, -8]),  # one-state jobs of unequal B, 280 rows
+    ],
+)
+def test_scan_bytes_are_the_bytes_the_solve_allocates(monkeypatch, m, rows, stacks, t):
+    """`circuit.scan_bytes` reports, for the jobs' shapes, the bytes of the stepping array
+    and the step matrices that the scan of those jobs holds."""
+    jobs = _plan_jobs(m, rows, stacks, t)
+    plan = circuit.scan_bytes([(system.p.shape, u.shape) for system, u in jobs])
+    scan, held = circuit.ladder_scan, []
+
+    def recorded_scan(p, x):
+        held.append((x.base.nbytes, p.nbytes))  # x is a view of the stepping array
+        return scan(p, x)
+
+    monkeypatch.setattr(circuit, "ladder_scan", recorded_scan)
+    for y, (_, u) in zip(circuit.solve_jobs(jobs), jobs):
+        assert y.shape == u.shape[:-2] + (4, t)
+    assert set(held) == {tuple(plan.values())} and (len(held) > 1) == (t > 5)
+    stepping, matrices = plan
+    assert ("trajectory" if m == 1 else "stepping buffer") in stepping
+    assert "step matrices" in matrices

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from kljnsim import harness, protocol, seeds
+from kljnsim import harness, seeds
+from kljnsim.circuit import Ideal
 from kljnsim.exceptions import ConfigError, InferenceError
 from kljnsim.noise import K_BOLTZMANN
 from kljnsim.protocol import decide_remote_resistor
@@ -98,39 +99,23 @@ def test_key_bit_mapping():
     assert set(map(tuple, choices.tolist())) == {(R_L, R_H), (R_H, R_L)}
 
 
-def _run(cfg, n, attack=None):
-    """Exchanges 0..n-1 at the fixed LH arrangement, as one batch."""
-    index = np.arange(n)
-    choices = np.tile([cfg.r_l, cfg.r_h], (n, 1))
-    return protocol.run_exchanges(
-        cfg, index, choices, harness._noise_seeds(cfg.master_seed, index), attack
-    )
-
-
 def test_full_bit_inference_snaps_to_true_partner():
-    cfg = harness.SimConfig(n_bits=10, selection_mode="fixed_lh", master_seed=901)
-    ex = _run(cfg, 4000)
+    cfg = harness.SimConfig(n_bits=4000, selection_mode="fixed_lh", master_seed=901)
+    cell = harness.run_attack_cell(cfg)
     # literal snap of the current-only estimate from the low side:
     # <i^2> = 4kTB / (R_L + R_remote), so R_remote = 4kTB / <i^2> - R_L
     four_ktb = 4.0 * K_BOLTZMANN * T_EFF * BW
-    est = four_ktb / np.mean(np.square(ex.y[:, 0]), axis=1) - R_L  # Alice's end current
+    est = four_ktb / cell.msq_i_a - R_L  # Alice's end current
     low_side_ok = np.count_nonzero(np.abs(est - R_H) < np.abs(est - R_L))
-    both_ok = np.count_nonzero((ex.inferred[:, 0] == R_H) & (ex.inferred[:, 1] == R_L))
-    assert low_side_ok / len(est) >= 0.99
-    assert both_ok / len(est) >= 0.99
+    assert len(est) == 4000 and low_side_ok / len(est) >= 0.99
+    assert cell.honest_error_rate <= 0.01
 
 
 def test_inference_robust_under_attack():
-    from kljnsim.attack import InjectionSpec
-
-    cfg = harness.SimConfig(n_bits=10, selection_mode="fixed_lh", master_seed=902)
-    spec = InjectionSpec(0.1, BW, cfg.master_seed)
-    n = 2000
-    errors_clean, errors_attacked = (
-        np.count_nonzero((ex.inferred[:, 0] != R_H) | (ex.inferred[:, 1] != R_L))
-        for ex in (_run(cfg, n), _run(cfg, n, spec))
-    )
-    assert abs(errors_attacked - errors_clean) / n < 0.01
+    cfg = harness.SimConfig(n_bits=2000, selection_mode="fixed_lh", master_seed=902)
+    clean, attacked = harness.run_table1(cfg, levels=(0.0, 0.1), variants=[Ideal()]).cells
+    assert attacked.level == 0.1 and attacked.n == 2000
+    assert abs(attacked.honest_error_rate - clean.honest_error_rate) < 0.01
 
 
 def test_zero_duration_is_a_config_error():
