@@ -98,12 +98,13 @@ NUMERICAL_FLOOR_FRACTION = 1e-9
 
 
 def calibrate_threshold(
-    no_attack_residuals: list[np.ndarray],
+    no_attack_residuals: np.ndarray,
     multiplier: float = 5.0,
     consecutive_samples: int = 1,
     reference_rms: float | None = None,
 ) -> DetectionConfig:
-    """Threshold from pooled no-attack residual RMS times a safety multiplier.
+    """Threshold from the pooled RMS of no-attack residual rows, of any shape, times a safety
+    multiplier.
 
     `reference_rms` (the clean channel current RMS) enables the numerical
     noise-floor guard. An all-zero pool without a reference yields the
@@ -112,9 +113,10 @@ def calibrate_threshold(
     """
     if multiplier <= 0:
         raise ConfigError("multiplier must be positive")
-    if len(no_attack_residuals) == 0:
-        raise ValueError("calibration requires at least one residual trace")
-    pooled = np.concatenate(no_attack_residuals)
+    if np.size(no_attack_residuals) == 0:
+        raise ValueError("calibration requires at least one residual sample")
+    # one flat pool in row order, so the sum's pairwise rounding does not depend on the shape
+    pooled = np.ravel(no_attack_residuals)
     residual_rms = math.sqrt(float(np.mean(np.square(pooled))))
     threshold = multiplier * residual_rms
     if reference_rms is not None:

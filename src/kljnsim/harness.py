@@ -18,7 +18,8 @@ are its secure exchanges. A run ends at the n-th secure exchange, so its
 last chunk keeps only the loop batches that hold a used one (`_used_chunks`).
 Before any chunk runs, `SimConfig.check_array_budget` sizes the chunk's
 largest arrays, the scans' from `circuit.scan_bytes`, and falls back to one
-window per chunk, or rejects the run, past the budget.
+window per chunk, or rejects the run, past the budget. Chunk workers are module
+functions of (cfg, chunk), bound by `functools.partial` to the values they read.
 
 An attack run is a grid of wire variants x injection levels (`run_table1`;
 `run_attack_cell` is a grid of one cell) in one pass over the chunks: each
@@ -29,11 +30,13 @@ levels in one stacked scan. Solved rows are reduced to mean squares and
 correlators as they come; each party decides once per chunk for every cell.
 
 The defense experiment solves each secure exchange with and without Eve's
-current. A chunk groups its loop batches by row count, and each group takes
-two stacked scans: the channel, each batch with its own loop system, and the
-parties' in-site simulations. The run calibrates on its first pairs, then
-detects on each chunk as it arrives and drops its residual rows. The
-single-bit dump solves one exchange as a loop batch of one row.
+current. A chunk groups its loop batches by row count, writes each group's
+generator and injection rows straight into its stacked inputs, and takes two
+stacked scans: the channel, each batch with its own loop system, and the
+parties' in-site simulations. The run calibrates on one array of its first
+pairs' clean rows, unless the config fixes the threshold, then detects on
+each chunk as it arrives and drops its residual rows. The single-bit dump
+solves one exchange as a loop batch of one row.
 """
 from __future__ import annotations
 
@@ -89,12 +92,12 @@ class SimConfig:
     variant: circuit.Variant = circuit.Ideal()
     injection_position: float = 0.5
     injection: attack.InjectionSpec | None = None
-    detection: defense.DetectionConfig | None = None
     detection_multiplier: float = 5.0
     detection_consecutive: int = 1
     selection_mode: str = "randomized"
     master_seed: int = 12345
     workers: int = 1
+    detection_threshold: float | None = None  # absolute, A; None calibrates it
 
     def __post_init__(self):
         for f in fields(self):
@@ -131,6 +134,8 @@ class SimConfig:
             raise ConfigError("detection_multiplier must be positive")
         if self.detection_consecutive < 1:
             raise ConfigError("detection_consecutive must be >= 1")
+        if self.detection_threshold is not None and not 0 < self.detection_threshold < math.inf:
+            raise ConfigError("detection_threshold must be positive and finite")
         if self.injection is not None and self.injection.bandwidth_hz != self.bandwidth_hz:
             raise ConfigError("injection bandwidth must equal the channel bandwidth")
         if self.r_h > 1e24 * self.r_l:
@@ -353,49 +358,48 @@ def _consume_chunks(cfg: SimConfig, chunk_worker, n_secure: int, batch: int, siz
             yield futures.popleft().result()
 
 
-def _grid_chunk(cfg: SimConfig, chunk, cell_cfgs) -> dict:
+def _grid_chunk(cfg: SimConfig, chunk, variants, levels) -> dict:
     """One chunk of the grid: the key bits and Eve's and the parties' statistics per cell and
     secure exchange, shape (variants, levels, k).
 
-    `chunk` is (index, key_bits, choices) from `_used_chunks`, and `cell_cfgs` holds
-    each cell's config, one row of levels per variant. The cables solve every loop batch
-    at all levels from one array of the chunk's drive rows in batch order, which the
-    variants share: all one-state rows in one `circuit.solve_jobs` call, then each
-    batch's multi-state variants in one, a stack of S = variants x levels systems. Each
-    job's solved rows are reduced as they come, so no chunk of solved rows is held.
+    `chunk` is (index, key_bits, choices) from `_used_chunks`, and the cells are the wire
+    `variants` x the injection `levels`, each a fraction of the reference loop current
+    (0: no injection). The cables solve every loop batch at all levels from one array of
+    the chunk's drive rows in batch order, which the variants share: all one-state rows in
+    one `circuit.solve_jobs` call, then each batch's multi-state variants in one, a stack
+    of S = variants x levels systems. Each job's solved rows are reduced as they come, so
+    no chunk of solved rows is held.
     """
     index, key_bits, choices = chunk
-    attacks = [c.injection for c in cell_cfgs[0]]
-    attacked = np.array([a is not None for a in attacks])
+    attacked = np.array(levels) > 0
     noise_seeds = _noise_seeds(cfg.master_seed, index, attacked.any())
     gen = protocol.generator_rows(cfg, choices, noise_seeds)
     t = cfg.samples_per_bit
-    eve = np.zeros((len(attacks), len(index), t))
+    eve = np.zeros((len(levels), len(index), t))
     if attacked.any():
-        specs = [a for a in attacks if a is not None]
-        eve[attacked] = protocol.injection_rows(cfg, noise_seeds[:, 2], specs)
-    shape = (len(cell_cfgs), len(attacks), len(index))
+        injected = np.compress(attacked, levels)
+        eve[attacked] = protocol.injection_rows(cfg, noise_seeds[:, 2], injected)
+    shape = (len(variants), len(levels), len(index))
     msq = np.empty(shape + (4,))
     rho_a, rho_b = np.empty(shape), np.empty(shape)
 
-    def reduce(v, levels, positions, y, i_inj):
-        msq[v, levels][:, positions] = protocol.mean_squares(y)
+    def reduce(v, lvls, positions, y, i_inj):
+        msq[v, lvls][:, positions] = protocol.mean_squares(y)
         rho = _correlators(i_inj, y)
-        rho_a[v, levels][:, positions], rho_b[v, levels][:, positions] = rho
+        rho_a[v, lvls][:, positions], rho_b[v, lvls][:, positions] = rho
 
-    variants = [row[0].variant for row in cell_cfgs]
     models = [circuit.model_for_variant(variant) for variant in variants]
     r_a, r_b = choices[:, :1], choices[:, 1:]
     for v in (v for v, model in enumerate(models) if model is None):
-        for lvl in range(len(attacks)):  # elementwise, each row with its own terminations
-            levels = slice(lvl, lvl + 1)
-            y = circuit.ideal_rows(gen[:, 0], gen[:, 1], eve[levels], r_a, r_b)
-            reduce(v, levels, slice(None), y, eve[levels])
+        for lvl in range(len(levels)):  # elementwise, each row with its own terminations
+            lvls = slice(lvl, lvl + 1)
+            y = circuit.ideal_rows(gen[:, 0], gen[:, 1], eve[lvls], r_a, r_b)
+            reduce(v, lvls, slice(None), y, eve[lvls])
             del y
     if any(model is not None for model in models):
         # every row's (u_a, u_b, i_inj) at every level, in batch order, so that each loop
         # batch's drive rows are one view that its variants share
-        drive = np.empty((len(attacks), len(index), 3, t))
+        drive = np.empty((len(levels), len(index), 3, t))
         batches = list(protocol.loop_batches(cfg, index, choices))
         ends = np.cumsum([len(positions) for _, positions in batches]).tolist()
         for b, ((loop_cfg, positions), end) in enumerate(zip(batches, ends)):
@@ -458,77 +462,20 @@ class CellResult:
     rho_b: np.ndarray
     key_bits: np.ndarray
     eve_bits: np.ndarray
-    classifications: list[protocol.BitClass]
     msq_u_a: np.ndarray
     msq_i_a: np.ndarray
 
-
-def _run_grid(cfg: SimConfig, variants, levels) -> list[CellResult]:
-    """The cells of the variant x level grid, in that order, in one pass over the exchanges.
-
-    Every cell consumes the same exchanges, since an exchange's class and
-    noise depend only on (master_seed, index); `_grid_chunk` does each
-    chunk's shared work once for all cells.
-    """
-    cell_cfgs = [[_cell_config(cfg, variant, level) for level in levels] for variant in variants]
-    size = cfg.check_array_budget(len(levels), variants)
-    # ideal-wire rows are elementwise, so a run on that wire alone trims its last chunk by rows
-    batch = 1 if all(isinstance(v, circuit.Ideal) for v in variants) else protocol.BATCH
-
-    def chunk_worker(c, chunk):
-        return _grid_chunk(c, chunk, cell_cfgs)
-
-    payloads = list(_consume_chunks(cfg, chunk_worker, cfg.n_bits, batch, size))
-    cols = {
-        name: np.concatenate([p[name] for p in payloads], axis=-1)[..., : cfg.n_bits]
-        for name in payloads[0]
-    }
-    n_exchanges = int(cols.pop("index")[-1]) + 1  # up to and including the last secure one
-    key_bits = cols.pop("key_bits")
-    n = len(key_bits)
-    classes = (protocol.BitClass.SECURE_LH, protocol.BitClass.SECURE_HL)
-    classifications = [classes[bit] for bit in key_bits.tolist()]
-    cells = []
-    for v, row in enumerate(cell_cfgs):
-        for lvl, cell_cfg in enumerate(row):
-            col = {name: value[v, lvl] for name, value in cols.items()}
-            honest_ok = col.pop("honest_ok")
-            q = (col["eve_bits"] == key_bits).astype(np.int8)
-            p_e, stderr = attack.success_probability(q)
-            cells.append(
-                CellResult(
-                    variant_lbl=variant_label(cell_cfg.variant),
-                    level=cell_cfg.injection.level_fraction if cell_cfg.injection else 0.0,
-                    n=n,
-                    p_e=p_e,
-                    stderr=stderr,
-                    honest_error_rate=1.0 - np.mean(honest_ok),
-                    n_exchanges=n_exchanges,
-                    n_discarded=n_exchanges - n,
-                    q=q,
-                    key_bits=key_bits,
-                    classifications=list(classifications),
-                    **col,  # rho_a, rho_b, eve_bits, msq_u_a, msq_i_a
-                )
-            )
-    return cells
+    @property
+    def classifications(self) -> list[protocol.BitClass]:
+        """Each secure exchange's class, from its key bit."""
+        classes = (protocol.BitClass.SECURE_LH, protocol.BitClass.SECURE_HL)
+        return [classes[bit] for bit in self.key_bits.tolist()]
 
 
 def run_attack_cell(cfg: SimConfig) -> CellResult:
     """Accumulate cfg.n_bits secure exchanges and Eve's statistics over them: a grid of one cell."""
     level = cfg.injection.level_fraction if cfg.injection else 0.0
-    return _run_grid(cfg, [cfg.variant], (level,))[0]
-
-
-def _cell_config(cfg: SimConfig, variant: circuit.Variant, level: float) -> SimConfig:
-    if not 0.0 <= level < 1.0:
-        raise ConfigError(f"injection level must lie in [0, 1), got {level!r}")
-    inj = None
-    if level > 0:
-        inj = attack.InjectionSpec(
-            level_fraction=level, bandwidth_hz=cfg.bandwidth_hz, seed=cfg.master_seed
-        )
-    return replace(cfg, variant=variant, injection=inj)
+    return run_table1(cfg, (level,), [cfg.variant]).cells[0]
 
 
 @dataclass
@@ -549,12 +496,55 @@ def run_table1(
     levels: tuple[float, ...] = TABLE1_LEVELS,
     variants: list[circuit.Variant] | None = None,
 ) -> Table1Result:
-    """Eve's success probability over the variant x injection-level grid, in one pass."""
+    """Eve's success probability over the variant x injection-level grid, cells in that order.
+
+    One pass over the exchanges: every cell consumes the same ones, since an
+    exchange's class and noise depend only on (master_seed, index), and
+    `_grid_chunk` does each chunk's shared work once for all cells.
+    """
+    t0 = time.monotonic()
+    levels = tuple(levels)
     if variants is None:
         variants = default_table1_variants()
-    t0 = time.monotonic()
-    cells = _run_grid(cfg, variants, tuple(levels))
-    return Table1Result(cells=cells, levels=tuple(levels), elapsed_s=time.monotonic() - t0)
+    for level in levels:
+        if not 0.0 <= level < 1.0:
+            raise ConfigError(f"injection level must lie in [0, 1), got {level!r}")
+    for variant in variants:  # SimConfig checks each variant's cable and signal scales
+        replace(cfg, variant=variant)
+    size = cfg.check_array_budget(len(levels), variants)
+    # ideal-wire rows are elementwise, so a run on that wire alone trims its last chunk by rows
+    batch = 1 if all(isinstance(v, circuit.Ideal) for v in variants) else protocol.BATCH
+    chunk_worker = functools.partial(_grid_chunk, variants=variants, levels=levels)
+    payloads = list(_consume_chunks(cfg, chunk_worker, cfg.n_bits, batch, size))
+    cols = {
+        name: np.concatenate([p[name] for p in payloads], axis=-1)[..., : cfg.n_bits]
+        for name in payloads[0]
+    }
+    n_exchanges = int(cols.pop("index")[-1]) + 1  # up to and including the last secure one
+    key_bits = cols.pop("key_bits")
+    n = len(key_bits)
+    cells = []
+    for (v, variant), (lvl, level) in itertools.product(enumerate(variants), enumerate(levels)):
+        col = {name: value[v, lvl] for name, value in cols.items()}
+        honest_ok = col.pop("honest_ok")
+        q = (col["eve_bits"] == key_bits).astype(np.int8)
+        p_e, stderr = attack.success_probability(q)
+        cells.append(
+            CellResult(
+                variant_lbl=variant_label(variant),
+                level=float(level),
+                n=n,
+                p_e=p_e,
+                stderr=stderr,
+                honest_error_rate=1.0 - np.mean(honest_ok),
+                n_exchanges=n_exchanges,
+                n_discarded=n_exchanges - n,
+                q=q,
+                key_bits=key_bits,
+                **col,  # rho_a, rho_b, eve_bits, msq_u_a, msq_i_a
+            )
+        )
+    return Table1Result(cells=cells, levels=levels, elapsed_s=time.monotonic() - t0)
 
 
 # --- defense experiment -----------------------------------------------------
@@ -567,17 +557,18 @@ _DEFENSE_BATCH = protocol.BATCH // 2
 def _defense_chunk(cfg: SimConfig, chunk, defense_model=None) -> dict:
     """One chunk of defense pairs: each secure exchange solved with and without Eve's current.
 
-    `chunk` is (index, key_bits, choices) from `_used_chunks`. Each batch of
-    equal loop configuration holds its clean and attacked rows. All batches
-    with the same number of rows are solved in one stacked scan, each with
-    its own loop system, and their residuals in one more: the in-site
-    simulation. Per pair the payload holds the index, the residual rows,
-    shape (2 arms, 2 ends, t) with the clean arm first, the clean channel
-    current RMS and the clean residual RMS over it.
+    `chunk` is (index, key_bits, choices) from `_used_chunks`, and `cfg.injection`
+    is set. Each batch of equal loop configuration holds its clean and attacked
+    rows. All batches with the same number of rows are solved in one stacked
+    scan, each with its own loop system, and their residuals in one more: the
+    in-site simulation. Per pair the payload holds the index, the residual
+    rows, shape (2 arms, 2 ends, t) with the clean arm first, the clean
+    channel current RMS and the clean residual RMS over it.
     """
     index, _, choices = chunk
-    noise_seeds = _noise_seeds(cfg.master_seed, index, cfg.injection is not None)
-    drives = protocol.exchange_drives(cfg, choices, noise_seeds, cfg.injection)
+    noise_seeds = _noise_seeds(cfg.master_seed, index)
+    gen = protocol.generator_rows(cfg, choices, noise_seeds)
+    eve = protocol.injection_rows(cfg, noise_seeds[:, 2], [cfg.injection.level_fraction])[0]
     fs = cfg.sample_rate_hz
     residuals = np.empty((len(index), 2, 2, cfg.samples_per_bit))
     channel_rms = np.empty(len(index))
@@ -590,9 +581,9 @@ def _defense_chunk(cfg: SimConfig, chunk, defense_model=None) -> dict:
         positions = np.array(positions)
         n_sys, n = positions.shape
         # filled in place: np.concatenate's temporaries raised the peak RSS
-        u = np.empty((n_sys, 2 * n) + drives.shape[1:])
-        u[:, n:] = drives[positions]
-        u[:, :n, :2] = u[:, n:, :2]
+        u = np.empty((n_sys, 2 * n, 3, cfg.samples_per_bit))
+        u[:, :n, :2] = u[:, n:, :2] = gen[positions]
+        u[:, n:, 2] = eve[positions]
         u[:, :n, 2] = 0.0  # the first n rows of each batch are the clean arm
         measured = circuit.solve_rows(u, loop_cfgs, 1.0 / fs)
         del u  # free the drive rows before the in-site scan
@@ -635,30 +626,6 @@ class DefenseResult:
     config: SimConfig  # as run, with the default injection filled in
 
 
-def _calibrate_defense(cfg: SimConfig, held, n_calibration: int):
-    """The detection config and the traced pair, from the first n_calibration + 1 pairs of the
-    `held` chunks' payloads.
-
-    The first n_calibration pairs' clean rows set the threshold, unless the
-    config fixes it. Returns it and a copy of the next pair's residual rows
-    at Alice's end, shape (2 arms, t), so no view keeps the held rows alive.
-    """
-    # residual rows (arm, end, t) of the first n_calibration + 1 pairs: calibration, then the trace
-    pairs = itertools.chain.from_iterable(p["residuals"] for p in held)
-    *calibration, traced = itertools.islice(pairs, n_calibration + 1)
-    det = cfg.detection
-    if det is None:
-        pool = [row for pair in calibration for row in pair[0]]  # Alice's, then Bob's clean row
-        channel_rms = np.concatenate([p["channel_rms"] for p in held])
-        det = defense.calibrate_threshold(
-            pool,
-            cfg.detection_multiplier,
-            cfg.detection_consecutive,
-            reference_rms=float(np.mean(channel_rms[:n_calibration])),
-        )
-    return det, traced[:, 0].copy()
-
-
 def run_defense_experiment(
     cfg: SimConfig,
     n_calibration: int = 20,
@@ -667,8 +634,9 @@ def run_defense_experiment(
     """Paired attacked/unattacked bits through the model-based comparison.
 
     The first `n_calibration` clean bits set the threshold (multiplier x
-    pooled residual RMS, floored at the numerical noise level); detection
-    statistics are computed over the remaining bits of both arms.
+    pooled residual RMS, floored at the numerical noise level), unless the
+    config fixes it; detection statistics are computed over the remaining
+    bits of both arms.
     `defense_model` perturbs the parties' cable model away from the channel
     truth to study robustness; by default they coincide.
 
@@ -680,7 +648,7 @@ def run_defense_experiment(
     if cfg.injection is None:
         cfg = replace(
             cfg,
-            injection=attack.InjectionSpec(0.1, cfg.bandwidth_hz, cfg.master_seed),
+            injection=attack.InjectionSpec(0.1, cfg.bandwidth_hz),
         )
     if cfg.n_bits <= n_calibration:
         raise ConfigError(
@@ -705,16 +673,28 @@ def run_defense_experiment(
                 f"{r_branch:.3g} ohm is too small for the in-site simulation's roundoff"
             )
 
-    def chunk_worker(c, chunk):
-        return _defense_chunk(c, chunk, defense_model)
-
+    chunk_worker = functools.partial(_defense_chunk, defense_model=defense_model)
     size = cfg.check_array_budget(1)
     stream = _consume_chunks(cfg, chunk_worker, cfg.n_bits, _DEFENSE_BATCH, size)
     # n_bits > n_calibration, so the stream holds the first n_calibration + 1 pairs
     held = []
     while sum(len(p["index"]) for p in held) <= n_calibration:
         held.append(next(stream))
-    det, (trace_clean, trace_attacked) = _calibrate_defense(cfg, held, n_calibration)
+    # their residual rows (arm, end, t): the first n_calibration pairs calibrate, the next is traced
+    pairs = np.concatenate([p["residuals"] for p in held])[: n_calibration + 1]
+    if cfg.detection_threshold is None:
+        channel_rms = np.concatenate([p["channel_rms"] for p in held])
+        det = defense.calibrate_threshold(
+            pairs[:n_calibration, 0],  # the clean arm's rows, Alice's then Bob's
+            cfg.detection_multiplier,
+            cfg.detection_consecutive,
+            reference_rms=float(np.mean(channel_rms[:n_calibration])),
+        )
+    else:
+        det = defense.DetectionConfig(cfg.detection_threshold, cfg.detection_consecutive)
+    # Alice's end; copied, so that no view keeps the pairs alive
+    trace_clean, trace_attacked = pairs[n_calibration, :, 0].copy()
+    del pairs
     cols = collections.defaultdict(list)
     for payload in itertools.chain(held, stream):
         # each pair's first firing sample and peak |residual|, shape (k, 2 arms); popping the
@@ -783,7 +763,7 @@ def run_privacy_experiment(cfg: SimConfig, passes: int = 2) -> PrivacyResult:
         cfg = replace(
             cfg,
             variant=circuit.Ideal(),
-            injection=attack.InjectionSpec(0.1, cfg.bandwidth_hz, cfg.master_seed),
+            injection=attack.InjectionSpec(0.1, cfg.bandwidth_hz),
         )
     cell = run_attack_cell(cfg)
     true_key = privacy.KeyBits(cell.key_bits)
@@ -793,7 +773,7 @@ def run_privacy_experiment(cfg: SimConfig, passes: int = 2) -> PrivacyResult:
         p_k = privacy.eve_success_after_amplification(true_key, eve_key, k)
         length = cell.n // (2**k)
         stages.append(
-            PrivacyStage(k, p_k, math.sqrt(max(p_k * (1 - p_k), 1e-300) / length), length)
+            PrivacyStage(k, p_k, math.sqrt(p_k * (1.0 - p_k) / length), length)
         )
     closed = []
     p = cell.p_e
@@ -815,8 +795,8 @@ def run_privacy_experiment(cfg: SimConfig, passes: int = 2) -> PrivacyResult:
 @dataclass
 class SingleBitDump:
     """One exchange's rows: its drive rows (u_a, u_b, i_inj), shape (3, t), its solved rows
-    (i_cha, i_chb, u_cha, u_chb) in the Loop convention, shape (4, t), and its
-    (Alice, Bob) resistances and the remote resistance each inferred, shape (2,)."""
+    (i_cha, i_chb, u_cha, u_chb) in the Loop convention, shape (4, t), its (Alice, Bob)
+    resistances and the remote resistance each inferred, shape (2,), and Eve's key bit."""
 
     u: np.ndarray
     y: np.ndarray
@@ -825,7 +805,7 @@ class SingleBitDump:
     residuals: tuple[np.ndarray, np.ndarray] | None
     rho_a: float
     rho_b: float
-    eve_guess: protocol.BitClass
+    eve_guess: int
 
 
 def run_single_bit(cfg: SimConfig, bit_index: int = 0) -> SingleBitDump:
@@ -835,7 +815,10 @@ def run_single_bit(cfg: SimConfig, bit_index: int = 0) -> SingleBitDump:
     index = np.array([bit_index])
     choices = np.where(_holds_r_h(cfg, index), cfg.r_h, cfg.r_l)
     noise_seeds = _noise_seeds(cfg.master_seed, index, cfg.injection is not None)
-    u = protocol.exchange_drives(cfg, choices, noise_seeds, cfg.injection)
+    u = np.zeros((1, 3, cfg.samples_per_bit))
+    u[:, :2] = protocol.generator_rows(cfg, choices, noise_seeds)
+    if cfg.injection is not None:
+        u[:, 2] = protocol.injection_rows(cfg, noise_seeds[:, 2], [cfg.injection.level_fraction])[0]
     loop_cfg, _ = next(protocol.loop_batches(cfg, index, choices))
     y = circuit.solve_rows(u, loop_cfg, 1.0 / cfg.sample_rate_hz)
     msq = protocol.mean_squares(y)
@@ -857,7 +840,7 @@ def run_single_bit(cfg: SimConfig, bit_index: int = 0) -> SingleBitDump:
         residuals=residuals,
         rho_a=float(rho_a[0]),
         rho_b=float(rho_b[0]),
-        eve_guess=protocol.BitClass.SECURE_HL if eve_bits[0] else protocol.BitClass.SECURE_LH,
+        eve_guess=int(eve_bits[0]),
     )
 
 
@@ -884,19 +867,17 @@ def _parse_value(key: str, raw: str, kind):
         raise ConfigError(f"config key '{key}': cannot parse {raw!r}") from exc
 
 
-# SimConfig's scalar fields are config keys as they stand; its variant, injection
-# and detection objects are written as these five keys.
+# SimConfig's scalar fields are config keys as they stand; its variant and
+# injection objects are written as these four keys.
 _COMPOSITE_KEYS = {
     "variant": str,
     "cable_length_m": float,
     "n_segments": int,
     "injection_level": float,
-    "detection_threshold": float,
 }
+_SCALAR_TYPES = {"float": float, "float | None": float, "int": int, "str": str}
 _CONFIG_SCHEMA = {
-    f.name: {"float": float, "int": int, "str": str}[f.type]
-    for f in fields(SimConfig)
-    if f.type in ("float", "int", "str")
+    f.name: _SCALAR_TYPES[f.type] for f in fields(SimConfig) if f.type in _SCALAR_TYPES
 } | _COMPOSITE_KEYS
 
 
@@ -924,17 +905,13 @@ def parse_config_text(text: str) -> SimConfig:
     level = values.pop("injection_level", 0.0)
     if level < 0 or level >= 1:
         raise ConfigError("config key 'injection_level': must lie in [0, 1)")
-    threshold = values.pop("detection_threshold", None)
-    consecutive = values.get("detection_consecutive", 1)
 
     try:
         cfg = SimConfig(variant=variant, **values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
     if level > 0:
-        cfg = replace(cfg, injection=attack.InjectionSpec(level, cfg.bandwidth_hz, cfg.master_seed))
-    if threshold is not None:
-        cfg = replace(cfg, detection=defense.DetectionConfig(threshold, consecutive))
+        cfg = replace(cfg, injection=attack.InjectionSpec(level, cfg.bandwidth_hz))
     return cfg
 
 
@@ -948,7 +925,7 @@ def config_to_text(cfg: SimConfig) -> str:
     """Serialize a config so that parse_config_text round-trips it.
 
     Keys follow SimConfig's fields, each object's composite keys in its
-    field's place, except detection_threshold: last, and only when set.
+    field's place; detection_threshold only when set.
     """
     kind = {cls: name for name, cls in _VARIANTS.items()}[type(cfg.variant)]
     composite = {
@@ -958,16 +935,14 @@ def config_to_text(cfg: SimConfig) -> str:
             "n_segments": getattr(cfg.variant, "n_segments", 10),
         },
         "injection": {"injection_level": cfg.injection.level_fraction if cfg.injection else 0.0},
-        "detection": {},
     }
     values = {}
     for f in fields(SimConfig):
         values.update(composite.get(f.name, {f.name: getattr(cfg, f.name)}))
-    if cfg.detection is not None:
-        values["detection_threshold"] = cfg.detection.threshold
     return "".join(
         f"{key} = {repr(value) if _CONFIG_SCHEMA[key] is float else value}\n"
         for key, value in values.items()
+        if value is not None
     )
 
 
@@ -1057,9 +1032,10 @@ def write_report(report: ExperimentReport, out_dir: str) -> list[str]:
             _write_csv(path, ["time_s", "residual_A"], zip(*trace))
             written.append(path)
         lat = "n/a" if d.median_latency_fraction is None else f"{100 * d.median_latency_fraction:.2f}% of tau"
+        calibrated = f" (calibrated on {d.n_calibration} clean bits)"
         summary += [
-            f"defense experiment ({d.elapsed_s:.1f} s): threshold {d.detection.threshold:.3e} A "
-            f"(calibrated on {d.n_calibration} clean bits)",
+            f"defense experiment ({d.elapsed_s:.1f} s): threshold {d.detection.threshold:.3e} A"
+            + (calibrated if d.config.detection_threshold is None else ""),
             f"  detection rate: {100 * d.detection_rate:.2f}% of {d.n_bits} attacked bits",
             f"  false positives: {100 * d.false_positive_rate:.2f}% of {d.n_bits} clean bits",
             f"  median latency: {lat}",
@@ -1109,7 +1085,8 @@ def write_report(report: ExperimentReport, out_dir: str) -> list[str]:
             f"  alice {a} ({r_a:g} ohm), bob {b} ({r_b:g} ohm) -> {kind}_{a[0]}{b[0]}",
             f"  alice inferred remote: {s.inferred[0]:g} ohm; "
             f"bob inferred remote: {s.inferred[1]:g} ohm",
-            f"  eve: rho_a = {s.rho_a:.4e}, rho_b = {s.rho_b:.4e}, guess {s.eve_guess.value}",
+            f"  eve: rho_a = {s.rho_a:.4e}, rho_b = {s.rho_b:.4e}, "
+            f"guess secure_{('lh', 'hl')[s.eve_guess]}",
             "",
         ]
 

@@ -31,7 +31,6 @@ from .exceptions import InferenceError
 from .noise import K_BOLTZMANN, johnson_rms_voltage, synth_band_limited_gaussian
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .attack import InjectionSpec
     from .harness import SimConfig
 
 
@@ -93,26 +92,6 @@ def mean_squares(y: np.ndarray) -> np.ndarray:
     return np.stack(msq, axis=-1)
 
 
-def exchange_drives(
-    cfg: "SimConfig",
-    choices: np.ndarray,
-    noise_seeds: np.ndarray,
-    attack: "InjectionSpec | None" = None,
-) -> np.ndarray:
-    """Drive rows (u_a, u_b, i_inj) of k exchanges, shape (k, 3, t).
-
-    `noise_seeds` holds each exchange's (Alice, Bob, Eve) noise seeds, shape
-    (k, 3), or (k, 2) without an attack. The generator rows come from
-    `generator_rows` and the injected current from `injection_rows`; without
-    an attack those rows are zero.
-    """
-    u = np.zeros((len(choices), 3, cfg.samples_per_bit))
-    u[:, :2] = generator_rows(cfg, choices, noise_seeds)
-    if attack is not None:
-        u[:, 2] = injection_rows(cfg, noise_seeds[:, 2], [attack])[0]
-    return u
-
-
 def generator_rows(cfg: "SimConfig", choices: np.ndarray, noise_seeds: np.ndarray) -> np.ndarray:
     """Alice's and Bob's generator rows of k exchanges, shape (k, 2, t).
 
@@ -129,19 +108,17 @@ def generator_rows(cfg: "SimConfig", choices: np.ndarray, noise_seeds: np.ndarra
     ).reshape(k, 2, t)
 
 
-def injection_rows(
-    cfg: "SimConfig", eve_seeds: np.ndarray, attacks: "list[InjectionSpec]"
-) -> np.ndarray:
+def injection_rows(cfg: "SimConfig", eve_seeds: np.ndarray, levels) -> np.ndarray:
     """Eve's injected current at L levels for k exchanges from their noise seeds, shape (L, k, t).
 
-    `attacks` holds one injection per level, all of one bandwidth. Each
-    level's RMS is its fraction of the nominal secure-state loop current, and
-    one synthesis call makes the rows of every level.
+    `levels` holds each level's RMS as a fraction of the nominal secure-state
+    loop current, and one synthesis call makes the rows of every level in the
+    channel's band.
     """
     ref = reference_rms_channel_current(cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz)
     return synth_band_limited_gaussian(
-        eve_seeds, [[a.level_fraction * ref] for a in attacks], cfg.samples_per_bit,
-        cfg.sample_rate_hz, attacks[0].bandwidth_hz,
+        eve_seeds, [[level * ref] for level in levels], cfg.samples_per_bit,
+        cfg.sample_rate_hz, cfg.bandwidth_hz,
     )
 
 

@@ -1,5 +1,6 @@
 """Eve's correlators, decision rule and the validated closed-form oracle."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,10 +126,8 @@ def test_success_probability_trivials():
 def test_synth_injection_level_scaling():
     ref = reference_rms_channel_current(R_L, R_H, T_EFF, BW)
     cfg = harness.SimConfig(tau_s=10.0)
-    u = protocol.exchange_drives(
-        cfg, np.array([[R_L, R_H]]), np.array([[1, 2, 4]]), InjectionSpec(0.1, BW)
-    )
-    measured = math.sqrt(float(np.mean(u[0, 2] ** 2)))
+    i_inj = protocol.injection_rows(cfg, np.array([4]), [0.1])
+    measured = math.sqrt(float(np.mean(i_inj[0, 0] ** 2)))
     assert measured == pytest.approx(0.1 * ref, rel=0.03)
 
 
@@ -175,9 +174,15 @@ def test_closed_form_against_normal_cdf_oracle():
     assert analytic_ideal_success_probability(0.1, R_L, R_H, BW, 0.1) == pytest.approx(0.61135, abs=1e-4)
 
 
+def _cell_config(cfg, variant, level):
+    """`cfg` on `variant`, injecting at `level` (0: no injection)."""
+    injection = InjectionSpec(level, cfg.bandwidth_hz) if level > 0 else None
+    return replace(cfg, variant=variant, injection=injection)
+
+
 def test_closed_form_matches_monte_carlo():
     cfg = harness.SimConfig(n_bits=4000, master_seed=77)
-    cell = harness.run_attack_cell(harness._cell_config(cfg, circuit.Ideal(), 0.1))
+    cell = harness.run_attack_cell(_cell_config(cfg, circuit.Ideal(), 0.1))
     predicted = analytic_ideal_success_probability(0.1, R_L, R_H, BW, 0.1)
     assert abs(cell.p_e - predicted) <= 3.0 * math.sqrt(predicted * (1 - predicted) / cell.n)
 
@@ -191,6 +196,6 @@ def test_success_monotone_in_level():
 
 def test_zero_injection_is_a_coin_flip():
     cfg = harness.SimConfig(n_bits=2000, master_seed=99)
-    cell = harness.run_attack_cell(harness._cell_config(cfg, circuit.Ideal(), 0.0))
+    cell = harness.run_attack_cell(_cell_config(cfg, circuit.Ideal(), 0.0))
     assert abs(cell.p_e - 0.5) <= 3.0 * math.sqrt(0.25 / cell.n)
     assert np.all(cell.rho_a == 0.0) and np.all(cell.rho_b == 0.0)

@@ -137,7 +137,7 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
 def _no_chunk_runs(monkeypatch):
     """Make a grid chunk fail if one runs: a size guard must reject the run before."""
 
-    def fail(*args):
+    def fail(*args, **kwargs):
         raise AssertionError("a chunk ran past the size guard")
 
     monkeypatch.setattr(harness, "_grid_chunk", fail)

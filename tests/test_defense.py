@@ -1,4 +1,5 @@
 """Detection defenses: ideal comparison, model-based residuals, calibration."""
+import itertools
 import math
 from collections import namedtuple
 
@@ -10,7 +11,13 @@ from hypothesis import strategies as st
 from kljnsim import circuit, harness
 from kljnsim.attack import InjectionSpec, reference_rms_channel_current
 from kljnsim.circuit import Cable, CableWithKiller, LoopConfig
-from kljnsim.defense import DetectionConfig, calibrate_threshold, detect, residual_rows
+from kljnsim.defense import (
+    NUMERICAL_FLOOR_FRACTION,
+    DetectionConfig,
+    calibrate_threshold,
+    detect,
+    residual_rows,
+)
 from kljnsim.exceptions import ConfigError
 from kljnsim.noise import synth_band_limited_gaussian
 
@@ -184,23 +191,44 @@ def test_detection_power_ordering_at_fixed_threshold():
 
 def test_calibrate_threshold_contract():
     with pytest.raises(ConfigError):
-        calibrate_threshold([np.zeros(10)], multiplier=0.0)
+        calibrate_threshold(np.zeros(10), multiplier=0.0)
     with pytest.raises(ValueError):
-        calibrate_threshold([])
+        calibrate_threshold(np.zeros((0, 100)))
     # zero residuals (ideal system): threshold is an epsilon above zero
-    det = calibrate_threshold([np.zeros(100) for _ in range(10)])
+    det = calibrate_threshold(np.zeros((10, 100)))
     assert 0.0 < det.threshold < 1e-300
     # with a channel reference the numerical floor engages
-    det = calibrate_threshold(
-        [np.zeros(100) for _ in range(10)], reference_rms=3.16e-4
-    )
+    det = calibrate_threshold(np.zeros((10, 100)), reference_rms=3.16e-4)
     assert det.threshold == pytest.approx(1e-9 * 3.16e-4, rel=1e-12)
     # a genuinely noisy pool dominates the floor
     rng = np.random.default_rng(0)
-    noisy = [rng.standard_normal(100) * 1e-6 for _ in range(10)]
+    noisy = rng.standard_normal((10, 100)) * 1e-6
     det = calibrate_threshold(noisy, multiplier=5.0, reference_rms=3.16e-4)
-    pooled = np.concatenate(noisy)
-    assert det.threshold == pytest.approx(5.0 * np.sqrt(np.mean(pooled**2)), rel=1e-12)
+    assert det.threshold == pytest.approx(5.0 * np.sqrt(np.mean(noisy**2)), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "variant", [Cable(1000.0, 10), CableWithKiller(1000.0, 10), circuit.Ideal()]
+)
+def test_calibration_over_two_chunks_matches_a_list_reference(variant):
+    """150 calibration pairs span two chunks. The threshold and the traced pair equal, bit for
+    bit, a reference that pools the clean rows as a list of rows joined by np.concatenate."""
+    n_cal = 150
+    cfg = harness.SimConfig(
+        n_bits=300, master_seed=7, variant=variant, injection=InjectionSpec(0.1, BW)
+    )
+    result = harness.run_defense_experiment(cfg, n_calibration=n_cal)
+    chunks = harness._used_chunks(cfg, cfg.n_bits, harness._DEFENSE_BATCH, harness._CHUNK)
+    payloads = [harness._defense_chunk(cfg, chunk) for chunk in itertools.islice(chunks, 2)]
+    assert len(payloads[0]["index"]) < n_cal + 1 <= sum(len(p["index"]) for p in payloads)
+    pairs = [pair for p in payloads for pair in p["residuals"]]  # (arm, end, t) each
+    pool = [row for pair in pairs[:n_cal] for row in pair[0]]  # clean arm: Alice's, Bob's row
+    rms = math.sqrt(float(np.mean(np.square(np.concatenate(pool)))))
+    channel_rms = np.concatenate([p["channel_rms"] for p in payloads])[:n_cal]
+    threshold = max(5.0 * rms, NUMERICAL_FLOOR_FRACTION * float(np.mean(channel_rms)))
+    assert result.detection == DetectionConfig(threshold, 1)
+    assert result.trace_clean[1].tobytes() == pairs[n_cal][0, 0].tobytes()
+    assert result.trace_attacked[1].tobytes() == pairs[n_cal][1, 0].tobytes()
 
 
 def test_consecutive_sample_requirement():

@@ -2,6 +2,7 @@
 import collections
 import filecmp
 import itertools
+import math
 import os
 import tracemalloc
 from dataclasses import replace
@@ -60,6 +61,8 @@ def test_malformed_value_is_named():
         ("tau_s", nan),
         ("tau_s", inf),
         ("sample_rate_hz", nan),
+        ("detection_threshold", nan),
+        ("detection_threshold", inf),
     ):
         with pytest.raises(ConfigError, match=key):
             harness.SimConfig(**{key: value})
@@ -92,7 +95,7 @@ def test_injection_level_zero_means_no_attack():
     cfg = harness.parse_config_text("injection_level = 0\n")
     assert cfg.injection is None
     cfg = harness.parse_config_text("injection_level = 0.1\n")
-    assert cfg.injection == attack.InjectionSpec(0.1, 250.0, cfg.master_seed)
+    assert cfg.injection == attack.InjectionSpec(0.1, 250.0)
     with pytest.raises(ConfigError, match="injection_level"):
         harness.parse_config_text("injection_level = 1.5\n")
 
@@ -113,12 +116,42 @@ def test_default_round_trip():
 
 def test_detection_threshold_key():
     cfg = harness.parse_config_text("detection_threshold = 2e-6\ndetection_consecutive = 3\n")
-    assert cfg.detection == DetectionConfig(2e-6, 3)
+    assert (cfg.detection_threshold, cfg.detection_consecutive) == (2e-6, 3)
+    for raw in ("0", "-1e-6"):
+        with pytest.raises(ConfigError, match="detection_threshold"):
+            harness.parse_config_text(f"detection_threshold = {raw}\n")
+
+
+def test_a_fixed_threshold_is_run_and_echoed_with_its_consecutive_samples(tmp_path):
+    """A config holds the detection setting once: a fixed threshold detects with the configured
+    consecutive samples, the echo and its round trip keep them, and the summary does not call
+    the threshold calibrated."""
+    cfg = harness.SimConfig(
+        n_bits=24, variant=circuit.Cable(1000.0, 10), detection_threshold=2e-6,
+        detection_consecutive=3,
+    )
+    text = harness.config_to_text(cfg)
+    assert text.endswith("detection_consecutive = 3\nselection_mode = randomized\n"
+                         "master_seed = 12345\nworkers = 1\ndetection_threshold = 2e-06\n")
+    assert harness.parse_config_text(text) == cfg
+    report = harness.ExperimentReport(config=cfg)
+    report.defense_result = harness.run_defense_experiment(cfg, n_calibration=10)
+    assert report.defense_result.detection == DetectionConfig(2e-6, 3)
+    harness.write_report(report, str(tmp_path))
+    summary = (tmp_path / "summary.txt").read_text()
+    assert "\n  detection_consecutive = 3\n" in summary
+    assert " threshold 2.000e-06 A\n" in summary
 
 
 def test_config_rejects_injection_bandwidth_mismatch():
     with pytest.raises(ConfigError):
         harness.SimConfig(injection=attack.InjectionSpec(0.1, 125.0))
+
+
+def _cell_config(cfg, variant, level):
+    """`cfg` on `variant`, injecting at `level` (0: no injection)."""
+    injection = attack.InjectionSpec(level, cfg.bandwidth_hz) if level > 0 else None
+    return replace(cfg, variant=variant, injection=injection)
 
 
 def _tiny_cfg(**kw):
@@ -129,18 +162,16 @@ def _tiny_cfg(**kw):
 
 def test_seed_prefix_stability():
     for variant in (circuit.Ideal(), circuit.Cable(1000.0, 10)):
-        big = harness.run_attack_cell(harness._cell_config(_tiny_cfg(n_bits=80), variant, 0.1))
-        small = harness.run_attack_cell(harness._cell_config(_tiny_cfg(n_bits=50), variant, 0.1))
+        big = harness.run_attack_cell(_cell_config(_tiny_cfg(n_bits=80), variant, 0.1))
+        small = harness.run_attack_cell(_cell_config(_tiny_cfg(n_bits=50), variant, 0.1))
         assert np.array_equal(big.q[:50], small.q)
         assert np.array_equal(big.rho_a[:50], small.rho_a)
 
 
 def test_worker_count_does_not_change_results():
     cfg = _tiny_cfg(n_bits=60, variant=circuit.Cable(100.0, 10))
-    seq = harness.run_attack_cell(harness._cell_config(cfg, cfg.variant, 0.01))
-    par = harness.run_attack_cell(
-        harness._cell_config(replace(cfg, workers=3), cfg.variant, 0.01)
-    )
+    seq = harness.run_attack_cell(_cell_config(cfg, cfg.variant, 0.01))
+    par = harness.run_attack_cell(_cell_config(replace(cfg, workers=3), cfg.variant, 0.01))
     assert np.array_equal(seq.q, par.q)
     assert np.array_equal(seq.rho_a, par.rho_a)
     assert np.array_equal(seq.rho_b, par.rho_b)
@@ -301,6 +332,17 @@ def test_privacy_key_lengths_follow_halving():
     assert res.stages[0].p_e == res.cell.p_e
 
 
+def test_privacy_stderr_is_the_binomial_formula_at_every_stage():
+    """Every stage's stderr is sqrt(p (1 - p) / n), also where Eve guesses every bit: at 90 %
+    injection on 8 bits p_e is 1 at each stage, and the stderr 0, not a floored 1e-151."""
+    cfg = harness.SimConfig(n_bits=8, master_seed=1, injection=attack.InjectionSpec(0.9, 250.0))
+    assert [(s.p_e, s.stderr) for s in harness.run_privacy_experiment(cfg).stages] == [
+        (1.0, 0.0)
+    ] * 3
+    for s in harness.run_privacy_experiment(harness.SimConfig(n_bits=64, master_seed=5)).stages:
+        assert s.stderr == math.sqrt(s.p_e * (1.0 - s.p_e) / s.key_length)
+
+
 def test_defense_experiment_requires_headroom():
     with pytest.raises(ConfigError):
         harness.run_defense_experiment(harness.SimConfig(n_bits=10), n_calibration=20)
@@ -314,7 +356,7 @@ def test_variant_labels():
 
 def test_fixed_selection_mode_has_no_discards():
     cfg = harness.SimConfig(n_bits=30, selection_mode="fixed_lh")
-    cell = harness.run_attack_cell(harness._cell_config(cfg, circuit.Ideal(), 0.1))
+    cell = harness.run_attack_cell(_cell_config(cfg, circuit.Ideal(), 0.1))
     assert cell.n_discarded == 0
     assert cell.n_exchanges == 30
 
@@ -378,7 +420,7 @@ def test_each_exchange_is_derived_and_synthesized_once(monkeypatch, run, level, 
     the loop batches (16 exchanges for an attack cell, 8 for the defense) that hold one of
     the run's bits, so its other secure exchanges derive and synthesize nothing more."""
     derived, synths = _count_pipeline_calls(monkeypatch)
-    cfg = harness._cell_config(_tiny_cfg(n_bits=30), circuit.Cable(100.0, 10), level)
+    cfg = _cell_config(_tiny_cfg(n_bits=30), circuit.Cable(100.0, 10), level)
     run(cfg)
     indices = sorted({index for index, _ in derived})
     assert indices == list(range(len(indices))) and len(indices) % harness._CHUNK == 0
@@ -397,7 +439,7 @@ def test_each_exchange_is_derived_and_synthesized_once(monkeypatch, run, level, 
 
 def test_single_bit_derives_its_streams_once(monkeypatch):
     derived, synths = _count_pipeline_calls(monkeypatch)
-    cfg = harness._cell_config(_tiny_cfg(), circuit.Ideal(), 0.1)
+    cfg = _cell_config(_tiny_cfg(), circuit.Ideal(), 0.1)
     harness.run_single_bit(cfg, 3)
     assert derived == {(3, stream): 1 for stream in range(5)}
     assert synths == {"calls": 2, "rows": 3}
@@ -419,14 +461,14 @@ def test_attack_cell_builds_at_most_one_seed_sequence_per_synthesis_call(monkeyp
     for name in ("SeedSequence", "PCG64", "default_rng"):
         monkeypatch.setattr(np.random, name, counting(name, getattr(np.random, name)))
     _, synths = _count_pipeline_calls(monkeypatch)
-    cfg = harness._cell_config(_tiny_cfg(n_bits=150), circuit.Ideal(), level)
+    cfg = _cell_config(_tiny_cfg(n_bits=150), circuit.Ideal(), level)
     cell = harness.run_attack_cell(cfg)
     assert cell.n == 150 and synths["rows"] >= 2 * 150
     assert 0 < sum(built.values()) <= synths["calls"]
 
 
 def test_zero_injection_coin_is_stream_5_of_each_secure_exchange():
-    cfg = harness._cell_config(_tiny_cfg(n_bits=150), circuit.Ideal(), 0.0)
+    cfg = _cell_config(_tiny_cfg(n_bits=150), circuit.Ideal(), 0.0)
     cell = harness.run_attack_cell(cfg)
     secure = [i for i in range(cell.n_exchanges) if _is_secure(cfg.master_seed, i)]
     assert len(secure) == cell.n
@@ -458,7 +500,7 @@ def test_grid_cells_equal_single_cells_bit_for_bit(mode, workers):
         (harness.variant_label(v), level) for v in variants for level in levels
     ]
     for grid_cell, (variant, level) in zip(table.cells, itertools.product(variants, levels)):
-        cell = harness.run_attack_cell(harness._cell_config(cfg, variant, level))
+        cell = harness.run_attack_cell(_cell_config(cfg, variant, level))
         for name in _CELL_SCALARS:
             assert getattr(grid_cell, name) == getattr(cell, name), name
         for name in _CELL_ARRAYS:
@@ -513,15 +555,13 @@ def _grid_chunk_peak():
     (fixed_lh), and the chunk's exchanges, samples per bit and levels."""
     cfg = harness.SimConfig(selection_mode="fixed_lh")
     levels = harness.TABLE1_LEVELS
-    cell_cfgs = [
-        [harness._cell_config(cfg, variant, level) for level in levels]
-        for variant in harness.default_table1_variants()
-    ]
+    variants = harness.default_table1_variants()
     chunk = harness._classify_chunk(cfg, 0)
-    harness._grid_chunk(cfg, chunk, cell_cfgs)  # discretize the systems outside the measurement
+    # discretize the systems outside the measurement
+    harness._grid_chunk(cfg, chunk, variants, levels)
     tracemalloc.start()
     try:
-        harness._grid_chunk(cfg, chunk, cell_cfgs)
+        harness._grid_chunk(cfg, chunk, variants, levels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -651,17 +691,14 @@ def test_a_chunk_gives_the_payloads_of_its_windows_bit_for_bit(mode):
         for _, positions in protocol.loop_batches(cfg, index, choices, batch):
             assert len(set((index[positions] // WINDOW).tolist())) == 1
     levels = (0.0, 0.01, 0.1)
-    cell_cfgs = [
-        [harness._cell_config(cfg, variant, level) for level in levels]
-        for variant in harness.default_table1_variants()
-    ]
-    got = harness._grid_chunk(cfg, chunk, cell_cfgs)
-    want = _concatenated([harness._grid_chunk(cfg, w, cell_cfgs) for w in windows], -1)
+    variants = harness.default_table1_variants()
+    got = harness._grid_chunk(cfg, chunk, variants, levels)
+    want = _concatenated([harness._grid_chunk(cfg, w, variants, levels) for w in windows], -1)
     assert got.keys() == want.keys()
     for name, value in got.items():
         assert value.dtype == want[name].dtype and value.tobytes() == want[name].tobytes(), name
     for variant in harness.default_table1_variants()[1:]:
-        cfg = harness._cell_config(cfg, variant, 0.1)
+        cfg = _cell_config(cfg, variant, 0.1)
         got = harness._defense_chunk(cfg, chunk)
         want = _concatenated([harness._defense_chunk(cfg, w) for w in windows], 0)
         assert got.keys() == want.keys()
@@ -681,7 +718,7 @@ def test_a_chunk_falls_back_to_one_window_past_the_array_budget(monkeypatch):
     class Ran(Exception):
         pass
 
-    def chunk(cfg, chunk, *args):
+    def chunk(cfg, chunk, **kwargs):
         raise Ran(chunk[0].tolist())
 
     runs = {"_grid_chunk": harness.run_table1, "_defense_chunk": harness.run_defense_experiment}
