@@ -1,9 +1,11 @@
 """Loop and cable electrical models for the key-exchange wire.
 
-Four variants: an ideal single-node wire, a lumped RLC ladder for a practical
-coaxial run (defaults match RG58 datasheet values) at any length, and the
-ladder with the shunt-capacitance canceller ("capacitor killer", modeled as
-the shunt capacitance removed while series R and L stay).
+Three variants: an ideal single-node wire, a lumped RLC ladder for a practical
+coaxial run of RG58 (datasheet-typical per-unit values) at any length, and the
+cable with the shunt-capacitance canceller ("capacitor killer", modeled as
+the shunt capacitance removed while series R and L stay). The variant is the
+whole description of a wire: the channel's solve and the parties' in-site
+simulation both assemble it, so the two cannot drift apart.
 
 The ladder is n_segments series (R, L) branches with the shunt capacitance
 lumped at the n_segments - 1 interior junctions. Keeping the terminal nodes
@@ -14,16 +16,15 @@ Integration is trapezoidal (A-stable, second order, the SPICE default) with
 each run starting from the DC-consistent state for the first input sample, so
 no artificial start-up transient leaks into the statistics.
 
-Each variant's cable model is built once (`model_for_variant`), and each
-loop's discretized system once (`loop_system`). One solve path,
-`solve_jobs`, takes several (system, inputs) jobs and groups them by state
-count. Jobs of one state count m > 1 share one row count B and run as one
-stack of S systems: S levels of one or more loops of that m (a grid's
-ladder variants at all levels), or a chunk's loop batches of equal size,
-each with its own terminations. Every sample step advances all S x B
-states with one stacked product whose rows equal the S separate products
-bit for bit. One-state jobs (the canceller) of any B advance together in
-one elementwise recurrence, each row with its own p, since a one-state step
+Each cable's discretized system of a loop is built once (`loop_system`). One
+solve path, `solve_jobs`, takes several (system, inputs) jobs and groups
+them by state count. Jobs of one state count m > 1 share one row count B and
+run as one stack of S systems: S levels of one or more loops of that m (a
+grid's ladder variants at all levels), or a chunk's loop batches of equal
+size, each with its own terminations. Every sample step advances all S x B
+states with one stacked product whose rows equal the S separate products bit
+for bit. One-state jobs (the canceller) of any B advance together in one
+elementwise recurrence, each row with its own p, since a one-state step
 product is a single term. Each job keeps its own input-map, start-state and
 output-map products, so its outputs equal those of its own solve;
 `solve_systems` is the solve of one job.
@@ -54,28 +55,49 @@ import numpy as np
 
 from .exceptions import ConfigError, ShapeMismatchError
 
-# RG58 coaxial per-unit defaults (datasheet-typical; configurable)
-RG58_R_PER_M = 0.0365  # ohm/m
-RG58_L_PER_M = 250e-9  # H/m
-RG58_C_PER_M = 100e-12  # F/m
-RG58_G_PER_M = 0.0  # S/m
-
 
 @dataclass(frozen=True)
 class Ideal:
-    """Zero-length wire: the whole channel is one node."""
+    """Zero-length wire: the whole channel is one node, solved in closed form."""
+
+    n_states = 0
+    total_series_resistance = 0.0
 
 
 @dataclass(frozen=True)
 class Cable:
+    """A practical coaxial run of RG58 (datasheet-typical per-unit values): a ladder of
+    n_segments series (R, L) branches with the shunt capacitance at the junctions."""
+
     length_m: float
     n_segments: int = 10
+
+    R_PER_M = 0.0365  # ohm/m
+    L_PER_M = 250e-9  # H/m
+    C_PER_M = 100e-12  # F/m
+
+    def __post_init__(self):
+        if self.length_m <= 0:
+            raise ConfigError("length_m must be positive")
+        if self.n_segments < 2:
+            raise ConfigError("n_segments must be >= 2")
+
+    @property
+    def total_series_resistance(self) -> float:
+        return self.R_PER_M * self.length_m
+
+    @property
+    def n_states(self) -> int:
+        """State count of the loop system: n_segments branch currents and n_segments - 1
+        junction voltages."""
+        return 2 * self.n_segments - 1
 
 
 @dataclass(frozen=True)
-class CableWithKiller:
-    length_m: float
-    n_segments: int = 10
+class CableWithKiller(Cable):
+    """The cable with its shunt capacitance cancelled: one series RL loop, one state."""
+
+    n_states = 1
 
 
 Variant = Ideal | Cable | CableWithKiller
@@ -83,11 +105,10 @@ Variant = Ideal | Cable | CableWithKiller
 
 @dataclass(frozen=True)
 class LoopConfig:
-    """Terminations and wire variant for one loop solve."""
+    """Terminations and Eve's injection position for one loop solve."""
 
     r_alice: float
     r_bob: float
-    variant: Variant = Ideal()
     injection_position: float = 0.5
 
     def __post_init__(self):
@@ -97,104 +118,19 @@ class LoopConfig:
             raise ConfigError("injection_position must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class CableModel:
-    """Lumped description of the practical cable."""
-
-    r_per_m: float
-    l_per_m: float
-    c_per_m: float
-    g_per_m: float
-    length_m: float
-    n_segments: int
-    killer_enabled: bool
-
-    @property
-    def total_series_resistance(self) -> float:
-        return self.r_per_m * self.length_m
-
-    @property
-    def total_series_inductance(self) -> float:
-        return self.l_per_m * self.length_m
-
-    @property
-    def total_shunt_capacitance(self) -> float:
-        return self.c_per_m * self.length_m
-
-    @property
-    def n_states(self) -> int:
-        """State count of the loop system: the canceller's one current, else
-        n_segments branch currents and n_segments - 1 junction voltages."""
-        return 1 if self.killer_enabled else 2 * self.n_segments - 1
-
-
-def build_cable_model(
-    length_m: float,
-    n_segments: int = 10,
-    killer: bool = False,
-    *,
-    r_per_m: float = RG58_R_PER_M,
-    l_per_m: float = RG58_L_PER_M,
-    c_per_m: float = RG58_C_PER_M,
-    g_per_m: float = RG58_G_PER_M,
-) -> CableModel:
-    """Build a ladder model from per-unit values; `check_segmentation` checks it against a band."""
-    if length_m <= 0:
-        raise ConfigError("length_m must be positive")
-    if n_segments < 2:
-        raise ConfigError("n_segments must be >= 2")
-    if l_per_m <= 0:
-        raise ConfigError("l_per_m must be positive")
-    if r_per_m < 0 or g_per_m < 0:
-        raise ConfigError("per-unit resistance and conductance cannot be negative")
-    if killer:
-        if g_per_m != 0.0:
-            raise ConfigError("killer variant assumes zero shunt conductance")
-    elif c_per_m <= 0:
-        raise ConfigError(
-            "c_per_m must be positive for a plain cable; use killer=True "
-            "for the cancelled-capacitance variant"
-        )
-    return CableModel(
-        r_per_m=r_per_m,
-        l_per_m=l_per_m,
-        c_per_m=c_per_m,
-        g_per_m=g_per_m,
-        length_m=length_m,
-        n_segments=n_segments,
-        killer_enabled=killer,
-    )
-
-
-def check_segmentation(model: CableModel | None, bandwidth_hz: float) -> None:
+def check_segmentation(wire: Variant, bandwidth_hz: float) -> None:
     """Reject a plain cable whose per-segment RC corner lies less than 100x above the band,
-    where the lumping is too coarse; the ideal wire (None) and the canceller pass."""
-    if model is None or model.killer_enabled:
+    where the lumping is too coarse; the ideal wire and the canceller pass."""
+    if wire.n_states <= 1:
         return
-    r_seg = model.r_per_m * model.length_m / model.n_segments
-    c_seg = model.c_per_m * model.length_m / model.n_segments
+    r_seg = wire.R_PER_M * wire.length_m / wire.n_segments
+    c_seg = wire.C_PER_M * wire.length_m / wire.n_segments
     corner_hz = 1.0 / (2.0 * math.pi * r_seg * c_seg) if r_seg * c_seg > 0 else math.inf
     if corner_hz < 100.0 * bandwidth_hz:
         raise ConfigError(
             f"per-segment RC corner {corner_hz:.3g} Hz is below "
             f"100 x bandwidth ({100.0 * bandwidth_hz:.3g} Hz); increase n_segments"
         )
-
-
-@lru_cache(maxsize=128)
-def model_for_variant(variant: Variant) -> CableModel | None:
-    """The cable model of a loop variant (None for the ideal wire), built once per variant.
-
-    The channel and the parties' in-site simulation both take their model
-    from here, so the two cannot drift apart.
-    """
-    if isinstance(variant, Ideal):
-        return None
-    return build_cable_model(
-        variant.length_m,
-        variant.n_segments,
-        killer=isinstance(variant, CableWithKiller),
-    )
 
 
 def divider_fractions(r_a: float, r_b: float) -> tuple[float, float]:
@@ -268,23 +204,21 @@ def _discretize(a, b, b_deriv, c, d, dt) -> _DiscreteSystem:
     return _DiscreteSystem(p, q_next, q_prev, c, d, dc_gain, dt)
 
 
-def _assemble_ladder(model: CableModel, r_a: float, r_b: float, inj_node: int):
+def _assemble_ladder(cable: Cable, r_a: float, r_b: float, inj_node: int):
     """Forward system: inputs (u_a, u_b, i_inj), outputs loop-convention signals."""
-    n = model.n_segments
+    n = cable.n_segments
     n_caps = n - 1
-    r_br = model.r_per_m * model.length_m / n
-    l_br = model.l_per_m * model.length_m / n
-    c_node = model.c_per_m * model.length_m / n_caps
-    g_node = model.g_per_m * model.length_m / n_caps
+    r_br = cable.R_PER_M * cable.length_m / n
+    l_br = cable.L_PER_M * cable.length_m / n
+    c_node = cable.C_PER_M * cable.length_m / n_caps
     m = n_caps + n
     a = np.zeros((m, m))
     b = np.zeros((m, 3))
-    # cap rows: C dw_k/dt = i_k - i_{k+1} - G w_k + [k == inj] i_inj
+    # cap rows: C dw_k/dt = i_k - i_{k+1} + [k == inj] i_inj
     for k in range(1, n):
         row = k - 1
         a[row, n_caps + k - 1] += 1.0 / c_node
         a[row, n_caps + k] -= 1.0 / c_node
-        a[row, row] -= g_node / c_node
         if k == inj_node:
             b[row, 2] += 1.0 / c_node
     # branch rows: L di_k/dt = w_{k-1} - w_k - R_k i_k, terminations folded in
@@ -313,17 +247,16 @@ def _assemble_ladder(model: CableModel, r_a: float, r_b: float, inj_node: int):
     return a, b, np.zeros((m, 3)), c, d
 
 
-def _assemble_killer(model: CableModel, r_a: float, r_b: float, inj_node: int):
+def _assemble_killer(cable: CableWithKiller, r_a: float, r_b: float, inj_node: int):
     """Killer variant collapsed to two series RL halves split at the injection node.
 
     Single state: the current in the Alice-side half. The Bob-side half carries
     state + i_inj, whose time derivative enters through the right-half
     inductance; that term is handled exactly by the discretization.
     """
-    n = model.n_segments
-    left = inj_node / n
-    r_tot = model.total_series_resistance
-    l_tot = model.total_series_inductance
+    left = inj_node / cable.n_segments
+    r_tot = cable.total_series_resistance
+    l_tot = cable.L_PER_M * cable.length_m
     r_right = r_tot * (1.0 - left)
     l_right = l_tot * (1.0 - left)
     r_loop = r_a + r_b + r_tot
@@ -342,11 +275,9 @@ def _assemble_killer(model: CableModel, r_a: float, r_b: float, inj_node: int):
     return a, b, b_deriv, c, d
 
 
-def injection_node_index(variant: Variant, injection_position: float) -> int:
+def injection_node_index(cable: Cable, injection_position: float) -> int:
     """Interior junction closest to the requested fraction of cable length."""
-    if isinstance(variant, Ideal):
-        return 0
-    n = variant.n_segments
+    n = cable.n_segments
     return int(min(max(round(injection_position * n), 1), n - 1))
 
 
@@ -620,8 +551,8 @@ def solve_systems(system: _DiscreteSystem, u: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def loop_system(model: CableModel, cfg: LoopConfig | None, dt: float) -> _DiscreteSystem:
-    """The discretized cable system between its two end drives, built once per key.
+def loop_system(cable: Cable, cfg: LoopConfig | None, dt: float) -> _DiscreteSystem:
+    """The discretized system of `cable` between its two end drives, built once per key.
 
     With a LoopConfig the system is the whole loop: inputs (u_a, u_b, i_inj)
     are the generator voltages and the injected current, outputs are
@@ -630,20 +561,20 @@ def loop_system(model: CableModel, cfg: LoopConfig | None, dt: float) -> _Discre
     with zero termination resistance and no injection, inputs (u_cha, u_chb),
     outputs (i_cha, i_chb). Both report the Loop convention.
     """
-    if cfg is not None and isinstance(cfg.variant, Ideal):
+    if isinstance(cable, Ideal):
         raise ConfigError("the ideal variant has no transient state")
     if dt <= 0:
         raise ConfigError("dt must be positive")
-    assemble = _assemble_killer if model.killer_enabled else _assemble_ladder
+    assemble = _assemble_killer if isinstance(cable, CableWithKiller) else _assemble_ladder
     try:
         with np.errstate(all="ignore"):  # overflow shows up as non-finite matrices below
             if cfg is None:
                 # any interior injection node: its input column is dropped
-                a, b, b_deriv, c, d = assemble(model, 0.0, 0.0, 1)
+                a, b, b_deriv, c, d = assemble(cable, 0.0, 0.0, 1)
                 b, b_deriv, c, d = b[:, :2], b_deriv[:, :2], c[:2], d[:2, :2]
             else:
-                inj = injection_node_index(cfg.variant, cfg.injection_position)
-                a, b, b_deriv, c, d = assemble(model, cfg.r_alice, cfg.r_bob, inj)
+                inj = injection_node_index(cable, cfg.injection_position)
+                a, b, b_deriv, c, d = assemble(cable, cfg.r_alice, cfg.r_bob, inj)
             system = _discretize(a, b, b_deriv, c, d, dt)
     except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
         raise ConfigError(f"cable system cannot be discretized: {exc}") from exc
@@ -653,31 +584,27 @@ def loop_system(model: CableModel, cfg: LoopConfig | None, dt: float) -> _Discre
 
 
 def solve_rows(
-    u: np.ndarray,
-    cfg: LoopConfig | Sequence[LoopConfig],
-    dt: float,
-    model: CableModel | None = None,
+    u: np.ndarray, wire: Variant, cfg: LoopConfig | Sequence[LoopConfig], dt: float
 ) -> np.ndarray:
-    """Solve batches of exchanges, each sharing one loop configuration.
+    """Solve batches of exchanges on `wire`, each batch sharing one loop configuration.
 
     Inputs (..., B, 3, t) are (u_a, u_b, i_inj) rows; outputs (..., B, 4, t)
     are (i_cha, i_chb, u_cha, u_chb) rows in the Loop convention. `cfg` is
     one loop configuration for all rows, with an optional leading stack axis,
-    or S configurations of one variant, one per batch of inputs of shape
-    (S, B, 3, t). Closed form for the ideal wire, ladder otherwise (default
-    model: the variant's), all batches in one `solve_systems` scan. Raises
-    ShapeMismatchError if any solved sample is not finite.
+    or S configurations, one per batch of inputs of shape (S, B, 3, t).
+    Closed form for the ideal wire, the cable's loop systems otherwise, all
+    batches in one `solve_systems` scan. Raises ShapeMismatchError if any
+    solved sample is not finite.
     """
     cfgs = [cfg] if isinstance(cfg, LoopConfig) else list(cfg)
-    if isinstance(cfgs[0].variant, Ideal):
+    if isinstance(wire, Ideal):
         # per-batch terminations broadcast over the batch's rows and samples
         shape = () if isinstance(cfg, LoopConfig) else (-1, 1, 1)
         r_a = np.reshape([c.r_alice for c in cfgs], shape)
         r_b = np.reshape([c.r_bob for c in cfgs], shape)
         return ideal_rows(u[..., 0, :], u[..., 1, :], u[..., 2, :], r_a, r_b)
-    model = model or model_for_variant(cfgs[0].variant)
     if isinstance(cfg, LoopConfig):
-        system = loop_system(model, cfg, dt)
+        system = loop_system(wire, cfg, dt)
     else:
-        system = stack_systems([loop_system(model, c, dt) for c in cfgs])
+        system = stack_systems([loop_system(wire, c, dt) for c in cfgs])
     return _finite(solve_systems(system, u))

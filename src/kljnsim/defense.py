@@ -3,9 +3,9 @@
 Ideal wire: the two end currents are one and the same loop current, so any
 difference is injected. Practical cable: the capacitive leak makes the ends
 differ naturally, so the parties instead feed the publicly exchanged end
-voltages into an accurate cable model and compare the simulated end currents
-with the measured ones; a residual above a pre-agreed threshold discards the
-bit.
+voltages into their model of the cable, a wire variant like the channel's,
+and compare the simulated end currents with the measured ones; a residual
+above a pre-agreed threshold discards the bit.
 
 `detect` works on arrays: residual rows of shape (..., n_traces, t), a whole
 chunk of pairs, arms and ends at once, give each leading index its first
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CableModel, Ideal, LoopConfig, loop_system, model_for_variant, solve_systems
+from .circuit import Ideal, Variant, loop_system, solve_systems
 from .exceptions import ConfigError
 
 
@@ -62,13 +62,8 @@ def detect(residuals: np.ndarray, cfg: DetectionConfig) -> tuple[np.ndarray, np.
     return np.where(end < t, end, -1), peak
 
 
-def residual_rows(
-    measured: np.ndarray,
-    cfg: LoopConfig,
-    fs: float,
-    model: CableModel | None = None,
-) -> np.ndarray:
-    """Measured minus expected end currents for rows on the wire variant of `cfg`.
+def residual_rows(measured: np.ndarray, wire: Variant, fs: float) -> np.ndarray:
+    """Measured minus expected end currents, the expected ones on the parties' `wire`.
 
     `measured` holds (i_cha, i_chb, u_cha, u_chb) rows in the Loop
     convention, shape (..., B, 4, t); the result holds Alice's and Bob's
@@ -77,14 +72,13 @@ def residual_rows(
     and Bob's is zero. Cable: each end's measured current minus the in-site
     simulation of all rows in one scan, driven by the measured end voltages;
     the simulation does not depend on the terminations, so any batches of
-    the variant may share it. `model` is the parties' cable model (default:
-    the channel's).
+    rows may share it.
     """
-    if isinstance(cfg.variant, Ideal):
+    if isinstance(wire, Ideal):
         residuals = np.zeros(measured.shape[:-2] + (2, measured.shape[-1]))
         residuals[..., 0, :] = measured[..., 0, :] - measured[..., 1, :]
         return residuals
-    system = loop_system(model or model_for_variant(cfg.variant), None, 1.0 / fs)
+    system = loop_system(wire, None, 1.0 / fs)
     expected = solve_systems(system, measured[..., 2:, :])
     return np.subtract(measured[..., :2, :], expected, out=expected)
 

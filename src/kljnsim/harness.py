@@ -33,10 +33,11 @@ The defense experiment solves each secure exchange with and without Eve's
 current. A chunk groups its loop batches by row count, writes each group's
 generator and injection rows straight into its stacked inputs, and takes two
 stacked scans: the channel, each batch with its own loop system, and the
-parties' in-site simulations. The run calibrates on one array of its first
-pairs' clean rows, unless the config fixes the threshold, then detects on
-each chunk as it arrives and drops its residual rows. The single-bit dump
-solves one exchange as a loop batch of one row.
+parties' in-site simulations on their model of the wire, a variant like the
+channel's (by default the channel's own). The run calibrates on one array of
+its first pairs' clean rows, unless the config fixes the threshold, then
+detects on each chunk as it arrives and drops its residual rows. The
+single-bit dump solves one exchange as a loop batch of one row.
 """
 from __future__ import annotations
 
@@ -151,9 +152,8 @@ class SimConfig:
         for r in (r_l, r_h):
             rms = noise.johnson_rms_voltage(r, t_eff, bw)
             derived[f"generator mean square at {r!r} ohm"] = rms * rms
-        model = circuit.model_for_variant(self.variant)
-        circuit.check_segmentation(model, bw)
-        r_cable = 0.0 if model is None else model.total_series_resistance
+        circuit.check_segmentation(self.variant, bw)
+        r_cable = self.variant.total_series_resistance
         if r_cable > 0:  # the in-site simulation drives the cable alone
             derived["mean-square current of r_h's generator across the cable"] = (
                 four_ktb * r_h / r_cable / r_cable
@@ -172,16 +172,17 @@ class SimConfig:
                 raise ConfigError(f"derived {name} is {value!r}, outside 1e-300 .. 1e300")
         self.check_array_budget(1)
 
-    def check_array_budget(self, n_levels: int, variants=None) -> int:
+    def check_array_budget(self, n_levels: int, variants=None, parties=None) -> int:
         """The exchanges per chunk of a run of `variants` (default: this config's) over
         `n_levels` injection levels: two batch windows (_CHUNK), or one if an array of a
         two-window chunk would exceed MAX_ARRAY_BYTES (`_chunk_array_bytes`). Raises
-        ConfigError if an array of a one-window chunk would."""
-        models = [circuit.model_for_variant(v) for v in variants or [self.variant]]
-        counts = collections.Counter(model.n_states for model in models if model is not None)
-        t, key = self.samples_per_bit, tuple(sorted(counts.items()))
+        ConfigError if an array of a one-window chunk would. The defense's in-site scan
+        is sized on the `parties`' wire, by default on each variant."""
+        counts = collections.Counter(v.n_states for v in variants or [self.variant] if v.n_states)
+        in_site = set(counts) if parties is None else {parties.n_states} - {0}
+        t, key = self.samples_per_bit, (tuple(sorted(counts.items())), tuple(sorted(in_site)))
         for chunk in (_CHUNK, protocol.WINDOW):
-            sizes = _chunk_array_bytes(t, n_levels, chunk, key)
+            sizes = _chunk_array_bytes(t, n_levels, chunk, *key)
             over = [(name, size) for name, size in sizes.items() if size > MAX_ARRAY_BYTES]
             if not over:
                 return chunk
@@ -197,10 +198,11 @@ class SimConfig:
 
 
 @functools.lru_cache(maxsize=64)
-def _chunk_array_bytes(t: int, n_levels: int, chunk: int, counts) -> dict[str, int]:
+def _chunk_array_bytes(t: int, n_levels: int, chunk: int, counts, in_site) -> dict[str, int]:
     """The bytes of the largest arrays of a chunk, by name, for a run over `n_levels`
-    levels of variants with these (state count, variant count) pairs; cached, since
-    every SimConfig checks its own.
+    levels of variants with these (state count, variant count) pairs, whose defense
+    simulates the parties' wire at the `in_site` state counts; cached, since every
+    SimConfig checks its own.
 
     The harness sizes its own rows. `circuit.scan_bytes` sizes the scans of the
     solves' worst-case jobs. The grid solves each loop batch, of up to BATCH rows,
@@ -220,15 +222,16 @@ def _chunk_array_bytes(t: int, n_levels: int, chunk: int, counts) -> dict[str, i
     if counts:
         sizes[f"the grid's ({L}, {chunk}, 3, t) cable drive rows"] = 8 * L * chunk * 3 * t
     n_sys = 2 * chunk // batch
+    scans = [[((m, m), (n_sys, batch, 2, t))] for m in in_site]
     for m, count in counts:
-        scans = [[((n_sys, m, m), (n_sys, batch, 3, t))], [((m, m), (n_sys, batch, 2, t))]]
+        scans.append([((n_sys, m, m), (n_sys, batch, 3, t))])
         if m == 1:
             scans.append([((m, m), (L, chunk, 3, t))] * count)
         else:
             scans += [[((m, m), (L, b, 3, t))] * count for b in range(1, batch + 1)]
-        for scan in scans:
-            for name, size in circuit.scan_bytes(scan).items():
-                sizes[name] = max(size, sizes.get(name, 0))
+    for scan in scans:
+        for name, size in circuit.scan_bytes(scan).items():
+            sizes[name] = max(size, sizes.get(name, 0))
     return sizes
 
 
@@ -388,15 +391,17 @@ def _grid_chunk(cfg: SimConfig, chunk, variants, levels) -> dict:
         rho = _correlators(i_inj, y)
         rho_a[v, lvls][:, positions], rho_b[v, lvls][:, positions] = rho
 
-    models = [circuit.model_for_variant(variant) for variant in variants]
     r_a, r_b = choices[:, :1], choices[:, 1:]
-    for v in (v for v, model in enumerate(models) if model is None):
+    for v in (v for v, variant in enumerate(variants) if not variant.n_states):
         for lvl in range(len(levels)):  # elementwise, each row with its own terminations
             lvls = slice(lvl, lvl + 1)
             y = circuit.ideal_rows(gen[:, 0], gen[:, 1], eve[lvls], r_a, r_b)
             reduce(v, lvls, slice(None), y, eve[lvls])
             del y
-    if any(model is not None for model in models):
+    # the one-state variants solve every batch in one call, the others each batch in one
+    one_state = [v for v, variant in enumerate(variants) if variant.n_states == 1]
+    several = [v for v, variant in enumerate(variants) if variant.n_states > 1]
+    if one_state or several:
         # every row's (u_a, u_b, i_inj) at every level, in batch order, so that each loop
         # batch's drive rows are one view that its variants share
         drive = np.empty((len(levels), len(index), 3, t))
@@ -408,21 +413,11 @@ def _grid_chunk(cfg: SimConfig, chunk, variants, levels) -> dict:
             u[:, :, 2] = eve[:, positions]
             batches[b] = loop_cfg, positions, u
         del gen, eve, u
-        # the one-state variants solve every batch in one call, the others each batch in one
-        one_state = [v for v, model in enumerate(models) if model and model.n_states == 1]
-        several = [v for v, model in enumerate(models) if model and model.n_states > 1]
         calls = [[(v, batch) for batch in batches for v in one_state]]
         calls += [[(v, batch) for v in several] for batch in batches]
-
-        def system(v, loop_cfg):  # variant v's loop system with the batch's terminations
-            # a new LoopConfig, not `replace`, which costs more than the lookup
-            loop = circuit.LoopConfig(
-                loop_cfg.r_alice, loop_cfg.r_bob, variants[v], cfg.injection_position
-            )
-            return circuit.loop_system(models[v], loop, 1.0 / cfg.sample_rate_hz)
-
+        dt = 1.0 / cfg.sample_rate_hz
         for call in filter(None, calls):
-            jobs = [(system(v, loop_cfg), u) for v, (loop_cfg, _, u) in call]
+            jobs = [(circuit.loop_system(variants[v], loop, dt), u) for v, (loop, _, u) in call]
             for (v, (_, positions, u)), y in zip(call, circuit.solve_jobs(jobs)):
                 reduce(v, slice(None), positions, y, u[:, :, 2])
                 del y  # free the solved rows before the next job's are formed
@@ -554,16 +549,17 @@ def run_table1(
 _DEFENSE_BATCH = protocol.BATCH // 2
 
 
-def _defense_chunk(cfg: SimConfig, chunk, defense_model=None) -> dict:
+def _defense_chunk(cfg: SimConfig, chunk, parties: circuit.Variant | None = None) -> dict:
     """One chunk of defense pairs: each secure exchange solved with and without Eve's current.
 
     `chunk` is (index, key_bits, choices) from `_used_chunks`, and `cfg.injection`
     is set. Each batch of equal loop configuration holds its clean and attacked
     rows. All batches with the same number of rows are solved in one stacked
     scan, each with its own loop system, and their residuals in one more: the
-    in-site simulation. Per pair the payload holds the index, the residual
-    rows, shape (2 arms, 2 ends, t) with the clean arm first, the clean
-    channel current RMS and the clean residual RMS over it.
+    in-site simulation on the `parties`' wire (default: the channel's). Per
+    pair the payload holds the index, the residual rows, shape (2 arms, 2
+    ends, t) with the clean arm first, the clean channel current RMS and the
+    clean residual RMS over it.
     """
     index, _, choices = chunk
     noise_seeds = _noise_seeds(cfg.master_seed, index)
@@ -585,9 +581,9 @@ def _defense_chunk(cfg: SimConfig, chunk, defense_model=None) -> dict:
         u[:, :n, :2] = u[:, n:, :2] = gen[positions]
         u[:, n:, 2] = eve[positions]
         u[:, :n, 2] = 0.0  # the first n rows of each batch are the clean arm
-        measured = circuit.solve_rows(u, loop_cfgs, 1.0 / fs)
+        measured = circuit.solve_rows(u, cfg.variant, loop_cfgs, 1.0 / fs)
         del u  # free the drive rows before the in-site scan
-        arms = defense.residual_rows(measured, loop_cfgs[0], fs, defense_model)
+        arms = defense.residual_rows(measured, parties or cfg.variant, fs)
         arms = arms.reshape(n_sys, 2, n, 2, -1)
         residuals[positions] = arms.swapaxes(1, 2)
         channel_rms[positions] = np.sqrt(np.mean(np.square(measured[:, :n, 0]), axis=-1))
@@ -629,7 +625,7 @@ class DefenseResult:
 def run_defense_experiment(
     cfg: SimConfig,
     n_calibration: int = 20,
-    defense_model: circuit.CableModel | None = None,
+    defense_model: circuit.Variant | None = None,
 ) -> DefenseResult:
     """Paired attacked/unattacked bits through the model-based comparison.
 
@@ -637,8 +633,10 @@ def run_defense_experiment(
     pooled residual RMS, floored at the numerical noise level), unless the
     config fixes it; detection statistics are computed over the remaining
     bits of both arms.
-    `defense_model` perturbs the parties' cable model away from the channel
-    truth to study robustness; by default they coincide.
+    `defense_model` is the parties' model of the wire, a variant like
+    `cfg.variant`; a cable of another length or segmentation studies the
+    defense's robustness to a model that misses the channel. By default
+    the parties simulate the channel's own wire.
 
     The run streams: it holds chunks only until the calibration pairs and
     the traced pair are in, then detects on each chunk as it arrives and
@@ -655,16 +653,16 @@ def run_defense_experiment(
             f"defense experiment needs more than {n_calibration} bits for calibration"
         )
     t = cfg.samples_per_bit
-    if not isinstance(cfg.variant, circuit.Ideal):
-        if defense_model is not None:  # SimConfig checked the channel's model
-            circuit.check_segmentation(defense_model, cfg.bandwidth_hz)
+    parties = cfg.variant if defense_model is None else defense_model
+    circuit.check_segmentation(parties, cfg.bandwidth_hz)
+    if parties.n_states:
         # The in-site simulation takes a cable current as a voltage difference over a
         # branch's resistance, so its roundoff is about eps x r_h's generator voltage over
         # that resistance. Over the reference loop current that reads eps x
         # sqrt(r_h (r_l + r_h)) / R_branch; a sweep of length, segments and resistor pairs
         # measured at most 4.7 times this, hence the margin of 8.
-        model = defense_model or circuit.model_for_variant(cfg.variant)
-        r_branch = model.total_series_resistance / (1 if model.killer_enabled else model.n_segments)
+        n_branches = 1 if isinstance(parties, circuit.CableWithKiller) else parties.n_segments
+        r_branch = parties.total_series_resistance / n_branches
         floor = 8 * np.finfo(float).eps * math.sqrt(cfg.r_h * (cfg.r_l + cfg.r_h)) / r_branch
         if floor > MAX_CLEAN_RESIDUAL_RATIO:
             raise ConfigError(
@@ -673,8 +671,8 @@ def run_defense_experiment(
                 f"{r_branch:.3g} ohm is too small for the in-site simulation's roundoff"
             )
 
-    chunk_worker = functools.partial(_defense_chunk, defense_model=defense_model)
-    size = cfg.check_array_budget(1)
+    chunk_worker = functools.partial(_defense_chunk, parties=parties)
+    size = cfg.check_array_budget(1, parties=parties)
     stream = _consume_chunks(cfg, chunk_worker, cfg.n_bits, _DEFENSE_BATCH, size)
     # n_bits > n_calibration, so the stream holds the first n_calibration + 1 pairs
     held = []
@@ -820,7 +818,7 @@ def run_single_bit(cfg: SimConfig, bit_index: int = 0) -> SingleBitDump:
     if cfg.injection is not None:
         u[:, 2] = protocol.injection_rows(cfg, noise_seeds[:, 2], [cfg.injection.level_fraction])[0]
     loop_cfg, _ = next(protocol.loop_batches(cfg, index, choices))
-    y = circuit.solve_rows(u, loop_cfg, 1.0 / cfg.sample_rate_hz)
+    y = circuit.solve_rows(u, cfg.variant, loop_cfg, 1.0 / cfg.sample_rate_hz)
     msq = protocol.mean_squares(y)
     params = (cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz)
     alice = protocol.decide_remote_resistor(msq[:, 2], msq[:, 0], choices[:, 0], *params)
@@ -831,7 +829,7 @@ def run_single_bit(cfg: SimConfig, bit_index: int = 0) -> SingleBitDump:
     eve_bits = _eve_bits(cfg, index, rho_a, rho_b)
     residuals = None
     if not isinstance(cfg.variant, circuit.Ideal):
-        residuals = tuple(defense.residual_rows(y, loop_cfg, cfg.sample_rate_hz)[0])
+        residuals = tuple(defense.residual_rows(y, cfg.variant, cfg.sample_rate_hz)[0])
     return SingleBitDump(
         u=u[0],
         y=y[0],
@@ -925,15 +923,14 @@ def config_to_text(cfg: SimConfig) -> str:
     """Serialize a config so that parse_config_text round-trips it.
 
     Keys follow SimConfig's fields, each object's composite keys in its
-    field's place; detection_threshold only when set.
+    field's place; the cable keys only for a cable, detection_threshold only
+    when set.
     """
-    kind = {cls: name for name, cls in _VARIANTS.items()}[type(cfg.variant)]
+    variant = {"variant": {cls: name for name, cls in _VARIANTS.items()}[type(cfg.variant)]}
+    if isinstance(cfg.variant, circuit.Cable):  # the canceller too
+        variant |= {"cable_length_m": cfg.variant.length_m, "n_segments": cfg.variant.n_segments}
     composite = {
-        "variant": {
-            "variant": kind,
-            "cable_length_m": getattr(cfg.variant, "length_m", 1000.0),
-            "n_segments": getattr(cfg.variant, "n_segments", 10),
-        },
+        "variant": variant,
         "injection": {"injection_level": cfg.injection.level_fraction if cfg.injection else 0.0},
     }
     values = {}

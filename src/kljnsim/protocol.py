@@ -147,7 +147,7 @@ def loop_batches(cfg: "SimConfig", index: np.ndarray, choices: np.ndarray, size:
     for pos, key in enumerate(zip((np.asarray(index) // WINDOW).tolist(), *choices.T.tolist())):
         groups.setdefault(key, []).append(pos)
     for (_, r_a, r_b), positions in groups.items():
-        loop_cfg = circuit.LoopConfig(r_a, r_b, cfg.variant, cfg.injection_position)
+        loop_cfg = circuit.LoopConfig(r_a, r_b, cfg.injection_position)
         for start in range(0, len(positions), size):
             yield loop_cfg, positions[start : start + size]
 

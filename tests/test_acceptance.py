@@ -120,13 +120,12 @@ def test_criterion_4_defense_efficacy(defense_run, base_cfg):
     first_crossing_ok = True
     spec = attack.InjectionSpec(0.1, base_cfg.bandwidth_hz, base_cfg.master_seed)
     ideal_lh = replace(base_cfg, variant=Ideal(), selection_mode="fixed_lh", injection=spec)
-    loop_cfg = LoopConfig(ideal_lh.r_l, ideal_lh.r_h)
     for k in range(5):
         dump = harness.run_single_bit(ideal_lh, k)
         i_inj = dump.u[2]
         thr = math.sqrt(float(np.mean(np.square(i_inj))))
         # ideal wire: the residual is the instantaneous comparison i_cha - i_chb
-        residuals = defense.residual_rows(dump.y[None], loop_cfg, ideal_lh.sample_rate_hz)[0]
+        residuals = defense.residual_rows(dump.y[None], Ideal(), ideal_lh.sample_rate_hz)[0]
         first, _ = defense.detect(residuals, defense.DetectionConfig(thr))
         expected = int(np.flatnonzero(np.abs(i_inj) > thr)[0])
         first_crossing_ok &= int(first) == expected
@@ -154,10 +153,10 @@ def test_criterion_6_physics_property_suite(zero_injection_cells, table1):
     fs, bw = 2000.0, 250.0
     u_a, u_b, inj = synth_band_limited_gaussian([301, 302, 303], [1.0, 3.0, 3e-5], 200, fs, bw)
     zero = np.zeros(len(u_a))
-    cfg_cable = LoopConfig(1000.0, 9000.0, Cable(1000.0, 10))
+    loop_cfg = LoopConfig(1000.0, 9000.0)
     # one batch: full drive, the two generators alone, the injection alone
     u = np.array([[u_a, u_b, inj], [u_a, u_b, zero], [zero, zero, inj]])
-    full, sources, injection = circuit.solve_rows(u, cfg_cable, 1.0 / fs)
+    full, sources, injection = circuit.solve_rows(u, Cable(1000.0, 10), loop_cfg, 1.0 / fs)
     sup_err = max(
         np.max(np.abs(f - s - i)) / np.max(np.abs(f))
         for f, s, i in zip(full, sources, injection)  # each of the four end rows
@@ -169,9 +168,8 @@ def test_criterion_6_physics_property_suite(zero_injection_cells, table1):
 
     # killer variant end-current mismatch over a 10 s run
     big_a, big_b = synth_band_limited_gaussian([304, 305], [1.0, 3.0], 20000, fs, bw)
-    cfg_killer = LoopConfig(1000.0, 9000.0, CableWithKiller(1000.0, 10))
     big_u = np.array([[big_a, big_b, np.zeros(len(big_a))]])
-    killer_out = circuit.solve_rows(big_u, cfg_killer, 1.0 / fs)[0]
+    killer_out = circuit.solve_rows(big_u, CableWithKiller(1000.0, 10), loop_cfg, 1.0 / fs)[0]
     mismatch = np.max(np.abs(killer_out[0] - killer_out[1]))
     i_rms = math.sqrt(float(np.mean(np.square(killer_out[0]))))
     checks["killer mismatch<=1e-6*rms"] = mismatch <= 1e-6 * i_rms

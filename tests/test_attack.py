@@ -145,7 +145,7 @@ def _run_fixed_arrangement(r_a, r_b, level, n_bits, master):
         ],
         axis=1,
     )
-    y = circuit.solve_rows(u, circuit.LoopConfig(r_a, r_b), 1.0 / 2000.0)
+    y = circuit.solve_rows(u, circuit.Ideal(), circuit.LoopConfig(r_a, r_b), 1.0 / 2000.0)
     # Eve's view: Alice's end as solved, Bob's end negated
     return correlate(u[:, 2], y[:, 0]) - correlate(u[:, 2], -y[:, 1])
 

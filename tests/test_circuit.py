@@ -13,7 +13,6 @@ from kljnsim.circuit import (
     CableWithKiller,
     Ideal,
     LoopConfig,
-    build_cable_model,
     check_segmentation,
     divider_fractions,
     injection_node_index,
@@ -39,9 +38,9 @@ def _drive(u_a, u_b, inj=None):
     return np.vstack([u_a, u_b, np.zeros(len(u_a)) if inj is None else inj])
 
 
-def _solve(cfg, u_a, u_b, inj=None, model=None):
+def _solve(wire, cfg, u_a, u_b, inj=None):
     """One exchange through `solve_rows`: rows (i_cha, i_chb, u_cha, u_chb), shape (4, t)."""
-    return circuit.solve_rows(_drive(u_a, u_b, inj)[None], cfg, 1.0 / FS, model)[0]
+    return circuit.solve_rows(_drive(u_a, u_b, inj)[None], wire, cfg, 1.0 / FS)[0]
 
 
 def _reference_steps(system, u, x0):
@@ -94,9 +93,7 @@ def test_ladder_scan_matches_reference_loop():
 @pytest.mark.parametrize("batch", [1, 3, 17])
 @pytest.mark.parametrize("variant", [Cable(1000.0, 10), CableWithKiller(1000.0, 10)])
 def test_batched_solve_matches_reference_steps(variant, batch):
-    system = loop_system(
-        circuit.model_for_variant(variant), LoopConfig(1000.0, 9000.0, variant), 1.0 / FS
-    )
+    system = loop_system(variant, LoopConfig(1000.0, 9000.0), 1.0 / FS)
     u = np.stack(
         [
             _drive(_noise(1.0, 3 * k), _noise(3.0, 3 * k + 1), _noise(3e-5, 3 * k + 2))
@@ -137,7 +134,7 @@ def test_divider_fractions_rejects_non_positive():
 
 def test_ideal_loop_dc_drive():
     cfg = LoopConfig(1000.0, 9000.0)
-    y = _solve(cfg, _const(1.0), _const(0.0))
+    y = _solve(Ideal(), cfg, _const(1.0), _const(0.0))
     # Ohm's law oracle: 1 V across 10 kOhm, node at 0.9 V
     np.testing.assert_allclose(np.abs(y[0]), 1e-4, rtol=1e-12)
     np.testing.assert_allclose(y[2], 0.9, rtol=1e-12)
@@ -149,14 +146,14 @@ def test_ideal_loop_injection_divider():
     # oracle: one-node nodal analysis, u = i * (ra || rb), shares rb/(ra+rb);
     # Eve's view is Alice's end as solved and Bob's end negated
     cfg = LoopConfig(1000.0, 9000.0)
-    y = _solve(cfg, _const(0.0), _const(0.0), inj=_const(1e-3))
+    y = _solve(Ideal(), cfg, _const(0.0), _const(0.0), inj=_const(1e-3))
     np.testing.assert_allclose(y[0], 0.9e-3, rtol=1e-12)
     np.testing.assert_allclose(-y[1], 0.1e-3, rtol=1e-12)
 
 
 def test_ideal_loop_injection_divider_swapped():
     cfg = LoopConfig(9000.0, 1000.0)
-    y = _solve(cfg, _const(0.0), _const(0.0), inj=_const(1e-3))
+    y = _solve(Ideal(), cfg, _const(0.0), _const(0.0), inj=_const(1e-3))
     np.testing.assert_allclose(y[0], 0.1e-3, rtol=1e-12)
     np.testing.assert_allclose(-y[1], 0.9e-3, rtol=1e-12)
 
@@ -164,7 +161,7 @@ def test_ideal_loop_injection_divider_swapped():
 def test_ideal_loop_current_difference_equals_injection():
     cfg = LoopConfig(1000.0, 9000.0)
     u_a, u_b, inj = _noise(1.0, 1), _noise(3.0, 2), _noise(1e-4, 3)
-    y = _solve(cfg, u_a, u_b, inj=inj)
+    y = _solve(Ideal(), cfg, u_a, u_b, inj=inj)
     np.testing.assert_allclose(y[0] - y[1], inj, rtol=0, atol=1e-16)
 
 
@@ -173,45 +170,44 @@ def test_solve_rows_rejects_non_finite_drive(variant):
     u = np.stack([_drive(_noise(1.0, 7), _noise(3.0, 8)) for _ in range(3)])
     u[1, 0, 5] = np.nan
     with pytest.raises(ShapeMismatchError):
-        circuit.solve_rows(u, LoopConfig(1000.0, 9000.0, variant), 1.0 / FS)
+        circuit.solve_rows(u, variant, LoopConfig(1000.0, 9000.0), 1.0 / FS)
 
 
-def test_build_cable_model_totals():
-    m = build_cable_model(1000.0, 10)
-    assert m.total_shunt_capacitance == pytest.approx(100e-9, rel=1e-12)
-    assert m.total_series_resistance == pytest.approx(36.5, rel=1e-12)
-    m100 = build_cable_model(100.0, 10)
-    assert m100.total_shunt_capacitance == pytest.approx(10e-9, rel=1e-12)
+def test_cable_totals():
+    cable = Cable(1000.0, 10)
+    assert cable.C_PER_M * cable.length_m == pytest.approx(100e-9, rel=1e-12)
+    assert cable.total_series_resistance == pytest.approx(36.5, rel=1e-12)
+    assert CableWithKiller(1000.0, 10).total_series_resistance == cable.total_series_resistance
+    assert (Ideal().n_states, cable.n_states, CableWithKiller(1000.0, 10).n_states) == (0, 19, 1)
 
 
-def test_build_cable_model_rejects_bad_segmentation():
-    with pytest.raises(ConfigError):
-        build_cable_model(1000.0, 1)
-    with pytest.raises(ConfigError):
-        build_cable_model(1000.0, 10, c_per_m=0.0)
-    with pytest.raises(ConfigError):
-        # huge per-unit RC drives the segment corner below 100x bandwidth
-        check_segmentation(build_cable_model(1e6, 2, r_per_m=1.0, c_per_m=1e-9), 250.0)
-    with pytest.raises(ConfigError):
-        build_cable_model(1000.0, 10, killer=True, g_per_m=1e-9)
+def test_cable_rejects_bad_segmentation():
+    for wire in (Cable, CableWithKiller):
+        with pytest.raises(ConfigError, match="n_segments"):
+            wire(1000.0, 1)
+        with pytest.raises(ConfigError, match="length_m"):
+            wire(0.0, 10)
+    with pytest.raises(ConfigError, match="RC corner"):
+        # a long RG58 cable in two segments: the segment corner lies below 100x bandwidth
+        check_segmentation(Cable(1e6, 2), 250.0)
 
 
 def test_check_segmentation_uses_the_given_bandwidth():
     # 3 km segments: RC corner 4.84 kHz, above 100 x 10 Hz but below 100 x 250 Hz
-    model = circuit.model_for_variant(Cable(30000.0, 10))
-    check_segmentation(model, 10.0)
+    cable = Cable(30000.0, 10)
+    check_segmentation(cable, 10.0)
     with pytest.raises(ConfigError, match="RC corner"):
-        check_segmentation(model, 250.0)
+        check_segmentation(cable, 250.0)
     # no shunt capacitance to lump: the ideal wire and the canceller always pass
-    check_segmentation(None, 1e9)
-    check_segmentation(circuit.model_for_variant(CableWithKiller(30000.0, 2)), 1e9)
+    check_segmentation(Ideal(), 1e9)
+    check_segmentation(CableWithKiller(30000.0, 2), 1e9)
 
 
-def test_models_and_loop_systems_are_built_once_per_key():
-    model = circuit.model_for_variant(Cable(1000.0, 10))
-    assert circuit.model_for_variant(Cable(1000.0, 10)) is model
-    cfg = LoopConfig(1000.0, 9000.0, Cable(1000.0, 10))
-    assert loop_system(model, cfg, 1.0 / FS) is loop_system(model, replace(cfg), 1.0 / FS)
+def test_loop_systems_are_built_once_per_key():
+    cfg = LoopConfig(1000.0, 9000.0)
+    system = loop_system(Cable(1000.0, 10), cfg, 1.0 / FS)
+    assert loop_system(Cable(1000.0, 10), replace(cfg), 1.0 / FS) is system
+    assert loop_system(CableWithKiller(1000.0, 10), cfg, 1.0 / FS) is not system
 
 
 @pytest.mark.parametrize(
@@ -220,18 +216,17 @@ def test_models_and_loop_systems_are_built_once_per_key():
 def test_each_output_reads_at_most_one_state(variant):
     """solve_systems multiplies the states by a contiguous copy of c_out, which rounds like
     the strided view only while each output is a single product."""
-    model = circuit.model_for_variant(variant)
-    if model is None:  # the ideal wire is solved in closed form and has no system
+    if isinstance(variant, Ideal):  # solved in closed form, it has no system
         with pytest.raises(ConfigError, match="no transient state"):
-            loop_system(model, LoopConfig(1000.0, 9000.0, variant), 1.0 / FS)
+            loop_system(variant, LoopConfig(1000.0, 9000.0), 1.0 / FS)
         return
-    systems = [loop_system(model, None, 1.0 / FS)]  # the defense's in-site simulation
+    systems = [loop_system(variant, None, 1.0 / FS)]  # the defense's in-site simulation
     for r_a, r_b in ((1000.0, 9000.0), (9000.0, 1000.0), (1000.0, 1000.0), (9000.0, 9000.0)):
         for position in (0.0, 0.5, 1.0):
-            cfg = LoopConfig(r_a, r_b, variant, injection_position=position)
-            systems.append(loop_system(model, cfg, 1.0 / FS))
+            cfg = LoopConfig(r_a, r_b, injection_position=position)
+            systems.append(loop_system(variant, cfg, 1.0 / FS))
     for system in systems:
-        assert system.c_out.shape[-1] == model.n_states
+        assert system.c_out.shape[-1] == variant.n_states
         assert np.count_nonzero(system.c_out, axis=-1).max() <= 1
 
 
@@ -242,8 +237,19 @@ def test_injection_node_index_midpoint_and_clamping():
     assert injection_node_index(v, 1.0) == 9
 
 
-def _run(variant, u_a, u_b, inj=None, r_a=1000.0, r_h=9000.0, model=None):
-    return _solve(LoopConfig(r_a, r_h, variant), u_a, u_b, inj, model=model)
+def _run(variant, u_a, u_b, inj=None, r_a=1000.0, r_h=9000.0):
+    return _solve(variant, LoopConfig(r_a, r_h), u_a, u_b, inj)
+
+
+@pytest.mark.parametrize("position", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n_segments", [2, 3, 4, 10])
+@pytest.mark.parametrize("wire", [Cable, CableWithKiller])
+def test_injection_reaches_the_loop_at_every_segment_count(wire, n_segments, position):
+    """At DC steady state no shunt element carries current, so the end currents differ by
+    exactly Eve's injected current, wherever she injects along any segmentation."""
+    cable = wire(1000.0, n_segments)
+    y = _solve(cable, LoopConfig(1000.0, 9000.0, position), _const(1.0), _const(0.0), _const(1e-3))
+    np.testing.assert_allclose(y[0] - y[1], 1e-3, rtol=1e-9)
 
 
 def test_killer_cable_matches_ideal_loop_closely():
@@ -279,12 +285,11 @@ def test_cable_superposition():
 
 def test_cable_leak_charge_bookkeeping():
     """End-current mismatch equals the total shunt branch current, step by step."""
-    model = build_cable_model(1000.0, 10)
-    cfg = LoopConfig(1000.0, 9000.0, Cable(1000.0, 10))
-    system = loop_system(model, cfg, 1.0 / FS)
+    cable = Cable(1000.0, 10)
+    system = loop_system(cable, LoopConfig(1000.0, 9000.0), 1.0 / FS)
     u_a, u_b = _noise(1.0, 41), _noise(3.0, 42)
-    n_caps = model.n_segments - 1
-    c_node = model.total_shunt_capacitance / n_caps
+    n_caps = cable.n_segments - 1
+    c_node = cable.C_PER_M * cable.length_m / n_caps
     u = _drive(u_a, u_b)
     states, outs = _reference_steps(system, u, system.dc_gain @ u[:, 0])
     caps, inds = states[:, :n_caps], states[:, n_caps:]
@@ -302,20 +307,17 @@ def test_cable_leak_charge_bookkeeping():
 
 
 def test_transient_zero_drive_stays_zero():
-    model = build_cable_model(1000.0, 10)
-    cfg = LoopConfig(1000.0, 9000.0, Cable(1000.0, 10))
-    system = loop_system(model, cfg, 1.0 / FS)
+    system = loop_system(Cable(1000.0, 10), LoopConfig(1000.0, 9000.0), 1.0 / FS)
     assert np.all(solve_systems(system, np.zeros((1, 3, 50))) == 0.0)
     _, outs = _reference_steps(system, np.zeros((3, 50)), np.zeros(system.n_states))
     assert np.all(outs == 0.0)
 
 
 def test_transient_dc_steady_state():
-    model = build_cable_model(1000.0, 10)
-    cfg = LoopConfig(1000.0, 9000.0, Cable(1000.0, 10))
-    system = loop_system(model, cfg, 1.0 / FS)
+    cable = Cable(1000.0, 10)
+    system = loop_system(cable, LoopConfig(1000.0, 9000.0), 1.0 / FS)
     # oracle: resistive chain
-    i_expected = 1.0 / (1000.0 + 9000.0 + model.total_series_resistance)
+    i_expected = 1.0 / (1000.0 + 9000.0 + cable.total_series_resistance)
     drive = _drive(np.ones(400), np.zeros(400))
     y = solve_systems(system, drive[None])[0]
     np.testing.assert_allclose(np.abs(y[0]), i_expected, rtol=1e-10)
@@ -326,17 +328,22 @@ def test_transient_dc_steady_state():
     assert abs(abs(np.mean(tail)) - i_expected) / i_expected < 1e-3
 
 
+class _LosslessCable(Cable):
+    """RG58's inductance and capacitance without its series resistance."""
+
+    R_PER_M = 0.0
+
+
 def test_lossless_cable_energy_balance():
     """Delivered port energy (midpoint quadrature) equals stored LC energy."""
-    model = build_cable_model(1000.0, 10, r_per_m=0.0)
-    cfg = LoopConfig(1000.0, 9000.0, Cable(1000.0, 10), injection_position=0.5)
-    system = loop_system(model, cfg, 1.0 / FS)
+    cable = _LosslessCable(1000.0, 10)
+    system = loop_system(cable, LoopConfig(1000.0, 9000.0, injection_position=0.5), 1.0 / FS)
     u_a, u_b, inj = _noise(1.0, 51), _noise(3.0, 52), _noise(3e-5, 53)
     dt = 1.0 / FS
-    n_caps = model.n_segments - 1
-    c_node = model.total_shunt_capacitance / n_caps
-    l_br = model.total_series_inductance / model.n_segments
-    inj_node = injection_node_index(cfg.variant, 0.5)
+    n_caps = cable.n_segments - 1
+    c_node = cable.C_PER_M * cable.length_m / n_caps
+    l_br = cable.L_PER_M * cable.length_m / cable.n_segments
+    inj_node = injection_node_index(cable, 0.5)
     u = _drive(u_a, u_b, inj)
     u[:, 0] = 0.0  # zero initial state pairs with zero initial drive
     states, outs = _reference_steps(system, u, np.zeros(system.n_states))
@@ -365,9 +372,7 @@ def test_segment_count_convergence():
 
 
 def test_run_matches_repeated_steps():
-    model = build_cable_model(1000.0, 10)
-    cfg = LoopConfig(1000.0, 9000.0, Cable(1000.0, 10))
-    system = loop_system(model, cfg, 1.0 / FS)
+    system = loop_system(Cable(1000.0, 10), LoopConfig(1000.0, 9000.0), 1.0 / FS)
     u_a, u_b, inj = _noise(1.0, 71), _noise(3.0, 72), _noise(3e-5, 73)
     u = _drive(u_a, u_b, inj)
     y = solve_systems(system, u[None])[0]
@@ -379,11 +384,9 @@ def test_run_matches_repeated_steps():
 @pytest.mark.parametrize("length_m", [1e-300, 1e-320])
 def test_loop_system_rejects_unrepresentable_cable(length_m):
     # element values whose inverses overflow, or underflow to zero
-    variant = Cable(length_m, 10)
-    model = build_cable_model(length_m, 10)
-    for cfg in (LoopConfig(1000.0, 9000.0, variant), None):
+    for cfg in (LoopConfig(1000.0, 9000.0), None):
         with pytest.raises(ConfigError):
-            loop_system(model, cfg, 1.0 / FS)
+            loop_system(Cable(length_m, 10), cfg, 1.0 / FS)
 
 
 def test_loop_config_validation():

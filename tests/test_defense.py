@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from kljnsim import circuit, harness
 from kljnsim.attack import InjectionSpec, reference_rms_channel_current
-from kljnsim.circuit import Cable, CableWithKiller, LoopConfig
+from kljnsim.circuit import Cable, CableWithKiller, Ideal, LoopConfig
 from kljnsim.defense import (
     NUMERICAL_FLOOR_FRACTION,
     DetectionConfig,
@@ -42,24 +42,24 @@ def _ideal_signals(seed, level=0.0):
     if level > 0:
         ref = reference_rms_channel_current(R_L, R_H, T_EFF, BW)
         u[2] = _noise(level * ref, seed + 2)
-    return circuit.solve_rows(u[None], LoopConfig(R_L, R_H), 1.0 / FS)[0], u[2]
+    return circuit.solve_rows(u[None], Ideal(), LoopConfig(R_L, R_H), 1.0 / FS)[0], u[2]
 
 
-def _residuals(y, loop_cfg):
+def _residuals(y, wire):
     """Alice's and Bob's residual rows of one exchange: `residual_rows` on a batch of one."""
-    return residual_rows(y[None], loop_cfg, FS)[0]
+    return residual_rows(y[None], wire, FS)[0]
 
 
-def _verdict(y, loop_cfg, det):
+def _verdict(y, wire, det):
     """First firing sample (-1 if none) and peak |residual| of one exchange's two residual rows."""
-    first, peak = detect(_residuals(y, loop_cfg), det)
+    first, peak = detect(_residuals(y, wire), det)
     return int(first), float(peak)
 
 
 def test_ideal_comparison_clean_loop_is_silent():
     out, _ = _ideal_signals(60)
     cfg = DetectionConfig(threshold=1e-12)
-    first, peak = _verdict(out, LoopConfig(R_L, R_H), cfg)
+    first, peak = _verdict(out, Ideal(), cfg)
     assert first == -1
     assert peak < 1e-16
 
@@ -67,7 +67,7 @@ def test_ideal_comparison_clean_loop_is_silent():
 def test_ideal_comparison_residual_is_the_injected_current():
     out, inj = _ideal_signals(61, level=0.1)
     cfg = DetectionConfig(threshold=float(np.sqrt(np.mean(inj**2))))
-    res_a, res_b = _residuals(out, LoopConfig(R_L, R_H))
+    res_a, res_b = _residuals(out, Ideal())
     np.testing.assert_allclose(res_a, inj, rtol=0, atol=1e-16)
     assert np.all(res_b == 0.0)
     first, _ = detect(np.stack([res_a, res_b]), cfg)
@@ -79,7 +79,7 @@ def test_ideal_comparison_residual_is_the_injected_current():
 def test_ideal_comparison_miss_when_threshold_above_peak():
     out, inj = _ideal_signals(62, level=0.1)
     cfg = DetectionConfig(threshold=2.0 * float(np.max(np.abs(inj))))
-    first, _ = _verdict(out, LoopConfig(R_L, R_H), cfg)
+    first, _ = _verdict(out, Ideal(), cfg)
     assert first == -1
 
 
@@ -90,7 +90,7 @@ def test_detection_config_validation():
         DetectionConfig(threshold=1.0, consecutive_samples=0)
 
 
-_Record = namedtuple("_Record", "u y loop_cfg")  # one exchange's drive and solved rows
+_Record = namedtuple("_Record", "u y wire")  # one exchange's drive and solved rows
 
 
 def _cable_records(seed, level, variant=Cable(1000.0, 10)):
@@ -99,13 +99,13 @@ def _cable_records(seed, level, variant=Cable(1000.0, 10)):
         n_bits=4, variant=variant, selection_mode="fixed_lh", master_seed=seed, injection=inj
     )
     dump = harness.run_single_bit(cfg)
-    return cfg, _Record(dump.u, dump.y, LoopConfig(R_L, R_H, variant))
+    return cfg, _Record(dump.u, dump.y, variant)
 
 
 def test_model_self_consistency_on_clean_run():
     cfg, rec = _cable_records(70, 0.0)
     i_rms = float(np.sqrt(np.mean(rec.y[0] ** 2)))
-    res_a, res_b = _residuals(rec.y, rec.loop_cfg)
+    res_a, res_b = _residuals(rec.y, rec.wire)
     assert math.sqrt(np.mean(res_a**2)) <= 1e-6 * i_rms
     assert math.sqrt(np.mean(res_b**2)) <= 1e-6 * i_rms
 
@@ -118,21 +118,20 @@ def test_in_site_simulation_reproduces_clean_channel(variant_type, n_segments):
     Checked on one noise pair and on a batch of 16 pairs solved together.
     """
     variant = variant_type(1000.0, n_segments)
-    loop_cfg = LoopConfig(R_L, R_H, variant)
     for batch in (1, 16):
         u = np.zeros((batch, 3, int(0.1 * FS)))
         for k in range(batch):
             u[k, 0] = _noise(_johnson(R_L), 80 + 2 * k)
             u[k, 1] = _noise(_johnson(R_H), 81 + 2 * k)
-        measured = circuit.solve_rows(u, loop_cfg, 1.0 / FS)
-        for y, residuals in zip(measured, residual_rows(measured, loop_cfg, FS)):
+        measured = circuit.solve_rows(u, variant, LoopConfig(R_L, R_H), 1.0 / FS)
+        for y, residuals in zip(measured, residual_rows(measured, variant, FS)):
             i_rms = float(np.sqrt(np.mean(y[0] ** 2)))
             assert np.max(np.abs(residuals)) <= 1e-12 * i_rms
 
 
 def test_model_residual_visible_under_attack():
     cfg, rec = _cable_records(71, 0.1)
-    res_a, _ = _residuals(rec.y, rec.loop_cfg)
+    res_a, _ = _residuals(rec.y, rec.wire)
     inj_rms = float(np.sqrt(np.mean(rec.u[2] ** 2)))
     assert math.sqrt(np.mean(res_a**2)) > 0.2 * inj_rms
 
@@ -141,36 +140,34 @@ def test_residual_sum_reconstructs_injected_current():
     # the two end residuals are the injection split by the cable alone;
     # their difference in the loop convention recovers the injected waveform
     cfg, rec = _cable_records(72, 0.1)
-    res_a, res_b = _residuals(rec.y, rec.loop_cfg)
+    res_a, res_b = _residuals(rec.y, rec.wire)
     recon = res_a - res_b
     err = np.sqrt(np.mean((recon - rec.u[2]) ** 2))
     assert err <= 0.05 * np.sqrt(np.mean(rec.u[2] ** 2))
 
 
 def test_in_site_simulation_zero_in_zero_out():
-    loop_cfg = LoopConfig(R_L, R_H, Cable(1000.0, 10))
     # zero end voltages: the in-site simulation draws zero current
-    assert np.all(residual_rows(np.zeros((1, 4, 100)), loop_cfg, FS) == 0.0)
+    assert np.all(residual_rows(np.zeros((1, 4, 100)), Cable(1000.0, 10), FS) == 0.0)
 
 
 def test_model_based_detect_trivial_equality():
     # measured currents that are exactly the in-site simulation leave zero
     # residual; Eve's reading (Bob's end negated) does not
     cfg, rec = _cable_records(73, 0.0)
-    model = circuit.model_for_variant(cfg.variant)
     measured = rec.y.copy()
-    system = circuit.loop_system(model, None, 1.0 / FS)
+    system = circuit.loop_system(cfg.variant, None, 1.0 / FS)
     measured[:2] = circuit.solve_systems(system, rec.y[None, 2:])[0]
-    first, peak = _verdict(measured, rec.loop_cfg, DetectionConfig(threshold=1e-9))
+    first, peak = _verdict(measured, rec.wire, DetectionConfig(threshold=1e-9))
     assert first == -1
     assert peak == 0.0
     measured[1] = -measured[1]
-    assert _verdict(measured, rec.loop_cfg, DetectionConfig(threshold=1e-9))[0] >= 0
+    assert _verdict(measured, rec.wire, DetectionConfig(threshold=1e-9))[0] >= 0
 
 
 def test_model_based_detect_fires_fast_under_attack():
     cfg, rec = _cable_records(74, 0.1)
-    first, _ = _verdict(rec.y, rec.loop_cfg, DetectionConfig(threshold=3.2e-13))
+    first, _ = _verdict(rec.y, rec.wire, DetectionConfig(threshold=3.2e-13))
     assert first >= 0
     assert first / rec.y.shape[-1] <= 0.01
 
@@ -183,7 +180,7 @@ def test_detection_power_ordering_at_fixed_threshold():
         n = 20
         for k in range(n):
             cfg, rec = _cable_records(200 + k, level)
-            detected += _verdict(rec.y, rec.loop_cfg, det)[0] >= 0
+            detected += _verdict(rec.y, rec.wire, det)[0] >= 0
         rates.append(detected / n)
     assert rates[0] >= rates[1] >= rates[2]
     assert rates[0] > rates[2]

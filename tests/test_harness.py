@@ -114,6 +114,20 @@ def test_default_round_trip():
     assert harness.parse_config_text(harness.config_to_text(harness.SimConfig())) == harness.SimConfig()
 
 
+def test_config_echo_writes_the_cable_keys_only_for_a_cable():
+    """The ideal wire has no length or segments: its echo leaves out the cable keys that its
+    config file set, and still round-trips."""
+    cfg = harness.parse_config_text("cable_length_m = 500\nn_segments = 3\n")
+    text = harness.config_to_text(cfg)
+    assert "variant = ideal\n" in text
+    assert "cable_length_m" not in text and "n_segments" not in text
+    assert harness.parse_config_text(text) == cfg
+    for variant in (circuit.Cable(500.0, 3), circuit.CableWithKiller(500.0, 3)):
+        text = harness.config_to_text(replace(cfg, variant=variant))
+        assert "\ncable_length_m = 500.0\nn_segments = 3\n" in text
+        assert harness.parse_config_text(text).variant == variant
+
+
 def test_detection_threshold_key():
     cfg = harness.parse_config_text("detection_threshold = 2e-6\ndetection_consecutive = 3\n")
     assert (cfg.detection_threshold, cfg.detection_consecutive) == (2e-6, 3)
@@ -586,7 +600,7 @@ def test_scan_bytes_bound_a_grid_chunks_peak():
     the ladder pair's outputs, plus every array that `circuit.scan_bytes` reports for the
     chunk's two scans: all canceller rows, and one loop batch of the ladder pair."""
     peak, k, t, n_levels = _grid_chunk_peak()
-    m = circuit.model_for_variant(circuit.Cable(100.0, 10)).n_states
+    m = circuit.Cable(100.0, 10).n_states
     scans = [
         [((1, 1), (n_levels, k, 3, t))],
         [((m, m), (n_levels, protocol.BATCH, 3, t))] * 2,

@@ -93,9 +93,7 @@ def _rows(shape, seed):
 @pytest.mark.parametrize("batch", [1, 7, 16])
 @pytest.mark.parametrize("variant", [Cable(1000.0, 10), CableWithKiller(1000.0, 10)])
 def test_level_stacked_solve_equals_separate_solves(variant, batch):
-    system = circuit.loop_system(
-        circuit.model_for_variant(variant), LoopConfig(1000.0, 9000.0, variant), 1.0 / FS
-    )
+    system = circuit.loop_system(variant, LoopConfig(1000.0, 9000.0), 1.0 / FS)
     u = _rows((3, batch, 3, 200), seed=batch)
     y = circuit.solve_systems(system, u)
     assert y.shape == (3, batch, 4, 200)
@@ -107,7 +105,7 @@ def test_level_stacked_solve_equals_separate_solves(variant, batch):
 @pytest.mark.parametrize("batch", [1, 16, 32])
 def test_in_site_solver_is_unchanged(batch):
     """The defense's cable-alone solver (cfg=None): two end voltages in, two currents out."""
-    system = circuit.loop_system(circuit.model_for_variant(Cable(1000.0, 10)), None, 1.0 / FS)
+    system = circuit.loop_system(Cable(1000.0, 10), None, 1.0 / FS)
     u = _rows((batch, 2, 200), seed=100 + batch)
     y = circuit.solve_systems(system, u)
     assert y.shape == (batch, 2, 200) and y.flags.c_contiguous
@@ -116,9 +114,8 @@ def test_in_site_solver_is_unchanged(batch):
 
 def _loop_systems(variant):
     """A cable's low-high and high-low loop systems and the defense's in-site system."""
-    model = circuit.model_for_variant(variant)
-    cfgs = (LoopConfig(1000.0, 9000.0, variant), LoopConfig(9000.0, 1000.0, variant), None)
-    return [circuit.loop_system(model, cfg, 1.0 / FS) for cfg in cfgs]
+    cfgs = (LoopConfig(1000.0, 9000.0), LoopConfig(9000.0, 1000.0), None)
+    return [circuit.loop_system(variant, cfg, 1.0 / FS) for cfg in cfgs]
 
 
 @pytest.mark.parametrize("n_sys", [1, 3, 8])
@@ -272,7 +269,7 @@ def test_ladder_pair_shares_one_stacked_scan(monkeypatch, batch):
     """The 100 m and 1000 m ladders, given one batch's drive rows at 3 levels, are solved as
     one stack of 6 systems whose outputs equal each ladder's own scan bit for bit."""
     systems = [
-        circuit.loop_system(circuit.model_for_variant(v), LoopConfig(9000.0, 1000.0, v), 1.0 / FS)
+        circuit.loop_system(v, LoopConfig(9000.0, 1000.0), 1.0 / FS)
         for v in (Cable(100.0, 10), Cable(1000.0, 10))
     ]
     u = _rows((3, batch, 3, 200), seed=batch)
