@@ -17,23 +17,21 @@ each run starting from the DC-consistent state for the first input sample, so
 no artificial start-up transient leaks into the statistics.
 
 Each cable's discretized system of a loop is built once (`loop_system`). One
-solve path, `solve_jobs`, takes several (system, inputs) jobs and groups
-them by state count. Jobs of one state count m > 1 share one row count B and
-run as one stack of S systems: S levels of one or more loops of that m (a
-grid's ladder variants at all levels), or a chunk's loop batches of equal
-size, each with its own terminations. Every sample step advances all S x B
-states with one stacked product whose rows equal the S separate products bit
-for bit. One-state jobs (the canceller) of any B advance together in one
-elementwise recurrence, each row with its own p, since a one-state step
-product is a single term. Each job keeps its own input-map, start-state and
-output-map products, so its outputs equal those of its own solve;
-`solve_systems` is the solve of one job.
+solve path, `solve_slabs`, scans a stack of S systems of one state count m,
+each with its rows of inputs: the wire variants of one state count under
+each resistor pair's terminations (`loop_slabs`), or the in-site system
+shared by all rows. The states are columns, one per row: every sample step
+advances all S x N of them with one stacked (S, m, m) @ (S, m, N) product,
+m = 1 (the canceller) included. A column of such a product, and of the
+input and output maps, has the same bits for any N that is a multiple of 8
+and at any column offset, so the scan pads its columns to a multiple of 8
+and a row's outputs do not depend on the rows it is solved with.
 
-One function, `_layout`, sizes a group's scan: its time blocks, which
-SCAN_BLOCK_BYTES bounds, and the shapes of its stepping array and step
-matrices. The solves allocate from it, and `scan_bytes` reports its bytes
-for job shapes, so that a caller can check a run's arrays against a budget
-before it allocates them.
+One function, `_layout`, sizes a scan: its column slabs, whose outputs
+SLAB_BYTES bounds and which the solve hands out one at a time, and each
+slab's time blocks, which SCAN_BLOCK_BYTES bounds. The solve allocates from
+it, and `scan_bytes` reports its bytes for the scan's shapes, so that a
+caller can check a run's arrays against a budget before it allocates them.
 
 Sign convention
 ---------------
@@ -133,14 +131,6 @@ def check_segmentation(wire: Variant, bandwidth_hz: float) -> None:
         )
 
 
-def divider_fractions(r_a: float, r_b: float) -> tuple[float, float]:
-    """Share of a node-injected current flowing toward each termination."""
-    if r_a <= 0 or r_b <= 0:
-        raise ValueError("resistances must be positive")
-    total = r_a + r_b
-    return r_b / total, r_a / total
-
-
 def _finite(y: np.ndarray) -> np.ndarray:
     if not np.isfinite(y).all():
         raise ShapeMismatchError("solved loop samples must all be finite")
@@ -184,13 +174,16 @@ class _DiscreteSystem:
 
 
 def stack_systems(systems) -> _DiscreteSystem:
-    """S discretized systems of equal shapes as one, each matrix with a leading (S,) axis."""
-    matrices = (
-        np.stack([getattr(s, f.name) for s in systems])
-        for f in fields(_DiscreteSystem)
+    """Discretized systems of equal shapes as one: `systems` is a sequence of them, or a nested
+    sequence, whose axes lead each matrix."""
+    grid = np.empty(np.shape(systems), dtype=object)
+    grid[...] = systems
+    stacked = (
+        np.stack([getattr(s, f.name) for s in grid.flat]) for f in fields(_DiscreteSystem)
         if f.name != "dt"
     )
-    return _DiscreteSystem(*matrices, dt=systems[0].dt)
+    shaped = (a.reshape(grid.shape + a.shape[1:]) for a in stacked)
+    return _DiscreteSystem(*shaped, dt=grid.flat[0].dt)
 
 
 def _discretize(a, b, b_deriv, c, d, dt) -> _DiscreteSystem:
@@ -281,273 +274,152 @@ def injection_node_index(cable: Cable, injection_position: float) -> int:
     return int(min(max(round(injection_position * n), 1), n - 1))
 
 
-# Byte budget of a time block: a stacked solve's stepping buffer, and a one-state
-# solve's block of its state trajectory. `_layout` sizes both from it.
-SCAN_BLOCK_BYTES = 2**19
+# Byte budgets of a scan: SLAB_BYTES bounds the outputs of a column slab, which the solve
+# hands out before it scans the next, and SCAN_BLOCK_BYTES a time block's stepping buffer
+# (or its output map's arrays, if they are larger). Neither changes a column's bits.
+SLAB_BYTES = 2**19
+SCAN_BLOCK_BYTES = 2**18
 
 
-def ladder_scan(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Run the state recurrence x[k] = p @ x[k-1] + qu[k-1] in place, for S stacked systems.
+def ladder_scan(p: np.ndarray, x: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """Run the state recurrence x[k] = p @ x[k-1] + drive[k-1] in place, for S stacked systems.
 
-    `p` is one (m, m) matrix shared by the stack, or one per system, shape
-    (S, m, m). `x` is the stepping buffer, shape (S, n + 1, B, m), or
-    (n + 1, B, m) for one system: on entry x[..., 0, :, :] holds the B start
-    states of each system and x[..., k, :, :] the drive term qu[k-1]; on
-    return it holds the state trajectory. Each step advances all S x B states
-    with one stacked (S, B, m) @ (S, m, m) product, whose rows equal the S
-    separate (B, m) @ (m, m) products bit for bit. At m = 1 each product is a
-    single term, so the step is the elementwise x[k] += x[k-1] * p, and `p`
-    may then hold one value per row, shape (S, B, 1). Returns `x`.
+    `p` holds one (m, m) matrix per system, shape (S, m, m), or one shared by
+    all. `x` is the stepping buffer, shape (S, n + 1, m, N): on entry x[:, 0]
+    holds each system's N start states as columns; on return x[:, k] holds
+    the states of sample k. `drive` holds the drive terms, shape (S, m, n,
+    N). Each step advances all S x N states with one stacked
+    (S, m, m) @ (S, m, N) product. Returns `x`.
     """
-    steps = list(x.swapaxes(0, -3))  # views: steps[k] is sample k of every system
-    if p.shape[-1] == 1:
-        for prev, cur in zip(steps, steps[1:]):
-            cur += prev * p
-        return x
-    p_t = np.swapaxes(p, -1, -2)
-    for prev, cur in zip(steps, steps[1:]):
-        cur += prev @ p_t
+    steps = list(x.swapaxes(0, 1))  # views: steps[k] is sample k of every system
+    for prev, cur, term in zip(steps, steps[1:], drive.transpose(2, 0, 1, 3)):
+        np.add(p @ prev, term, out=cur)
     return x
 
 
-def _time_blocks(t: int, block: int):
-    """(k0, n) per time block: n steps on from sample k0, at most `block` unless a one-step
-    remainder joins the last block; a single block of no steps when t = 1."""
-    k0 = 0
-    while True:
-        n = min(block, t - 1 - k0)
-        n += t - 1 - k0 - n == 1
-        yield k0, n
-        k0 += n
-        if k0 >= t - 1:
-            return
+def _layout(n_sys: int, m: int, n_out: int, n_cols: int, t: int) -> tuple[int, int]:
+    """The scan of n_cols columns of S stacked m-state systems: (columns per slab, a multiple
+    of 8; steps per time block).
 
-
-class _Job:
-    """One (system, u) pair of a solve: inputs as (S, B, n_inputs, t) and the system's maps
-    transposed to multiply rows from the right."""
-
-    def __init__(self, system: _DiscreteSystem, u: np.ndarray):
-        self.p = system.p
-        self.given = u  # jobs given the same array share its blocks' time-major copies
-        self.u = u.reshape((-1,) + u.shape[-3:])
-        self.n_sys, self.n_rows, self.n_in, self.t = self.u.shape
-        self.out_shape = u.shape[:-2] + (system.c_out.shape[-2], self.t)
-        # The input and output maps multiply contiguous copies, which is faster over a
-        # block's rows. A contiguous c_out changes how a dense product rounds, but each
-        # row of c_out has one nonzero (tests/test_circuit.py checks it), so each output
-        # is one product. dc_gain stays a view: at B = 1 its product is a matrix-vector
-        # one, whose rounding a contiguous operand changes.
-        self.q_next, self.q_prev, self.c_out, self.d_out = (
-            np.ascontiguousarray(np.swapaxes(a, -1, -2))
-            for a in (system.q_next, system.q_prev, system.c_out, system.d_out)
-        )
-        self.dc_gain = np.swapaxes(system.dc_gain, -1, -2)
-
-    def start(self) -> np.ndarray:
-        """The DC-consistent state for each row's first input sample, shape (S, B, m)."""
-        return self.u[..., 0] @ self.dc_gain
-
-    def inputs(self, k0: int, n: int) -> np.ndarray:
-        """The inputs of samples k0 .. k0 + n time-major, shape (S, (n + 1) B, n_inputs)."""
-        return self.u[..., k0 : k0 + n + 1].transpose(0, 3, 1, 2).reshape(self.n_sys, -1, self.n_in)
-
-    def drive(self, flat: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """Write the drive terms of a block's samples but its first into `out`, shape
-        (S, n B, m), from its `inputs`; `scratch` of that shape takes the second product."""
-        np.matmul(flat[:, self.n_rows :], self.q_next, out=out)
-        out += np.matmul(flat[:, : -self.n_rows], self.q_prev, out=scratch)
-
-    def output(self, y: np.ndarray, k0: int, first: int, states: np.ndarray, flat: np.ndarray):
-        """Write the outputs of a block's samples from k0 + first on into y, shape
-        (S, B, n_outputs, t), from their states, shape (S, N B, m), and the block's `inputs`."""
-        out = states @ self.c_out
-        out += flat[:, first * self.n_rows :] @ self.d_out
-        out = out.reshape(self.n_sys, -1, self.n_rows, out.shape[-1]).transpose(0, 2, 3, 1)
-        y[..., k0 + first : k0 + first + out.shape[-1]] = out
-
-
-def _spans(sizes):
-    bounds = np.cumsum([0, *sizes]).tolist()
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
-def _layout(shapes):
-    """The scan of jobs of one state count m, each given by its (p shape, u shape) as
-    `solve_jobs` takes them: (steps per time block, samples per system of the stepping
-    array, shape of the stepping array, shape of the step matrices p).
-
-    A stacked scan (m > 1) holds its stepping buffer of all S x B states and, after it
-    in one allocation, the scratch of one job's input map: with glibc's malloc, one
-    larger block left the solve's other arrays fewer fresh pages to fault in than two
-    smaller ones. It steps with a lone job's p, or restacks one p per system. A
-    one-state scan holds the (t, R) trajectory of all R rows and one p per row.
+    A column's products have the same bits at any multiple of 8 columns and at any
+    offset (tests/test_kernels.py checks it on the running machine), so the slabs and
+    blocks that bound the scan's memory do not change its outputs.
     """
-    m, t = shapes[0][0][-1], shapes[0][1][-1]
-    stacks = [(math.prod(u[:-3]), u[-3]) for _, u in shapes]  # (S, B) per job
-    n_sys, n_rows = sum(s for s, _ in stacks), stacks[0][1]
-    rows = sum(s * b for s, b in stacks)
-    # As many steps as fit SCAN_BLOCK_BYTES, less two slots for the carried state and a
-    # one-step remainder. Each block but the last spans a multiple of 8 product rows,
-    # whatever a one-state job's B, so a row's samples do not depend on where blocks
-    # end: a matrix-vector product (m = 1, B = 1) rounds its last partial group of rows
-    # differently.
-    unit = 8 if m == 1 else 8 // math.gcd(n_rows, 8)
-    block = max(2, unit, (SCAN_BLOCK_BYTES // (8 * rows * m) - 2) // unit * unit)
-    if m == 1:
-        return block, t, (t, rows), (1, rows, 1)
-    slots = min(block + 2, t)
-    x = (n_sys * slots + max(s for s, _ in stacks) * (slots - 1), n_rows, m)
-    return block, slots, x, shapes[0][0] if len(shapes) == 1 else (n_sys, m, m)
+    pad = -(-n_cols // 8) * 8
+    width = min(pad, max(8, SLAB_BYTES // (8 * n_sys * n_out * t) // 8 * 8))
+    block = SCAN_BLOCK_BYTES // (8 * n_sys * max(m, n_out) * width) - 1
+    return width, min(max(1, block), max(1, t - 1))
 
 
-def scan_bytes(jobs) -> dict[str, int]:
-    """The bytes of the arrays that `solve_jobs` scans jobs of these shapes with, by name.
+def _lead(p_shape, u_shape) -> tuple[int, ...]:
+    """The stack shape of a scan: one system's rows are all its columns."""
+    return () if len(p_shape) == 2 else np.broadcast_shapes(p_shape[:-2], u_shape[:-3])
 
-    `jobs` holds each job's (p shape, u shape): (m, m) for one system, or
-    (S, m, m) for S stacked ones, and its inputs' shape. Per state count m,
-    the scan holds its stepping array and the step matrices p.
+
+def scan_bytes(p_shape, u_shape, n_out: int) -> dict[str, int]:
+    """The bytes of the arrays that `solve_slabs` scans inputs of shape `u_shape` with, by name,
+    for systems whose step matrices p have shape `p_shape` and n_out outputs.
+
+    The scan holds a slab's outputs, the stepping buffer of one of its time blocks and
+    its step matrices p. At m = 0, the ideal wire's slabs of `loop_slabs`, only the
+    outputs.
     """
-    sizes = {}
-    for m in dict.fromkeys(p[-1] for p, _ in jobs):
-        _, _, x, p = _layout([job for job in jobs if job[0][-1] == m])
-        scan = "a one-state scan's" if m == 1 else f"a {m}-state scan's"
-        sizes[scan + (" state trajectory" if m == 1 else " stepping buffer")] = 8 * math.prod(x)
-        sizes[scan + " step matrices p"] = 8 * math.prod(p)
+    lead, m, t = _lead(p_shape, u_shape), p_shape[-1], u_shape[-1]
+    n_sys = math.prod(lead)
+    n_cols = u_shape[-3] if lead else math.prod(u_shape[:-2])
+    width, block = _layout(n_sys, m, n_out, n_cols, t)
+    scan = f"a {m}-state scan's" if m else "the ideal wire's"
+    sizes = {f"{scan} slab outputs": 8 * n_sys * min(width, n_cols) * n_out * t}
+    if m:
+        sizes[f"{scan} stepping buffer"] = 8 * n_sys * (block + 1) * m * width
+        sizes[f"{scan} step matrices p"] = 8 * n_sys * m * m
     return sizes
 
 
-def _stacked_solves(jobs: list[_Job]):
-    """Yield the outputs of jobs of one state count m > 1 and one row count B, solved as one
-    stack: one (S, B, m) @ (S, m, m) product per step for all their systems.
+def solve_slabs(system: _DiscreteSystem, u: np.ndarray):
+    """Yield the outputs of u's rows a column slab at a time, as (cols, y).
 
-    The stepping buffer holds a time block of every system, so each block's outputs are
-    written out before the next, and every job's outputs are held until the last block.
+    `system` is one discretized system, whose rows are all the rows of u,
+    shape (..., N, n_inputs, t), or systems stacked by `stack_systems`, each
+    with the rows u[s], shape (S..., N, n_inputs, t); u's stack axes
+    broadcast against the systems', so that systems may share their rows.
+    Each row is a column of its system's scan and starts from the
+    DC-consistent state for its first input sample. `cols` is a slice of
+    the N columns (of the flattened rows for one system), and `y` holds
+    their outputs, shape (S..., len(cols), n_outputs, t).
+
+    Per time block, each input map is one product per system over the
+    block's samples, `ladder_scan` advances the states, the output maps
+    write the block's output samples, and the last state carries into the
+    next block. Each slab is padded with zero columns to a multiple of 8
+    (`_layout`), so a row's outputs do not depend on the rows it is solved
+    with.
     """
-    m, n_rows, t = jobs[0].p.shape[-1], jobs[0].n_rows, jobs[0].t
-    spans = _spans(job.n_sys for job in jobs)
-    n_sys = spans[-1].stop
-    block, slots, buf_shape, p_shape = _layout([(job.p.shape, job.u.shape) for job in jobs])
-    p = jobs[0].p  # a lone job's system, or systems, as they are
-    if len(jobs) > 1:
-        p = np.empty(p_shape)  # C-contiguous, like each system's own p
-        for job, span in zip(jobs, spans):
-            p[span] = job.p
-    buf = np.empty(buf_shape)  # the stepping buffer x, then the input map's scratch
-    x = buf[: n_sys * slots].reshape(n_sys, slots, n_rows, m)
-    scratch = buf[n_sys * slots :].reshape(-1, (slots - 1) * n_rows, m)
-    ys = [np.empty((job.n_sys, n_rows) + job.out_shape[-2:]) for job in jobs]
-    for job, span in zip(jobs, spans):
-        x[span, 0] = job.start()
-    first = 0  # 1 once the state at sample k0, x[:, 0], is written out
-    for k0, n in _time_blocks(t, block):
-        inputs = {}  # jobs given one input array share its block's inputs
-        for job in jobs:
-            if id(job.given) not in inputs:
-                inputs[id(job.given)] = job.inputs(k0, n)
-        flats = [inputs[id(job.given)] for job in jobs]
-        for job, span, flat in zip(jobs, spans, flats):
-            drive = x[span, 1 : n + 1].reshape(job.n_sys, -1, m)
-            job.drive(flat, drive, scratch[: job.n_sys, : n * n_rows])
-        ladder_scan(p, x[:, : n + 1])
-        for job, span, y, flat in zip(jobs, spans, ys, flats):
-            job.output(y, k0, first, x[span, first : n + 1].reshape(job.n_sys, -1, m), flat)
-        x[:, 0] = x[:, n]
-        first = 1
-    del buf, x, scratch, drive, inputs, flats  # free them before the outputs are consumed
-    ys.reverse()
-    while ys:  # pop, so that a yielded job's outputs are not kept alive here
-        yield ys.pop()
+    m, n_in, t = system.n_states, u.shape[-2], u.shape[-1]
+    if system.p.ndim == 2:
+        u = u.reshape((-1, n_in, t))
+    lead = _lead(system.p.shape, u.shape)
+    n_sys, n_cols, n_out = math.prod(lead), u.shape[-3], system.c_out.shape[-2]
+    p, c_out = (np.broadcast_to(a, lead + a.shape[-2:]).reshape((n_sys,) + a.shape[-2:])
+                for a in (system.p, system.c_out))
+    width, block = _layout(n_sys, m, n_out, n_cols, t)
+    u_lead = u.shape[:-3]
+    k = len(u_lead)
+    columns_last = (*range(k), k + 1, k + 2, k)  # (..., N, n_inputs, t) -> (..., n_inputs, t, N)
+    # one allocation each, whose leading part every slab takes, so that a slab's arrays are
+    # contiguous however wide it is
+    buf_x, buf_drive = (np.empty(n_sys * (block + 1) * m * width) for _ in range(2))
+    buf_in = np.empty(math.prod(u_lead) * n_in * (block + 1) * width)
 
+    def mapped(a, inputs, out=None):  # one product per system over the block's input columns
+        return np.matmul(a, inputs.reshape(inputs.shape[:-2] + (-1,)), out=out)
 
-def _one_state_solves(jobs: list[_Job]):
-    """Yield the outputs of one-state jobs of any row counts, whose rows advance together in
-    one elementwise recurrence, each with its own p.
-
-    The R rows of all jobs sit side by side in one (t, R) state trajectory. Its time
-    blocks (`_layout`) bound the input maps' temporaries. The whole trajectory is held
-    (at m = 1 a quarter of the rows' outputs), so each job's outputs are formed only
-    when the job is yielded.
-    """
-    block, t, traj_shape, p_shape = _layout([(job.p.shape, job.u.shape) for job in jobs])
-    spans = _spans(job.n_sys * job.n_rows for job in jobs)
-    p = np.empty(p_shape)  # each row's p, shaped like a step of the scan
-    for job, span in zip(jobs, spans):
-        p[0, span].reshape(job.n_sys, job.n_rows)[...] = job.p.reshape(-1, 1)
-    traj = np.empty(traj_shape)
-    blocks = list(_time_blocks(t, block))
-    for job, span in zip(jobs, spans):
-        traj[0, span] = job.start().ravel()
-    for k0, n in blocks:
-        for job, span in zip(jobs, spans):
-            drive = np.empty((2, job.n_sys, n * job.n_rows, 1))
-            job.drive(job.inputs(k0, n), drive[0], drive[1])
-            rows = traj[k0 + 1 : k0 + n + 1, span].reshape(n, job.n_sys, job.n_rows)
-            rows[...] = drive[0].reshape(job.n_sys, n, job.n_rows).transpose(1, 0, 2)
-            del drive, rows
-        ladder_scan(p, traj[None, k0 : k0 + n + 1, :, None])
-
-    def outputs(job, span):
-        y = np.empty((job.n_sys, job.n_rows) + job.out_shape[-2:])
-        c_out = job.c_out.reshape(-1, 1, y.shape[-2], 1)
-        first = 0
-        for k0, n in blocks:
-            samples = slice(k0 + first, k0 + n + 1)
-            out = job.inputs(k0, n)[:, first * job.n_rows :] @ job.d_out
-            out = out.reshape(job.n_sys, -1, job.n_rows, y.shape[-2])
-            y[..., samples] = out.transpose(0, 2, 3, 1)
+    for c0 in range(0, n_cols, width):
+        rows = u[..., c0 : c0 + width, :, :]
+        w = rows.shape[-3]
+        pad = -(-w // 8) * 8
+        x = buf_x[: n_sys * (block + 1) * m * pad].reshape(n_sys, block + 1, m, pad)
+        inputs = buf_in[: buf_in.size // width * pad].reshape(u_lead + (n_in, block + 1, pad))
+        inputs[..., w:] = 0.0  # the padding columns
+        y = np.empty((n_sys, w, n_out, t))
+        first = 0  # 1 once the state at sample k0, x[:, 0], is written out
+        for k0 in range(0, max(t - 1, 1), block):  # n steps on from sample k0, none at t = 1
+            n = min(block, t - 1 - k0)
+            flat = inputs[..., : n + 1, :]
+            flat[..., :w] = rows[..., k0 : k0 + n + 1].transpose(columns_last)
+            if k0 == 0:
+                x[:, 0] = mapped(system.dc_gain, flat[..., :1, :]).reshape(n_sys, m, pad)
+            if n:
+                drive = buf_drive[: n_sys * m * n * pad].reshape(lead + (m, n * pad))
+                mapped(system.q_next, flat[..., 1:, :], out=drive)
+                # the states to come hold the second map's terms until the scan writes them
+                terms = x[:, 1 : n + 1].reshape(n_sys, -1).reshape(drive.shape)
+                drive += mapped(system.q_prev, flat[..., :-1, :], out=terms)
+                ladder_scan(p, x[:, : n + 1], drive.reshape(n_sys, m, n, pad))
+            # the outputs' input terms, (S, n_out, samples, N), plus their state terms, one
+            # (n_out, m) @ (m, N) product per system and sample, (S, samples, n_out, N)
+            out = mapped(system.d_out, flat[..., first:, :]).reshape(n_sys, n_out, -1, pad)
+            out += (c_out[:, None] @ x[:, first : n + 1]).swapaxes(1, 2)
+            y[..., k0 + first : k0 + n + 1] = out[..., :w].transpose(0, 3, 1, 2)
             del out
-            # c_out has one column, so a state's share of an output is a single product,
-            # added to the input's share as `_Job.output` adds them
-            states = traj[samples, span].reshape(-1, job.n_sys, job.n_rows).transpose(1, 2, 0)
-            y[..., samples] += states[:, :, None] * c_out
+            x[:, 0] = x[:, n]
             first = 1
-        return y
-
-    for job, span in zip(jobs, spans):
-        yield outputs(job, span)  # unnamed here, so the consumer alone holds it
-
-
-def solve_jobs(jobs):
-    """Outputs of several (system, u) jobs, yielded one job at a time in the jobs' order.
-
-    A job is what `solve_systems` takes: one system, or S stacked by
-    `stack_systems`, and its inputs of shape (..., B, n_inputs, t). All jobs
-    share one t. Jobs of one state count m > 1 are solved as one stack, one
-    (S, B, m) @ (S, m, m) product per sample step, so they must share one row
-    count B: jobs of unequal B raise ShapeMismatchError rather than split
-    into several scans. One-state jobs of any B advance in one elementwise
-    step per sample. Either way each job keeps its own input-map, start-state
-    and output-map products, so its outputs equal the ones it would get alone,
-    bit for bit. A group is solved when its first job is reached.
-    """
-    jobs = [_Job(system, u) for system, u in jobs]
-    if len({job.t for job in jobs}) > 1:
-        raise ShapeMismatchError("the jobs of one solve must share one sample count")
-    if len({job.n_rows for job in jobs if job.p.shape[-1] > 1}) > 1:
-        raise ShapeMismatchError("jobs with more than one state must share one row count")
-    solves = {}
-    for job in jobs:
-        m = job.p.shape[-1]
-        if m not in solves:
-            group = [other for other in jobs if other.p.shape[-1] == m]
-            solves[m] = (_one_state_solves if m == 1 else _stacked_solves)(group)
-        yield next(solves[m]).reshape(job.out_shape)
+        yield slice(c0, c0 + w), y.reshape(lead + y.shape[1:])
+        del y  # before the next slab's outputs are allocated
 
 
 def solve_systems(system: _DiscreteSystem, u: np.ndarray) -> np.ndarray:
-    """Outputs, shape (..., B, n_outputs, t), for inputs u of shape (..., B, n_inputs, t).
-
-    `system` is one discretized system shared by every stack of B rows, or S
-    systems of equal shapes stacked by `stack_systems`, one per stack of u of
-    shape (S, B, n_inputs, t). Each row starts from the DC-consistent state
-    for its first input sample. Per time block (`_layout`), the input map is
-    one stacked product over the block's time-major samples, `ladder_scan`
-    advances the states, the output map writes the block's output columns,
-    and the last state carries into the next block. A row's samples do not
-    depend on the blocking. The one job of `solve_jobs`.
-    """
-    return next(solve_jobs([(system, u)]))
+    """Outputs, shape (..., N, n_outputs, t), for inputs u of shape (..., N, n_inputs, t): the
+    slabs of `solve_slabs` joined."""
+    n_out = system.c_out.shape[-2]
+    if system.p.ndim == 2:
+        y = np.empty(u.shape[:-2] + (n_out, u.shape[-1]))
+        joined = y.reshape(-1, n_out, u.shape[-1])
+    else:
+        joined = y = np.empty(_lead(system.p.shape, u.shape) + (u.shape[-3], n_out, u.shape[-1]))
+    for cols, slab in solve_slabs(system, u):
+        joined[..., cols, :, :] = slab
+    return y
 
 
 @lru_cache(maxsize=128)
@@ -583,28 +455,43 @@ def loop_system(cable: Cable, cfg: LoopConfig | None, dt: float) -> _DiscreteSys
     return system
 
 
+def loop_slabs(u: np.ndarray, wires: Sequence[Variant], cfgs: Sequence[LoopConfig], dt: float):
+    """Yield (cols, y): the loops of u's rows on V wires of one state count under P loop
+    configurations, a column slab at a time.
+
+    Inputs u, shape (P, N, 3, t), hold (u_a, u_b, i_inj) rows, u[p] under
+    cfgs[p] on every wire; y holds the slab's (i_cha, i_chb, u_cha, u_chb)
+    rows in the Loop convention, shape (V, P, len(cols), 4, t). Closed form
+    for the ideal wire, whose slabs `_layout` sizes as a scan's; the cable's
+    loop systems otherwise, all V x P of them in one `solve_slabs` scan.
+    """
+    if not wires[0].n_states:
+        r_a = np.reshape([c.r_alice for c in cfgs], (-1, 1, 1))
+        r_b = np.reshape([c.r_bob for c in cfgs], (-1, 1, 1))
+        width, _ = _layout(len(wires) * len(cfgs), 1, 4, u.shape[-3], u.shape[-1])
+        for c0 in range(0, u.shape[-3], width):
+            rows = u[:, c0 : c0 + width]
+            y = ideal_rows(rows[..., 0, :], rows[..., 1, :], rows[..., 2, :], r_a, r_b)
+            yield slice(c0, c0 + rows.shape[1]), np.broadcast_to(y, (len(wires),) + y.shape)
+        return
+    systems = stack_systems([[loop_system(wire, c, dt) for c in cfgs] for wire in wires])
+    yield from solve_slabs(systems, u)
+
+
 def solve_rows(
     u: np.ndarray, wire: Variant, cfg: LoopConfig | Sequence[LoopConfig], dt: float
 ) -> np.ndarray:
-    """Solve batches of exchanges on `wire`, each batch sharing one loop configuration.
+    """Solve exchanges on `wire`: the slabs of `loop_slabs` joined.
 
     Inputs (..., B, 3, t) are (u_a, u_b, i_inj) rows; outputs (..., B, 4, t)
     are (i_cha, i_chb, u_cha, u_chb) rows in the Loop convention. `cfg` is
-    one loop configuration for all rows, with an optional leading stack axis,
-    or S configurations, one per batch of inputs of shape (S, B, 3, t).
-    Closed form for the ideal wire, the cable's loop systems otherwise, all
-    batches in one `solve_systems` scan. Raises ShapeMismatchError if any
-    solved sample is not finite.
+    one loop configuration for all rows, or S configurations, one per stack
+    of inputs of shape (S, B, 3, t). Raises ShapeMismatchError if any solved
+    sample is not finite.
     """
     cfgs = [cfg] if isinstance(cfg, LoopConfig) else list(cfg)
-    if isinstance(wire, Ideal):
-        # per-batch terminations broadcast over the batch's rows and samples
-        shape = () if isinstance(cfg, LoopConfig) else (-1, 1, 1)
-        r_a = np.reshape([c.r_alice for c in cfgs], shape)
-        r_b = np.reshape([c.r_bob for c in cfgs], shape)
-        return ideal_rows(u[..., 0, :], u[..., 1, :], u[..., 2, :], r_a, r_b)
-    if isinstance(cfg, LoopConfig):
-        system = loop_system(wire, cfg, dt)
-    else:
-        system = stack_systems([loop_system(wire, c, dt) for c in cfgs])
-    return _finite(solve_systems(system, u))
+    rows = u.reshape((len(cfgs), -1) + u.shape[-2:])
+    y = np.empty(rows.shape[:2] + (4, u.shape[-1]))
+    for cols, slab in loop_slabs(rows, [wire], cfgs, dt):
+        y[:, cols] = slab[0]
+    return _finite(y.reshape(u.shape[:-2] + y.shape[-2:]))

@@ -71,8 +71,8 @@ def residual_rows(measured: np.ndarray, wire: Variant, fs: float) -> np.ndarray:
     loop current, so Alice's residual is i_cha - i_chb (the injected current)
     and Bob's is zero. Cable: each end's measured current minus the in-site
     simulation of all rows in one scan, driven by the measured end voltages;
-    the simulation does not depend on the terminations, so any batches of
-    rows may share it.
+    the simulation does not depend on the terminations, so the rows of both
+    resistor pairs may share it.
     """
     if isinstance(wire, Ideal):
         residuals = np.zeros(measured.shape[:-2] + (2, measured.shape[-1]))

@@ -10,34 +10,35 @@ reproduces the sequential result exactly. A stream is derived only when it
 is drawn, and `seeds` hashes whole index arrays with numpy's results.
 
 Exchanges run in chunks of 256 consecutive indices, each one array pass
-from the seeds to the decisions. A chunk is two batch windows of
-`protocol.WINDOW` = 128 indices, and no loop batch spans two windows, so the
-window, not the chunk, fixes a row's rounding. A chunk is classified before
-it runs: one `seeds` call draws which party holds r_h, and the mixed rows
-are its secure exchanges. A run ends at the n-th secure exchange, so its
-last chunk keeps only the loop batches that hold a used one (`_used_chunks`).
-Before any chunk runs, `SimConfig.check_array_budget` sizes the chunk's
-largest arrays, the scans' from `circuit.scan_bytes`, and falls back to one
-window per chunk, or rejects the run, past the budget. Chunk workers are module
-functions of (cfg, chunk), bound by `functools.partial` to the values they read.
+from the seeds to the decisions. A chunk is classified before it runs: one
+`seeds` call draws which party holds r_h, and the mixed rows are its secure
+exchanges. A run ends at the n-th secure exchange, so its last chunk is
+trimmed to the secure exchanges up to that one (`_used_chunks`): a row's
+bits do not depend on the rows it is solved with (`circuit`), so neither the
+chunk nor the trim changes them. Before any chunk runs,
+`SimConfig.check_array_budget` sizes the chunk's largest arrays, the scans'
+from `circuit.scan_bytes`, and falls back to half a chunk, or rejects the
+run, past the budget. Chunk workers are module functions of (cfg, chunk),
+bound by `functools.partial` to the values they read.
 
 An attack run is a grid of wire variants x injection levels (`run_table1`;
 `run_attack_cell` is a grid of one cell) in one pass over the chunks: each
 chunk's generator rows are synthesized once, and Eve's rows of every level
-in one more call. All one-state rows of a chunk advance in one elementwise
-recurrence, and the variants with more states solve each loop batch at all
-levels in one stacked scan. Solved rows are reduced to mean squares and
-correlators as they come; each party decides once per chunk for every cell.
+in one more call. The ideal wire's rows are solved in closed form, a level
+at a time. Every secure exchange at every level is a column of its
+(Alice, Bob) resistor pair (`_pair_rows`), and the variants of each state
+count solve all columns in one scan of variants x pairs systems. Solved rows
+are reduced to mean squares and correlators a column slab at a time; each
+party decides once per chunk for every cell.
 
 The defense experiment solves each secure exchange with and without Eve's
-current. A chunk groups its loop batches by row count, writes each group's
-generator and injection rows straight into its stacked inputs, and takes two
-stacked scans: the channel, each batch with its own loop system, and the
-parties' in-site simulations on their model of the wire, a variant like the
-channel's (by default the channel's own). The run calibrates on one array of
-its first pairs' clean rows, unless the config fixes the threshold, then
-detects on each chunk as it arrives and drops its residual rows. The
-single-bit dump solves one exchange as a loop batch of one row.
+current, two columns of its resistor pair, and both pairs' columns in one
+scan; each slab's residuals come from one more scan, the parties' in-site
+simulations on their model of the wire, a variant like the channel's (by
+default the channel's own). The run calibrates on one array of its first
+pairs' clean rows, unless the config fixes the threshold, then detects on
+each chunk as it arrives and drops its residual rows. The single-bit dump
+solves one exchange as a column of its own.
 """
 from __future__ import annotations
 
@@ -55,9 +56,9 @@ import numpy as np
 from . import attack, circuit, defense, noise, privacy, protocol, seeds
 from .exceptions import ConfigError, ShapeMismatchError
 
-# Exchanges per array pass: two batch windows. The windows, not the chunk, fix every row's
-# rounding, so a run's bits are the same at one window per chunk (the size budget's fallback).
-_CHUNK = 2 * protocol.WINDOW
+# Exchanges per array pass. A row's bits do not depend on its chunk, so a run's bits are the
+# same at half of it (the size budget's fallback).
+_CHUNK = 256
 
 # Largest single array a run may allocate. The size check in SimConfig
 # predicts it from the shapes, so a config past it exits before allocating.
@@ -174,14 +175,14 @@ class SimConfig:
 
     def check_array_budget(self, n_levels: int, variants=None, parties=None) -> int:
         """The exchanges per chunk of a run of `variants` (default: this config's) over
-        `n_levels` injection levels: two batch windows (_CHUNK), or one if an array of a
-        two-window chunk would exceed MAX_ARRAY_BYTES (`_chunk_array_bytes`). Raises
-        ConfigError if an array of a one-window chunk would. The defense's in-site scan
-        is sized on the `parties`' wire, by default on each variant."""
-        counts = collections.Counter(v.n_states for v in variants or [self.variant] if v.n_states)
-        in_site = set(counts) if parties is None else {parties.n_states} - {0}
+        `n_levels` injection levels: _CHUNK, or half of it if an array of a whole chunk would
+        exceed MAX_ARRAY_BYTES (`_chunk_array_bytes`). Raises ConfigError if an array of a
+        half chunk would. The defense's in-site scan is sized on the `parties`' wire, by
+        default on each variant."""
+        counts = collections.Counter(v.n_states for v in variants or [self.variant])
+        in_site = (set(counts) if parties is None else {parties.n_states}) - {0}
         t, key = self.samples_per_bit, (tuple(sorted(counts.items())), tuple(sorted(in_site)))
-        for chunk in (_CHUNK, protocol.WINDOW):
+        for chunk in (_CHUNK, _CHUNK // 2):
             sizes = _chunk_array_bytes(t, n_levels, chunk, *key)
             over = [(name, size) for name, size in sizes.items() if size > MAX_ARRAY_BYTES]
             if not over:
@@ -204,33 +205,24 @@ def _chunk_array_bytes(t: int, n_levels: int, chunk: int, counts, in_site) -> di
     simulates the parties' wire at the `in_site` state counts; cached, since every
     SimConfig checks its own.
 
-    The harness sizes its own rows. `circuit.scan_bytes` sizes the scans of the
-    solves' worst-case jobs. The grid solves each loop batch, of up to BATCH rows,
-    at all levels, one job per variant of a state count m > 1, and all one-state
-    rows of a chunk in one scan. The defense scans a chunk's full batches, 2 x chunk
-    / BATCH systems of BATCH rows, once with one system per batch and once with the
-    in-site system; its remainder batches, at most one per window and loop
-    configuration, stack fewer.
+    The harness sizes its own rows: a grid chunk's columns are its secure exchanges at
+    every level, a defense chunk's their clean and attacked arms. `circuit.scan_bytes`
+    sizes the scans of both resistor pairs' columns: the grid's of each state count, a
+    stack of both pairs per variant, and the defense's channel and in-site scans.
     """
-    L, batch = n_levels, protocol.BATCH
-    rows = max(L * batch, 2 * chunk)
+    L, C = n_levels, chunk
+    columns = max(L, 2) * C
     sizes = {
-        f"a solve's ({rows} rows, 4, t) outputs": 8 * rows * 4 * t,
-        f"a chunk's ({chunk}, 7, t) drive and solved rows": 8 * chunk * 7 * t,
-        f"a chunk's ({L}, {chunk}, t) injected rows": 8 * L * chunk * t,
+        f"a chunk's ({columns}, 3, t) drive rows": 8 * columns * 3 * t,
+        f"a chunk's ({L}, {C}, t) injected rows": 8 * L * C * t,
+        f"a chunk's ({C}, 2, 2, t) residual rows": 8 * C * 4 * t,
     }
-    if counts:
-        sizes[f"the grid's ({L}, {chunk}, 3, t) cable drive rows"] = 8 * L * chunk * 3 * t
-    n_sys = 2 * chunk // batch
-    scans = [[((m, m), (n_sys, batch, 2, t))] for m in in_site]
+    scans = [((m, m), (2, 2 * C, 2, t), 2) for m in in_site]
     for m, count in counts:
-        scans.append([((n_sys, m, m), (n_sys, batch, 3, t))])
-        if m == 1:
-            scans.append([((m, m), (L, chunk, 3, t))] * count)
-        else:
-            scans += [[((m, m), (L, b, 3, t))] * count for b in range(1, batch + 1)]
+        scans.append(((2, m, m), (2, 2 * C, 3, t), 4))
+        scans.append(((count, 2, m, m), (2, L * C, 3, t), 4))
     for scan in scans:
-        for name, size in circuit.scan_bytes(scan).items():
+        for name, size in circuit.scan_bytes(*scan).items():
             sizes[name] = max(size, sizes.get(name, 0))
     return sizes
 
@@ -304,41 +296,29 @@ def _classify_chunk(cfg: SimConfig, start: int, size: int = _CHUNK):
     return index, high[secure, 0].astype(np.uint8), np.where(high[secure], cfg.r_h, cfg.r_l)
 
 
-def _used_chunks(cfg: SimConfig, n_secure: int, batch: int, size: int):
+def _used_chunks(cfg: SimConfig, n_secure: int, size: int):
     """The chunks' secure exchanges that a run of n_secure secure bits solves, in index order.
 
     Yields each chunk's (index, key_bits, choices) from `_classify_chunk` over
     `size` exchanges, skipping chunks without a secure exchange. The last
-    chunk, the one with the n_secure-th secure exchange, keeps only its
-    `protocol.loop_batches` batches of `batch` rows that hold one of the
-    secure exchanges up to that one (at batch = 1, just those), so the rows
-    it yields start with those. A batch is kept or dropped whole, since a
-    (B, m) @ (m, m) product's rows can change in the last ulp with B: a kept
-    row keeps its batch, its slice of a stacked solve and its time blocks'
-    multiples of 8 product rows, and so its bits. A dropped batch is never
-    seeded, synthesized or solved.
+    chunk, the one with the n_secure-th secure exchange, is trimmed to the
+    secure exchanges up to that one: a row's bits do not depend on the rows
+    it is solved with, and the dropped ones are never seeded, synthesized or
+    solved.
     """
     found = 0
     for start in itertools.count(0, size):
         index, key_bits, choices = _classify_chunk(cfg, start, size)
         n_used = n_secure - found
         if len(index) >= n_used:
-            kept = slice(n_used)
-            if batch > 1:
-                kept = sorted(
-                    pos
-                    for _, positions in protocol.loop_batches(cfg, index, choices, batch)
-                    if positions[0] < n_used
-                    for pos in positions
-                )
-            yield index[kept], key_bits[kept], choices[kept]
+            yield index[:n_used], key_bits[:n_used], choices[:n_used]
             return
         found += len(index)
         if len(index):
             yield index, key_bits, choices
 
 
-def _consume_chunks(cfg: SimConfig, chunk_worker, n_secure: int, batch: int, size: int):
+def _consume_chunks(cfg: SimConfig, chunk_worker, n_secure: int, size: int):
     """Yield `chunk_worker(cfg, chunk)` for each chunk of `_used_chunks`, in index order.
 
     The harness classifies each chunk before it runs it, so it submits
@@ -346,7 +326,7 @@ def _consume_chunks(cfg: SimConfig, chunk_worker, n_secure: int, batch: int, siz
     evaluated concurrently, at most workers + 1 ahead of the consumer, but
     yielded in order, so the result is identical to the sequential one.
     """
-    chunks = _used_chunks(cfg, n_secure, batch, size)
+    chunks = _used_chunks(cfg, n_secure, size)
     if cfg.workers == 1:
         for chunk in chunks:
             yield chunk_worker(cfg, chunk)
@@ -361,17 +341,44 @@ def _consume_chunks(cfg: SimConfig, chunk_worker, n_secure: int, batch: int, siz
             yield futures.popleft().result()
 
 
+def _pair_rows(cfg: SimConfig, choices: np.ndarray, gen: np.ndarray, injected: np.ndarray):
+    """The loop rows of k secure exchanges at each of the C rows of Eve's current `injected`,
+    shape (C, k, t): their (u_a, u_b, i_inj) grouped by (Alice, Bob) resistor pair
+    (`protocol.resistor_pairs`), each pair's C x k_p rows in one run, copy-major. Returns
+    the pairs' loop configurations and positions, and the rows as the (P, N, 3, t) view of
+    `protocol.pair_view`."""
+    loop_cfgs, positions = protocol.resistor_pairs(cfg, choices)
+    copies, t = injected.shape[0], injected.shape[-1]
+    counts = [copies * len(pos) for pos in positions]
+    flat = np.empty((sum(counts), 3, t))
+    for pos, rows in zip(positions, np.split(flat, np.cumsum(counts)[:-1])):
+        rows = rows.reshape(copies, len(pos), 3, t)
+        for lo in range(0, len(pos), 32):  # 32 exchanges at a time, so each gather is small
+            some = slice(lo, lo + 32)
+            rows[:, some, :2] = gen[pos[some]]
+            rows[:, some, 2] = injected[:, pos[some]]
+    return loop_cfgs, positions, protocol.pair_view(flat, counts)
+
+
+def _slab_columns(cols: slice, positions, copies: int):
+    """For each resistor pair p, the columns of a slab `cols` of `_pair_rows`' (P, N) rows that
+    are p's own: p, their indices in the slab, and each one's copy and exchange position."""
+    for p, pos in enumerate(positions):
+        own = np.arange(cols.start, min(cols.stop, copies * len(pos)))
+        copy, row = np.divmod(own, len(pos))
+        yield p, own - cols.start, copy, pos[row]
+
+
 def _grid_chunk(cfg: SimConfig, chunk, variants, levels) -> dict:
     """One chunk of the grid: the key bits and Eve's and the parties' statistics per cell and
     secure exchange, shape (variants, levels, k).
 
     `chunk` is (index, key_bits, choices) from `_used_chunks`, and the cells are the wire
     `variants` x the injection `levels`, each a fraction of the reference loop current
-    (0: no injection). The cables solve every loop batch at all levels from one array of
-    the chunk's drive rows in batch order, which the variants share: all one-state rows in
-    one `circuit.solve_jobs` call, then each batch's multi-state variants in one, a stack
-    of S = variants x levels systems. Each job's solved rows are reduced as they come, so
-    no chunk of solved rows is held.
+    (0: no injection). Every secure exchange at every level is a column of its resistor
+    pair (`_pair_rows`), and the variants of one state count solve all columns
+    in one `circuit.loop_slabs` scan, a stack of S = variants x pairs systems. Each slab's
+    solved rows are reduced as they come, so no chunk of solved rows is held.
     """
     index, key_bits, choices = chunk
     attacked = np.array(levels) > 0
@@ -385,42 +392,27 @@ def _grid_chunk(cfg: SimConfig, chunk, variants, levels) -> dict:
     shape = (len(variants), len(levels), len(index))
     msq = np.empty(shape + (4,))
     rho_a, rho_b = np.empty(shape), np.empty(shape)
-
-    def reduce(v, lvls, positions, y, i_inj):
-        msq[v, lvls][:, positions] = protocol.mean_squares(y)
-        rho = _correlators(i_inj, y)
-        rho_a[v, lvls][:, positions], rho_b[v, lvls][:, positions] = rho
-
     r_a, r_b = choices[:, :1], choices[:, 1:]
     for v in (v for v, variant in enumerate(variants) if not variant.n_states):
         for lvl in range(len(levels)):  # elementwise, each row with its own terminations
-            lvls = slice(lvl, lvl + 1)
-            y = circuit.ideal_rows(gen[:, 0], gen[:, 1], eve[lvls], r_a, r_b)
-            reduce(v, lvls, slice(None), y, eve[lvls])
+            y = circuit.ideal_rows(gen[:, 0], gen[:, 1], eve[lvl], r_a, r_b)
+            msq[v, lvl] = protocol.mean_squares(y)
+            rho_a[v, lvl], rho_b[v, lvl] = _correlators(eve[lvl], y)
             del y
-    # the one-state variants solve every batch in one call, the others each batch in one
-    one_state = [v for v, variant in enumerate(variants) if variant.n_states == 1]
-    several = [v for v, variant in enumerate(variants) if variant.n_states > 1]
-    if one_state or several:
-        # every row's (u_a, u_b, i_inj) at every level, in batch order, so that each loop
-        # batch's drive rows are one view that its variants share
-        drive = np.empty((len(levels), len(index), 3, t))
-        batches = list(protocol.loop_batches(cfg, index, choices))
-        ends = np.cumsum([len(positions) for _, positions in batches]).tolist()
-        for b, ((loop_cfg, positions), end) in enumerate(zip(batches, ends)):
-            u = drive[:, end - len(positions) : end]
-            u[:, :, :2] = gen[positions]
-            u[:, :, 2] = eve[:, positions]
-            batches[b] = loop_cfg, positions, u
-        del gen, eve, u
-        calls = [[(v, batch) for batch in batches for v in one_state]]
-        calls += [[(v, batch) for v in several] for batch in batches]
-        dt = 1.0 / cfg.sample_rate_hz
-        for call in filter(None, calls):
-            jobs = [(circuit.loop_system(variants[v], loop, dt), u) for v, (loop, _, u) in call]
-            for (v, (_, positions, u)), y in zip(call, circuit.solve_jobs(jobs)):
-                reduce(v, slice(None), positions, y, u[:, :, 2])
-                del y  # free the solved rows before the next job's are formed
+    cables = dict.fromkeys(variant.n_states for variant in variants if variant.n_states)
+    if cables:
+        loop_cfgs, positions, u = _pair_rows(cfg, choices, gen, eve)
+        del gen, eve
+    dt = 1.0 / cfg.sample_rate_hz
+    for m in cables:
+        group = np.array([v for v, variant in enumerate(variants) if variant.n_states == m])
+        for cols, y in circuit.loop_slabs(u, [variants[v] for v in group], loop_cfgs, dt):
+            i_inj = np.broadcast_to(u[:, cols, 2], y.shape[:-2] + (t,))
+            stats = (protocol.mean_squares(y), *_correlators(i_inj, y))
+            del y  # free the solved rows before the next slab's are formed
+            for p, own, lvl, pos in _slab_columns(cols, positions, len(levels)):
+                for out, stat in zip((msq, rho_a, rho_b), stats):
+                    out[group[:, None], lvl, pos] = stat[:, p, own]
     if not np.isfinite(msq).all():  # a non-finite solved sample makes its row's mean square so
         raise ShapeMismatchError("solved loop samples must all be finite")
     params = (cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz)
@@ -507,14 +499,9 @@ def run_table1(
     for variant in variants:  # SimConfig checks each variant's cable and signal scales
         replace(cfg, variant=variant)
     size = cfg.check_array_budget(len(levels), variants)
-    # ideal-wire rows are elementwise, so a run on that wire alone trims its last chunk by rows
-    batch = 1 if all(isinstance(v, circuit.Ideal) for v in variants) else protocol.BATCH
     chunk_worker = functools.partial(_grid_chunk, variants=variants, levels=levels)
-    payloads = list(_consume_chunks(cfg, chunk_worker, cfg.n_bits, batch, size))
-    cols = {
-        name: np.concatenate([p[name] for p in payloads], axis=-1)[..., : cfg.n_bits]
-        for name in payloads[0]
-    }
+    payloads = list(_consume_chunks(cfg, chunk_worker, cfg.n_bits, size))
+    cols = {name: np.concatenate([p[name] for p in payloads], axis=-1) for name in payloads[0]}
     n_exchanges = int(cols.pop("index")[-1]) + 1  # up to and including the last secure one
     key_bits = cols.pop("key_bits")
     n = len(key_bits)
@@ -545,50 +532,41 @@ def run_table1(
 # --- defense experiment -----------------------------------------------------
 
 
-# Exchanges per defense loop batch: each holds two solved rows, its clean and attacked arm
-_DEFENSE_BATCH = protocol.BATCH // 2
-
-
 def _defense_chunk(cfg: SimConfig, chunk, parties: circuit.Variant | None = None) -> dict:
     """One chunk of defense pairs: each secure exchange solved with and without Eve's current.
 
     `chunk` is (index, key_bits, choices) from `_used_chunks`, and `cfg.injection`
-    is set. Each batch of equal loop configuration holds its clean and attacked
-    rows. All batches with the same number of rows are solved in one stacked
-    scan, each with its own loop system, and their residuals in one more: the
-    in-site simulation on the `parties`' wire (default: the channel's). Per
-    pair the payload holds the index, the residual rows, shape (2 arms, 2
-    ends, t) with the clean arm first, the clean channel current RMS and the
-    clean residual RMS over it.
+    is set. Each exchange's clean and attacked arms are two columns of its resistor
+    pair (`_pair_rows`), and both pairs' columns are solved in one
+    `circuit.loop_slabs` scan. Each slab's residuals are then simulated at once: the
+    in-site simulation on the `parties`' wire (default: the channel's). Per pair the
+    payload holds the index, the residual rows, shape (2 arms, 2 ends, t) with the
+    clean arm first, the clean channel current RMS and the clean residual RMS over it.
     """
     index, _, choices = chunk
     noise_seeds = _noise_seeds(cfg.master_seed, index)
     gen = protocol.generator_rows(cfg, choices, noise_seeds)
-    eve = protocol.injection_rows(cfg, noise_seeds[:, 2], [cfg.injection.level_fraction])[0]
-    fs = cfg.sample_rate_hz
-    residuals = np.empty((len(index), 2, 2, cfg.samples_per_bit))
+    fs, t = cfg.sample_rate_hz, cfg.samples_per_bit
+    injected = np.zeros((2, len(index), t))  # the clean arm's, then the attacked arm's
+    injected[1:] = protocol.injection_rows(cfg, noise_seeds[:, 2], [cfg.injection.level_fraction])
+    loop_cfgs, positions, u = _pair_rows(cfg, choices, gen, injected)
+    del gen, injected
+    residuals = np.empty((len(index), 2, 2, t))
     channel_rms = np.empty(len(index))
     clean_ratio = np.empty(len(index))
-    groups = collections.defaultdict(list)
-    for loop_cfg, positions in protocol.loop_batches(cfg, index, choices, _DEFENSE_BATCH):
-        groups[len(positions)].append((loop_cfg, positions))
-    for group in groups.values():
-        loop_cfgs, positions = zip(*group)
-        positions = np.array(positions)
-        n_sys, n = positions.shape
-        # filled in place: np.concatenate's temporaries raised the peak RSS
-        u = np.empty((n_sys, 2 * n, 3, cfg.samples_per_bit))
-        u[:, :n, :2] = u[:, n:, :2] = gen[positions]
-        u[:, n:, 2] = eve[positions]
-        u[:, :n, 2] = 0.0  # the first n rows of each batch are the clean arm
-        measured = circuit.solve_rows(u, cfg.variant, loop_cfgs, 1.0 / fs)
-        del u  # free the drive rows before the in-site scan
+    for cols, measured in circuit.loop_slabs(u, [cfg.variant], loop_cfgs, 1.0 / fs):
+        measured = measured[0]
+        if not np.isfinite(measured).all():
+            raise ShapeMismatchError("solved loop samples must all be finite")
         arms = defense.residual_rows(measured, parties or cfg.variant, fs)
-        arms = arms.reshape(n_sys, 2, n, 2, -1)
-        residuals[positions] = arms.swapaxes(1, 2)
-        channel_rms[positions] = np.sqrt(np.mean(np.square(measured[:, :n, 0]), axis=-1))
-        clean_rms = np.sqrt(np.mean(np.square(arms[:, 0].reshape(n_sys, n, -1)), axis=-1))
-        clean_ratio[positions] = clean_rms / channel_rms[positions]
+        rms = np.sqrt(np.mean(np.square(measured[..., 0, :]), axis=-1))
+        del measured  # free the solved rows before the next slab's are formed
+        arm_rms = np.sqrt(np.mean(np.square(arms.reshape(arms.shape[:-2] + (-1,))), axis=-1))
+        for p, own, arm, pos in _slab_columns(cols, positions, 2):
+            residuals[pos, arm] = arms[p, own]
+            clean, at = own[arm == 0], pos[arm == 0]
+            channel_rms[at] = rms[p, clean]
+            clean_ratio[at] = arm_rms[p, clean] / rms[p, clean]
     return {
         "index": index,
         "residuals": residuals,
@@ -673,7 +651,7 @@ def run_defense_experiment(
 
     chunk_worker = functools.partial(_defense_chunk, parties=parties)
     size = cfg.check_array_budget(1, parties=parties)
-    stream = _consume_chunks(cfg, chunk_worker, cfg.n_bits, _DEFENSE_BATCH, size)
+    stream = _consume_chunks(cfg, chunk_worker, cfg.n_bits, size)
     # n_bits > n_calibration, so the stream holds the first n_calibration + 1 pairs
     held = []
     while sum(len(p["index"]) for p in held) <= n_calibration:
@@ -701,7 +679,7 @@ def run_defense_experiment(
         for name, value in (("first", first), ("peak", peak), *payload.items()):
             cols[name].append(value)
     first, peak, index, clean_ratio = (
-        np.concatenate(cols[name])[n_calibration : cfg.n_bits]
+        np.concatenate(cols[name])[n_calibration:]
         for name in ("first", "peak", "index", "clean_ratio")
     )
     rows = [
@@ -807,7 +785,7 @@ class SingleBitDump:
 
 
 def run_single_bit(cfg: SimConfig, bit_index: int = 0) -> SingleBitDump:
-    """Simulate one exchange, a loop batch of one row, and keep every row."""
+    """Simulate one exchange, a column of its own, and keep every row."""
     if bit_index < 0:
         raise ConfigError(f"bit_index must be non-negative, got {bit_index}")
     index = np.array([bit_index])
@@ -817,7 +795,7 @@ def run_single_bit(cfg: SimConfig, bit_index: int = 0) -> SingleBitDump:
     u[:, :2] = protocol.generator_rows(cfg, choices, noise_seeds)
     if cfg.injection is not None:
         u[:, 2] = protocol.injection_rows(cfg, noise_seeds[:, 2], [cfg.injection.level_fraction])[0]
-    loop_cfg, _ = next(protocol.loop_batches(cfg, index, choices))
+    loop_cfg = circuit.LoopConfig(*choices[0].tolist(), cfg.injection_position)
     y = circuit.solve_rows(u, cfg.variant, loop_cfg, 1.0 / cfg.sample_rate_hz)
     msq = protocol.mean_squares(y)
     params = (cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz)

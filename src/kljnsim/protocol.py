@@ -15,7 +15,9 @@ at the default period of 25 band cycles.
 
 Exchanges are simulated k at a time as arrays: `choices` holds each
 exchange's (Alice, Bob) resistances, shape (k, 2), as `harness` drew them,
-and every signal is a (k, ..., t) array of sample rows.
+and every signal is a (k, ..., t) array of sample rows. A cable solves each
+(Alice, Bob) resistor pair's rows as the columns of one loop system
+(`resistor_pairs`, `pair_view`).
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import circuit
 from .attack import reference_rms_channel_current
-from .exceptions import InferenceError
+from .exceptions import InferenceError, ShapeMismatchError
 from .noise import K_BOLTZMANN, johnson_rms_voltage, synth_band_limited_gaussian
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -122,32 +124,23 @@ def injection_rows(cfg: "SimConfig", eve_seeds: np.ndarray, levels) -> np.ndarra
     )
 
 
-# Rows per loop batch. A row's samples depend on how many rows share its
-# (B, m) @ (m, m) step products, so this fixes every row's rounding. Solves
-# stack whole batches (a grid's levels and ladder variants, a defense chunk's
-# batches of equal size) and scan them in time blocks, so memory does not
-# grow with it; one-state rows step elementwise, whatever their batch.
-BATCH = 16
-
-# Exchange indices per batch window: no loop batch holds exchanges of two
-# windows, so the window, with BATCH, fixes every row's rounding, however many
-# windows an array pass runs.
-WINDOW = 128
+def resistor_pairs(cfg: "SimConfig", choices: np.ndarray):
+    """The (Alice, Bob) resistor pairs of k exchanges' `choices`, shape (k, 2): each pair's
+    loop configuration, and its exchanges' positions, ascending; the pair with the most
+    exchanges last."""
+    keys, inverse, counts = np.unique(choices, axis=0, return_inverse=True, return_counts=True)
+    order = np.argsort(counts, kind="stable").tolist()
+    loop_cfgs = [circuit.LoopConfig(*keys[g].tolist(), cfg.injection_position) for g in order]
+    return loop_cfgs, [np.flatnonzero(inverse.ravel() == g) for g in order]
 
 
-def loop_batches(cfg: "SimConfig", index: np.ndarray, choices: np.ndarray, size: int = BATCH):
-    """Positions of the exchanges that share a window and a loop configuration, at most `size`
-    at a time.
-
-    `index` holds the exchanges' indices, ascending. Yields (loop_cfg,
-    positions) with (window, Alice, Bob) keys in order of first appearance
-    and positions ascending within each.
-    """
-    groups: dict[tuple[int, float, float], list[int]] = {}
-    for pos, key in enumerate(zip((np.asarray(index) // WINDOW).tolist(), *choices.T.tolist())):
-        groups.setdefault(key, []).append(pos)
-    for (_, r_a, r_b), positions in groups.items():
-        loop_cfg = circuit.LoopConfig(r_a, r_b, cfg.injection_position)
-        for start in range(0, len(positions), size):
-            yield loop_cfg, positions[start : start + size]
-
+def pair_view(flat: np.ndarray, counts) -> np.ndarray:
+    """One or two resistor pairs' rows, `counts` of them each in one run of `flat`, as the
+    (P, N, ...) rows of a loop scan, N the last count: row p is pair p's rows from their
+    offset on, then some of the next pair's, which its scan solves and the caller ignores.
+    A read-only view, so that no pair's rows are copied or padded."""
+    if len(counts) > 2:
+        raise ShapeMismatchError("secure exchanges have at most two resistor pairs")
+    shape = (len(counts), counts[-1]) + flat.shape[1:]
+    strides = (counts[0] * flat.strides[0],) + flat.strides
+    return np.lib.stride_tricks.as_strided(flat, shape, strides, writeable=False)

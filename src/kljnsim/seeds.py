@@ -10,7 +10,7 @@ numpy would:
 
 - `stream_seeds`: `SeedSequence(...).generate_state(1, np.uint64)`;
 - `stream_bits`: `default_rng(SeedSequence(...)).integers(0, 2)`;
-- `pcg64_states`: the (state, inc) that `PCG64(seed)` starts from.
+- `pcg64_state_ints`: the (state, inc) that `PCG64(seed)` starts from.
 
 It follows numpy's `SeedSequence.mix_entropy` and `generate_state`
 (pool size 4) and PCG64's `pcg_setseq_128_srandom_r` and XSL-RR output.
@@ -223,10 +223,3 @@ def pcg64_state_ints(seeds) -> tuple[list[int], list[int]]:
         out[:, rows] = state + inc
     return _as_ints(out[:2]), _as_ints(out[2:])
 
-
-def pcg64_states(seeds) -> list[dict]:
-    """The bit generator state of `PCG64(seed)` for each seed, as `PCG64.state` dicts."""
-    return [
-        {"bit_generator": "PCG64", "state": {"state": s, "inc": i}, "has_uint32": 0, "uinteger": 0}
-        for s, i in zip(*pcg64_state_ints(seeds))
-    ]

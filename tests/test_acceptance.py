@@ -163,8 +163,12 @@ def test_criterion_6_physics_property_suite(zero_injection_cells, table1):
     )
     checks["superposition<=1e-10"] = sup_err <= 1e-10
 
-    # divider fractions for the reference pair
-    checks["divider(0.9,0.1)"] = circuit.divider_fractions(1000.0, 9000.0) == (0.9, 0.1)
+    # divider fractions for the reference pair: a node-injected current splits r_b : r_a
+    # toward the ends, 0.9 toward Alice's and 0.1 toward Bob's (negative in the Loop convention)
+    alone = circuit.solve_rows(u[2:], Ideal(), loop_cfg, 1.0 / fs)[0]
+    checks["divider(0.9,0.1)"] = np.allclose(alone[0], 0.9 * inj, rtol=1e-12) and np.allclose(
+        alone[1], -0.1 * inj, rtol=1e-12
+    )
 
     # killer variant end-current mismatch over a 10 s run
     big_a, big_b = synth_band_limited_gaussian([304, 305], [1.0, 3.0], 20000, fs, bw)

@@ -14,7 +14,6 @@ from kljnsim.circuit import (
     Ideal,
     LoopConfig,
     check_segmentation,
-    divider_fractions,
     injection_node_index,
     loop_system,
     solve_systems,
@@ -59,18 +58,25 @@ def _reference_steps(system, u, x0):
 
 
 def _single_row_solve(system, u):
-    """The one-row solve that the batched `solve_systems` replaced.
+    """The one-row solve in column form: the row and seven zero rows as 8 columns, each map one
+    product over all samples and one (m, m) @ (m, 8) product per sample step.
 
-    `u` has shape (n_inputs, t); returns the outputs, shape (t, n_outputs).
-    A batch of one must reproduce it bit for bit.
+    `u` has shape (n_inputs, t); returns the outputs, shape (t, n_outputs). A
+    batch of one must reproduce it bit for bit.
     """
-    x = system.dc_gain @ u[:, 0]
-    qu = u[:, 1:].T @ system.q_next.T + u[:, :-1].T @ system.q_prev.T
-    states = [x]
-    for k in range(1, u.shape[1]):
-        x = system.p @ x + qu[k - 1]
-        states.append(x)
-    return np.array(states) @ system.c_out.T + u.T @ system.d_out.T
+    n_in, t = u.shape
+    cols = np.zeros((n_in, t, 8))
+    cols[..., 0] = u
+    x = np.empty((t, system.n_states, 8))
+    x[0] = system.dc_gain @ cols[:, 0]
+    drive = system.q_next @ cols[:, 1:].reshape(n_in, -1)
+    drive += system.q_prev @ cols[:, :-1].reshape(n_in, -1)
+    drive = drive.reshape(system.n_states, t - 1, 8)
+    for k in range(1, t):
+        x[k] = system.p @ x[k - 1] + drive[:, k - 1]
+    y = (system.d_out @ cols.reshape(n_in, -1)).reshape(-1, t, 8)
+    y += (system.c_out @ x).swapaxes(0, 1)
+    return y[..., 0].T
 
 
 def test_ladder_scan_matches_reference_loop():
@@ -80,14 +86,16 @@ def test_ladder_scan_matches_reference_loop():
     p *= 0.95 / np.max(np.abs(np.linalg.eigvals(p)))  # keep the recurrence stable
     qu = rng.standard_normal((t - 1, 1, m))
     x0 = rng.standard_normal((1, m))
-    got = circuit.ladder_scan(p, np.concatenate([x0[None], qu]))
-    assert got.shape == (t, 1, m)
+    x = np.empty((1, t, m, 1))
+    x[0, 0] = x0.T
+    got = circuit.ladder_scan(p[None], x, qu.transpose(2, 0, 1)[None])
+    assert got.shape == (1, t, m, 1)
     expected = np.empty((t, m))
     expected[0] = x = x0[0]
     for k in range(1, t):
         x = p @ x + qu[k - 1, 0]
         expected[k] = x
-    assert np.array_equal(got[:, 0], expected)
+    assert np.array_equal(got[0, :, :, 0], expected)
 
 
 @pytest.mark.parametrize("batch", [1, 3, 17])
@@ -107,6 +115,14 @@ def test_batched_solve_matches_reference_steps(variant, batch):
         np.testing.assert_allclose(out.T, ref, rtol=1e-10, atol=1e-18)
     if batch == 1:
         assert np.array_equal(y[0].T, _single_row_solve(system, u[0]))
+
+
+def divider_fractions(r_a: float, r_b: float) -> tuple[float, float]:
+    """Share of a node-injected current flowing toward each termination."""
+    if r_a <= 0 or r_b <= 0:
+        raise ValueError("resistances must be positive")
+    total = r_a + r_b
+    return r_b / total, r_a / total
 
 
 def test_divider_fractions_reference_pair():

@@ -145,42 +145,38 @@ def _no_chunk_runs(monkeypatch):
 
 
 def test_grid_past_the_array_budget_exits_2_before_a_chunk_runs(tmp_path, capsys, monkeypatch):
-    """The table1 grid's cable drive rows, shape (3 levels, 128, 3, t), are the largest array at
+    """The table1 grid's drive rows, shape (3 levels x 128, 3, t), are the largest array at
     t = 120 000 (1.1e9 bytes); every array of one variant's run, the config's own check, stays
     below 2**30 bytes."""
     _no_chunk_runs(monkeypatch)
     cfg = _cfg_file(tmp_path, TINY + "tau_s = 60\n")
     capsys.readouterr()
     assert cli.main(["table1", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "cable drive rows" in capsys.readouterr().err
+    assert "(384, 3, t) drive rows" in capsys.readouterr().err
 
 
 def test_grid_whose_shared_ladder_stack_passes_the_budget_is_rejected(monkeypatch):
-    """Two 79-state ladders at 5000 levels solve each loop batch as one stack of 2 x 5000
-    systems. At t = 10 a batch of 15 rows takes blocks of 8 steps, so its stepping buffer
-    and scratch would take 1.37e9 bytes (a batch of 16 rows, 5.6e8); one ladder's share,
-    9.0e8, fits. The pair at 2800 levels, 7.7e8, fits too."""
+    """110 three-state ladders share one scan, a stack of 110 x 2 resistor pairs whose slabs
+    take at least 8 columns: at t = 20 000 a slab's outputs would take 1.13e9 bytes. 55 of
+    them fit."""
     _no_chunk_runs(monkeypatch)
-    cfg = harness.SimConfig(n_bits=4, tau_s=0.005)  # t = 10 samples
-    levels = tuple(0.3 * k / 5000 for k in range(5000))
-    ladders = [circuit.Cable(100.0, 40), circuit.Cable(1000.0, 40)]
-    with pytest.raises(ConfigError, match="stepping buffer"):
-        harness.run_table1(cfg, levels=levels, variants=ladders)
-    cfg.check_array_budget(len(levels), ladders[:1])
-    cfg.check_array_budget(2800, ladders)
+    cfg = harness.SimConfig(n_bits=4, tau_s=10.0)  # t = 20 000 samples
+    ladders = [circuit.Cable(100.0 + k, 2) for k in range(110)]
+    with pytest.raises(ConfigError, match="slab outputs"):
+        harness.run_table1(cfg, levels=(0.1,), variants=ladders)
+    cfg.check_array_budget(1, ladders[:55])
 
 
 def test_grid_whose_restacked_ladder_matrices_pass_the_budget_is_rejected(monkeypatch):
-    """Two 399-state ladders at 500 levels share each batch's scan, which restacks their
-    step matrices into one (1000, 399, 399) array of 1.27e9 bytes; one ladder's scan steps
-    with its one (399, 399) matrix."""
+    """Two 5899-state ladders share each scan, which restacks their step matrices, one per
+    ladder and resistor pair, into one (2, 2, 5899, 5899) array of 1.11e9 bytes; one
+    ladder's scan steps with half of that."""
     _no_chunk_runs(monkeypatch)
     cfg = harness.SimConfig(n_bits=4, tau_s=0.005)  # t = 10 samples
-    levels = tuple(0.3 * k / 500 for k in range(500))
-    ladders = [circuit.Cable(100.0, 200), circuit.Cable(1000.0, 200)]
+    ladders = [circuit.Cable(100.0, 2950), circuit.Cable(1000.0, 2950)]
     with pytest.raises(ConfigError, match="step matrices"):
-        harness.run_table1(cfg, levels=levels, variants=ladders)
-    cfg.check_array_budget(len(levels), ladders[:1])
+        harness.run_table1(cfg, levels=(0.1,), variants=ladders)
+    cfg.check_array_budget(1, ladders[:1])
 
 
 # A 30 km cable in 3 km segments: its per-segment RC corner, 4.84 kHz, lies above
@@ -231,18 +227,19 @@ def test_defense_rejects_a_too_coarse_defense_model():
 def test_defense_model_past_the_array_budget_is_rejected_before_a_chunk_runs(monkeypatch):
     """The parties' in-site scan is sized at their wire's state count. Cable(1000, 20000) is a
     39 999-state system whose in-site step matrix alone would take 1.28e10 bytes: rejected as
-    the parties' wire as it is as the channel's. Cable(1000, 2000) fits the in-site scan,
-    though not the channel's stack of one system per loop batch, so its defense reaches a
-    chunk. Never run the larger one unpatched: its assembly alone would take 12.8 GB."""
+    the parties' wire as it is as the channel's. Cable(1000, 5000) fits the in-site scan,
+    one 9999-state system, though not the channel's stack of one system per resistor pair,
+    so its defense reaches a chunk. Never run the larger one unpatched: its assembly alone
+    would take 12.8 GB."""
     _no_chunk_runs(monkeypatch)
     cfg = harness.SimConfig(n_bits=30, variant=circuit.Cable(1000.0, 10))
-    for fine in (circuit.Cable(1000.0, 20000), circuit.Cable(1000.0, 2000)):
+    for fine in (circuit.Cable(1000.0, 20000), circuit.Cable(1000.0, 5000)):
         with pytest.raises(ConfigError, match="byte budget"):
             replace(cfg, variant=fine)
     with pytest.raises(ConfigError, match="byte budget"):
         harness.run_defense_experiment(cfg, defense_model=circuit.Cable(1000.0, 20000))
     with pytest.raises(AssertionError, match="past the size guard"):
-        harness.run_defense_experiment(cfg, defense_model=circuit.Cable(1000.0, 2000))
+        harness.run_defense_experiment(cfg, defense_model=circuit.Cable(1000.0, 5000))
 
 
 def test_seed_and_bit_index_of_2_to_the_64_run(tmp_path):

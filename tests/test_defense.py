@@ -215,7 +215,7 @@ def test_calibration_over_two_chunks_matches_a_list_reference(variant):
         n_bits=300, master_seed=7, variant=variant, injection=InjectionSpec(0.1, BW)
     )
     result = harness.run_defense_experiment(cfg, n_calibration=n_cal)
-    chunks = harness._used_chunks(cfg, cfg.n_bits, harness._DEFENSE_BATCH, harness._CHUNK)
+    chunks = harness._used_chunks(cfg, cfg.n_bits, harness._CHUNK)
     payloads = [harness._defense_chunk(cfg, chunk) for chunk in itertools.islice(chunks, 2)]
     assert len(payloads[0]["index"]) < n_cal + 1 <= sum(len(p["index"]) for p in payloads)
     pairs = [pair for p in payloads for pair in p["residuals"]]  # (arm, end, t) each

@@ -29,14 +29,14 @@ CASES = {
         harness.run_table1,
         "32d2f4f31065f7482dee84511429d8170f803d397d81c691e33efef5cd95973d",
     ),
-    # the canceller alone: its one-state batches of every row count, over three chunks
+    # the canceller alone, its one-state scans over three chunks
     "table1.csv-killer": (
         harness.SimConfig(n_bits=150, master_seed=12345),
         "table",
         lambda cfg: harness.run_table1(cfg, variants=[circuit.CableWithKiller(1000.0, 10)]),
         "d4afe5e3a24c879e5d25285df75fb95417fa14cd484fd2b5aecc072b14cac1fc",
     ),
-    # two ladders of one state count, which share their batches' scans
+    # two ladders of one state count, which share their scans
     "table1.csv-ladders": (
         harness.SimConfig(n_bits=150, master_seed=12345),
         "table",
@@ -57,7 +57,7 @@ CASES = {
         harness.run_defense_experiment,
         "ccf463a4bb83230231634d5fa2a2df5bd1c59717690f13598a54e388e48a17ea",
     ),
-    # 347 exchanges: three chunks, each with batches of several row counts
+    # 347 exchanges: three chunks, each with both resistor pairs
     "defense.csv-3chunks": (
         harness.SimConfig(n_bits=150, variant=CABLE, master_seed=12345),
         "defense_result",
@@ -69,20 +69,20 @@ CASES = {
         harness.SimConfig(n_bits=40, variant=circuit.CableWithKiller(1000.0, 10), master_seed=12345),
         "defense_result",
         harness.run_defense_experiment,
-        "326b61be164f7f116a075c8336a699c592ea4732959317f95e6c35c1532421f2",
+        "b0a74d04568130fa7f1c504b0f9d336b9cd7eeeb5013f134587ee5134692151b",
     ),
     "single_bit.csv": (
         harness.SimConfig(variant=CABLE, injection=INJECTION, master_seed=12345),
         "single_bit",
         harness.run_single_bit,
-        "78073733f55cf8ac2dfc3de10d58b6f681ff707688bf8c50d165bbe4f3a289f3",
+        "35d3442908eb5ca2a03cf2d9c00fbbd438c44fc9f055eed74ce018ed79d69d2b",
     ),
     # exchange 0 above is an HH discard, exchange 2 an LL discard, exchange 3 secure (HL)
     "single_bit.csv-ll": (
         harness.SimConfig(variant=CABLE, injection=INJECTION, master_seed=12345),
         "single_bit",
         lambda cfg: harness.run_single_bit(cfg, 2),
-        "19eeffee0afbf22a92c79e722bcc472cf7b0bc475ca9938b109bb528ac0d1023",
+        "d609ffbd8c16dcb5652c6c07d6d42861dc8f56fe0b6b2d2acf62c0213e259ebf",
     ),
     "single_bit.csv-ideal": (
         harness.SimConfig(injection=INJECTION, master_seed=12345),
@@ -96,7 +96,7 @@ CASES = {
         ),
         "single_bit",
         lambda cfg: harness.run_single_bit(cfg, 3),
-        "841b41ca79c50339267904887dd20e97b4533ffe178316b26b675cc27ba947cd",
+        "bb2c0b1e9c326937272df709ded26759445c91f9d8e194b6d1364b104cb7a76c",
     ),
 }
 

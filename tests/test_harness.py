@@ -191,72 +191,54 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(seq.rho_b, par.rho_b)
 
 
-WINDOW = protocol.WINDOW
+HALF = harness._CHUNK // 2  # the exchanges of one synthetic mask, two to a chunk
 
 
-def _synthetic_mask(window):
-    """Batch-window masks whose secure exchanges sit first, mid-window, last, on both sides of
-    a window boundary inside a chunk, and after an all-discard window and chunk."""
-    mask = np.zeros(WINDOW, dtype=bool)
-    if window == 0:
+def _synthetic_mask(half):
+    """Masks of half a chunk whose secure exchanges sit first, mid-half, last, on both sides of
+    the middle of a chunk, and after an all-discard half and chunk."""
+    mask = np.zeros(HALF, dtype=bool)
+    if half == 0:
         mask[[0, 5, 6, 64, 127]] = True
-    elif window == 4:
+    elif half == 4:
         mask[-1] = True
-    elif window == 5:
+    elif half == 5:
         mask[0] = True
-    elif window == 6:
+    elif half == 6:
         mask[:] = True
-    elif window not in (1, 2, 3):  # windows 1 to 3, chunk 1 among them, are all discards
-        mask = np.random.default_rng(window).integers(0, 2, WINDOW).astype(bool)
+    elif half not in (1, 2, 3):  # halves 1 to 3, chunk 1 among them, are all discards
+        mask = np.random.default_rng(half).integers(0, 2, HALF).astype(bool)
     return mask
 
 
 def _consume_loop(n_secure):
     """The per-exchange loop `_consume_chunks` replaced: walk each mask to the n-th secure one.
 
-    Returns the number of exchanges consumed and of windows read.
+    Returns the number of exchanges consumed and of halves read.
     """
     consumed = found = 0
-    for window in itertools.count():
-        for secure in _synthetic_mask(window).tolist():
+    for half in itertools.count():
+        for secure in _synthetic_mask(half).tolist():
             consumed += 1
             found += secure
             if found == n_secure:
-                return consumed, window + 1
-
-
-def _kept_rows(choices, n_used, batch):
-    """Positions of a last window's rows that a run solves, by rank within each resistor pair.
-
-    A row is kept when its batch (its rank among the rows of its pair, over
-    `batch`) is at or before the batch of its pair's last used row, one of
-    the first `n_used`.
-    """
-    pairs = [tuple(pair) for pair in np.asarray(choices).tolist()]
-    kept = []
-    for pos, pair in enumerate(pairs):
-        group = [p for p, other in enumerate(pairs) if other == pair]
-        used = [rank for rank, p in enumerate(group) if p < n_used]
-        if used and group.index(pos) // batch <= used[-1] // batch:
-            kept.append(pos)
-    return kept
+                return consumed, half + 1
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_consume_chunks_matches_the_per_exchange_loop(monkeypatch, workers):
     """Over synthetic masks, with Alice or Bob at random holding r_h on a secure exchange, the
-    chunks run are the ones up to the n-th secure exchange, each batch window classified once
-    and in order, the empty chunks skipped. Every window up to the one with the n-th secure
-    exchange is used in full; that one keeps the whole batches of its used rows, and a later
-    window of its chunk nothing."""
+    chunks run are the ones up to the n-th secure exchange, each classified once and in
+    order, the empty chunks skipped, and their rows are exactly the first n secure
+    exchanges: the last chunk is trimmed to the run's bits."""
     classified, ran = [], []
 
     def holds_r_h(cfg, indices):
-        windows = range(indices[0] // WINDOW, indices[-1] // WINDOW + 1)
-        classified.extend(windows)
-        mask = np.concatenate([_synthetic_mask(w) for w in windows])
-        rngs = [np.random.default_rng(1000 + w) for w in windows]
-        alice = np.concatenate([rng.integers(0, 2, WINDOW) for rng in rngs]).astype(bool)
+        halves = range(indices[0] // HALF, indices[-1] // HALF + 1)
+        classified.extend(halves)
+        mask = np.concatenate([_synthetic_mask(h) for h in halves])
+        rngs = [np.random.default_rng(1000 + h) for h in halves]
+        alice = np.concatenate([rng.integers(0, 2, HALF) for rng in rngs]).astype(bool)
         return np.stack([mask & alice, mask & ~alice], axis=1)
 
     def chunk_worker(cfg, chunk):
@@ -265,32 +247,21 @@ def test_consume_chunks_matches_the_per_exchange_loop(monkeypatch, workers):
 
     monkeypatch.setattr(harness, "_holds_r_h", holds_r_h)
     cfg = _tiny_cfg(workers=workers)
-    per_chunk = harness._CHUNK // WINDOW
     for n_secure in range(1, 200):
-        for batch in (3, 16):
-            classified.clear(), ran.clear()
-            consumed, n_windows = _consume_loop(n_secure)
-            n_chunks = -(-n_windows // per_chunk)
-            run = harness._consume_chunks(cfg, chunk_worker, n_secure, batch, harness._CHUNK)
-            chunks = list(run)
-            assert classified == list(range(n_chunks * per_chunk)), n_secure
-            secure = [WINDOW * w + np.flatnonzero(_synthetic_mask(w)) for w in classified]
-            by_chunk = [secure[k * per_chunk : (k + 1) * per_chunk] for k in range(n_chunks)]
-            assert sorted(ran) == [k for k, rows in enumerate(by_chunk) if any(map(len, rows))]
-            assert [int(c[0][0]) // harness._CHUNK for c in chunks] == sorted(ran)
-            index, key_bits, choices = (np.concatenate(col) for col in zip(*chunks))
-            assert index[n_secure - 1] + 1 == consumed
-            full = [i for rows in secure[: n_windows - 1] for i in rows.tolist()]
-            n_full = len(full)
-            assert index[:n_full].tolist() == full
-            start = WINDOW * (n_windows - 1)
-            _, all_bits, all_choices = harness._classify_chunk(cfg, start, WINDOW)
-            kept = _kept_rows(all_choices, n_secure - n_full, batch)
-            last = secure[n_windows - 1][kept]
-            assert index[n_full:].tolist() == last.tolist(), (n_secure, batch)
-            assert key_bits[n_full:].tolist() == all_bits[kept].tolist()
-            assert choices[n_full:].tolist() == all_choices[kept].tolist()
-            assert (key_bits == (choices[:, 0] == cfg.r_h)).all()
+        classified.clear(), ran.clear()
+        consumed, n_halves = _consume_loop(n_secure)
+        n_chunks = -(-n_halves // 2)
+        chunks = list(harness._consume_chunks(cfg, chunk_worker, n_secure, harness._CHUNK))
+        assert classified == list(range(2 * n_chunks)), n_secure
+        secure = [HALF * h + np.flatnonzero(_synthetic_mask(h)) for h in classified]
+        by_chunk = [np.concatenate(secure[2 * k : 2 * k + 2]) for k in range(n_chunks)]
+        assert sorted(ran) == [k for k, rows in enumerate(by_chunk) if len(rows)]
+        assert [int(c[0][0]) // harness._CHUNK for c in chunks] == sorted(ran)
+        index, key_bits, choices = (np.concatenate(col) for col in zip(*chunks))
+        assert index.tolist() == np.concatenate(secure)[:n_secure].tolist()
+        assert index[-1] + 1 == consumed
+        assert (key_bits == (choices[:, 0] == cfg.r_h)).all()
+        assert (choices[:, 0] != choices[:, 1]).all()
 
 
 def _write_table1(out_dir, cfg):
@@ -407,16 +378,11 @@ def _count_pipeline_calls(monkeypatch):
     return derived, synths
 
 
-def _solved_rows(cfg, n_secure, batch):
-    """Indices of the secure exchanges a run of n_secure bits solves: every batch window's in
-    full up to the one with the n-th secure exchange, whose rows `_kept_rows` keeps."""
-    solved = []
-    for start in itertools.count(0, WINDOW):
-        index, _, choices = harness._classify_chunk(cfg, start, WINDOW)
-        n_used = n_secure - len(solved)
-        if len(index) >= n_used:
-            return solved + index[_kept_rows(choices, n_used, batch)].tolist()
-        solved += index.tolist()
+def _solved_rows(cfg, n_secure):
+    """Indices of the secure exchanges a run of n_secure bits solves: the first n_secure."""
+    index = harness._classify_chunk(cfg, 0, 4 * n_secure + 64)[0]
+    assert len(index) >= n_secure
+    return index[:n_secure].tolist()
 
 
 @pytest.mark.parametrize(
@@ -431,7 +397,6 @@ def test_each_exchange_is_derived_and_synthesized_once(monkeypatch, run, level, 
     """A discard derives streams 0 and 1 only. A secure exchange that the run solves also
     derives 2 and 3, and 4 when an injection is configured; the coin (stream 5) is derived
     only on a correlator tie, which zero injection always is. The last chunk solves only
-    the loop batches (16 exchanges for an attack cell, 8 for the defense) that hold one of
     the run's bits, so its other secure exchanges derive and synthesize nothing more."""
     derived, synths = _count_pipeline_calls(monkeypatch)
     cfg = _cell_config(_tiny_cfg(n_bits=30), circuit.Cable(100.0, 10), level)
@@ -439,9 +404,8 @@ def test_each_exchange_is_derived_and_synthesized_once(monkeypatch, run, level, 
     indices = sorted({index for index, _ in derived})
     assert indices == list(range(len(indices))) and len(indices) % harness._CHUNK == 0
     assert set(derived.values()) == {1}
-    batch = 8 if run is harness.run_defense_experiment else 16
-    solved = _solved_rows(cfg, cfg.n_bits, batch)
-    assert cfg.n_bits < len(solved) < len([i for i in indices if _is_secure(cfg.master_seed, i)])
+    solved = _solved_rows(cfg, cfg.n_bits)
+    assert cfg.n_bits == len(solved) < len([i for i in indices if _is_secure(cfg.master_seed, i)])
     coin = solved if run is harness.run_attack_cell and level == 0.0 else []
     noise = {2, 3, 4} if level > 0 else {2, 3}
     for i in indices:
@@ -534,7 +498,7 @@ def test_table1_derives_each_stream_and_synthesizes_each_row_once_per_pass(monke
     indices = sorted({index for index, _ in derived})
     assert len(indices) == 2 * harness._CHUNK and indices == list(range(len(indices)))
     assert set(derived.values()) == {1}
-    solved = set(_solved_rows(cfg, cfg.n_bits, 16))
+    solved = set(_solved_rows(cfg, cfg.n_bits))
     for i in indices:
         expected = {0, 1, 2, 3, 4, 5} if i in solved else {0, 1}
         assert {stream for index, stream in derived if index == i} == expected, i
@@ -543,11 +507,11 @@ def test_table1_derives_each_stream_and_synthesizes_each_row_once_per_pass(monke
 
 
 def test_defense_chunk_memory_is_bounded_by_its_shapes():
-    """One defense chunk of two batch windows on Cable(1000, 10) holds, at its peak, its drive
-    and residual rows (7 rows per pair), one group's inputs, solved rows and residuals (9
-    rows per solved row, at most 2 solved rows per pair), the scan's stepping buffer and
-    drive scratch (SCAN_BLOCK_BYTES each) and a block's map temporaries (less than either).
-    An unblocked (S, t, B, m) trajectory would add 19 rows per solved row."""
+    """One defense chunk on Cable(1000, 10) holds, at its peak, its generator, injected, drive
+    and residual rows (at most 14 rows per pair), a slab's solved rows and its in-site
+    simulation's with their temporaries (less than 3 SLAB_BYTES), and the two scans' block
+    arrays (less than 3 SCAN_BLOCK_BYTES). An unblocked (S, t, m, N) trajectory would add
+    19 rows per solved row, two per pair."""
     cfg = harness.SimConfig(
         variant=circuit.Cable(1000.0, 10), injection=attack.InjectionSpec(0.1, 250.0, 12345)
     )
@@ -560,13 +524,13 @@ def test_defense_chunk_memory_is_bounded_by_its_shapes():
     finally:
         tracemalloc.stop()
     k, t = len(payload["index"]), cfg.samples_per_bit
-    assert payload["index"][-1] >= protocol.WINDOW and k > 80
-    assert peak < 8 * t * (7 * k + 9 * 2 * k) + 3 * circuit.SCAN_BLOCK_BYTES
+    assert payload["index"][-1] >= HALF and k > 80
+    assert peak < 8 * t * 14 * k + 3 * circuit.SLAB_BYTES + 3 * circuit.SCAN_BLOCK_BYTES
 
 
 def _grid_chunk_peak():
-    """The tracemalloc peak of one table1 chunk of two batch windows, 256 secure exchanges
-    (fixed_lh), and the chunk's exchanges, samples per bit and levels."""
+    """The tracemalloc peak of one table1 chunk of 256 secure exchanges (fixed_lh), and the
+    chunk's exchanges, samples per bit and levels."""
     cfg = harness.SimConfig(selection_mode="fixed_lh")
     levels = harness.TABLE1_LEVELS
     variants = harness.default_table1_variants()
@@ -580,84 +544,63 @@ def _grid_chunk_peak():
     finally:
         tracemalloc.stop()
     k = len(chunk[0])
-    assert k == harness._CHUNK == 2 * protocol.WINDOW
+    assert k == harness._CHUNK
     return peak, k, cfg.samples_per_bit, len(levels)
 
 
 def test_grid_chunk_memory_is_bounded_by_its_shapes():
-    """One table1 chunk holds, at its peak, its drive rows and its canceller's state
-    trajectory (4 rows per exchange and level), either one job's outputs with their output
-    map's temporaries or the ladder pair's outputs (at most 12 rows per batch row and level),
-    and the ladder scan's stepping buffer and scratch (less than 2 SCAN_BLOCK_BYTES). Holding
-    all of the canceller's outputs at once would add 4 rows per exchange and level."""
+    """One table1 chunk holds, at its peak, its generator, injected and drive rows (2 rows per
+    exchange and 4 per exchange and level), and then a slab's solved rows (SLAB_BYTES) and
+    the scan's block arrays (less than 2 SCAN_BLOCK_BYTES). Holding all of the canceller's
+    outputs at once would add 4 rows per exchange and level."""
     peak, k, t, n_levels = _grid_chunk_peak()
-    rows = 4 * n_levels * k + 12 * n_levels * protocol.BATCH
-    assert peak < 8 * t * rows + 2 * circuit.SCAN_BLOCK_BYTES
+    rows = 2 * k + 4 * n_levels * k
+    assert peak < 8 * t * rows + circuit.SLAB_BYTES + 2 * circuit.SCAN_BLOCK_BYTES
 
 
 def test_scan_bytes_bound_a_grid_chunks_peak():
-    """The peak above stays below the chunk's drive rows (3 rows per exchange and level) and
-    the ladder pair's outputs, plus every array that `circuit.scan_bytes` reports for the
-    chunk's two scans: all canceller rows, and one loop batch of the ladder pair."""
+    """The peak above stays below the chunk's rows, plus every array that `circuit.scan_bytes`
+    reports for the chunk's two scans of its one resistor pair's columns: the canceller's,
+    and the ladder pair's."""
     peak, k, t, n_levels = _grid_chunk_peak()
     m = circuit.Cable(100.0, 10).n_states
-    scans = [
-        [((1, 1), (n_levels, k, 3, t))],
-        [((m, m), (n_levels, protocol.BATCH, 3, t))] * 2,
-    ]
-    planned = sum(sum(circuit.scan_bytes(scan).values()) for scan in scans)
-    rows = 3 * n_levels * k + 12 * n_levels * protocol.BATCH
-    assert peak < 8 * t * rows + planned
-
-
-def _trim_points(cfg, batch, window):
-    """n_bits values that end a run in batch window `window`: at the window's first secure
-    exchange, at the last row of a loop batch, one row past a batch boundary, and at the
-    window's last secure exchange."""
-    n_before = len(harness._classify_chunk(cfg, 0, WINDOW * window)[0])
-    index, _, choices = harness._classify_chunk(cfg, WINDOW * window, WINDOW)
-    pairs = choices.tolist()
-    group = [pos for pos, pair in enumerate(pairs) if pair == pairs[0]]
-    assert len(group) > batch
-    return [n_before + 1, n_before + group[batch - 1] + 1, n_before + group[batch] + 1,
-            n_before + len(index)]
-
-
-# Runs that end in the second batch window of the first chunk, whose first window they use in
-# full, and in the first window of the second chunk, whose second window they drop
-_TRIM_WINDOWS = {1: 1, 2: 2}  # window: chunks run
+    u_shape = (1, n_levels * k, 3, t)
+    scans = [((1, 1, 1, 1), u_shape, 4), ((2, 1, m, m), u_shape, 4)]
+    planned = sum(sum(circuit.scan_bytes(*scan).values()) for scan in scans)
+    assert peak < 8 * t * (2 * k + 4 * n_levels * k) + planned
 
 
 def test_trimmed_last_chunks_give_the_prefix_of_a_longer_run(monkeypatch):
-    """A run that ends inside a batch window solves only that window's loop batches holding
-    its bits, and its outputs equal the first n_bits of a run three chunks long."""
+    """A run of n_bits secure bits seeds, synthesizes and solves exactly those, wherever its
+    last chunk ends, and its outputs equal the first n_bits of a longer run: every cell of
+    a grid with the ideal wire, a ladder and the canceller, and the defense's rows,
+    threshold and traces."""
     derived, synths = _count_pipeline_calls(monkeypatch)
     variants = [circuit.Ideal(), circuit.Cable(1000.0, 10), circuit.CableWithKiller(1000.0, 10)]
     levels = (0.0, 0.1)
     cfg = _tiny_cfg(n_bits=300)
     longer = harness.run_table1(cfg, levels=levels, variants=variants)
-    trims = [(n, chunks) for w, chunks in _TRIM_WINDOWS.items() for n in _trim_points(cfg, 16, w)]
-    for n, chunks in trims:
+    for n in (1, 7, 63, 64, 65, 129, 200):
         derived.clear(), synths.update(calls=0, rows=0)
         table = harness.run_table1(replace(cfg, n_bits=n), levels=levels, variants=variants)
-        solved = _solved_rows(cfg, n, 16)
+        solved = _solved_rows(cfg, n)
         assert sorted(i for i, stream in derived if stream == 2) == solved
-        assert synths == {"calls": 2 * chunks, "rows": 3 * len(solved)}
+        assert synths["rows"] == 3 * n
         for cell, full in zip(table.cells, longer.cells):
             assert cell.n == n and cell.n_exchanges == solved[n - 1] + 1
             for name in _CELL_ARRAYS:
                 got, want = getattr(cell, name), getattr(full, name)[:n]
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, name)
 
-    cfg = replace(cfg, variant=circuit.Cable(1000.0, 10), injection=attack.InjectionSpec(0.1, 250.0))
+    cfg = replace(
+        cfg, variant=circuit.Cable(1000.0, 10), injection=attack.InjectionSpec(0.1, 250.0)
+    )
     longer = harness.run_defense_experiment(cfg)
-    trims = [(n, chunks) for w, chunks in _TRIM_WINDOWS.items() for n in _trim_points(cfg, 8, w)]
-    for n, chunks in trims:
+    for n in (21, 40, 77, 150):
         derived.clear(), synths.update(calls=0, rows=0)
         result = harness.run_defense_experiment(replace(cfg, n_bits=n))
-        solved = _solved_rows(cfg, n, 8)
-        assert sorted(i for i, stream in derived if stream == 2) == solved
-        assert synths == {"calls": 2 * chunks, "rows": 3 * len(solved)}
+        assert sorted(i for i, stream in derived if stream == 2) == _solved_rows(cfg, n)
+        assert synths["rows"] == 3 * n
         assert result.rows == longer.rows[: 2 * (n - 20)], n
         assert result.detection == longer.detection
         for got, want in ((result.trace_attacked, longer.trace_attacked),
@@ -692,42 +635,74 @@ def _concatenated(payloads, axis):
 
 @pytest.mark.parametrize("mode", harness.SELECTION_MODES)
 def test_a_chunk_gives_the_payloads_of_its_windows_bit_for_bit(mode):
-    """No loop batch spans two batch windows, so a two-window chunk's rows keep the rounding
-    of its windows run alone: the grid's at every level of every wire variant, and the
-    defense's on each cable, its row-count groups spanning both windows."""
+    """A row's bits do not depend on the rows it is solved with, so a chunk gives bit for bit
+    what its two halves give run alone: the grid's payload at every level of every wire
+    variant, and the defense's on each cable."""
     cfg = _tiny_cfg(selection_mode=mode)
     chunk = harness._classify_chunk(cfg, 0)
-    windows = [harness._classify_chunk(cfg, start, WINDOW) for start in (0, WINDOW)]
-    for got, want in zip(chunk, zip(*windows)):
+    halves = [harness._classify_chunk(cfg, start, HALF) for start in (0, HALF)]
+    for got, want in zip(chunk, zip(*halves)):
         assert got.tobytes() == np.concatenate(want).tobytes()
-    index, _, choices = chunk
-    for batch in (protocol.BATCH, harness._DEFENSE_BATCH, 1):
-        for _, positions in protocol.loop_batches(cfg, index, choices, batch):
-            assert len(set((index[positions] // WINDOW).tolist())) == 1
     levels = (0.0, 0.01, 0.1)
     variants = harness.default_table1_variants()
     got = harness._grid_chunk(cfg, chunk, variants, levels)
-    want = _concatenated([harness._grid_chunk(cfg, w, variants, levels) for w in windows], -1)
+    want = _concatenated([harness._grid_chunk(cfg, h, variants, levels) for h in halves], -1)
     assert got.keys() == want.keys()
     for name, value in got.items():
         assert value.dtype == want[name].dtype and value.tobytes() == want[name].tobytes(), name
     for variant in harness.default_table1_variants()[1:]:
         cfg = _cell_config(cfg, variant, 0.1)
         got = harness._defense_chunk(cfg, chunk)
-        want = _concatenated([harness._defense_chunk(cfg, w) for w in windows], 0)
+        want = _concatenated([harness._defense_chunk(cfg, h) for h in halves], 0)
         assert got.keys() == want.keys()
         for name, value in got.items():
             assert value.tobytes() == want[name].tobytes(), (variant, name)
 
 
+@pytest.mark.parametrize("chunk", [64, 256])
+def test_runs_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    """Chunks of 64 and of 256 exchanges group a run's rows differently, and give the same
+    cells of a grid of all four variants and the same defense rows, bit for bit."""
+    cfg = _tiny_cfg(n_bits=150)
+    levels = (0.0, 0.01, 0.1)
+    table = harness.run_table1(cfg, levels=levels)
+    defense_cfg = replace(cfg, variant=circuit.Cable(1000.0, 10))
+    result = harness.run_defense_experiment(defense_cfg)
+    monkeypatch.setattr(harness, "_CHUNK", chunk)
+    regrouped = harness.run_table1(cfg, levels=levels)
+    for cell, other in zip(table.cells, regrouped.cells):
+        for name in _CELL_ARRAYS:
+            assert getattr(cell, name).tobytes() == getattr(other, name).tobytes(), name
+        for name in _CELL_SCALARS:
+            assert getattr(cell, name) == getattr(other, name), name
+    other = harness.run_defense_experiment(defense_cfg)
+    assert other.rows == result.rows and other.detection == result.detection
+    assert other.trace_attacked[1].tobytes() == result.trace_attacked[1].tobytes()
+
+
+def test_single_bit_equals_its_grid_cell():
+    """`single-bit` solves its exchange as a column of its own: its correlators and mean
+    squares equal the grid's for the same exchange, bit for bit, on the 1000 m cable at
+    10 % injection."""
+    cfg = harness.SimConfig(n_bits=30, master_seed=12345)
+    cfg = _cell_config(cfg, circuit.Cable(1000.0, 10), 0.1)
+    cell = harness.run_attack_cell(cfg)
+    index = [i for i in range(cell.n_exchanges) if _is_secure(cfg.master_seed, i)]
+    for i, bit in zip(index[:10], range(10)):
+        dump = harness.run_single_bit(cfg, i)
+        assert (dump.rho_a, dump.rho_b) == (cell.rho_a[bit], cell.rho_b[bit]), i
+        msq = protocol.mean_squares(dump.y[None])[0]
+        assert (msq[2], msq[0]) == (cell.msq_u_a[bit], cell.msq_i_a[bit]), i
+
+
 def test_a_chunk_falls_back_to_one_window_past_the_array_budget(monkeypatch):
-    """At t = 100 000 a two-window chunk's (256, 7, t) rows would exceed the array budget and a
-    one-window chunk's do not: the config is accepted and its runs classify and solve one
-    batch window per chunk."""
+    """At t = 100 000 a 256-exchange chunk's drive rows would exceed the array budget and a
+    128-exchange chunk's do not: the config is accepted and its runs classify and solve
+    half a chunk, 128 exchanges, at a time."""
     assert harness.SimConfig().check_array_budget(1) == harness._CHUNK
     cfg = harness.SimConfig(tau_s=50.0, n_bits=300, selection_mode="fixed_lh")
-    assert cfg.check_array_budget(1) == WINDOW
-    assert cfg.check_array_budget(3, harness.default_table1_variants()) == WINDOW
+    assert cfg.check_array_budget(1) == HALF
+    assert cfg.check_array_budget(3, harness.default_table1_variants()) == HALF
 
     class Ran(Exception):
         pass
@@ -740,4 +715,4 @@ def test_a_chunk_falls_back_to_one_window_past_the_array_budget(monkeypatch):
         monkeypatch.setattr(harness, name, chunk)
         with pytest.raises(Ran) as ran:
             run(cfg)
-        assert ran.value.args[0] == list(range(WINDOW)), name
+        assert ran.value.args[0] == list(range(HALF)), name

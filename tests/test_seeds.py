@@ -108,9 +108,17 @@ def test_negative_entropy_is_rejected_like_numpy():
             seeds.stream_seeds(master, index, (2,))
 
 
+def pcg64_states(seeds_) -> list[dict]:
+    """The bit generator state of `PCG64(seed)` for each seed, as `PCG64.state` dicts."""
+    return [
+        {"bit_generator": "PCG64", "state": {"state": s, "inc": i}, "has_uint32": 0, "uinteger": 0}
+        for s, i in zip(*seeds.pcg64_state_ints(seeds_))
+    ]
+
+
 def test_pcg64_states_and_normals_match_default_rng():
     for dtype in (np.uint64, object):
-        states = seeds.pcg64_states(np.array(ROW_SEEDS, dtype=dtype))
+        states = pcg64_states(np.array(ROW_SEEDS, dtype=dtype))
         bit_generator = np.random.PCG64(0)
         rng = np.random.Generator(bit_generator)
         for seed, state in zip(ROW_SEEDS, states):
@@ -118,7 +126,7 @@ def test_pcg64_states_and_normals_match_default_rng():
             assert state == reference.bit_generator.state
             bit_generator.state = state
             assert np.array_equal(rng.standard_normal(25), reference.standard_normal(25))
-    assert seeds.pcg64_states([2**70])[0] == np.random.PCG64(2**70).state
+    assert pcg64_states([2**70])[0] == np.random.PCG64(2**70).state
 
 
 def _rows_the_plain_way(seeds_, scale, n, fs, bw):
