@@ -57,6 +57,20 @@ CASES = {
         harness.run_defense_experiment,
         "ccf463a4bb83230231634d5fa2a2df5bd1c59717690f13598a54e388e48a17ea",
     ),
+    # the ideal wire's closed form, whose residual is the end currents' difference
+    "defense.csv-ideal": (
+        harness.SimConfig(n_bits=40, master_seed=12345),
+        "defense_result",
+        harness.run_defense_experiment,
+        "8ca140b0014616bd750856db6f032e2da27b4e791fe60e20c163a94a5598b52e",
+    ),
+    # the parties simulate a 20-segment model of the 10-segment channel
+    "defense.csv-model": (
+        harness.SimConfig(n_bits=40, variant=CABLE, master_seed=12345),
+        "defense_result",
+        lambda cfg: harness.run_defense_experiment(cfg, defense_model=circuit.Cable(1000.0, 20)),
+        "e6174331ec9c79369ca2710006e5dca74a3cdeac7d39976722e39eb011a8b88a",
+    ),
     # 347 exchanges: three chunks, each with both resistor pairs
     "defense.csv-3chunks": (
         harness.SimConfig(n_bits=150, variant=CABLE, master_seed=12345),
@@ -89,6 +103,13 @@ CASES = {
         "single_bit",
         lambda cfg: harness.run_single_bit(cfg, 3),
         "468eb74c218da0d70038cb20dbe04781168602ddb8da8a43ade9c478f27946a6",
+    ),
+    # the same exchange on the ideal wire without injection: Eve's row is zero
+    "single_bit.csv-clean": (
+        harness.SimConfig(master_seed=12345),
+        "single_bit",
+        lambda cfg: harness.run_single_bit(cfg, 3),
+        "49a08a098dd4bbbf1c8befdf049c98fc010d1aea678932259472fcd632b799a4",
     ),
     "single_bit.csv-killer": (
         harness.SimConfig(
