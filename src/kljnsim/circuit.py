@@ -16,6 +16,7 @@ Integration is trapezoidal (A-stable, second order, the SPICE default) with
 each run starting from the DC-consistent state for the first input sample, so
 no artificial start-up transient leaks into the statistics.
 
+The ideal wire has no state: `ideal_rows` solves it in closed form, elementwise.
 Each cable's discretized system of a loop is built once (`loop_system`). One
 solve path, `solve_slabs`, scans a stack of S systems of one state count m,
 each with its rows of inputs: the wire variants of one state count under
@@ -51,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import ConfigError, ShapeMismatchError
+from .exceptions import ConfigError
 
 
 @dataclass(frozen=True)
@@ -131,12 +132,6 @@ def check_segmentation(wire: Variant, bandwidth_hz: float) -> None:
         )
 
 
-def _finite(y: np.ndarray) -> np.ndarray:
-    if not np.isfinite(y).all():
-        raise ShapeMismatchError("solved loop samples must all be finite")
-    return y
-
-
 def ideal_rows(u_a: np.ndarray, u_b: np.ndarray, i_inj: np.ndarray, r_a, r_b) -> np.ndarray:
     """Closed form of the single-node loop: input rows (..., B, t) each, outputs (..., B, 4, t).
 
@@ -153,7 +148,7 @@ def ideal_rows(u_a: np.ndarray, u_b: np.ndarray, i_inj: np.ndarray, r_a, r_b) ->
     y[..., 1, :] = (u_b - u_ch) * g_b
     y[..., 2, :] = u_ch
     y[..., 3, :] = u_ch
-    return _finite(y)
+    return y
 
 
 @dataclass(frozen=True)
@@ -321,19 +316,17 @@ def scan_bytes(p_shape, u_shape, n_out: int) -> dict[str, int]:
     for systems whose step matrices p have shape `p_shape` and n_out outputs.
 
     The scan holds a slab's outputs, the stepping buffer of one of its time blocks and
-    its step matrices p. At m = 0, the ideal wire's slabs of `loop_slabs`, only the
-    outputs.
+    its step matrices p.
     """
     lead, m, t = _lead(p_shape, u_shape), p_shape[-1], u_shape[-1]
     n_sys = math.prod(lead)
     n_cols = u_shape[-3] if lead else math.prod(u_shape[:-2])
     width, block = _layout(n_sys, m, n_out, n_cols, t)
-    scan = f"a {m}-state scan's" if m else "the ideal wire's"
-    sizes = {f"{scan} slab outputs": 8 * n_sys * min(width, n_cols) * n_out * t}
-    if m:
-        sizes[f"{scan} stepping buffer"] = 8 * n_sys * (block + 1) * m * width
-        sizes[f"{scan} step matrices p"] = 8 * n_sys * m * m
-    return sizes
+    return {
+        f"a {m}-state scan's slab outputs": 8 * n_sys * min(width, n_cols) * n_out * t,
+        f"a {m}-state scan's stepping buffer": 8 * n_sys * (block + 1) * m * width,
+        f"a {m}-state scan's step matrices p": 8 * n_sys * m * m,
+    }
 
 
 def solve_slabs(system: _DiscreteSystem, u: np.ndarray):
@@ -455,43 +448,14 @@ def loop_system(cable: Cable, cfg: LoopConfig | None, dt: float) -> _DiscreteSys
     return system
 
 
-def loop_slabs(u: np.ndarray, wires: Sequence[Variant], cfgs: Sequence[LoopConfig], dt: float):
-    """Yield (cols, y): the loops of u's rows on V wires of one state count under P loop
+def loop_slabs(u: np.ndarray, wires: Sequence[Cable], cfgs: Sequence[LoopConfig], dt: float):
+    """Yield (cols, y): the loops of u's rows on V cables of one state count under P loop
     configurations, a column slab at a time.
 
     Inputs u, shape (P, N, 3, t), hold (u_a, u_b, i_inj) rows, u[p] under
     cfgs[p] on every wire; y holds the slab's (i_cha, i_chb, u_cha, u_chb)
-    rows in the Loop convention, shape (V, P, len(cols), 4, t). Closed form
-    for the ideal wire, whose slabs `_layout` sizes as a scan's; the cable's
-    loop systems otherwise, all V x P of them in one `solve_slabs` scan.
+    rows in the Loop convention, shape (V, P, len(cols), 4, t): the cables'
+    loop systems, all V x P of them in one `solve_slabs` scan.
     """
-    if not wires[0].n_states:
-        r_a = np.reshape([c.r_alice for c in cfgs], (-1, 1, 1))
-        r_b = np.reshape([c.r_bob for c in cfgs], (-1, 1, 1))
-        width, _ = _layout(len(wires) * len(cfgs), 1, 4, u.shape[-3], u.shape[-1])
-        for c0 in range(0, u.shape[-3], width):
-            rows = u[:, c0 : c0 + width]
-            y = ideal_rows(rows[..., 0, :], rows[..., 1, :], rows[..., 2, :], r_a, r_b)
-            yield slice(c0, c0 + rows.shape[1]), np.broadcast_to(y, (len(wires),) + y.shape)
-        return
     systems = stack_systems([[loop_system(wire, c, dt) for c in cfgs] for wire in wires])
     yield from solve_slabs(systems, u)
-
-
-def solve_rows(
-    u: np.ndarray, wire: Variant, cfg: LoopConfig | Sequence[LoopConfig], dt: float
-) -> np.ndarray:
-    """Solve exchanges on `wire`: the slabs of `loop_slabs` joined.
-
-    Inputs (..., B, 3, t) are (u_a, u_b, i_inj) rows; outputs (..., B, 4, t)
-    are (i_cha, i_chb, u_cha, u_chb) rows in the Loop convention. `cfg` is
-    one loop configuration for all rows, or S configurations, one per stack
-    of inputs of shape (S, B, 3, t). Raises ShapeMismatchError if any solved
-    sample is not finite.
-    """
-    cfgs = [cfg] if isinstance(cfg, LoopConfig) else list(cfg)
-    rows = u.reshape((len(cfgs), -1) + u.shape[-2:])
-    y = np.empty(rows.shape[:2] + (4, u.shape[-1]))
-    for cols, slab in loop_slabs(rows, [wire], cfgs, dt):
-        y[:, cols] = slab[0]
-    return _finite(y.reshape(u.shape[:-2] + y.shape[-2:]))

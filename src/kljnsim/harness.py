@@ -21,24 +21,21 @@ from `circuit.scan_bytes`, and falls back to half a chunk, or rejects the
 run, past the budget. Chunk workers are module functions of (cfg, chunk),
 bound by `functools.partial` to the values they read.
 
+Every experiment runs its chunks through one pipeline. `_drive_rows` seeds and
+synthesizes a chunk's rows once: the generators', and Eve's at every injection level
+in one more call. `_solved_slabs` solves them a slab at a time: the ideal wire in
+closed form, a level at a time, on the rows as synthesized; a cable's rows as the
+columns of their (Alice, Bob) resistor pair (`_pair_rows`), the variants of each
+state count in one scan of variants x pairs systems. The experiments reduce its slabs.
 An attack run is a grid of wire variants x injection levels (`run_table1`;
-`run_attack_cell` is a grid of one cell) in one pass over the chunks: each
-chunk's generator rows are synthesized once, and Eve's rows of every level
-in one more call. The ideal wire's rows are solved in closed form, a level
-at a time. Every secure exchange at every level is a column of its
-(Alice, Bob) resistor pair (`_pair_rows`), and the variants of each state
-count solve all columns in one scan of variants x pairs systems. Solved rows
-are reduced to mean squares and correlators a column slab at a time; each
-party decides once per chunk for every cell.
-
-The defense experiment solves each secure exchange with and without Eve's
-current, two columns of its resistor pair, and both pairs' columns in one
-scan; each slab's residuals come from one more scan, the parties' in-site
-simulations on their model of the wire, a variant like the channel's (by
-default the channel's own). The run calibrates on one array of its first
-pairs' clean rows, unless the config fixes the threshold, then detects on
-each chunk as it arrives and drops its residual rows. The single-bit dump
-solves one exchange as a column of its own.
+`run_attack_cell` is a grid of one cell), reduced to mean squares and correlators;
+each party decides once per chunk for every cell. The defense is a grid of its
+channel's wire at levels (0, the injection's), its clean and attacked arms, whose
+slabs one more scan reduces to residuals: the parties' in-site simulations on their
+model of the wire, a variant like the channel's (by default the channel's own). It
+calibrates on its first pairs' clean rows, unless the config fixes the threshold, then
+detects on each chunk as it arrives and drops its residual rows. The single-bit dump
+is a grid of one exchange, of any class, that keeps its rows.
 """
 from __future__ import annotations
 
@@ -205,22 +202,21 @@ def _chunk_array_bytes(t: int, n_levels: int, chunk: int, counts, in_site) -> di
     simulates the parties' wire at the `in_site` state counts; cached, since every
     SimConfig checks its own.
 
-    The harness sizes its own rows: a grid chunk's columns are its secure exchanges at
-    every level, a defense chunk's their clean and attacked arms. `circuit.scan_bytes`
-    sizes the scans of both resistor pairs' columns: the grid's of each state count, a
-    stack of both pairs per variant, and the defense's channel and in-site scans.
+    The harness sizes its own rows: a chunk's columns are its secure exchanges at every
+    level, the defense's a grid of two levels, its clean and attacked arms; the ideal
+    wire's rows of one level are the size of the residual rows. `circuit.scan_bytes`
+    sizes the scans of both resistor pairs' columns: the cables' of each state count, a
+    stack of both pairs per variant, and the defense's in-site scans.
     """
     L, C = n_levels, chunk
-    columns = max(L, 2) * C
+    columns = max(L, 2) * C  # a config's own check, at L = 1, sizes its defense's too
     sizes = {
         f"a chunk's ({columns}, 3, t) drive rows": 8 * columns * 3 * t,
         f"a chunk's ({L}, {C}, t) injected rows": 8 * L * C * t,
         f"a chunk's ({C}, 2, 2, t) residual rows": 8 * C * 4 * t,
     }
     scans = [((m, m), (2, 2 * C, 2, t), 2) for m in in_site]
-    for m, count in counts:
-        scans.append(((2, m, m), (2, 2 * C, 3, t), 4))
-        scans.append(((count, 2, m, m), (2, L * C, 3, t), 4))
+    scans += [((count, 2, m, m), (2, L * C, 3, t), 4) for m, count in counts if m]
     for scan in scans:
         for name, size in circuit.scan_bytes(*scan).items():
             sizes[name] = max(size, sizes.get(name, 0))
@@ -264,9 +260,21 @@ def _holds_r_h(cfg: SimConfig, indices) -> np.ndarray:
 
 
 def _correlators(i_inj: np.ndarray, y: np.ndarray):
-    """Eve's two correlators per row, from her rows (..., k, t) and the solved rows (..., k, 4, t)."""
+    """Eve's two correlators per row, from her rows, which broadcast against the solved rows
+    (..., k, 4, t) to (..., k, t)."""
+    i_inj = np.broadcast_to(i_inj, y.shape[:-2] + y.shape[-1:])
     # Eve reads from her node outward: Alice's end as solved, Bob's end negated
     return attack.correlate(i_inj, y[..., 0, :]), attack.correlate(i_inj, -y[..., 1, :])
+
+
+def _decide(cfg: SimConfig, msq: np.ndarray, choices: np.ndarray):
+    """Alice's and Bob's inferred remote resistances, shape (..., k), from the mean squares of
+    the solved rows (..., k, 4) and their own resistances `choices`, shape (k, 2)."""
+    params = (cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz)
+    return [  # each end's voltage, then its current
+        protocol.decide_remote_resistor(msq[..., 2 + end], msq[..., end], choices[:, end], *params)
+        for end in (0, 1)
+    ]
 
 
 def _eve_bits(cfg: SimConfig, index: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray):
@@ -341,6 +349,19 @@ def _consume_chunks(cfg: SimConfig, chunk_worker, n_secure: int, size: int):
             yield futures.popleft().result()
 
 
+def _drive_rows(cfg: SimConfig, index: np.ndarray, choices: np.ndarray, levels):
+    """The generator rows of the exchanges `index`, shape (k, 2, t), and Eve's rows at each of
+    the injection `levels`, shape (L, k, t), zero at level 0: one synthesis call for the
+    generators and one for every injecting level."""
+    attacked = np.array(levels) > 0
+    noise_seeds = _noise_seeds(cfg.master_seed, index, attacked.any())
+    gen = protocol.generator_rows(cfg, choices, noise_seeds)
+    eve = np.zeros((len(levels), len(index), cfg.samples_per_bit))
+    if attacked.any():
+        eve[attacked] = protocol.injection_rows(cfg, noise_seeds[:, 2], np.compress(attacked, levels))
+    return gen, eve
+
+
 def _pair_rows(cfg: SimConfig, choices: np.ndarray, gen: np.ndarray, injected: np.ndarray):
     """The loop rows of k secure exchanges at each of the C rows of Eve's current `injected`,
     shape (C, k, t): their (u_a, u_b, i_inj) grouped by (Alice, Bob) resistor pair
@@ -369,57 +390,72 @@ def _slab_columns(cols: slice, positions, copies: int):
         yield p, own - cols.start, copy, pos[row]
 
 
+def _solved_slabs(cfg: SimConfig, choices: np.ndarray, gen: np.ndarray, eve: np.ndarray, variants):
+    """Yield the solved rows of a chunk's exchanges with `choices`, shape (k, 2), on each wire
+    of `variants` at each of Eve's rows `eve`, a slab at a time.
+
+    `gen` and `eve` are `_drive_rows`' rows. Each slab is (group, y, msq, i_inj,
+    columns): y holds the (i_cha, i_chb, u_cha, u_chb) rows of the variants `group`, one
+    state count's, shape (V, P, N, 4, t) with V = 1 if they share them, msq their mean
+    squares (`protocol.mean_squares`), i_inj Eve's rows of the slab's (P, N) columns, and
+    `columns` yields each pair p's columns as `_slab_columns` does. The ideal wire is solved
+    in closed form a level at a time, on the rows as synthesized: one slab of one pair
+    whose columns are the level's k exchanges. Cables solve every level's rows as columns
+    of their resistor pair (`_pair_rows`), gathered once, in one `circuit.loop_slabs` scan
+    per state count. A caller holds neither `gen` nor `eve` nor a slab past its turn, so
+    that each slab's rows are freed before the next's are formed.
+    """
+    k, copies, t = len(choices), len(eve), cfg.samples_per_bit
+    u = None
+    for m in sorted({variant.n_states for variant in variants}):  # the ideal wire first
+        group = np.flatnonzero([variant.n_states == m for variant in variants])
+        if not m:
+            positions, injected = [np.arange(k)], eve.reshape(1, copies * k, t)
+            r_a, r_b = choices[:, :1], choices[:, 1:]
+            slabs = (
+                (slice(c * k, c * k + k),
+                 circuit.ideal_rows(gen[:, 0], gen[:, 1], eve[c], r_a, r_b)[None, None])
+                for c in range(copies)
+            )
+        else:
+            if u is None:
+                loop_cfgs, positions, u = _pair_rows(cfg, choices, gen, eve)
+                del gen, eve
+                injected = u[..., 2, :]
+            wires = [variants[v] for v in group]
+            slabs = circuit.loop_slabs(u, wires, loop_cfgs, 1.0 / cfg.sample_rate_hz)
+        for cols, y in slabs:
+            msq = protocol.mean_squares(y)
+            if not np.isfinite(msq).all():  # so is the mean square of a non-finite sample's row
+                raise ShapeMismatchError("solved loop samples must all be finite")
+            yield group, y, msq, injected[:, cols], _slab_columns(cols, positions, copies)
+            del y  # before the next slab's rows are formed
+
+
 def _grid_chunk(cfg: SimConfig, chunk, variants, levels) -> dict:
     """One chunk of the grid: the key bits and Eve's and the parties' statistics per cell and
     secure exchange, shape (variants, levels, k).
 
     `chunk` is (index, key_bits, choices) from `_used_chunks`, and the cells are the wire
     `variants` x the injection `levels`, each a fraction of the reference loop current
-    (0: no injection). Every secure exchange at every level is a column of its resistor
-    pair (`_pair_rows`), and the variants of one state count solve all columns
-    in one `circuit.loop_slabs` scan, a stack of S = variants x pairs systems. Each slab's
-    solved rows are reduced as they come, so no chunk of solved rows is held.
+    (0: no injection). Each of `_solved_slabs`' slabs is reduced to mean squares and
+    correlators as it comes, so no chunk of solved rows is held.
     """
     index, key_bits, choices = chunk
-    attacked = np.array(levels) > 0
-    noise_seeds = _noise_seeds(cfg.master_seed, index, attacked.any())
-    gen = protocol.generator_rows(cfg, choices, noise_seeds)
-    t = cfg.samples_per_bit
-    eve = np.zeros((len(levels), len(index), t))
-    if attacked.any():
-        injected = np.compress(attacked, levels)
-        eve[attacked] = protocol.injection_rows(cfg, noise_seeds[:, 2], injected)
     shape = (len(variants), len(levels), len(index))
     msq = np.empty(shape + (4,))
     rho_a, rho_b = np.empty(shape), np.empty(shape)
-    r_a, r_b = choices[:, :1], choices[:, 1:]
-    for v in (v for v, variant in enumerate(variants) if not variant.n_states):
-        for lvl in range(len(levels)):  # elementwise, each row with its own terminations
-            y = circuit.ideal_rows(gen[:, 0], gen[:, 1], eve[lvl], r_a, r_b)
-            msq[v, lvl] = protocol.mean_squares(y)
-            rho_a[v, lvl], rho_b[v, lvl] = _correlators(eve[lvl], y)
-            del y
-    cables = dict.fromkeys(variant.n_states for variant in variants if variant.n_states)
-    if cables:
-        loop_cfgs, positions, u = _pair_rows(cfg, choices, gen, eve)
-        del gen, eve
-    dt = 1.0 / cfg.sample_rate_hz
-    for m in cables:
-        group = np.array([v for v, variant in enumerate(variants) if variant.n_states == m])
-        for cols, y in circuit.loop_slabs(u, [variants[v] for v in group], loop_cfgs, dt):
-            i_inj = np.broadcast_to(u[:, cols, 2], y.shape[:-2] + (t,))
-            stats = (protocol.mean_squares(y), *_correlators(i_inj, y))
-            del y  # free the solved rows before the next slab's are formed
-            for p, own, lvl, pos in _slab_columns(cols, positions, len(levels)):
-                for out, stat in zip((msq, rho_a, rho_b), stats):
-                    out[group[:, None], lvl, pos] = stat[:, p, own]
-    if not np.isfinite(msq).all():  # a non-finite solved sample makes its row's mean square so
-        raise ShapeMismatchError("solved loop samples must all be finite")
-    params = (cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz)
-    alice = protocol.decide_remote_resistor(msq[..., 2], msq[..., 0], choices[:, 0], *params)
-    bob = protocol.decide_remote_resistor(msq[..., 3], msq[..., 1], choices[:, 1], *params)
+    slabs = _solved_slabs(cfg, choices, *_drive_rows(cfg, index, choices, levels), variants)
+    for group, y, slab_msq, i_inj, columns in slabs:
+        stats = (slab_msq, *_correlators(i_inj, y))
+        del y, i_inj  # free the solved rows before the next slab's are formed
+        for p, own, lvl, pos in columns:
+            for out, stat in zip((msq, rho_a, rho_b), stats):
+                out[group[:, None], lvl, pos] = stat[:, p, own]
+    alice, bob = _decide(cfg, msq, choices)
     # Eve's correlators read 0 at a level without injection
-    rho_a, rho_b = (np.where(attacked[:, None], rho, 0.0) for rho in (rho_a, rho_b))
+    attacked = np.array(levels)[:, None] > 0
+    rho_a, rho_b = (np.where(attacked, rho, 0.0) for rho in (rho_a, rho_b))
     return {
         "index": index,
         "key_bits": key_bits,
@@ -536,33 +572,24 @@ def _defense_chunk(cfg: SimConfig, chunk, parties: circuit.Variant | None = None
     """One chunk of defense pairs: each secure exchange solved with and without Eve's current.
 
     `chunk` is (index, key_bits, choices) from `_used_chunks`, and `cfg.injection`
-    is set. Each exchange's clean and attacked arms are two columns of its resistor
-    pair (`_pair_rows`), and both pairs' columns are solved in one
-    `circuit.loop_slabs` scan. Each slab's residuals are then simulated at once: the
-    in-site simulation on the `parties`' wire (default: the channel's). Per pair the
-    payload holds the index, the residual rows, shape (2 arms, 2 ends, t) with the
-    clean arm first, the clean channel current RMS and the clean residual RMS over it.
+    is set. The channel is a grid of its own wire at levels (0, the injection's), the
+    clean and the attacked arm (`_solved_slabs`). Each slab's residuals are then
+    simulated at once: the in-site simulation on the `parties`' wire (default: the
+    channel's). Per pair the payload holds the index, the residual rows, shape (2 arms,
+    2 ends, t) with the clean arm first, the clean channel current RMS and the clean
+    residual RMS over it.
     """
     index, _, choices = chunk
-    noise_seeds = _noise_seeds(cfg.master_seed, index)
-    gen = protocol.generator_rows(cfg, choices, noise_seeds)
-    fs, t = cfg.sample_rate_hz, cfg.samples_per_bit
-    injected = np.zeros((2, len(index), t))  # the clean arm's, then the attacked arm's
-    injected[1:] = protocol.injection_rows(cfg, noise_seeds[:, 2], [cfg.injection.level_fraction])
-    loop_cfgs, positions, u = _pair_rows(cfg, choices, gen, injected)
-    del gen, injected
-    residuals = np.empty((len(index), 2, 2, t))
-    channel_rms = np.empty(len(index))
-    clean_ratio = np.empty(len(index))
-    for cols, measured in circuit.loop_slabs(u, [cfg.variant], loop_cfgs, 1.0 / fs):
-        measured = measured[0]
-        if not np.isfinite(measured).all():
-            raise ShapeMismatchError("solved loop samples must all be finite")
-        arms = defense.residual_rows(measured, parties or cfg.variant, fs)
-        rms = np.sqrt(np.mean(np.square(measured[..., 0, :]), axis=-1))
+    levels = (0.0, cfg.injection.level_fraction)
+    residuals = np.empty((len(index), 2, 2, cfg.samples_per_bit))
+    channel_rms, clean_ratio = np.empty((2, len(index)))
+    slabs = _solved_slabs(cfg, choices, *_drive_rows(cfg, index, choices, levels), [cfg.variant])
+    for _, measured, msq, _, columns in slabs:
+        arms = defense.residual_rows(measured[0], parties or cfg.variant, cfg.sample_rate_hz)
         del measured  # free the solved rows before the next slab's are formed
+        rms = np.sqrt(msq[0, ..., 0])
         arm_rms = np.sqrt(np.mean(np.square(arms.reshape(arms.shape[:-2] + (-1,))), axis=-1))
-        for p, own, arm, pos in _slab_columns(cols, positions, 2):
+        for p, own, arm, pos in columns:
             residuals[pos, arm] = arms[p, own]
             clean, at = own[arm == 0], pos[arm == 0]
             channel_rms[at] = rms[p, clean]
@@ -650,7 +677,7 @@ def run_defense_experiment(
             )
 
     chunk_worker = functools.partial(_defense_chunk, parties=parties)
-    size = cfg.check_array_budget(1, parties=parties)
+    size = cfg.check_array_budget(2, parties=parties)
     stream = _consume_chunks(cfg, chunk_worker, cfg.n_bits, size)
     # n_bits > n_calibration, so the stream holds the first n_calibration + 1 pairs
     held = []
@@ -785,38 +812,31 @@ class SingleBitDump:
 
 
 def run_single_bit(cfg: SimConfig, bit_index: int = 0) -> SingleBitDump:
-    """Simulate one exchange, a column of its own, and keep every row."""
+    """Simulate one exchange of any class, a grid of one cell and one exchange, and keep every
+    row."""
     if bit_index < 0:
         raise ConfigError(f"bit_index must be non-negative, got {bit_index}")
     index = np.array([bit_index])
     choices = np.where(_holds_r_h(cfg, index), cfg.r_h, cfg.r_l)
-    noise_seeds = _noise_seeds(cfg.master_seed, index, cfg.injection is not None)
-    u = np.zeros((1, 3, cfg.samples_per_bit))
-    u[:, :2] = protocol.generator_rows(cfg, choices, noise_seeds)
-    if cfg.injection is not None:
-        u[:, 2] = protocol.injection_rows(cfg, noise_seeds[:, 2], [cfg.injection.level_fraction])[0]
-    loop_cfg = circuit.LoopConfig(*choices[0].tolist(), cfg.injection_position)
-    y = circuit.solve_rows(u, cfg.variant, loop_cfg, 1.0 / cfg.sample_rate_hz)
-    msq = protocol.mean_squares(y)
-    params = (cfg.r_l, cfg.r_h, cfg.t_eff, cfg.bandwidth_hz)
-    alice = protocol.decide_remote_resistor(msq[:, 2], msq[:, 0], choices[:, 0], *params)
-    bob = protocol.decide_remote_resistor(msq[:, 3], msq[:, 1], choices[:, 1], *params)
-    rho_a = rho_b = np.zeros(1)
-    if cfg.injection is not None:
-        rho_a, rho_b = _correlators(u[:, 2], y)
-    eve_bits = _eve_bits(cfg, index, rho_a, rho_b)
+    level = cfg.injection.level_fraction if cfg.injection is not None else 0.0
+    gen, eve = _drive_rows(cfg, index, choices, (level,))
+    [(_, y, msq, i_inj, _)] = _solved_slabs(cfg, choices, gen, eve, [cfg.variant])
+    y, msq = y.reshape(1, 4, -1), msq.reshape(1, 4)
+    alice, bob = _decide(cfg, msq, choices)
+    # Eve's correlators read 0 without injection
+    rho_a, rho_b = (np.where(level > 0, rho, 0.0) for rho in _correlators(i_inj[0], y))
     residuals = None
     if not isinstance(cfg.variant, circuit.Ideal):
         residuals = tuple(defense.residual_rows(y, cfg.variant, cfg.sample_rate_hz)[0])
     return SingleBitDump(
-        u=u[0],
+        u=np.concatenate([gen[0], eve[:, 0]]),
         y=y[0],
         choices=choices[0],
         inferred=np.concatenate([alice, bob]),
         residuals=residuals,
         rho_a=float(rho_a[0]),
         rho_b=float(rho_b[0]),
-        eve_guess=int(eve_bits[0]),
+        eve_guess=int(_eve_bits(cfg, index, rho_a, rho_b)[0]),
     )
 
 

@@ -16,6 +16,8 @@ from kljnsim import attack, circuit, defense, harness, protocol
 from kljnsim.circuit import Cable, CableWithKiller, Ideal, LoopConfig
 from kljnsim.noise import synth_band_limited_gaussian
 
+from solve import solve_rows
+
 N_FULL = 10_000
 IDEAL_TARGETS = {0.001: 0.503, 0.01: 0.513, 0.1: 0.613}
 KM_TARGETS = {0.001: 0.501, 0.01: 0.510, 0.1: 0.608}
@@ -156,7 +158,7 @@ def test_criterion_6_physics_property_suite(zero_injection_cells, table1):
     loop_cfg = LoopConfig(1000.0, 9000.0)
     # one batch: full drive, the two generators alone, the injection alone
     u = np.array([[u_a, u_b, inj], [u_a, u_b, zero], [zero, zero, inj]])
-    full, sources, injection = circuit.solve_rows(u, Cable(1000.0, 10), loop_cfg, 1.0 / fs)
+    full, sources, injection = solve_rows(u, Cable(1000.0, 10), loop_cfg, 1.0 / fs)
     sup_err = max(
         np.max(np.abs(f - s - i)) / np.max(np.abs(f))
         for f, s, i in zip(full, sources, injection)  # each of the four end rows
@@ -165,7 +167,7 @@ def test_criterion_6_physics_property_suite(zero_injection_cells, table1):
 
     # divider fractions for the reference pair: a node-injected current splits r_b : r_a
     # toward the ends, 0.9 toward Alice's and 0.1 toward Bob's (negative in the Loop convention)
-    alone = circuit.solve_rows(u[2:], Ideal(), loop_cfg, 1.0 / fs)[0]
+    alone = solve_rows(u[2:], Ideal(), loop_cfg, 1.0 / fs)[0]
     checks["divider(0.9,0.1)"] = np.allclose(alone[0], 0.9 * inj, rtol=1e-12) and np.allclose(
         alone[1], -0.1 * inj, rtol=1e-12
     )
@@ -173,7 +175,7 @@ def test_criterion_6_physics_property_suite(zero_injection_cells, table1):
     # killer variant end-current mismatch over a 10 s run
     big_a, big_b = synth_band_limited_gaussian([304, 305], [1.0, 3.0], 20000, fs, bw)
     big_u = np.array([[big_a, big_b, np.zeros(len(big_a))]])
-    killer_out = circuit.solve_rows(big_u, CableWithKiller(1000.0, 10), loop_cfg, 1.0 / fs)[0]
+    killer_out = solve_rows(big_u, CableWithKiller(1000.0, 10), loop_cfg, 1.0 / fs)[0]
     mismatch = np.max(np.abs(killer_out[0] - killer_out[1]))
     i_rms = math.sqrt(float(np.mean(np.square(killer_out[0]))))
     checks["killer mismatch<=1e-6*rms"] = mismatch <= 1e-6 * i_rms

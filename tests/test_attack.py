@@ -17,6 +17,8 @@ from kljnsim.attack import (
 from kljnsim.exceptions import ConfigError, ShapeMismatchError
 from kljnsim.noise import synth_band_limited_gaussian
 
+from solve import solve_rows
+
 T_EFF = 7.25e16
 BW = 250.0
 R_L, R_H = 1000.0, 9000.0
@@ -145,7 +147,7 @@ def _run_fixed_arrangement(r_a, r_b, level, n_bits, master):
         ],
         axis=1,
     )
-    y = circuit.solve_rows(u, circuit.Ideal(), circuit.LoopConfig(r_a, r_b), 1.0 / 2000.0)
+    y = solve_rows(u, circuit.Ideal(), circuit.LoopConfig(r_a, r_b), 1.0 / 2000.0)
     # Eve's view: Alice's end as solved, Bob's end negated
     return correlate(u[:, 2], y[:, 0]) - correlate(u[:, 2], -y[:, 1])
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kljnsim import circuit
+from kljnsim import circuit, harness
 from kljnsim.circuit import (
     Cable,
     CableWithKiller,
@@ -20,6 +20,8 @@ from kljnsim.circuit import (
 )
 from kljnsim.exceptions import ConfigError, ShapeMismatchError
 from kljnsim.noise import synth_band_limited_gaussian
+
+from solve import solve_rows
 
 FS = 2000.0
 
@@ -38,8 +40,8 @@ def _drive(u_a, u_b, inj=None):
 
 
 def _solve(wire, cfg, u_a, u_b, inj=None):
-    """One exchange through `solve_rows`: rows (i_cha, i_chb, u_cha, u_chb), shape (4, t)."""
-    return circuit.solve_rows(_drive(u_a, u_b, inj)[None], wire, cfg, 1.0 / FS)[0]
+    """One exchange through `solve.solve_rows`: rows (i_cha, i_chb, u_cha, u_chb), shape (4, t)."""
+    return solve_rows(_drive(u_a, u_b, inj)[None], wire, cfg, 1.0 / FS)[0]
 
 
 def _reference_steps(system, u, x0):
@@ -183,10 +185,14 @@ def test_ideal_loop_current_difference_equals_injection():
 
 @pytest.mark.parametrize("variant", [Ideal(), Cable(1000.0, 10), CableWithKiller(1000.0, 10)])
 def test_solve_rows_rejects_non_finite_drive(variant):
-    u = np.stack([_drive(_noise(1.0, 7), _noise(3.0, 8)) for _ in range(3)])
-    u[1, 0, 5] = np.nan
+    """A non-finite generator sample makes a chunk's solve raise, on every wire."""
+    gen = np.stack([np.stack([_noise(1.0, 7), _noise(3.0, 8)]) for _ in range(3)])
+    gen[1, 0, 5] = np.nan
+    eve = np.zeros((1,) + gen[:, 0].shape)
+    choices = np.tile([1000.0, 9000.0], (3, 1))
+    slabs = harness._solved_slabs(harness.SimConfig(), choices, gen, eve, [variant])
     with pytest.raises(ShapeMismatchError):
-        circuit.solve_rows(u, variant, LoopConfig(1000.0, 9000.0), 1.0 / FS)
+        list(slabs)
 
 
 def test_cable_totals():

@@ -21,6 +21,8 @@ from kljnsim.defense import (
 from kljnsim.exceptions import ConfigError
 from kljnsim.noise import synth_band_limited_gaussian
 
+from solve import solve_rows
+
 T_EFF = 7.25e16
 BW = 250.0
 FS = 2000.0
@@ -42,7 +44,7 @@ def _ideal_signals(seed, level=0.0):
     if level > 0:
         ref = reference_rms_channel_current(R_L, R_H, T_EFF, BW)
         u[2] = _noise(level * ref, seed + 2)
-    return circuit.solve_rows(u[None], Ideal(), LoopConfig(R_L, R_H), 1.0 / FS)[0], u[2]
+    return solve_rows(u[None], Ideal(), LoopConfig(R_L, R_H), 1.0 / FS)[0], u[2]
 
 
 def _residuals(y, wire):
@@ -123,7 +125,7 @@ def test_in_site_simulation_reproduces_clean_channel(variant_type, n_segments):
         for k in range(batch):
             u[k, 0] = _noise(_johnson(R_L), 80 + 2 * k)
             u[k, 1] = _noise(_johnson(R_H), 81 + 2 * k)
-        measured = circuit.solve_rows(u, variant, LoopConfig(R_L, R_H), 1.0 / FS)
+        measured = solve_rows(u, variant, LoopConfig(R_L, R_H), 1.0 / FS)
         for y, residuals in zip(measured, residual_rows(measured, variant, FS)):
             i_rms = float(np.sqrt(np.mean(y[0] ** 2)))
             assert np.max(np.abs(residuals)) <= 1e-12 * i_rms
