@@ -407,7 +407,8 @@ def _solved_slabs(cfg: SimConfig, choices: np.ndarray, gen: np.ndarray, eve: np.
     """
     k, copies, t = len(choices), len(eve), cfg.samples_per_bit
     u = None
-    for m in sorted({variant.n_states for variant in variants}):  # the ideal wire first
+    # the ideal wire first: it reads gen and eve, which the cables' gather releases
+    for m in sorted({variant.n_states for variant in variants}):
         group = np.flatnonzero([variant.n_states == m for variant in variants])
         if not m:
             positions, injected = [np.arange(k)], eve.reshape(1, copies * k, t)
@@ -529,6 +530,8 @@ def run_table1(
     levels = tuple(levels)
     if variants is None:
         variants = default_table1_variants()
+    if not levels or not variants:
+        raise ConfigError("a grid needs at least one injection level and one wire variant")
     for level in levels:
         if not 0.0 <= level < 1.0:
             raise ConfigError(f"injection level must lie in [0, 1), got {level!r}")
@@ -653,6 +656,10 @@ def run_defense_experiment(
             cfg,
             injection=attack.InjectionSpec(0.1, cfg.bandwidth_hz),
         )
+    if n_calibration < 0 or (n_calibration == 0 and cfg.detection_threshold is None):
+        raise ConfigError(
+            f"n_calibration must be >= 1, or 0 with a fixed detection_threshold; got {n_calibration}"
+        )
     if cfg.n_bits <= n_calibration:
         raise ConfigError(
             f"defense experiment needs more than {n_calibration} bits for calibration"
@@ -760,6 +767,8 @@ def run_privacy_experiment(cfg: SimConfig, passes: int = 2) -> PrivacyResult:
     the config does not pin an injection itself.
     """
     t0 = time.monotonic()
+    if passes < 0:
+        raise ConfigError(f"passes must be >= 0, got {passes}")
     if cfg.n_bits < 2**passes:
         raise ConfigError(f"privacy experiment needs at least {2**passes} bits for {passes} passes")
     if cfg.injection is None:

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kljnsim import attack, circuit, defense, harness, protocol
+from kljnsim import attack, defense, harness, protocol
 from kljnsim.circuit import Cable, CableWithKiller, Ideal, LoopConfig
 from kljnsim.noise import synth_band_limited_gaussian
 

@@ -21,6 +21,7 @@ from kljnsim.circuit import (
 from kljnsim.exceptions import ConfigError, ShapeMismatchError
 from kljnsim.noise import synth_band_limited_gaussian
 
+from reference import reference_steps
 from solve import solve_rows
 
 FS = 2000.0
@@ -42,21 +43,6 @@ def _drive(u_a, u_b, inj=None):
 def _solve(wire, cfg, u_a, u_b, inj=None):
     """One exchange through `solve.solve_rows`: rows (i_cha, i_chb, u_cha, u_chb), shape (4, t)."""
     return solve_rows(_drive(u_a, u_b, inj)[None], wire, cfg, 1.0 / FS)[0]
-
-
-def _reference_steps(system, u, x0):
-    """Plain per-sample trapezoid stepping from x0: the oracle for the scan path.
-
-    `u` holds the input rows, shape (n_inputs, t). Returns the states, shape
-    (t, n_states), and the outputs, shape (t, n_outputs).
-    """
-    states = [x0]
-    for k in range(1, u.shape[1]):
-        states.append(
-            system.p @ states[-1] + system.q_next @ u[:, k] + system.q_prev @ u[:, k - 1]
-        )
-    outs = [system.c_out @ x + system.d_out @ u[:, k] for k, x in enumerate(states)]
-    return np.array(states), np.array(outs)
 
 
 def _single_row_solve(system, u):
@@ -113,7 +99,7 @@ def test_batched_solve_matches_reference_steps(variant, batch):
     y = solve_systems(system, u)
     assert y.shape == (batch, 4, u.shape[2])
     for row, out in zip(u, y):
-        _, ref = _reference_steps(system, row, system.dc_gain @ row[:, 0])
+        _, ref = reference_steps(system, row, system.dc_gain @ row[:, 0])
         np.testing.assert_allclose(out.T, ref, rtol=1e-10, atol=1e-18)
     if batch == 1:
         assert np.array_equal(y[0].T, _single_row_solve(system, u[0]))
@@ -313,7 +299,7 @@ def test_cable_leak_charge_bookkeeping():
     n_caps = cable.n_segments - 1
     c_node = cable.C_PER_M * cable.length_m / n_caps
     u = _drive(u_a, u_b)
-    states, outs = _reference_steps(system, u, system.dc_gain @ u[:, 0])
+    states, outs = reference_steps(system, u, system.dc_gain @ u[:, 0])
     caps, inds = states[:, :n_caps], states[:, n_caps:]
     dt = 1.0 / FS
     for k in range(1, len(u_a)):
@@ -331,7 +317,7 @@ def test_cable_leak_charge_bookkeeping():
 def test_transient_zero_drive_stays_zero():
     system = loop_system(Cable(1000.0, 10), LoopConfig(1000.0, 9000.0), 1.0 / FS)
     assert np.all(solve_systems(system, np.zeros((1, 3, 50))) == 0.0)
-    _, outs = _reference_steps(system, np.zeros((3, 50)), np.zeros(system.n_states))
+    _, outs = reference_steps(system, np.zeros((3, 50)), np.zeros(system.n_states))
     assert np.all(outs == 0.0)
 
 
@@ -345,7 +331,7 @@ def test_transient_dc_steady_state():
     np.testing.assert_allclose(np.abs(y[0]), i_expected, rtol=1e-10)
     # the inconsistent zero start excites a zero-mean alternating mode; the
     # signed tail average still converges on the DC value
-    _, outs = _reference_steps(system, drive, np.zeros(system.n_states))
+    _, outs = reference_steps(system, drive, np.zeros(system.n_states))
     tail = outs[-200:, 0]
     assert abs(abs(np.mean(tail)) - i_expected) / i_expected < 1e-3
 
@@ -368,7 +354,7 @@ def test_lossless_cable_energy_balance():
     inj_node = injection_node_index(cable, 0.5)
     u = _drive(u_a, u_b, inj)
     u[:, 0] = 0.0  # zero initial state pairs with zero initial drive
-    states, outs = _reference_steps(system, u, np.zeros(system.n_states))
+    states, outs = reference_steps(system, u, np.zeros(system.n_states))
     caps, inds = states[:, :n_caps], states[:, n_caps:]
     v0 = outs[:, 2]  # u_cha is the terminal voltage
     vn = outs[:, 3]
@@ -398,7 +384,7 @@ def test_run_matches_repeated_steps():
     u_a, u_b, inj = _noise(1.0, 71), _noise(3.0, 72), _noise(3e-5, 73)
     u = _drive(u_a, u_b, inj)
     y = solve_systems(system, u[None])[0]
-    _, outs = _reference_steps(system, u, system.dc_gain @ u[:, 0])
+    _, outs = reference_steps(system, u, system.dc_gain @ u[:, 0])
     for idx in range(4):  # i_cha, i_chb, u_cha, u_chb
         np.testing.assert_allclose(y[idx], outs[:, idx], rtol=1e-10, atol=1e-18)
 

@@ -333,6 +333,41 @@ def test_defense_experiment_requires_headroom():
         harness.run_defense_experiment(harness.SimConfig(n_bits=10), n_calibration=20)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda cfg: harness.run_table1(cfg, levels=()),
+        lambda cfg: harness.run_table1(cfg, variants=[]),
+        lambda cfg: harness.run_defense_experiment(cfg, n_calibration=0),
+        lambda cfg: harness.run_defense_experiment(cfg, n_calibration=-1),
+        lambda cfg: harness.run_defense_experiment(
+            replace(cfg, detection_threshold=1e-6), n_calibration=-1
+        ),
+        lambda cfg: harness.run_privacy_experiment(cfg, passes=-1),
+    ],
+    ids=[
+        "no_levels", "no_variants", "no_calibration", "negative_calibration",
+        "negative_calibration_fixed_threshold", "negative_passes",
+    ],
+)
+def test_degenerate_entry_point_arguments_are_config_errors(monkeypatch, run):
+    """Each is rejected before a chunk runs."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(harness, "_grid_chunk", fail)
+    monkeypatch.setattr(harness, "_defense_chunk", fail)
+    with pytest.raises(ConfigError):
+        run(harness.SimConfig(n_bits=30))
+
+
+def test_a_fixed_threshold_runs_without_calibration_pairs():
+    cfg = harness.SimConfig(n_bits=30, detection_threshold=1e-6)
+    result = harness.run_defense_experiment(cfg, n_calibration=0)
+    assert result.n_bits == 30 and result.detection.threshold == 1e-6
+
+
 def test_variant_labels():
     assert harness.variant_label(circuit.Ideal()) == "ideal"
     assert harness.variant_label(circuit.Cable(100.0, 10)) == "cable_100m"
