@@ -21,12 +21,15 @@ Each cable's discretized system of a loop is built once (`loop_system`). One
 solve path, `solve_slabs`, scans a stack of S systems of one state count m,
 each with its rows of inputs: the wire variants of one state count under
 each resistor pair's terminations (`loop_slabs`), or the in-site system
-shared by all rows. The states are columns, one per row: every sample step
-advances all S x N of them with one stacked (S, m, m) @ (S, m, N) product,
-m = 1 (the canceller) included. A column of such a product, and of the
-input and output maps, has the same bits for any N that is a multiple of 8
-and at any column offset, so the scan pads its columns to a multiple of 8
-and a row's outputs do not depend on the rows it is solved with.
+shared by all rows. The states are columns, one per row, in a step-major
+stepping buffer (samples, S, m, N) whose every sample is one contiguous
+block: every sample step advances all S x N of them with one stacked
+(S, m, m) @ (S, m, N) product and one contiguous add of the drive terms
+already written into its slot, m = 1 (the canceller) included. A column of
+such a product, and of the input and output maps, has the same bits for any
+N that is a multiple of 8 and at any column offset, so the scan pads its
+columns to a multiple of 8 and a row's outputs do not depend on the rows it
+is solved with.
 
 One function, `_layout`, sizes a scan: its column slabs, whose outputs
 SLAB_BYTES bounds and which the solve hands out one at a time, and each
@@ -272,23 +275,22 @@ def injection_node_index(cable: Cable, injection_position: float) -> int:
 # Byte budgets of a scan: SLAB_BYTES bounds the outputs of a column slab, which the solve
 # hands out before it scans the next, and SCAN_BLOCK_BYTES a time block's stepping buffer
 # (or its output map's arrays, if they are larger). Neither changes a column's bits.
-SLAB_BYTES = 2**19
+SLAB_BYTES = 2**20
 SCAN_BLOCK_BYTES = 2**18
 
 
-def ladder_scan(p: np.ndarray, x: np.ndarray, drive: np.ndarray) -> np.ndarray:
-    """Run the state recurrence x[k] = p @ x[k-1] + drive[k-1] in place, for S stacked systems.
+def ladder_scan(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Run the state recurrence x[k] = p @ x[k-1] + x[k] in place, for S stacked systems.
 
     `p` holds one (m, m) matrix per system, shape (S, m, m), or one shared by
-    all. `x` is the stepping buffer, shape (S, n + 1, m, N): on entry x[:, 0]
-    holds each system's N start states as columns; on return x[:, k] holds
-    the states of sample k. `drive` holds the drive terms, shape (S, m, n,
-    N). Each step advances all S x N states with one stacked
-    (S, m, m) @ (S, m, N) product. Returns `x`.
+    all. `x` is the stepping buffer, step-major, shape (n + 1, S, m, N): on
+    entry x[0] holds each system's N start states as columns and x[k] the
+    drive terms of step k, k = 1..n; on return x[k] holds the states of
+    sample k. Each step advances all S x N states with one stacked
+    (S, m, m) @ (S, m, N) product and one contiguous add. Returns `x`.
     """
-    steps = list(x.swapaxes(0, 1))  # views: steps[k] is sample k of every system
-    for prev, cur, term in zip(steps, steps[1:], drive.transpose(2, 0, 1, 3)):
-        np.add(p @ prev, term, out=cur)
+    for prev, cur in zip(x, x[1:]):
+        np.add(p @ prev, cur, out=cur)
     return x
 
 
@@ -342,11 +344,12 @@ def solve_slabs(system: _DiscreteSystem, u: np.ndarray):
     their outputs, shape (S..., len(cols), n_outputs, t).
 
     Per time block, each input map is one product per system over the
-    block's samples, `ladder_scan` advances the states, the output maps
-    write the block's output samples, and the last state carries into the
-    next block. Each slab is padded with zero columns to a multiple of 8
-    (`_layout`), so a row's outputs do not depend on the rows it is solved
-    with.
+    block's samples, one transposed copy moves their sum into the
+    step-major stepping buffer's slots for the states to come, `ladder_scan`
+    advances the states in place, the output maps write the block's output
+    samples, and the last state carries into the next block. Each slab is
+    padded with zero columns to a multiple of 8 (`_layout`), so a row's
+    outputs do not depend on the rows it is solved with.
     """
     m, n_in, t = system.n_states, u.shape[-2], u.shape[-1]
     if system.p.ndim == 2:
@@ -371,31 +374,32 @@ def solve_slabs(system: _DiscreteSystem, u: np.ndarray):
         rows = u[..., c0 : c0 + width, :, :]
         w = rows.shape[-3]
         pad = -(-w // 8) * 8
-        x = buf_x[: n_sys * (block + 1) * m * pad].reshape(n_sys, block + 1, m, pad)
+        x = buf_x[: (block + 1) * n_sys * m * pad].reshape(block + 1, n_sys, m, pad)
         inputs = buf_in[: buf_in.size // width * pad].reshape(u_lead + (n_in, block + 1, pad))
         inputs[..., w:] = 0.0  # the padding columns
         y = np.empty((n_sys, w, n_out, t))
-        first = 0  # 1 once the state at sample k0, x[:, 0], is written out
+        first = 0  # 1 once the state at sample k0, x[0], is written out
         for k0 in range(0, max(t - 1, 1), block):  # n steps on from sample k0, none at t = 1
             n = min(block, t - 1 - k0)
             flat = inputs[..., : n + 1, :]
             flat[..., :w] = rows[..., k0 : k0 + n + 1].transpose(columns_last)
             if k0 == 0:
-                x[:, 0] = mapped(system.dc_gain, flat[..., :1, :]).reshape(n_sys, m, pad)
+                x[0] = mapped(system.dc_gain, flat[..., :1, :]).reshape(n_sys, m, pad)
             if n:
                 drive = buf_drive[: n_sys * m * n * pad].reshape(lead + (m, n * pad))
                 mapped(system.q_next, flat[..., 1:, :], out=drive)
-                # the states to come hold the second map's terms until the scan writes them
-                terms = x[:, 1 : n + 1].reshape(n_sys, -1).reshape(drive.shape)
+                # the states to come hold the second map's terms until the sum moves there
+                terms = x[1 : n + 1].reshape(drive.shape)
                 drive += mapped(system.q_prev, flat[..., :-1, :], out=terms)
-                ladder_scan(p, x[:, : n + 1], drive.reshape(n_sys, m, n, pad))
+                x[1 : n + 1] = drive.reshape(n_sys, m, n, pad).transpose(2, 0, 1, 3)
+                ladder_scan(p, x[: n + 1])
             # the outputs' input terms, (S, n_out, samples, N), plus their state terms, one
-            # (n_out, m) @ (m, N) product per system and sample, (S, samples, n_out, N)
+            # (n_out, m) @ (m, N) product per system and sample, (samples, S, n_out, N)
             out = mapped(system.d_out, flat[..., first:, :]).reshape(n_sys, n_out, -1, pad)
-            out += (c_out[:, None] @ x[:, first : n + 1]).swapaxes(1, 2)
+            out += (c_out @ x[first : n + 1]).transpose(1, 2, 0, 3)
             y[..., k0 + first : k0 + n + 1] = out[..., :w].transpose(0, 3, 1, 2)
             del out
-            x[:, 0] = x[:, n]
+            x[0] = x[n]
             first = 1
         yield slice(c0, c0 + w), y.reshape(lead + y.shape[1:])
         del y  # before the next slab's outputs are allocated

@@ -263,8 +263,9 @@ def _correlators(i_inj: np.ndarray, y: np.ndarray):
     """Eve's two correlators per row, from her rows, which broadcast against the solved rows
     (..., k, 4, t) to (..., k, t)."""
     i_inj = np.broadcast_to(i_inj, y.shape[:-2] + y.shape[-1:])
-    # Eve reads from her node outward: Alice's end as solved, Bob's end negated
-    return attack.correlate(i_inj, y[..., 0, :]), attack.correlate(i_inj, -y[..., 1, :])
+    # Eve reads from her node outward: Alice's end as solved, Bob's end negated. A mean of
+    # products negates exactly, so the correlator of Bob's end is negated, not its rows.
+    return attack.correlate(i_inj, y[..., 0, :]), -attack.correlate(i_inj, y[..., 1, :])
 
 
 def _decide(cfg: SimConfig, msq: np.ndarray, choices: np.ndarray):

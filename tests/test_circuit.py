@@ -74,16 +74,17 @@ def test_ladder_scan_matches_reference_loop():
     p *= 0.95 / np.max(np.abs(np.linalg.eigvals(p)))  # keep the recurrence stable
     qu = rng.standard_normal((t - 1, 1, m))
     x0 = rng.standard_normal((1, m))
-    x = np.empty((1, t, m, 1))
+    x = np.empty((t, 1, m, 1))
     x[0, 0] = x0.T
-    got = circuit.ladder_scan(p[None], x, qu.transpose(2, 0, 1)[None])
-    assert got.shape == (1, t, m, 1)
+    x[1:, 0] = qu.transpose(0, 2, 1)
+    got = circuit.ladder_scan(p[None], x)
+    assert got.shape == (t, 1, m, 1)
     expected = np.empty((t, m))
     expected[0] = x = x0[0]
     for k in range(1, t):
         x = p @ x + qu[k - 1, 0]
         expected[k] = x
-    assert np.array_equal(got[0, :, :, 0], expected)
+    assert np.array_equal(got[:, 0, :, 0], expected)
 
 
 @pytest.mark.parametrize("batch", [1, 3, 17])

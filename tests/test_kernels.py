@@ -1,9 +1,11 @@
 """The cable recurrence `circuit.ladder_scan` and the column-major, slabbed and time-blocked
 solve against plain loops."""
+import functools
+
 import numpy as np
 import pytest
 
-from kljnsim import circuit
+from kljnsim import attack, circuit, harness
 from kljnsim.circuit import Cable, CableWithKiller, LoopConfig
 
 FS = 2000.0
@@ -22,10 +24,12 @@ def _problem(m, t, batch, seed=3, levels=1):
 
 
 def _scan(p, drive, x0):
-    """`ladder_scan` on a fresh (S, t, m, N) buffer holding x0; checks it works in place."""
-    x = np.empty((x0.shape[0], drive.shape[2] + 1) + x0.shape[1:])
-    x[:, 0] = x0
-    out = circuit.ladder_scan(p, x, drive)
+    """`ladder_scan` on a fresh step-major (t, S, m, N) buffer holding x0 and the drive terms;
+    checks it works in place."""
+    x = np.empty((drive.shape[2] + 1,) + x0.shape)
+    x[0] = x0
+    x[1:] = drive.transpose(2, 0, 1, 3)
+    out = circuit.ladder_scan(p, x)
     assert out is x
     return out
 
@@ -46,31 +50,32 @@ def test_python_scan_matches_reference_loop():
     x = x0[0, :, 0]
     for k in range(1, 30):
         x = p @ x + drive[0, :, k - 1, 0]
-        np.testing.assert_allclose(got[0, k, :, 0], x, rtol=1e-13)
+        np.testing.assert_allclose(got[k, 0, :, 0], x, rtol=1e-13)
 
 
 def test_ladder_scan_shape_and_determinism():
     p, drive, x0 = _problem(m=7, t=64, batch=3)
     a = _scan(p, drive, x0)
     b = _scan(p, drive, x0)
-    assert a.shape == (1, 64, 7, 3)
+    assert a.shape == (64, 1, 7, 3)
     assert np.array_equal(a, b)
-    assert np.array_equal(a[:, 0], x0)
+    assert np.array_equal(a[0], x0)
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3])
 @pytest.mark.parametrize("batch", [1, 5, 16])
 @pytest.mark.parametrize("m", [1, 3, 19])
 def test_level_stacked_scan_equals_separate_scans(m, batch, levels):
-    """A (L, t, m, N) buffer with one shared p gives each level's own scan bit for bit, and
+    """A (t, L, m, N) buffer with one shared p gives each level's own scan bit for bit, and
     the plain loop in row form."""
     t = 40
     p, drive, x0 = _problem(m, t, batch, seed=m + 7 * batch, levels=levels)
     got = _scan(p, drive, x0)
-    assert got.shape == (levels, t, m, batch)
+    assert got.shape == (t, levels, m, batch)
     for lvl in range(levels):
-        assert np.array_equal(got[lvl], _scan(p, drive[lvl : lvl + 1], x0[lvl : lvl + 1])[0])
-        np.testing.assert_allclose(got[lvl], _row_steps(p, drive[lvl], x0[lvl]), rtol=1e-13)
+        alone = _scan(p, drive[lvl : lvl + 1], x0[lvl : lvl + 1])[:, 0]
+        assert np.array_equal(got[:, lvl], alone)
+        np.testing.assert_allclose(got[:, lvl], _row_steps(p, drive[lvl], x0[lvl]), rtol=1e-13)
 
 
 def _column_solve(system, u):
@@ -146,8 +151,8 @@ def test_system_stacked_scan_equals_separate_scans(variant, batch, n_sys):
     x0 = rng.standard_normal((n_sys, batch, m)).swapaxes(1, 2)
     got = _scan(p, drive, x0)
     for s in range(n_sys):
-        assert np.array_equal(got[s], _scan(p[s], drive[s : s + 1], x0[s : s + 1])[0])
-        np.testing.assert_allclose(got[s], _row_steps(p[s], drive[s], x0[s]), rtol=1e-13)
+        assert np.array_equal(got[:, s], _scan(p[s], drive[s : s + 1], x0[s : s + 1])[:, 0])
+        np.testing.assert_allclose(got[:, s], _row_steps(p[s], drive[s], x0[s]), rtol=1e-13)
 
 
 @pytest.mark.parametrize("n_sys", [1, 3, 8])
@@ -190,12 +195,13 @@ def _reference_solve(system, u):
 
 
 def _counted_scan(monkeypatch, record):
-    """Patch `circuit.ladder_scan` to call `record(p, x, drive)` first."""
+    """Patch `circuit.ladder_scan` to call `record(p, x, drive)` first, with the drive terms
+    `drive` = x[1:] that the step-major buffer holds on entry."""
     scan = circuit.ladder_scan
 
-    def counted(p, x, drive):
-        record(p, x, drive)
-        return scan(p, x, drive)
+    def counted(p, x):
+        record(p, x, x[1:])
+        return scan(p, x)
 
     monkeypatch.setattr(circuit, "ladder_scan", counted)
 
@@ -218,7 +224,7 @@ def test_time_blocked_solve_equals_one_block(monkeypatch, m, batch, block):
     budget = (block + 1) * 8 * len(systems) * max(m, 4) * pad
     monkeypatch.setattr(circuit, "SCAN_BLOCK_BYTES", budget)
     steps = []
-    _counted_scan(monkeypatch, lambda p, x, drive: steps.append(x.shape[1] - 1))
+    _counted_scan(monkeypatch, lambda p, x, drive: steps.append(x.shape[0] - 1))
     assert np.array_equal(circuit.solve_systems(stack, u), one_block)
     *full, last = steps
     assert sum(steps) == 199 and set(full) <= {block} and 1 <= last <= block
@@ -283,7 +289,7 @@ def test_ladder_pair_shares_one_stacked_scan(monkeypatch, batch):
     u = _rows((1, 3 * batch, 3, 200), seed=batch)
     alone = [circuit.solve_systems(circuit.loop_system(v, cfg, 1.0 / FS), u[0]) for v in ladders]
     stacks = []
-    _counted_scan(monkeypatch, lambda p, x, drive: stacks.append(x.shape[0]))
+    _counted_scan(monkeypatch, lambda p, x, drive: stacks.append(x.shape[1]))
     shared = np.concatenate([y for _, y in circuit.loop_slabs(u, ladders, [cfg], 1.0 / FS)], axis=2)
     assert stacks and set(stacks) == {2}
     for y, y_alone in zip(shared[:, 0], alone):
@@ -296,24 +302,50 @@ _SYSTEMS = {1: CableWithKiller(1000.0, 10), 19: Cable(1000.0, 10), 39: Cable(100
 _SYSTEMS[79] = Cable(1000.0, 40)
 
 
+@functools.lru_cache(maxsize=1)
+def _widest_map():
+    """The most columns that one map product of a default table1 grid chunk or defense chunk
+    multiplies: a time block's samples times a slab's columns, (steps + 1) x width, over
+    the layouts that `circuit._layout` gives the two chunks' scans."""
+    layout, layouts = circuit._layout, []
+
+    def recorded(*shape):
+        layouts.append(layout(*shape))
+        return layouts[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(circuit, "_layout", recorded)
+        cfg = harness.SimConfig()
+        chunk = harness._classify_chunk(cfg, 0)
+        harness._grid_chunk(cfg, chunk, harness.default_table1_variants(), harness.TABLE1_LEVELS)
+        injection = attack.InjectionSpec(0.1, 250.0, 12345)
+        cfg = harness.SimConfig(variant=Cable(1000.0, 10), injection=injection)
+        harness._defense_chunk(cfg, harness._classify_chunk(cfg, 0))
+    assert layouts
+    return max((block + 1) * width for width, block in layouts)
+
+
 @pytest.mark.parametrize("n_in", [2, 3])
 @pytest.mark.parametrize("m", sorted(_SYSTEMS))
 def test_column_products_do_not_depend_on_width_or_offset(m, n_in):
     """On the running machine's BLAS, each column of the scan's products has the same bits
     at any multiple of 8 columns and at any column offset, from a contiguous operand or a
     view with a longer row stride: the step product, the input maps and the start state's,
-    and the output maps. Every output of the solves rests on this."""
+    and the output maps. Every output of the solves rests on this. The widths reach the
+    widest map product of the default grid's and defense's chunks."""
     loop_cfg = LoopConfig(1000.0, 9000.0) if n_in == 3 else None
     system = circuit.loop_system(_SYSTEMS[m], loop_cfg, 1.0 / FS)
     maps = [(system.p, m), (system.c_out, m)]
     maps += [(a, n_in) for a in (system.q_next, system.q_prev, system.dc_gain, system.d_out)]
+    widest = _widest_map()
+    widths = [n for n in (8, 16, 40, 64, 136, 256, 512, 1024, 2048) if n < widest] + [widest]
     rng = np.random.default_rng(m + n_in)
     for a, rows in maps:
-        operand = rng.standard_normal((rows, 600))
-        full = a @ operand[:, :512]
-        for n in (8, 16, 40, 64, 136, 256, 512):
-            for offset in {0, 8, 24, 512 - n}:
-                if offset + n > 512:
+        operand = rng.standard_normal((rows, widest + 88))
+        full = a @ operand[:, :widest]
+        for n in widths:
+            for offset in {0, 8, 24, widest - n}:
+                if offset + n > widest:
                     continue
                 view = operand[:, offset : offset + n]
                 assert np.array_equal(a @ view, full[:, offset : offset + n]), (a.shape, n, offset)
