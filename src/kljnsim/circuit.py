@@ -309,8 +309,8 @@ def _layout(n_sys: int, m: int, n_out: int, n_cols: int, t: int) -> tuple[int, i
 
 
 def _lead(p_shape, u_shape) -> tuple[int, ...]:
-    """The stack shape of a scan: one system's rows are all its columns."""
-    return () if len(p_shape) == 2 else np.broadcast_shapes(p_shape[:-2], u_shape[:-3])
+    """The stack shape of a scan: the systems' stack axes broadcast against the rows'."""
+    return np.broadcast_shapes(p_shape[:-2], u_shape[:-3])
 
 
 def scan_bytes(p_shape, u_shape, n_out: int) -> dict[str, int]:
@@ -320,9 +320,8 @@ def scan_bytes(p_shape, u_shape, n_out: int) -> dict[str, int]:
     The scan holds a slab's outputs, the stepping buffer of one of its time blocks and
     its step matrices p.
     """
-    lead, m, t = _lead(p_shape, u_shape), p_shape[-1], u_shape[-1]
+    lead, m, n_cols, t = _lead(p_shape, u_shape), p_shape[-1], u_shape[-3], u_shape[-1]
     n_sys = math.prod(lead)
-    n_cols = u_shape[-3] if lead else math.prod(u_shape[:-2])
     width, block = _layout(n_sys, m, n_out, n_cols, t)
     return {
         f"a {m}-state scan's slab outputs": 8 * n_sys * min(width, n_cols) * n_out * t,
@@ -334,14 +333,14 @@ def scan_bytes(p_shape, u_shape, n_out: int) -> dict[str, int]:
 def solve_slabs(system: _DiscreteSystem, u: np.ndarray):
     """Yield the outputs of u's rows a column slab at a time, as (cols, y).
 
-    `system` is one discretized system, whose rows are all the rows of u,
-    shape (..., N, n_inputs, t), or systems stacked by `stack_systems`, each
-    with the rows u[s], shape (S..., N, n_inputs, t); u's stack axes
-    broadcast against the systems', so that systems may share their rows.
-    Each row is a column of its system's scan and starts from the
-    DC-consistent state for its first input sample. `cols` is a slice of
-    the N columns (of the flattened rows for one system), and `y` holds
-    their outputs, shape (S..., len(cols), n_outputs, t).
+    `system` is one discretized system or systems stacked by `stack_systems`,
+    and u holds rows of shape (..., N, n_inputs, t) whose stack axes broadcast
+    against the systems', so that systems may share their rows (and one
+    system is a stack of one per leading index of u): system s takes the rows
+    u[s], shape (N, n_inputs, t). Each row is a column of its system's scan
+    and starts from the DC-consistent state for its first input sample.
+    `cols` is a slice of the N columns, and `y` holds their outputs, shape
+    (S..., len(cols), n_outputs, t), S the broadcast stack shape.
 
     Per time block, each input map is one product per system over the
     block's samples, one transposed copy moves their sum into the
@@ -352,8 +351,6 @@ def solve_slabs(system: _DiscreteSystem, u: np.ndarray):
     outputs do not depend on the rows it is solved with.
     """
     m, n_in, t = system.n_states, u.shape[-2], u.shape[-1]
-    if system.p.ndim == 2:
-        u = u.reshape((-1, n_in, t))
     lead = _lead(system.p.shape, u.shape)
     n_sys, n_cols, n_out = math.prod(lead), u.shape[-3], system.c_out.shape[-2]
     p, c_out = (np.broadcast_to(a, lead + a.shape[-2:]).reshape((n_sys,) + a.shape[-2:])
@@ -408,14 +405,10 @@ def solve_slabs(system: _DiscreteSystem, u: np.ndarray):
 def solve_systems(system: _DiscreteSystem, u: np.ndarray) -> np.ndarray:
     """Outputs, shape (..., N, n_outputs, t), for inputs u of shape (..., N, n_inputs, t): the
     slabs of `solve_slabs` joined."""
-    n_out = system.c_out.shape[-2]
-    if system.p.ndim == 2:
-        y = np.empty(u.shape[:-2] + (n_out, u.shape[-1]))
-        joined = y.reshape(-1, n_out, u.shape[-1])
-    else:
-        joined = y = np.empty(_lead(system.p.shape, u.shape) + (u.shape[-3], n_out, u.shape[-1]))
+    n_out, t = system.c_out.shape[-2], u.shape[-1]
+    y = np.empty(_lead(system.p.shape, u.shape) + (u.shape[-3], n_out, t))
     for cols, slab in solve_slabs(system, u):
-        joined[..., cols, :, :] = slab
+        y[..., cols, :, :] = slab
     return y
 
 

@@ -70,16 +70,17 @@ def residual_rows(measured: np.ndarray, wire: Variant, fs: float) -> np.ndarray:
     residual rows, shape (..., B, 2, t). Ideal wire: both ends carry one
     loop current, so Alice's residual is i_cha - i_chb (the injected current)
     and Bob's is zero. Cable: each end's measured current minus the in-site
-    simulation of all rows in one scan, driven by the measured end voltages;
-    the simulation does not depend on the terminations, so the rows of both
-    resistor pairs may share it.
+    simulation, driven by the measured end voltages, of all rows as the
+    columns of one system's scan, shape (N, 2, t): the simulation does not
+    depend on the terminations, so the rows of both resistor pairs may share it.
     """
+    shape = measured.shape[:-2] + (2, measured.shape[-1])
     if isinstance(wire, Ideal):
-        residuals = np.zeros(measured.shape[:-2] + (2, measured.shape[-1]))
+        residuals = np.zeros(shape)
         residuals[..., 0, :] = measured[..., 0, :] - measured[..., 1, :]
         return residuals
     system = loop_system(wire, None, 1.0 / fs)
-    expected = solve_systems(system, measured[..., 2:, :])
+    expected = solve_systems(system, measured[..., 2:, :].reshape(-1, 2, shape[-1])).reshape(shape)
     return np.subtract(measured[..., :2, :], expected, out=expected)
 
 

@@ -26,16 +26,17 @@ synthesizes a chunk's rows once: the generators', and Eve's at every injection l
 in one more call. `_solved_slabs` solves them a slab at a time: the ideal wire in
 closed form, a level at a time, on the rows as synthesized; a cable's rows as the
 columns of their (Alice, Bob) resistor pair (`_pair_rows`), the variants of each
-state count in one scan of variants x pairs systems. The experiments reduce its slabs.
-An attack run is a grid of wire variants x injection levels (`run_table1`;
-`run_attack_cell` is a grid of one cell), reduced to mean squares and correlators;
-each party decides once per chunk for every cell. The defense is a grid of its
-channel's wire at levels (0, the injection's), its clean and attacked arms, whose
-slabs one more scan reduces to residuals: the parties' in-site simulations on their
-model of the wire, a variant like the channel's (by default the channel's own). It
-calibrates on its first pairs' clean rows, unless the config fixes the threshold, then
-detects on each chunk as it arrives and drops its residual rows. The single-bit dump
-is a grid of one exchange, of any class, that keeps its rows.
+state count in one scan of variants x pairs systems. `_gathered` reduces each slab
+as it comes and hands the experiment per-exchange arrays, shape (variants, levels,
+k, ...): the column, pair and slab layout stays in these three functions. An attack
+run is a grid of wire variants x injection levels (`run_table1`; `run_attack_cell`
+is a grid of one cell), reduced to mean squares and correlators; each party decides
+once per chunk for every cell. The defense is a grid of its channel's wire at levels
+(0, the injection's), its clean and attacked arms, reduced to residuals: the
+parties' in-site simulation of the channel's own wire. It calibrates on its first
+pairs' clean rows, unless the config fixes the threshold, then detects on each chunk
+as it arrives and drops its residual rows. The single-bit dump is a grid of one
+exchange, of any class, that also keeps its rows.
 """
 from __future__ import annotations
 
@@ -170,17 +171,15 @@ class SimConfig:
                 raise ConfigError(f"derived {name} is {value!r}, outside 1e-300 .. 1e300")
         self.check_array_budget(1)
 
-    def check_array_budget(self, n_levels: int, variants=None, parties=None) -> int:
+    def check_array_budget(self, n_levels: int, variants=None) -> int:
         """The exchanges per chunk of a run of `variants` (default: this config's) over
         `n_levels` injection levels: _CHUNK, or half of it if an array of a whole chunk would
         exceed MAX_ARRAY_BYTES (`_chunk_array_bytes`). Raises ConfigError if an array of a
-        half chunk would. The defense's in-site scan is sized on the `parties`' wire, by
-        default on each variant."""
+        half chunk would."""
         counts = collections.Counter(v.n_states for v in variants or [self.variant])
-        in_site = (set(counts) if parties is None else {parties.n_states}) - {0}
-        t, key = self.samples_per_bit, (tuple(sorted(counts.items())), tuple(sorted(in_site)))
+        t, counts = self.samples_per_bit, tuple(sorted(counts.items()))
         for chunk in (_CHUNK, _CHUNK // 2):
-            sizes = _chunk_array_bytes(t, n_levels, chunk, *key)
+            sizes = _chunk_array_bytes(t, n_levels, chunk, counts)
             over = [(name, size) for name, size in sizes.items() if size > MAX_ARRAY_BYTES]
             if not over:
                 return chunk
@@ -196,17 +195,17 @@ class SimConfig:
 
 
 @functools.lru_cache(maxsize=64)
-def _chunk_array_bytes(t: int, n_levels: int, chunk: int, counts, in_site) -> dict[str, int]:
+def _chunk_array_bytes(t: int, n_levels: int, chunk: int, counts) -> dict[str, int]:
     """The bytes of the largest arrays of a chunk, by name, for a run over `n_levels`
-    levels of variants with these (state count, variant count) pairs, whose defense
-    simulates the parties' wire at the `in_site` state counts; cached, since every
+    levels of variants with these (state count, variant count) pairs; cached, since every
     SimConfig checks its own.
 
     The harness sizes its own rows: a chunk's columns are its secure exchanges at every
     level, the defense's a grid of two levels, its clean and attacked arms; the ideal
     wire's rows of one level are the size of the residual rows. `circuit.scan_bytes`
     sizes the scans of both resistor pairs' columns: the cables' of each state count, a
-    stack of both pairs per variant, and the defense's in-site scans.
+    stack of both pairs per variant, and the defense's in-site scan of that state count,
+    one system whose columns are both pairs' clean and attacked rows, flattened.
     """
     L, C = n_levels, chunk
     columns = max(L, 2) * C  # a config's own check, at L = 1, sizes its defense's too
@@ -215,7 +214,7 @@ def _chunk_array_bytes(t: int, n_levels: int, chunk: int, counts, in_site) -> di
         f"a chunk's ({L}, {C}, t) injected rows": 8 * L * C * t,
         f"a chunk's ({C}, 2, 2, t) residual rows": 8 * C * 4 * t,
     }
-    scans = [((m, m), (2, 2 * C, 2, t), 2) for m in in_site]
+    scans = [((m, m), (4 * C, 2, t), 2) for m, _ in counts if m]
     scans += [((count, 2, m, m), (2, L * C, 3, t), 4) for m, count in counts if m]
     for scan in scans:
         for name, size in circuit.scan_bytes(*scan).items():
@@ -257,15 +256,6 @@ def _holds_r_h(cfg: SimConfig, indices) -> np.ndarray:
         return np.tile([False, True], (len(indices), 1))
     ids = (_STREAM_IDS["alice_choice"], _STREAM_IDS["bob_choice"])
     return seeds.stream_bits(cfg.master_seed, indices, ids).astype(bool)
-
-
-def _correlators(i_inj: np.ndarray, y: np.ndarray):
-    """Eve's two correlators per row, from her rows, which broadcast against the solved rows
-    (..., k, 4, t) to (..., k, t)."""
-    i_inj = np.broadcast_to(i_inj, y.shape[:-2] + y.shape[-1:])
-    # Eve reads from her node outward: Alice's end as solved, Bob's end negated. A mean of
-    # products negates exactly, so the correlator of Bob's end is negated, not its rows.
-    return attack.correlate(i_inj, y[..., 0, :]), -attack.correlate(i_inj, y[..., 1, :])
 
 
 def _decide(cfg: SimConfig, msq: np.ndarray, choices: np.ndarray):
@@ -365,11 +355,17 @@ def _drive_rows(cfg: SimConfig, index: np.ndarray, choices: np.ndarray, levels):
 
 def _pair_rows(cfg: SimConfig, choices: np.ndarray, gen: np.ndarray, injected: np.ndarray):
     """The loop rows of k secure exchanges at each of the C rows of Eve's current `injected`,
-    shape (C, k, t): their (u_a, u_b, i_inj) grouped by (Alice, Bob) resistor pair
-    (`protocol.resistor_pairs`), each pair's C x k_p rows in one run, copy-major. Returns
-    the pairs' loop configurations and positions, and the rows as the (P, N, 3, t) view of
-    `protocol.pair_view`."""
-    loop_cfgs, positions = protocol.resistor_pairs(cfg, choices)
+    shape (C, k, t), grouped by (Alice, Bob) resistor pair, at most two, the larger last:
+    each pair's C x k_p (u_a, u_b, i_inj) rows are one run, copy-major. Returns the pairs'
+    loop configurations, their exchanges' positions and the rows as a read-only (P, N, 3, t)
+    view, N the last pair's count: row p holds pair p's rows, then some of the next pair's,
+    which its scan solves and `_gathered` drops, so that no row is copied or padded."""
+    keys, inverse, counts = np.unique(choices, axis=0, return_inverse=True, return_counts=True)
+    if len(keys) > 2:
+        raise ShapeMismatchError("secure exchanges have at most two resistor pairs")
+    order = np.argsort(counts, kind="stable").tolist()
+    loop_cfgs = [circuit.LoopConfig(*keys[g].tolist(), cfg.injection_position) for g in order]
+    positions = [np.flatnonzero(inverse.ravel() == g) for g in order]
     copies, t = injected.shape[0], injected.shape[-1]
     counts = [copies * len(pos) for pos in positions]
     flat = np.empty((sum(counts), 3, t))
@@ -379,32 +375,25 @@ def _pair_rows(cfg: SimConfig, choices: np.ndarray, gen: np.ndarray, injected: n
             some = slice(lo, lo + 32)
             rows[:, some, :2] = gen[pos[some]]
             rows[:, some, 2] = injected[:, pos[some]]
-    return loop_cfgs, positions, protocol.pair_view(flat, counts)
-
-
-def _slab_columns(cols: slice, positions, copies: int):
-    """For each resistor pair p, the columns of a slab `cols` of `_pair_rows`' (P, N) rows that
-    are p's own: p, their indices in the slab, and each one's copy and exchange position."""
-    for p, pos in enumerate(positions):
-        own = np.arange(cols.start, min(cols.stop, copies * len(pos)))
-        copy, row = np.divmod(own, len(pos))
-        yield p, own - cols.start, copy, pos[row]
+    shape, strides = (len(counts), counts[-1], 3, t), (counts[0] * flat.strides[0],) + flat.strides
+    u = np.lib.stride_tricks.as_strided(flat, shape, strides, writeable=False)
+    return loop_cfgs, positions, u
 
 
 def _solved_slabs(cfg: SimConfig, choices: np.ndarray, gen: np.ndarray, eve: np.ndarray, variants):
     """Yield the solved rows of a chunk's exchanges with `choices`, shape (k, 2), on each wire
     of `variants` at each of Eve's rows `eve`, a slab at a time.
 
-    `gen` and `eve` are `_drive_rows`' rows. Each slab is (group, y, msq, i_inj,
-    columns): y holds the (i_cha, i_chb, u_cha, u_chb) rows of the variants `group`, one
+    `gen` and `eve` are `_drive_rows`' rows. Each slab is (group, y, msq, i_inj, cols,
+    positions): y holds the (i_cha, i_chb, u_cha, u_chb) rows of the variants `group`, one
     state count's, shape (V, P, N, 4, t) with V = 1 if they share them, msq their mean
-    squares (`protocol.mean_squares`), i_inj Eve's rows of the slab's (P, N) columns, and
-    `columns` yields each pair p's columns as `_slab_columns` does. The ideal wire is solved
-    in closed form a level at a time, on the rows as synthesized: one slab of one pair
-    whose columns are the level's k exchanges. Cables solve every level's rows as columns
-    of their resistor pair (`_pair_rows`), gathered once, in one `circuit.loop_slabs` scan
-    per state count. A caller holds neither `gen` nor `eve` nor a slab past its turn, so
-    that each slab's rows are freed before the next's are formed.
+    squares (`protocol.mean_squares`), i_inj Eve's rows of the slab's (P, N) columns, `cols`
+    the slice of the N columns and `positions` each pair's exchanges. The ideal wire is
+    solved in closed form a level at a time, on the rows as synthesized: one slab of one
+    pair whose columns are the level's k exchanges. Cables solve every level's rows as
+    columns of their resistor pair (`_pair_rows`), gathered once, in one
+    `circuit.loop_slabs` scan per state count. A caller holds neither `gen` nor `eve` nor a
+    slab past its turn, so that each slab's rows are freed before the next's are formed.
     """
     k, copies, t = len(choices), len(eve), cfg.samples_per_bit
     u = None
@@ -430,8 +419,40 @@ def _solved_slabs(cfg: SimConfig, choices: np.ndarray, gen: np.ndarray, eve: np.
             msq = protocol.mean_squares(y)
             if not np.isfinite(msq).all():  # so is the mean square of a non-finite sample's row
                 raise ShapeMismatchError("solved loop samples must all be finite")
-            yield group, y, msq, injected[:, cols], _slab_columns(cols, positions, copies)
+            yield group, y, msq, injected[:, cols], cols, positions
             del y  # before the next slab's rows are formed
+
+
+def _gathered(slabs, shape, reduce) -> list[np.ndarray]:
+    """Per-exchange arrays from `_solved_slabs`' slabs, each of shape `shape` = (variants,
+    levels, k) and its own trailing axes.
+
+    `reduce(y, msq, i_inj)` maps a slab to arrays of shape (V, P, N, ...) over its group's
+    variants and its pairs' columns; each pair's own columns land at their (level,
+    exchange) cells, and the columns a pair's scan solves past its own are dropped. A slab
+    is dropped once reduced, so no chunk of solved rows is held.
+    """
+    gathered = None
+    for group, y, msq, i_inj, cols, positions in slabs:
+        stats = reduce(y, msq, i_inj)
+        del y, i_inj  # free the solved rows before the next slab's are formed
+        if gathered is None:
+            gathered = [np.empty(shape + stat.shape[3:]) for stat in stats]
+        for p, pos in enumerate(positions):
+            own = np.arange(cols.start, min(cols.stop, shape[1] * len(pos)))
+            level, row = np.divmod(own, len(pos))
+            for out, stat in zip(gathered, stats):
+                out[group[:, None], level, pos[row]] = stat[:, p, own - cols.start]
+    return gathered
+
+
+def _grid_stats(y: np.ndarray, msq: np.ndarray, i_inj: np.ndarray):
+    """A slab's mean squares and Eve's two correlators per column, from her rows, which
+    broadcast against the solved rows (..., N, 4, t) to (..., N, t)."""
+    i_inj = np.broadcast_to(i_inj, y.shape[:-2] + y.shape[-1:])
+    # Eve reads from her node outward: Alice's end as solved, Bob's end negated. A mean of
+    # products negates exactly, so the correlator of Bob's end is negated, not its rows.
+    return msq, attack.correlate(i_inj, y[..., 0, :]), -attack.correlate(i_inj, y[..., 1, :])
 
 
 def _grid_chunk(cfg: SimConfig, chunk, variants, levels) -> dict:
@@ -440,20 +461,11 @@ def _grid_chunk(cfg: SimConfig, chunk, variants, levels) -> dict:
 
     `chunk` is (index, key_bits, choices) from `_used_chunks`, and the cells are the wire
     `variants` x the injection `levels`, each a fraction of the reference loop current
-    (0: no injection). Each of `_solved_slabs`' slabs is reduced to mean squares and
-    correlators as it comes, so no chunk of solved rows is held.
+    (0: no injection). The slabs are gathered as mean squares and correlators.
     """
     index, key_bits, choices = chunk
-    shape = (len(variants), len(levels), len(index))
-    msq = np.empty(shape + (4,))
-    rho_a, rho_b = np.empty(shape), np.empty(shape)
     slabs = _solved_slabs(cfg, choices, *_drive_rows(cfg, index, choices, levels), variants)
-    for group, y, slab_msq, i_inj, columns in slabs:
-        stats = (slab_msq, *_correlators(i_inj, y))
-        del y, i_inj  # free the solved rows before the next slab's are formed
-        for p, own, lvl, pos in columns:
-            for out, stat in zip((msq, rho_a, rho_b), stats):
-                out[group[:, None], lvl, pos] = stat[:, p, own]
+    msq, rho_a, rho_b = _gathered(slabs, (len(variants), len(levels), len(index)), _grid_stats)
     alice, bob = _decide(cfg, msq, choices)
     # Eve's correlators read 0 at a level without injection
     attacked = np.array(levels)[:, None] > 0
@@ -572,37 +584,32 @@ def run_table1(
 # --- defense experiment -----------------------------------------------------
 
 
-def _defense_chunk(cfg: SimConfig, chunk, parties: circuit.Variant | None = None) -> dict:
+def _defense_chunk(cfg: SimConfig, chunk) -> dict:
     """One chunk of defense pairs: each secure exchange solved with and without Eve's current.
 
     `chunk` is (index, key_bits, choices) from `_used_chunks`, and `cfg.injection`
     is set. The channel is a grid of its own wire at levels (0, the injection's), the
-    clean and the attacked arm (`_solved_slabs`). Each slab's residuals are then
-    simulated at once: the in-site simulation on the `parties`' wire (default: the
-    channel's). Per pair the payload holds the index, the residual rows, shape (2 arms,
-    2 ends, t) with the clean arm first, the clean channel current RMS and the clean
-    residual RMS over it.
+    clean and the attacked arm (`_solved_slabs`), and each slab is gathered as its
+    residuals, the in-site simulation on the same wire, and its channel and residual
+    RMS. Per pair the payload holds the index, the residual rows, shape (2 arms, 2 ends,
+    t) with the clean arm first, the clean channel current RMS and the clean residual RMS
+    over it.
     """
     index, _, choices = chunk
     levels = (0.0, cfg.injection.level_fraction)
-    residuals = np.empty((len(index), 2, 2, cfg.samples_per_bit))
-    channel_rms, clean_ratio = np.empty((2, len(index)))
-    slabs = _solved_slabs(cfg, choices, *_drive_rows(cfg, index, choices, levels), [cfg.variant])
-    for _, measured, msq, _, columns in slabs:
-        arms = defense.residual_rows(measured[0], parties or cfg.variant, cfg.sample_rate_hz)
-        del measured  # free the solved rows before the next slab's are formed
-        rms = np.sqrt(msq[0, ..., 0])
+
+    def reduce(y, msq, i_inj):
+        arms = defense.residual_rows(y, cfg.variant, cfg.sample_rate_hz)
         arm_rms = np.sqrt(np.mean(np.square(arms.reshape(arms.shape[:-2] + (-1,))), axis=-1))
-        for p, own, arm, pos in columns:
-            residuals[pos, arm] = arms[p, own]
-            clean, at = own[arm == 0], pos[arm == 0]
-            channel_rms[at] = rms[p, clean]
-            clean_ratio[at] = arm_rms[p, clean] / rms[p, clean]
+        return arms, np.sqrt(msq[..., 0]), arm_rms
+
+    slabs = _solved_slabs(cfg, choices, *_drive_rows(cfg, index, choices, levels), [cfg.variant])
+    residuals, rms, arm_rms = _gathered(slabs, (1, 2, len(index)), reduce)
     return {
         "index": index,
-        "residuals": residuals,
-        "channel_rms": channel_rms,
-        "clean_ratio": clean_ratio,
+        "residuals": residuals[0].swapaxes(0, 1),
+        "channel_rms": rms[0, 0],
+        "clean_ratio": arm_rms[0, 0] / rms[0, 0],
     }
 
 
@@ -631,21 +638,14 @@ class DefenseResult:
     config: SimConfig  # as run, with the default injection filled in
 
 
-def run_defense_experiment(
-    cfg: SimConfig,
-    n_calibration: int = 20,
-    defense_model: circuit.Variant | None = None,
-) -> DefenseResult:
+def run_defense_experiment(cfg: SimConfig, n_calibration: int = 20) -> DefenseResult:
     """Paired attacked/unattacked bits through the model-based comparison.
 
     The first `n_calibration` clean bits set the threshold (multiplier x
     pooled residual RMS, floored at the numerical noise level), unless the
     config fixes it; detection statistics are computed over the remaining
-    bits of both arms.
-    `defense_model` is the parties' model of the wire, a variant like
-    `cfg.variant`; a cable of another length or segmentation studies the
-    defense's robustness to a model that misses the channel. By default
-    the parties simulate the channel's own wire.
+    bits of both arms. The parties simulate the channel's own wire,
+    `cfg.variant`.
 
     The run streams: it holds chunks only until the calibration pairs and
     the traced pair are in, then detects on each chunk as it arrives and
@@ -665,17 +665,15 @@ def run_defense_experiment(
         raise ConfigError(
             f"defense experiment needs more than {n_calibration} bits for calibration"
         )
-    t = cfg.samples_per_bit
-    parties = cfg.variant if defense_model is None else defense_model
-    circuit.check_segmentation(parties, cfg.bandwidth_hz)
-    if parties.n_states:
+    t, wire = cfg.samples_per_bit, cfg.variant
+    if wire.n_states:
         # The in-site simulation takes a cable current as a voltage difference over a
         # branch's resistance, so its roundoff is about eps x r_h's generator voltage over
         # that resistance. Over the reference loop current that reads eps x
         # sqrt(r_h (r_l + r_h)) / R_branch; a sweep of length, segments and resistor pairs
         # measured at most 4.7 times this, hence the margin of 8.
-        n_branches = 1 if isinstance(parties, circuit.CableWithKiller) else parties.n_segments
-        r_branch = parties.total_series_resistance / n_branches
+        n_branches = 1 if isinstance(wire, circuit.CableWithKiller) else wire.n_segments
+        r_branch = wire.total_series_resistance / n_branches
         floor = 8 * np.finfo(float).eps * math.sqrt(cfg.r_h * (cfg.r_l + cfg.r_h)) / r_branch
         if floor > MAX_CLEAN_RESIDUAL_RATIO:
             raise ConfigError(
@@ -684,9 +682,7 @@ def run_defense_experiment(
                 f"{r_branch:.3g} ohm is too small for the in-site simulation's roundoff"
             )
 
-    chunk_worker = functools.partial(_defense_chunk, parties=parties)
-    size = cfg.check_array_budget(2, parties=parties)
-    stream = _consume_chunks(cfg, chunk_worker, cfg.n_bits, size)
+    stream = _consume_chunks(cfg, _defense_chunk, cfg.n_bits, cfg.check_array_budget(2))
     # n_bits > n_calibration, so the stream holds the first n_calibration + 1 pairs
     held = []
     while sum(len(p["index"]) for p in held) <= n_calibration:
@@ -830,11 +826,12 @@ def run_single_bit(cfg: SimConfig, bit_index: int = 0) -> SingleBitDump:
     choices = np.where(_holds_r_h(cfg, index), cfg.r_h, cfg.r_l)
     level = cfg.injection.level_fraction if cfg.injection is not None else 0.0
     gen, eve = _drive_rows(cfg, index, choices, (level,))
-    [(_, y, msq, i_inj, _)] = _solved_slabs(cfg, choices, gen, eve, [cfg.variant])
-    y, msq = y.reshape(1, 4, -1), msq.reshape(1, 4)
+    slabs = _solved_slabs(cfg, choices, gen, eve, [cfg.variant])
+    gathered = _gathered(slabs, (1, 1, 1), lambda y, *rest: (*_grid_stats(y, *rest), y))
+    msq, rho_a, rho_b, y = (out[0, 0] for out in gathered)
     alice, bob = _decide(cfg, msq, choices)
     # Eve's correlators read 0 without injection
-    rho_a, rho_b = (np.where(level > 0, rho, 0.0) for rho in _correlators(i_inj[0], y))
+    rho_a, rho_b = (np.where(level > 0, rho, 0.0) for rho in (rho_a, rho_b))
     residuals = None
     if not isinstance(cfg.variant, circuit.Ideal):
         residuals = tuple(defense.residual_rows(y, cfg.variant, cfg.sample_rate_hz)[0])

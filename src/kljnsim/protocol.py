@@ -15,9 +15,10 @@ at the default period of 25 band cycles.
 
 Exchanges are simulated k at a time as arrays: `choices` holds each
 exchange's (Alice, Bob) resistances, shape (k, 2), as `harness` drew them,
-and every signal is a (k, ..., t) array of sample rows. A cable solves each
-(Alice, Bob) resistor pair's rows as the columns of one loop system
-(`resistor_pairs`, `pair_view`).
+and every signal is a (k, ..., t) array of sample rows: the generator rows,
+Eve's injected rows and the parties' decisions on the solved rows' mean
+squares. How a chunk's rows become the columns of the cable scans is
+`harness`'s layout (`_pair_rows`).
 """
 from __future__ import annotations
 
@@ -27,9 +28,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import circuit
 from .attack import reference_rms_channel_current
-from .exceptions import InferenceError, ShapeMismatchError
+from .exceptions import InferenceError
 from .noise import K_BOLTZMANN, johnson_rms_voltage, synth_band_limited_gaussian
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -123,24 +123,3 @@ def injection_rows(cfg: "SimConfig", eve_seeds: np.ndarray, levels) -> np.ndarra
         cfg.sample_rate_hz, cfg.bandwidth_hz,
     )
 
-
-def resistor_pairs(cfg: "SimConfig", choices: np.ndarray):
-    """The (Alice, Bob) resistor pairs of k exchanges' `choices`, shape (k, 2): each pair's
-    loop configuration, and its exchanges' positions, ascending; the pair with the most
-    exchanges last."""
-    keys, inverse, counts = np.unique(choices, axis=0, return_inverse=True, return_counts=True)
-    order = np.argsort(counts, kind="stable").tolist()
-    loop_cfgs = [circuit.LoopConfig(*keys[g].tolist(), cfg.injection_position) for g in order]
-    return loop_cfgs, [np.flatnonzero(inverse.ravel() == g) for g in order]
-
-
-def pair_view(flat: np.ndarray, counts) -> np.ndarray:
-    """One or two resistor pairs' rows, `counts` of them each in one run of `flat`, as the
-    (P, N, ...) rows of a loop scan, N the last count: row p is pair p's rows from their
-    offset on, then some of the next pair's, which its scan solves and the caller ignores.
-    A read-only view, so that no pair's rows are copied or padded."""
-    if len(counts) > 2:
-        raise ShapeMismatchError("secure exchanges have at most two resistor pairs")
-    shape = (len(counts), counts[-1]) + flat.shape[1:]
-    strides = (counts[0] * flat.strides[0],) + flat.strides
-    return np.lib.stride_tricks.as_strided(flat, shape, strides, writeable=False)

@@ -172,14 +172,15 @@ def test_ideal_loop_current_difference_equals_injection():
 
 @pytest.mark.parametrize("variant", [Ideal(), Cable(1000.0, 10), CableWithKiller(1000.0, 10)])
 def test_solve_rows_rejects_non_finite_drive(variant):
-    """A non-finite generator sample makes a chunk's solve raise, on every wire."""
+    """A non-finite generator sample makes a chunk's solve raise, on every wire, before the
+    gather reduces a slab of it."""
     gen = np.stack([np.stack([_noise(1.0, 7), _noise(3.0, 8)]) for _ in range(3)])
     gen[1, 0, 5] = np.nan
     eve = np.zeros((1,) + gen[:, 0].shape)
     choices = np.tile([1000.0, 9000.0], (3, 1))
     slabs = harness._solved_slabs(harness.SimConfig(), choices, gen, eve, [variant])
     with pytest.raises(ShapeMismatchError):
-        list(slabs)
+        harness._gathered(slabs, (1, 1, 3), harness._grid_stats)
 
 
 def test_cable_totals():

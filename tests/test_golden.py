@@ -64,13 +64,6 @@ CASES = {
         harness.run_defense_experiment,
         "8ca140b0014616bd750856db6f032e2da27b4e791fe60e20c163a94a5598b52e",
     ),
-    # the parties simulate a 20-segment model of the 10-segment channel
-    "defense.csv-model": (
-        harness.SimConfig(n_bits=40, variant=CABLE, master_seed=12345),
-        "defense_result",
-        lambda cfg: harness.run_defense_experiment(cfg, defense_model=circuit.Cable(1000.0, 20)),
-        "e6174331ec9c79369ca2710006e5dca74a3cdeac7d39976722e39eb011a8b88a",
-    ),
     # 347 exchanges: three chunks, each with both resistor pairs
     "defense.csv-3chunks": (
         harness.SimConfig(n_bits=150, variant=CABLE, master_seed=12345),

@@ -131,7 +131,7 @@ def test_config_echo_writes_the_cable_keys_only_for_a_cable():
 def test_detection_threshold_key():
     cfg = harness.parse_config_text("detection_threshold = 2e-6\ndetection_consecutive = 3\n")
     assert (cfg.detection_threshold, cfg.detection_consecutive) == (2e-6, 3)
-    for raw in ("0", "-1e-6"):
+    for raw in ("0", "-1e-6", "None"):  # an absent key calibrates; there is no None
         with pytest.raises(ConfigError, match="detection_threshold"):
             harness.parse_config_text(f"detection_threshold = {raw}\n")
 
@@ -694,16 +694,27 @@ def test_a_chunk_gives_the_payloads_of_its_windows_bit_for_bit(mode):
             assert value.tobytes() == want[name].tobytes(), (variant, name)
 
 
-@pytest.mark.parametrize("chunk", [64, 256])
-def test_runs_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
-    """Chunks of 64 and of 256 exchanges group a run's rows differently, and give the same
-    cells of a grid of all four variants and the same defense rows, bit for bit."""
+# SLAB_BYTES = 1 gives every scan slabs of 8 columns, the least: each pair's columns span
+# many slabs, and the smaller pair's, 3 x 54 in the grid's first chunk and 2 x 54 in the
+# defense's, end mid-slab
+@pytest.mark.parametrize(
+    ("chunk", "slab_bytes"),
+    [(64, circuit.SLAB_BYTES), (256, circuit.SLAB_BYTES), (256, 1)],
+    ids=["64", "256", "8-column-slabs"],
+)
+def test_runs_do_not_depend_on_the_chunk_size(monkeypatch, chunk, slab_bytes):
+    """Chunks of 64 and of 256 exchanges, and slabs of 8 columns, group a run's rows
+    differently, and give the same cells of a grid of all four variants and the same
+    defense rows, bit for bit."""
     cfg = _tiny_cfg(n_bits=150)
     levels = (0.0, 0.01, 0.1)
     table = harness.run_table1(cfg, levels=levels)
     defense_cfg = replace(cfg, variant=circuit.Cable(1000.0, 10))
     result = harness.run_defense_experiment(defense_cfg)
     monkeypatch.setattr(harness, "_CHUNK", chunk)
+    monkeypatch.setattr(circuit, "SLAB_BYTES", slab_bytes)
+    widths, scan = set(), circuit.ladder_scan
+    monkeypatch.setattr(circuit, "ladder_scan", lambda p, x: widths.add(x.shape[-1]) or scan(p, x))
     regrouped = harness.run_table1(cfg, levels=levels)
     for cell, other in zip(table.cells, regrouped.cells):
         for name in _CELL_ARRAYS:
@@ -713,6 +724,7 @@ def test_runs_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     other = harness.run_defense_experiment(defense_cfg)
     assert other.rows == result.rows and other.detection == result.detection
     assert other.trace_attacked[1].tobytes() == result.trace_attacked[1].tobytes()
+    assert max(widths) == 8 if slab_bytes == 1 else max(widths) > 8
 
 
 def test_single_bit_equals_its_grid_cell():

@@ -110,7 +110,7 @@ def _rows(shape, seed):
 @pytest.mark.parametrize("batch", [1, 7, 16])
 @pytest.mark.parametrize("variant", [Cable(1000.0, 10), CableWithKiller(1000.0, 10)])
 def test_level_stacked_solve_equals_separate_solves(variant, batch):
-    """One system's rows at 3 levels are columns of one scan: each level equals its own
+    """One system's rows at 3 levels scan as a stack of 3 copies of it: each level equals its own
     solve, and the column-form reference, bit for bit."""
     system = circuit.loop_system(variant, LoopConfig(1000.0, 9000.0), 1.0 / FS)
     u = _rows((3, batch, 3, 200), seed=batch)
@@ -364,7 +364,7 @@ def test_column_products_do_not_depend_on_width_or_offset(m, n_in):
         (19, [3, 16], [3]),  # 3 systems, 16 columns each
         (19, [2, 40], [2, 2]),  # variants x pairs, the rows shared by the variants
         (79, [15], [2]),  # both systems share all rows
-        (79, [5, 30], []),  # one system: all 150 rows are its columns
+        (79, [5, 30], []),  # one system, a stack of 5 copies of it with 30 columns each
         (79, [2, 1, 48], [1, 2, 3]),
         (1, [2, 280], [2]),
     ],

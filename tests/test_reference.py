@@ -5,6 +5,7 @@ detections must match too, except a decision whose margin (`reference`) lies bel
 MARGIN: roundoff may flip it, so it is reported, not compared.
 """
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from kljnsim import attack, circuit, harness
 # The two runs draw the same noise rows bit for bit, and their solves differ by about 1e-15
 # of their outputs: MARGIN leaves seven orders of room
 MARGIN = 1e-8
-CFG = harness.SimConfig(n_bits=150, master_seed=12345)
+CFG = harness.SimConfig(master_seed=12345)
 CABLE = circuit.Cable(1000.0, 10)
 KILLER = circuit.CableWithKiller(1000.0, 10)
 
@@ -50,32 +51,45 @@ def _secure(cfg, n):
     return found
 
 
-def test_grid_decisions_equal_the_reference():
-    """150 secure bits over two chunks, the second trimmed, on the ideal wire, a ladder and the
-    canceller at levels 0 and 0.1."""
-    variants = [circuit.Ideal(), circuit.Cable(100.0, 10), KILLER]
-    levels = (0.0, 0.1)
+def _check_grid(cfg, size):
+    """A grid run of cfg.n_bits secure bits in chunks of `size` exchanges, at least three and
+    the last one trimmed, on the ideal wire, both ladders, which share their scans, and the
+    canceller at levels 0, 0.01 and 0.1, against the reference."""
+    variants = [circuit.Ideal(), circuit.Cable(100.0, 10), CABLE, KILLER]
+    levels = (0.0, 0.01, 0.1)
     worker = functools.partial(harness._grid_chunk, variants=variants, levels=levels)
-    payloads = list(harness._consume_chunks(CFG, worker, CFG.n_bits, harness._CHUNK))
-    assert len(payloads) == 2 and payloads[1]["index"][-1] < 2 * harness._CHUNK - 1
-    secure = _secure(CFG, CFG.n_bits)
+    payloads = list(harness._consume_chunks(cfg, worker, cfg.n_bits, size))
+    last = payloads[-1]["index"]
+    assert len(payloads) >= 3
+    assert len(last) < len(harness._classify_chunk(cfg, last[0] // size * size, size)[0])
+    secure = _secure(cfg, cfg.n_bits)
     decisions = Decisions()
     for payload in payloads:
         for j, index in enumerate(payload["index"].tolist()):
             assert index == secure.pop(0)
             for level_at, level in enumerate(levels):
-                r, u = reference.drive(CFG, index, level)
-                assert payload["key_bits"][j] == (r[0] == CFG.r_h)
+                r, u = reference.drive(cfg, index, level)
+                assert payload["key_bits"][j] == (r[0] == cfg.r_h)
                 for v, wire in enumerate(variants):
-                    y = reference.solve(CFG, wire, r, u)
+                    y = reference.solve(cfg, wire, r, u)
                     label = (index, harness.variant_label(wire), level)
-                    bit, margin = reference.eve(CFG, index, level, u, y)
+                    bit, margin = reference.eve(cfg, index, level, u, y)
                     decisions.check(label + ("eve",), payload["eve_bits"][v, level_at, j], bit, margin)
-                    (alice, m_a), (bob, m_b) = reference.honest(CFG, r, y)
+                    (alice, m_a), (bob, m_b) = reference.honest(cfg, r, y)
                     ok = payload["honest_ok"][v, level_at, j]
                     decisions.check(label + ("honest",), ok, alice == r[1] and bob == r[0], min(m_a, m_b))
     assert not secure
-    decisions.done(at_least=len(variants) * len(levels) * CFG.n_bits * 2 * 99 // 100)
+    decisions.done(at_least=len(variants) * len(levels) * cfg.n_bits * 2 * 99 // 100)
+
+
+def test_grid_decisions_equal_the_reference():
+    """100 secure bits, both resistor pairs' columns, in four chunks of 64 exchanges."""
+    _check_grid(replace(CFG, n_bits=100), 64)
+
+
+def test_fixed_lh_grid_decisions_equal_the_reference():
+    """40 secure bits, one resistor pair's columns, in chunks of 16, 16 and 8 exchanges."""
+    _check_grid(replace(CFG, n_bits=40, selection_mode="fixed_lh"), 16)
 
 
 @pytest.mark.parametrize("wire", [CABLE, KILLER], ids=["cable_1000m", "cable_1000m_killer"])
