@@ -20,8 +20,8 @@ The ideal wire has no state: `ideal_rows` solves it in closed form, elementwise.
 Each cable's discretized system of a loop is built once (`loop_system`). One
 solve path, `solve_slabs`, scans a stack of S systems of one state count m,
 each with its rows of inputs: the wire variants of one state count under
-each resistor pair's terminations (`loop_slabs`), or the in-site system
-shared by all rows. The states are columns, one per row, in a step-major
+one resistor pair's terminations, sharing that pair's rows (`loop_slabs`),
+or the in-site system. The states are columns, one per row, in a step-major
 stepping buffer (samples, S, m, N) whose every sample is one contiguous
 block: every sample step advances all S x N of them with one stacked
 (S, m, m) @ (S, m, N) product and one contiguous add of the drive terms
@@ -445,14 +445,12 @@ def loop_system(cable: Cable, cfg: LoopConfig | None, dt: float) -> _DiscreteSys
     return system
 
 
-def loop_slabs(u: np.ndarray, wires: Sequence[Cable], cfgs: Sequence[LoopConfig], dt: float):
-    """Yield (cols, y): the loops of u's rows on V cables of one state count under P loop
-    configurations, a column slab at a time.
+def loop_slabs(u: np.ndarray, wires: Sequence[Cable], cfg: LoopConfig, dt: float):
+    """Yield (cols, y): the loops of u's rows on V cables of one state count under one loop
+    configuration, a column slab at a time.
 
-    Inputs u, shape (P, N, 3, t), hold (u_a, u_b, i_inj) rows, u[p] under
-    cfgs[p] on every wire; y holds the slab's (i_cha, i_chb, u_cha, u_chb)
-    rows in the Loop convention, shape (V, P, len(cols), 4, t): the cables'
-    loop systems, all V x P of them in one `solve_slabs` scan.
+    Inputs u, shape (N, 3, t), hold (u_a, u_b, i_inj) rows; y holds the slab's
+    (i_cha, i_chb, u_cha, u_chb) rows in the Loop convention, shape (V, len(cols), 4, t):
+    the cables' V loop systems share the rows in one `solve_slabs` scan.
     """
-    systems = stack_systems([[loop_system(wire, c, dt) for c in cfgs] for wire in wires])
-    yield from solve_slabs(systems, u)
+    yield from solve_slabs(stack_systems([loop_system(wire, cfg, dt) for wire in wires]), u)

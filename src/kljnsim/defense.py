@@ -72,7 +72,7 @@ def residual_rows(measured: np.ndarray, wire: Variant, fs: float) -> np.ndarray:
     and Bob's is zero. Cable: each end's measured current minus the in-site
     simulation, driven by the measured end voltages, of all rows as the
     columns of one system's scan, shape (N, 2, t): the simulation does not
-    depend on the terminations, so the rows of both resistor pairs may share it.
+    depend on the terminations.
     """
     shape = measured.shape[:-2] + (2, measured.shape[-1])
     if isinstance(wire, Ideal):

@@ -24,11 +24,11 @@ bound by `functools.partial` to the values they read.
 Every experiment runs its chunks through one pipeline. `_drive_rows` seeds and
 synthesizes a chunk's rows once: the generators', and Eve's at every injection level
 in one more call. `_solved_slabs` solves them a slab at a time: the ideal wire in
-closed form, a level at a time, on the rows as synthesized; a cable's rows as the
-columns of their (Alice, Bob) resistor pair (`_pair_rows`), the variants of each
-state count in one scan of variants x pairs systems. `_gathered` reduces each slab
-as it comes and hands the experiment per-exchange arrays, shape (variants, levels,
-k, ...): the column, pair and slab layout stays in these three functions. An attack
+closed form, a level at a time, on the rows as synthesized; a cable's rows, every
+level's, grouped by (Alice, Bob) resistor pair (`_pair_rows`), each pair's in a scan
+of its own per state count that stacks that count's variants. `_gathered` reduces
+each slab as it comes and hands the experiment per-exchange arrays, shape (variants,
+levels, k, ...): the column, pair and slab layout stays in these three functions. An attack
 run is a grid of wire variants x injection levels (`run_table1`; `run_attack_cell`
 is a grid of one cell), reduced to mean squares and correlators; each party decides
 once per chunk for every cell. The defense is a grid of its channel's wire at levels
@@ -170,6 +170,9 @@ class SimConfig:
             if not 1e-300 <= value <= 1e300:
                 raise ConfigError(f"derived {name} is {value!r}, outside 1e-300 .. 1e300")
         self.check_array_budget(1)
+        # after the budget, which bounds t; the first bin above DC lies at 1 / tau_s
+        if not noise._band_bin_mask(self.samples_per_bit, self.sample_rate_hz, bw).any():
+            raise ConfigError("tau_s x bandwidth_hz must be >= 1: no FFT bin falls inside the band")
 
     def check_array_budget(self, n_levels: int, variants=None) -> int:
         """The exchanges per chunk of a run of `variants` (default: this config's) over
@@ -200,25 +203,20 @@ def _chunk_array_bytes(t: int, n_levels: int, chunk: int, counts) -> dict[str, i
     levels of variants with these (state count, variant count) pairs; cached, since every
     SimConfig checks its own.
 
-    The harness sizes its own rows: a chunk's columns are its secure exchanges at every
-    level, the defense's a grid of two levels, its clean and attacked arms; the ideal
-    wire's rows of one level are the size of the residual rows. `circuit.scan_bytes`
-    sizes the scans of both resistor pairs' columns: the cables' of each state count, a
-    stack of both pairs per variant, and the defense's in-site scan of that state count,
-    one system whose columns are both pairs' clean and attacked rows, flattened.
+    The harness sizes its drive rows: a chunk's columns are its secure exchanges at every
+    level, the defense's a grid of two levels, its clean and attacked arms. Eve's rows, the
+    residual rows and the ideal wire's rows of one level are smaller. `circuit.scan_bytes`
+    sizes the cables' scans of one resistor pair's columns, all of a chunk's exchanges at
+    the most, a stack of the variants of each state count. The defense's in-site scan of a
+    channel slab's columns is not sized: its arrays past SLAB_BYTES are no larger than the
+    channel scan's (tests/test_harness.py checks it).
     """
     L, C = n_levels, chunk
     columns = max(L, 2) * C  # a config's own check, at L = 1, sizes its defense's too
-    sizes = {
-        f"a chunk's ({columns}, 3, t) drive rows": 8 * columns * 3 * t,
-        f"a chunk's ({L}, {C}, t) injected rows": 8 * L * C * t,
-        f"a chunk's ({C}, 2, 2, t) residual rows": 8 * C * 4 * t,
-    }
-    scans = [((m, m), (4 * C, 2, t), 2) for m, _ in counts if m]
-    scans += [((count, 2, m, m), (2, L * C, 3, t), 4) for m, count in counts if m]
-    for scan in scans:
-        for name, size in circuit.scan_bytes(*scan).items():
-            sizes[name] = max(size, sizes.get(name, 0))
+    sizes = {f"a chunk's ({columns}, 3, t) drive rows": 8 * columns * 3 * t}
+    for m, count in counts:
+        if m:
+            sizes.update(circuit.scan_bytes((count, m, m), (L * C, 3, t), 4))
     return sizes
 
 
@@ -354,30 +352,23 @@ def _drive_rows(cfg: SimConfig, index: np.ndarray, choices: np.ndarray, levels):
 
 
 def _pair_rows(cfg: SimConfig, choices: np.ndarray, gen: np.ndarray, injected: np.ndarray):
-    """The loop rows of k secure exchanges at each of the C rows of Eve's current `injected`,
-    shape (C, k, t), grouped by (Alice, Bob) resistor pair, at most two, the larger last:
-    each pair's C x k_p (u_a, u_b, i_inj) rows are one run, copy-major. Returns the pairs'
-    loop configurations, their exchanges' positions and the rows as a read-only (P, N, 3, t)
-    view, N the last pair's count: row p holds pair p's rows, then some of the next pair's,
-    which its scan solves and `_gathered` drops, so that no row is copied or padded."""
+    """The loop rows of k exchanges at each of the C rows of Eve's current `injected`, shape
+    (C, k, t), grouped by (Alice, Bob) resistor pair. Returns, per pair, its loop
+    configuration, its exchanges' positions and its C x k_p (u_a, u_b, i_inj) rows, shape
+    (C k_p, 3, t), copy-major: each pair's rows are one contiguous run of one allocation."""
     keys, inverse, counts = np.unique(choices, axis=0, return_inverse=True, return_counts=True)
-    if len(keys) > 2:
-        raise ShapeMismatchError("secure exchanges have at most two resistor pairs")
-    order = np.argsort(counts, kind="stable").tolist()
-    loop_cfgs = [circuit.LoopConfig(*keys[g].tolist(), cfg.injection_position) for g in order]
-    positions = [np.flatnonzero(inverse.ravel() == g) for g in order]
     copies, t = injected.shape[0], injected.shape[-1]
-    counts = [copies * len(pos) for pos in positions]
-    flat = np.empty((sum(counts), 3, t))
-    for pos, rows in zip(positions, np.split(flat, np.cumsum(counts)[:-1])):
-        rows = rows.reshape(copies, len(pos), 3, t)
+    flat = np.empty((copies * len(choices), 3, t))
+    pairs = []
+    for g, rows in enumerate(np.split(flat, copies * np.cumsum(counts)[:-1])):
+        pos = np.flatnonzero(inverse.ravel() == g)
+        block = rows.reshape(copies, len(pos), 3, t)
         for lo in range(0, len(pos), 32):  # 32 exchanges at a time, so each gather is small
             some = slice(lo, lo + 32)
-            rows[:, some, :2] = gen[pos[some]]
-            rows[:, some, 2] = injected[:, pos[some]]
-    shape, strides = (len(counts), counts[-1], 3, t), (counts[0] * flat.strides[0],) + flat.strides
-    u = np.lib.stride_tricks.as_strided(flat, shape, strides, writeable=False)
-    return loop_cfgs, positions, u
+            block[:, some, :2] = gen[pos[some]]
+            block[:, some, 2] = injected[:, pos[some]]
+        pairs.append((circuit.LoopConfig(*keys[g].tolist(), cfg.injection_position), pos, rows))
+    return pairs
 
 
 def _solved_slabs(cfg: SimConfig, choices: np.ndarray, gen: np.ndarray, eve: np.ndarray, variants):
@@ -386,63 +377,64 @@ def _solved_slabs(cfg: SimConfig, choices: np.ndarray, gen: np.ndarray, eve: np.
 
     `gen` and `eve` are `_drive_rows`' rows. Each slab is (group, y, msq, i_inj, cols,
     positions): y holds the (i_cha, i_chb, u_cha, u_chb) rows of the variants `group`, one
-    state count's, shape (V, P, N, 4, t) with V = 1 if they share them, msq their mean
-    squares (`protocol.mean_squares`), i_inj Eve's rows of the slab's (P, N) columns, `cols`
-    the slice of the N columns and `positions` each pair's exchanges. The ideal wire is
-    solved in closed form a level at a time, on the rows as synthesized: one slab of one
-    pair whose columns are the level's k exchanges. Cables solve every level's rows as
-    columns of their resistor pair (`_pair_rows`), gathered once, in one
-    `circuit.loop_slabs` scan per state count. A caller holds neither `gen` nor `eve` nor a
-    slab past its turn, so that each slab's rows are freed before the next's are formed.
+    state count's, shape (V, N, 4, t) with V = 1 if they share them, msq their mean squares
+    (`protocol.mean_squares`), i_inj Eve's rows of the slab's N columns, `cols` the slice of
+    its scan's columns and `positions` the scan's exchanges: column j is exchange
+    positions[j % k_p] at level j // k_p. The ideal wire is solved in closed form a level at
+    a time, on the rows as synthesized: one slab whose columns are the level's k exchanges.
+    Cables solve each resistor pair's rows at every level (`_pair_rows`), gathered once, in
+    one `circuit.loop_slabs` scan per pair and state count. A caller holds neither `gen` nor
+    `eve` nor a slab past its turn, so that each slab's rows are freed before the next's are
+    formed.
     """
-    k, copies, t = len(choices), len(eve), cfg.samples_per_bit
-    u = None
+    k, copies = len(choices), len(eve)
+    pairs = None
     # the ideal wire first: it reads gen and eve, which the cables' gather releases
     for m in sorted({variant.n_states for variant in variants}):
         group = np.flatnonzero([variant.n_states == m for variant in variants])
         if not m:
-            positions, injected = [np.arange(k)], eve.reshape(1, copies * k, t)
             r_a, r_b = choices[:, :1], choices[:, 1:]
             slabs = (
                 (slice(c * k, c * k + k),
-                 circuit.ideal_rows(gen[:, 0], gen[:, 1], eve[c], r_a, r_b)[None, None])
+                 circuit.ideal_rows(gen[:, 0], gen[:, 1], eve[c], r_a, r_b)[None])
                 for c in range(copies)
             )
+            scans = [(np.arange(k), eve.reshape(copies * k, -1), slabs)]
         else:
-            if u is None:
-                loop_cfgs, positions, u = _pair_rows(cfg, choices, gen, eve)
+            if pairs is None:
+                pairs = _pair_rows(cfg, choices, gen, eve)
                 del gen, eve
-                injected = u[..., 2, :]
-            wires = [variants[v] for v in group]
-            slabs = circuit.loop_slabs(u, wires, loop_cfgs, 1.0 / cfg.sample_rate_hz)
-        for cols, y in slabs:
-            msq = protocol.mean_squares(y)
-            if not np.isfinite(msq).all():  # so is the mean square of a non-finite sample's row
-                raise ShapeMismatchError("solved loop samples must all be finite")
-            yield group, y, msq, injected[:, cols], cols, positions
-            del y  # before the next slab's rows are formed
+            wires, dt = [variants[v] for v in group], 1.0 / cfg.sample_rate_hz
+            scans = [
+                (pos, rows[:, 2], circuit.loop_slabs(rows, wires, loop_cfg, dt))
+                for loop_cfg, pos, rows in pairs
+            ]
+        for positions, injected, slabs in scans:
+            for cols, y in slabs:
+                msq = protocol.mean_squares(y)
+                if not np.isfinite(msq).all():  # so is the mean square of a non-finite sample's row
+                    raise ShapeMismatchError("solved loop samples must all be finite")
+                yield group, y, msq, injected[cols], cols, positions
+                del y  # before the next slab's rows are formed
 
 
 def _gathered(slabs, shape, reduce) -> list[np.ndarray]:
     """Per-exchange arrays from `_solved_slabs`' slabs, each of shape `shape` = (variants,
     levels, k) and its own trailing axes.
 
-    `reduce(y, msq, i_inj)` maps a slab to arrays of shape (V, P, N, ...) over its group's
-    variants and its pairs' columns; each pair's own columns land at their (level,
-    exchange) cells, and the columns a pair's scan solves past its own are dropped. A slab
-    is dropped once reduced, so no chunk of solved rows is held.
+    `reduce(y, msq, i_inj)` maps a slab to arrays of shape (V, N, ...) over its group's
+    variants and its columns, and each column lands at its (level, exchange) cell. A slab is
+    dropped once reduced, so no chunk of solved rows is held.
     """
     gathered = None
     for group, y, msq, i_inj, cols, positions in slabs:
         stats = reduce(y, msq, i_inj)
         del y, i_inj  # free the solved rows before the next slab's are formed
         if gathered is None:
-            gathered = [np.empty(shape + stat.shape[3:]) for stat in stats]
-        for p, pos in enumerate(positions):
-            own = np.arange(cols.start, min(cols.stop, shape[1] * len(pos)))
-            level, row = np.divmod(own, len(pos))
-            for out, stat in zip(gathered, stats):
-                out[group[:, None], level, pos[row]] = stat[:, p, own - cols.start]
+            gathered = [np.empty(shape + stat.shape[2:]) for stat in stats]
+        level, row = np.divmod(np.arange(cols.start, cols.stop), len(positions))
+        for out, stat in zip(gathered, stats):
+            out[group[:, None], level, positions[row]] = stat
     return gathered
 
 

@@ -64,7 +64,7 @@ def synth_band_limited_gaussian(
     n_bins = int(mask.sum())
     if n_bins == 0:
         raise ConfigError(
-            "no FFT bin falls inside the band; increase duration_s or bandwidth_hz"
+            "no FFT bin falls inside the band: n / sample_rate_hz x bandwidth_hz must be >= 1"
         )
     states, incs = pcg64_state_ints(seeds)
     parts = np.empty((len(states), 2, n_bins))  # each row's real parts, then imaginary parts

@@ -11,6 +11,6 @@ def solve_rows(u, wire, cfg, dt):
     all rows."""
     if not wire.n_states:
         return circuit.ideal_rows(u[..., 0, :], u[..., 1, :], u[..., 2, :], cfg.r_alice, cfg.r_bob)
-    slabs = circuit.loop_slabs(u.reshape((1, -1) + u.shape[-2:]), [wire], [cfg], dt)
-    y = np.concatenate([y[0, 0] for _, y in slabs])
+    slabs = circuit.loop_slabs(u.reshape((-1,) + u.shape[-2:]), [wire], cfg, dt)
+    y = np.concatenate([y[0] for _, y in slabs])
     return y.reshape(u.shape[:-2] + y.shape[-2:])

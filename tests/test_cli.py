@@ -114,6 +114,8 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
         # predicted arrays past the size budget, rejected before anything is allocated
         "variant = cable\nn_segments = 100000\n",
         "tau_s = 1e7\n",
+        # a period shorter than one band cycle: no FFT bin in the band to synthesize from
+        "tau_s = 0.002\n",
     ):
         cfg = _cfg_file(tmp_path, TINY + text)
         assert cli.main(["table1", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -156,24 +158,24 @@ def test_grid_past_the_array_budget_exits_2_before_a_chunk_runs(tmp_path, capsys
 
 
 def test_grid_whose_shared_ladder_stack_passes_the_budget_is_rejected(monkeypatch):
-    """110 three-state ladders share one scan, a stack of 110 x 2 resistor pairs whose slabs
-    take at least 8 columns: at t = 20 000 a slab's outputs would take 1.13e9 bytes. 55 of
-    them fit."""
+    """220 three-state ladders share each resistor pair's scan, a stack of 220 systems whose
+    slabs take at least 8 columns: at t = 20 000 a slab's outputs would take
+    8 x 220 x 8 x 4 x 20 000 = 1.13e9 bytes. 110 of them, 5.6e8 bytes, fit."""
     _no_chunk_runs(monkeypatch)
     cfg = harness.SimConfig(n_bits=4, tau_s=10.0)  # t = 20 000 samples
-    ladders = [circuit.Cable(100.0 + k, 2) for k in range(110)]
+    ladders = [circuit.Cable(100.0 + k, 2) for k in range(220)]
     with pytest.raises(ConfigError, match="slab outputs"):
         harness.run_table1(cfg, levels=(0.1,), variants=ladders)
-    cfg.check_array_budget(1, ladders[:55])
+    cfg.check_array_budget(1, ladders[:110])
 
 
 def test_grid_whose_restacked_ladder_matrices_pass_the_budget_is_rejected(monkeypatch):
-    """Two 5899-state ladders share each scan, which restacks their step matrices, one per
-    ladder and resistor pair, into one (2, 2, 5899, 5899) array of 1.11e9 bytes; one
-    ladder's scan steps with half of that."""
+    """Two 8399-state ladders share each resistor pair's scan, which restacks their step
+    matrices, one per ladder, into one (2, 8399, 8399) array of 8 x 2 x 8399**2 = 1.13e9
+    bytes; one ladder's scan steps with half of that."""
     _no_chunk_runs(monkeypatch)
     cfg = harness.SimConfig(n_bits=4, tau_s=0.005)  # t = 10 samples
-    ladders = [circuit.Cable(100.0, 2950), circuit.Cable(1000.0, 2950)]
+    ladders = [circuit.Cable(100.0, 4200), circuit.Cable(1000.0, 4200)]
     with pytest.raises(ConfigError, match="step matrices"):
         harness.run_table1(cfg, levels=(0.1,), variants=ladders)
     cfg.check_array_budget(1, ladders[:1])
@@ -217,15 +219,16 @@ def test_cable_segmentation_is_checked_at_the_configured_bandwidth(tmp_path, cap
 
 
 def test_a_channel_past_the_array_budget_is_rejected_by_its_config():
-    """The in-site scan is sized at the channel's state count. Cable(1000, 20000) is a
-    39 999-state system whose in-site step matrix alone would take 1.28e10 bytes, and
-    Cable(1000, 5000), whose in-site scan fits, a channel whose stack of one system per
-    resistor pair does not: the config refuses both as the channel, before anything is
-    assembled."""
+    """Each resistor pair's channel scan steps with its one system's step matrix.
+    Cable(1000, 20000) is a 39 999-state system whose step matrix alone would take
+    8 x 39 999**2 = 1.28e10 bytes, and Cable(1000, 5800) one of 11 599 states and
+    1.08e9 bytes: the config refuses both as the channel, before anything is assembled.
+    Cable(1000, 5000), 9999 states and 8.0e8 bytes, fits."""
     cfg = harness.SimConfig(n_bits=30, variant=circuit.Cable(1000.0, 10))
-    for fine in (circuit.Cable(1000.0, 20000), circuit.Cable(1000.0, 5000)):
+    for fine in (circuit.Cable(1000.0, 20000), circuit.Cable(1000.0, 5800)):
         with pytest.raises(ConfigError, match="byte budget"):
             replace(cfg, variant=fine)
+    replace(cfg, variant=circuit.Cable(1000.0, 5000))
 
 
 def test_seed_and_bit_index_of_2_to_the_64_run(tmp_path):

@@ -63,6 +63,7 @@ def test_malformed_value_is_named():
         ("sample_rate_hz", nan),
         ("detection_threshold", nan),
         ("detection_threshold", inf),
+        ("tau_s", 0.002),  # t = 4 at 2 kHz: its bins lie at 0, 500 and 1000 Hz, none in 250 Hz
     ):
         with pytest.raises(ConfigError, match=key):
             harness.SimConfig(**{key: value})
@@ -603,6 +604,42 @@ def test_scan_bytes_bound_a_grid_chunks_peak():
     scans = [((1, 1, 1, 1), u_shape, 4), ((2, 1, m, m), u_shape, 4)]
     planned = sum(sum(circuit.scan_bytes(*scan).values()) for scan in scans)
     assert peak < 8 * t * (2 * k + 4 * n_levels * k) + planned
+
+
+def test_no_scanned_column_belongs_to_another_pair(monkeypatch):
+    """Each cable scan is handed the rows of one resistor pair, its exchanges at every level,
+    and no other: over a randomized chunk whose two pairs differ in size, the scans of each
+    state count, the ladder pair's and the canceller's, take L x k columns between them."""
+    cfg = harness.SimConfig()
+    levels = harness.TABLE1_LEVELS
+    chunk = harness._classify_chunk(cfg, 0)
+    sizes = np.unique(chunk[2], axis=0, return_counts=True)[1]
+    assert len(sizes) == 2 and sizes[0] != sizes[1]
+    columns, solve = collections.Counter(), circuit.solve_slabs
+
+    def recorded(system, u):
+        columns[system.n_states] += math.prod(u.shape[:-2])
+        return solve(system, u)
+
+    monkeypatch.setattr(circuit, "solve_slabs", recorded)
+    harness._grid_chunk(cfg, chunk, harness.default_table1_variants(), levels)
+    assert columns == {m: len(levels) * len(chunk[0]) for m in (1, 19)}
+
+
+@pytest.mark.parametrize("t", [2, 200, 20_000, 2_000_000])
+@pytest.mark.parametrize("m", [1, 19, 999, 11_585, 39_999])
+def test_an_in_site_scan_is_no_larger_than_its_channel_scan(m, t):
+    """The defense's in-site scan runs on one slab of its channel scan's columns, so the size
+    budget sizes only the channel scan: for each slab width of a channel scan of 1 to 512
+    columns, every array of the in-site scan past SLAB_BYTES is at most the channel scan's
+    largest."""
+    for n_cols in (1, 7, 8, 40, 129, 256, 384, 512):
+        channel = max(circuit.scan_bytes((1, m, m), (n_cols, 3, t), 4).values())
+        width, _ = circuit._layout(1, m, 4, n_cols, t)
+        for w in {min(width, n_cols), n_cols % width} - {0}:
+            in_site = circuit.scan_bytes((m, m), (w, 2, t), 2)
+            large = [size for size in in_site.values() if size > circuit.SLAB_BYTES]
+            assert all(size <= channel for size in large), (n_cols, w, in_site, channel)
 
 
 def test_trimmed_last_chunks_give_the_prefix_of_a_longer_run(monkeypatch):

@@ -286,13 +286,13 @@ def test_ladder_pair_shares_one_stacked_scan(monkeypatch, batch):
     one stack of 2 systems whose outputs equal each ladder's own scan bit for bit."""
     ladders = [Cable(100.0, 10), Cable(1000.0, 10)]
     cfg = LoopConfig(9000.0, 1000.0)
-    u = _rows((1, 3 * batch, 3, 200), seed=batch)
-    alone = [circuit.solve_systems(circuit.loop_system(v, cfg, 1.0 / FS), u[0]) for v in ladders]
+    u = _rows((3 * batch, 3, 200), seed=batch)
+    alone = [circuit.solve_systems(circuit.loop_system(v, cfg, 1.0 / FS), u) for v in ladders]
     stacks = []
     _counted_scan(monkeypatch, lambda p, x, drive: stacks.append(x.shape[1]))
-    shared = np.concatenate([y for _, y in circuit.loop_slabs(u, ladders, [cfg], 1.0 / FS)], axis=2)
+    shared = np.concatenate([y for _, y in circuit.loop_slabs(u, ladders, cfg, 1.0 / FS)], axis=1)
     assert stacks and set(stacks) == {2}
-    for y, y_alone in zip(shared[:, 0], alone):
+    for y, y_alone in zip(shared, alone):
         assert np.array_equal(y, y_alone)
 
 
